@@ -18,11 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -76,6 +77,13 @@ class RetryPolicy:
     base_backoff: float = 0.5
 
 
+def _check_keys(cls: type, raw: dict, where: str) -> None:
+    allowed = {f.name for f in fields(cls) if not f.name.startswith("_")}
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        raise BackendError(f"{where}: unknown config keys {', '.join(unknown)}")
+
+
 @dataclass
 class BackendSpec:
     name: str
@@ -84,7 +92,6 @@ class BackendSpec:
     endpoint: str = ""
     context_limit: int = CONTEXT_LIMITS["gpt"]
     tokenizer: str = "simple"
-    pricing: dict | None = None
     max_concurrency: int = 4
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     api_key_env: str = DEFAULT_API_KEY_ENV
@@ -100,9 +107,12 @@ class BackendSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BackendSpec":
+        """Build a spec from a config entry; unknown and private keys are rejected."""
+        _check_keys(cls, raw, f"backend {raw.get('name')!r}")
         raw = dict(raw)
         raw["kind"] = BackendKind(raw["kind"])
         if "retry_policy" in raw and isinstance(raw["retry_policy"], dict):
+            _check_keys(RetryPolicy, raw["retry_policy"], f"retry_policy of backend {raw.get('name')!r}")
             raw["retry_policy"] = RetryPolicy(**raw["retry_policy"])
         return cls(**raw)
 
@@ -245,6 +255,15 @@ def _oracle_reply(prompt_text: str) -> tuple[str, tuple[str, ...]]:
 # --- completion ----------------------------------------------------------------
 
 
+def _retry_after(header: str | None, backoff: float) -> float:
+    """Seconds a Retry-After header asks for; ``backoff`` unless it is a finite, non-negative number."""
+    try:
+        delay = float(header)
+    except (TypeError, ValueError):
+        return backoff
+    return delay if math.isfinite(delay) and delay >= 0 else backoff
+
+
 def _http_complete(spec: BackendSpec, request: CompletionRequest) -> CompletionResponse:
     url = spec.endpoint if spec.endpoint.endswith("/chat/completions") else spec.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -262,30 +281,28 @@ def _http_complete(spec: BackendSpec, request: CompletionRequest) -> CompletionR
     policy = spec.retry_policy
     last_error = "exhausted retries"
     for attempt in range(1, policy.max_attempts + 1):
+        if attempt > 1:
+            time.sleep(delay)  # the wait the previous attempt settled on
+        delay = policy.base_backoff * 2 ** (attempt - 1)
         try:
             response = requests.post(url, headers=headers, json=body, timeout=spec.request_timeout)
         except requests.RequestException as exc:
             last_error = str(exc)
-            if attempt < policy.max_attempts:
-                time.sleep(policy.base_backoff * 2 ** (attempt - 1))
             continue
 
         if response.status_code == 429 or response.status_code >= 500:
             last_error = f"HTTP {response.status_code}"
-            if attempt < policy.max_attempts:
-                delay = policy.base_backoff * 2 ** (attempt - 1)
-                retry_after = response.headers.get("Retry-After")
-                if response.status_code == 429 and retry_after is not None:
-                    try:
-                        delay = float(retry_after)
-                    except ValueError:
-                        pass
-                time.sleep(delay)
+            if response.status_code == 429:
+                delay = _retry_after(response.headers.get("Retry-After"), delay)
             continue
         if response.status_code != 200:
             raise BackendError(f"{spec.name}: HTTP {response.status_code}: {response.text[:500]}")
 
-        payload = response.json()
+        try:
+            payload = response.json()
+        except ValueError:
+            last_error = "response body is not JSON"
+            continue
         try:
             raw_text = payload["choices"][0]["message"]["content"] or ""
         except (KeyError, IndexError, TypeError):

@@ -298,14 +298,13 @@ def load_dataset(
     *,
     strict: bool = False,
     graph_kind: GraphKind = GraphKind.INSTANCE,
-    split_name: str = FULL,
 ) -> LoadResult:
     """Load a newline-delimited JSON dataset file.
 
     Malformed records are skipped and reported in the rejection log; with
     ``strict=True`` the first bad record aborts the load instead. Every
-    returned instance has passed a full validation pass, so downstream
-    code can rely on the type invariants without re-checking.
+    returned instance was validated as it was parsed, so downstream code
+    can rely on the type invariants without re-checking.
     """
     path = Path(path)
     if not path.exists():
@@ -337,17 +336,7 @@ def load_dataset(
             seen_ids.add(instance.instance_id)
             instances.append(instance)
 
-    split = DatasetSplit(name=split_name, instances=tuple(instances))
-    for instance in split.instances:  # re-validation pass: the returned split is contractually all-valid
-        instance.validate()
-    return LoadResult(split=split, rejections=tuple(rejections))
-
-
-def write_rejection_log(rejections: Iterable[RejectedRecord], path: str | Path) -> None:
-    """Write rejected records as newline-delimited JSON {instance_id, reason}."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in rejections:
-            handle.write(json.dumps({"instance_id": record.instance_id, "reason": record.reason}) + "\n")
+    return LoadResult(split=DatasetSplit(name=FULL, instances=tuple(instances)), rejections=tuple(rejections))
 
 
 def answer_distribution(split: DatasetSplit) -> AnswerDistribution:

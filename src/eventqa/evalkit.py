@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import ALL_CATEGORIES, Answer, QuestionCategory
 from .extract import ExtractedAnswer, ExtractedLabel
@@ -236,10 +236,3 @@ def format_accuracy_table(report: AccuracyReport) -> str:
                 row.append(f"{stats.accuracy:10.4f}" if stats else f"{'-':>10s}")
             lines.append("".join(row))
     return "\n".join(lines)
-
-
-def merge_predictions(batches: Iterable[Sequence[PredictionRecord]]) -> list[PredictionRecord]:
-    merged: list[PredictionRecord] = []
-    for batch in batches:
-        merged.extend(batch)
-    return merged

@@ -14,7 +14,9 @@ to break cycles are still verbalized, appended last in input order.
 
 from __future__ import annotations
 
+import heapq
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,39 +51,70 @@ class VerbalizedGraph:
     cycle_report: tuple[CausalEdge, ...]
 
 
-def _feedback_edge_indices(graph: CausalGraph) -> list[int]:
+def _reaches(successors, start, goal) -> bool:
+    """Whether ``goal`` is reachable from ``start`` (reflexively) along ``successors``."""
+    stack, seen = [start], {start}
+    while stack:
+        current = stack.pop()
+        if current == goal:
+            return True
+        for nxt in successors[current]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def _feedback_edge_indices(edges: list[tuple[int, int]], successors: list[list[int]]) -> list[int]:
     """Input indices of edges set aside to make the graph acyclic.
 
     Deterministic rule: while any edge lies on a cycle, set aside the
     cyclic edge latest in input order. An edge lies on a cycle iff its
     target reaches back to its source through the edges still retained.
+
+    ``edges`` holds (source, target) node indices and ``successors`` the
+    targets of every edge per source; on return ``successors`` holds only
+    the retained edges. One backward scan computes the rule in
+    O(E·(V+E)): setting an edge aside never puts another edge on a cycle,
+    so the rule's victims come in decreasing input order, and edge i is a
+    victim iff it lies on a cycle once every victim after it is set aside.
+    A path from a target back to its source never needs an edge leaving
+    that source, so edge i (or a parallel copy) may stay in the map while
+    it is tested.
     """
-    retained = list(range(len(graph.edges)))
-
-    def reaches(start: str, goal: str) -> bool:
-        adjacency: dict[str, list[str]] = {}
-        for i in retained:
-            adjacency.setdefault(graph.edges[i].source, []).append(graph.edges[i].target)
-        stack, seen = [start], {start}
-        while stack:
-            current = stack.pop()
-            if current == goal:
-                return True
-            for nxt in adjacency.get(current, []):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
     removed: list[int] = []
-    while True:
-        cyclic = [i for i in retained if reaches(graph.edges[i].target, graph.edges[i].source)]
-        if not cyclic:
-            break
-        victim = max(cyclic)
-        retained.remove(victim)
-        removed.append(victim)
-    return sorted(removed)
+    for i in range(len(edges) - 1, -1, -1):
+        source, target = edges[i]
+        if _reaches(successors, target, source):
+            successors[source].remove(target)
+            removed.append(i)
+    return removed[::-1]
+
+
+def _order(graph: CausalGraph) -> tuple[list[str], list[int]]:
+    """Node ids in topological order, and the input indices of set-aside edges."""
+    index = {node.id: i for i, node in enumerate(graph.nodes)}
+    edges = [(index[edge.source], index[edge.target]) for edge in graph.edges]
+    successors: list[list[int]] = [[] for _ in graph.nodes]
+    for source, target in edges:
+        successors[source].append(target)
+    removed = _feedback_edge_indices(edges, successors)
+
+    in_degree = [0] * len(graph.nodes)
+    for targets in successors:
+        for target in targets:
+            in_degree[target] += 1
+    # Ties are broken by input node order: the heap pops the lowest index.
+    available = [i for i, degree in enumerate(in_degree) if degree == 0]
+    ordering: list[str] = []
+    while available:
+        current = heapq.heappop(available)
+        ordering.append(graph.nodes[current].id)
+        for nxt in successors[current]:
+            in_degree[nxt] -= 1
+            if in_degree[nxt] == 0:
+                heapq.heappush(available, nxt)
+    return ordering, removed
 
 
 def topological_order(graph: CausalGraph) -> tuple[list[str], list[CausalEdge]]:
@@ -92,32 +125,8 @@ def topological_order(graph: CausalGraph) -> tuple[list[str], list[CausalEdge]]:
     lying on a cycle, the one latest in input order goes first. The removed
     edges are returned in input order; they are not dropped from the graph.
     """
-    node_index = {node.id: i for i, node in enumerate(graph.nodes)}
-    removed_indices = set(_feedback_edge_indices(graph))
-
-    in_degree = {node.id: 0 for node in graph.nodes}
-    adjacency: dict[str, list[str]] = {node.id: [] for node in graph.nodes}
-    for i, edge in enumerate(graph.edges):
-        if i in removed_indices:
-            continue
-        in_degree[edge.target] += 1
-        adjacency[edge.source].append(edge.target)
-
-    available = sorted((node.id for node in graph.nodes if in_degree[node.id] == 0), key=node_index.__getitem__)
-    ordering: list[str] = []
-    while available:
-        current = available.pop(0)
-        ordering.append(current)
-        ready = []
-        for nxt in adjacency[current]:
-            in_degree[nxt] -= 1
-            if in_degree[nxt] == 0:
-                ready.append(nxt)
-        if ready:
-            available = sorted(available + ready, key=node_index.__getitem__)
-
-    removed = [graph.edges[i] for i in sorted(removed_indices)]
-    return ordering, removed
+    ordering, removed = _order(graph)
+    return ordering, [graph.edges[i] for i in removed]
 
 
 def verbalize_edge(edge: CausalEdge, nodes: dict[str, EventNode]) -> str:
@@ -132,11 +141,11 @@ def verbalize_edge(edge: CausalEdge, nodes: dict[str, EventNode]) -> str:
 
 def verbalize_graph(graph: CausalGraph) -> VerbalizedGraph:
     """Serialize every edge into one sentence, topologically ordered by source."""
-    ordering, _ = topological_order(graph)
-    removed_indices = _feedback_edge_indices(graph)
+    ordering, removed_indices = _order(graph)
     position = {node_id: i for i, node_id in enumerate(ordering)}
 
-    retained = [i for i in range(len(graph.edges)) if i not in set(removed_indices)]
+    set_aside = set(removed_indices)
+    retained = [i for i in range(len(graph.edges)) if i not in set_aside]
     retained.sort(key=lambda i: (position[graph.edges[i].source], i))
     emitted = tuple(graph.edges[i] for i in retained + removed_indices)
 
@@ -173,22 +182,11 @@ def graph_from_sentences(sentences: list[str], graph_id: str = "parsed", kind: G
 
 def _enables_reachable(graph: CausalGraph, start: str, goal: str) -> bool:
     # Reflexive by convention: every event causes itself via the empty chain.
-    if start == goal:
-        return True
-    adjacency: dict[str, list[str]] = {}
+    adjacency: defaultdict[str, list[str]] = defaultdict(list)
     for edge in graph.edges:
         if edge.relation is Relation.ENABLES:
-            adjacency.setdefault(edge.source, []).append(edge.target)
-    stack, seen = [start], {start}
-    while stack:
-        current = stack.pop()
-        for nxt in adjacency.get(current, []):
-            if nxt == goal:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+            adjacency[edge.source].append(edge.target)
+    return _reaches(adjacency, start, goal)
 
 
 def occurred_set(graph: CausalGraph) -> set[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import __version__
 
@@ -82,12 +82,6 @@ def read_ndjson(path: str | Path, *, tolerate_partial: bool = False) -> tuple[di
     if header is None:
         raise ManifestError(f"{path}: missing provenance header")
     return header, records
-
-
-def iter_ndjson(path: str | Path) -> Iterator[dict]:
-    """Yield records only, skipping the header line."""
-    _, records = read_ndjson(path)
-    yield from records
 
 
 def csv_header_line(header: dict) -> str:

@@ -180,6 +180,23 @@ class TestHttpBackend:
             with pytest.raises(BackendError, match="after 3 attempts"):
                 complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
 
+    def test_non_json_body_is_retried_then_typed_error(self):
+        script = [(200, {"Content-Type": "text/html"}, "<html>gateway</html>")] * 3
+        with stub_server(script) as (endpoint, seen):
+            spec = self._spec(endpoint, retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.01))
+            with pytest.raises(BackendError, match="not JSON"):
+                complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
+            assert len(seen) == 3
+
+    def test_unusable_retry_after_falls_back_to_backoff(self):
+        script = [(429, {"Retry-After": value}, "") for value in ("-1", "nan", "inf")]
+        script.append((200, {}, chat_payload("yes")))
+        with stub_server(script) as (endpoint, _):
+            spec = self._spec(endpoint, retry_policy=RetryPolicy(max_attempts=4, base_backoff=0.01))
+            response = complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
+        assert response.attempt_count == 4
+        assert response.raw_text == "yes"
+
     def test_client_error_fails_immediately(self):
         script = [(400, {}, "bad request")]
         with stub_server(script) as (endpoint, seen):

@@ -147,6 +147,14 @@ class TestPipeline:
         assert rc == 2
         assert "context limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["pricng", "_fixtures"])
+    def test_run_rejects_unknown_and_private_backend_keys(self, built, tmp_path, capsys, key):
+        config = tmp_path / "backends.json"
+        config.write_text(json.dumps({"x": {"kind": "oracle", key: {}}}))
+        rc = run_cli("run", "--out", built, "--backend", "x", "--backends-config", config)
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     def test_cost_matches_library_projection(self, built):
         assert run_cli("cost", "--out", built, "--model", "gpt-3.5-turbo", "--expected-output-tokens", 30) == 0
         payload = json.loads((built / "cost.json").read_text())

@@ -22,7 +22,6 @@ from eventqa.corpus import (
     load_dataset,
     load_schema,
     stratified_sample,
-    write_rejection_log,
 )
 
 
@@ -136,15 +135,6 @@ class TestLoadDataset:
         by_schema = load_dataset(path, graph_kind=GraphKind.SCHEMA).split.instances[0]
         assert by_default.graph.kind is GraphKind.INSTANCE
         assert by_schema.graph.graph_id == "the-schema"
-
-    def test_rejection_log_round_trips(self, tmp_path):
-        path = tmp_path / "data.ndjson"
-        _write(path, [_record("a", answer="maybe")])
-        result = load_dataset(path)
-        log_path = tmp_path / "rejections.ndjson"
-        write_rejection_log(result.rejections, log_path)
-        lines = [json.loads(line) for line in log_path.read_text().splitlines()]
-        assert lines == [{"instance_id": "a", "reason": result.rejections[0].reason}]
 
 
 class TestCategoryTaxonomy:

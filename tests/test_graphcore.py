@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from collections import Counter
 from itertools import permutations
 from random import Random
@@ -115,9 +116,13 @@ node_counts = st.integers(min_value=1, max_value=8)
 
 
 @st.composite
-def graphs(draw, acyclic=False):
+def graphs(draw, acyclic=False, max_nodes=8, max_edges=12):
     seed = draw(st.integers(0, 2**32 - 1))
-    return helpers.random_graph(Random(seed), acyclic=acyclic)
+    return helpers.random_graph(Random(seed), max_nodes=max_nodes, max_edges=max_edges, acyclic=acyclic)
+
+
+# Up to 20 nodes and 45 edges; with few nodes, parallel edges are common.
+dense_multigraphs = graphs(max_nodes=20, max_edges=45)
 
 
 class TestTopologicalOrder:
@@ -159,13 +164,26 @@ class TestTopologicalOrder:
         assert_valid_topology(rally_graph, ordering, removed)
         assert ordering[0] == "riot_police_deployed"
 
-    @settings(max_examples=200, deadline=None)
-    @given(graph=graphs())
+    @settings(max_examples=300, deadline=None)
+    @given(graph=st.one_of(graphs(), dense_multigraphs))
     def test_ordering_always_valid_and_removals_match_reference(self, graph):
         ordering, removed = topological_order(graph)
         assert_valid_topology(graph, ordering, removed)
-        reference = feedback_removed_reference(graph)
-        assert [graph.edges[i] for i in reference] == removed
+        reference = [graph.edges[i] for i in feedback_removed_reference(graph)]
+        assert reference == removed
+        assert verbalize_graph(graph).cycle_report == tuple(reference)
+
+    def test_large_cyclic_graph_verbalizes_quickly(self):
+        rng = Random(160)
+        nodes = tuple(EventNode(f"n{i}", f"event {i} of graph") for i in range(160))
+        pairs = [rng.sample(range(160), 2) for _ in range(320)]
+        edges = tuple(CausalEdge(f"n{s}", f"n{t}", Relation.ENABLES) for s, t in pairs)
+        graph = CausalGraph("large", GraphKind.INSTANCE, nodes, edges)
+        started = time.perf_counter()
+        verbalized = verbalize_graph(graph)
+        elapsed = time.perf_counter() - started
+        assert verbalized.cycle_report
+        assert elapsed < 0.25, f"V=160, E=320 took {elapsed:.3f}s"
 
     @settings(max_examples=100, deadline=None)
     @given(graph=graphs(acyclic=True))

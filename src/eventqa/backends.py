@@ -15,6 +15,7 @@ API keys come from the environment variable named in the backend spec
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -23,10 +24,11 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import requests
 
@@ -101,18 +103,25 @@ class BackendSpec:
 
     def __post_init__(self) -> None:
         if self.context_limit <= 0:
-            raise ValueError("context_limit must be positive")
+            raise BackendError(f"backend {self.name!r}: context_limit must be positive")
         if self.max_concurrency < 1:
-            raise ValueError("max_concurrency must be at least 1")
+            raise BackendError(f"backend {self.name!r}: max_concurrency must be at least 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BackendSpec":
         """Build a spec from a config entry; unknown and private keys are rejected."""
-        _check_keys(cls, raw, f"backend {raw.get('name')!r}")
+        where = f"backend {raw.get('name')!r}"
+        _check_keys(cls, raw, where)
         raw = dict(raw)
-        raw["kind"] = BackendKind(raw["kind"])
+        if "kind" not in raw:
+            raise BackendError(f"{where}: missing 'kind'")
+        try:
+            raw["kind"] = BackendKind(raw["kind"])
+        except ValueError:
+            kinds = ", ".join(kind.value for kind in BackendKind)
+            raise BackendError(f"{where}: unknown kind {raw['kind']!r} (expected one of {kinds})") from None
         if "retry_policy" in raw and isinstance(raw["retry_policy"], dict):
-            _check_keys(RetryPolicy, raw["retry_policy"], f"retry_policy of backend {raw.get('name')!r}")
+            _check_keys(RetryPolicy, raw["retry_policy"], f"retry_policy of {where}")
             raw["retry_policy"] = RetryPolicy(**raw["retry_policy"])
         return cls(**raw)
 
@@ -129,6 +138,7 @@ class CompletionRequest:
     prompt_text: str
     max_output_tokens: int
     temperature: float = field(default=0.0, init=False)  # greedy decoding, not configurable
+    prompt_tokens: int | None = None  # count under the backend's tokenizer; None means count here
 
 
 @dataclass(frozen=True)
@@ -231,6 +241,17 @@ def parse_oracle_question(question: str, graph: CausalGraph) -> tuple[Structured
     return None
 
 
+# Every configuration of an instance carries the same graph section, so a
+# batch sorted by instance finds each section here on all but its first visit.
+ORACLE_GRAPH_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=ORACLE_GRAPH_CACHE_SIZE)
+def _graph_of_section(section: str) -> CausalGraph:
+    """The (frozen) graph a prompt's graph section verbalizes; parse errors are raised anew each call."""
+    return graph_from_sentences(section.splitlines())
+
+
 def _oracle_reply(prompt_text: str) -> tuple[str, tuple[str, ...]]:
     graph_match = _GRAPH_SECTION_RE.search(prompt_text)
     if graph_match is None:
@@ -239,7 +260,7 @@ def _oracle_reply(prompt_text: str) -> tuple[str, tuple[str, ...]]:
     if question_match is None:
         return Answer.NO.value, ("unparsed",)
     try:
-        graph = graph_from_sentences(graph_match.group(1).splitlines())
+        graph = _graph_of_section(graph_match.group(1))
     except VerbalizationParseError:
         return Answer.NO.value, ("unparsed",)
     parsed = parse_oracle_question(question_match.group(1).strip(), graph)
@@ -264,7 +285,7 @@ def _retry_after(header: str | None, backoff: float) -> float:
     return delay if math.isfinite(delay) and delay >= 0 else backoff
 
 
-def _http_complete(spec: BackendSpec, request: CompletionRequest) -> CompletionResponse:
+def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens: int) -> CompletionResponse:
     url = spec.endpoint if spec.endpoint.endswith("/chat/completions") else spec.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(spec.api_key_env, "")
@@ -310,7 +331,7 @@ def _http_complete(spec: BackendSpec, request: CompletionRequest) -> CompletionR
         usage = payload.get("usage") or {}
         return CompletionResponse(
             raw_text=raw_text,
-            input_tokens=int(usage.get("prompt_tokens", count_tokens(request.prompt_text, spec.tokenizer))),
+            input_tokens=int(usage.get("prompt_tokens", prompt_tokens)),
             output_tokens=int(usage.get("completion_tokens", count_tokens(raw_text, spec.tokenizer))),
             latency=time.monotonic() - started,
             attempt_count=attempt,
@@ -323,16 +344,19 @@ def complete(spec: BackendSpec, request: CompletionRequest) -> CompletionRespons
     """Run one completion against a backend.
 
     Deterministic backends (mock, oracle) report zero latency so manifests
-    stay byte-stable across runs.
+    stay byte-stable across runs. The prompt is counted under the spec's
+    tokenizer only when the request carries no ``prompt_tokens``.
     """
-    prompt_tokens = count_tokens(request.prompt_text, spec.tokenizer)
+    prompt_tokens = request.prompt_tokens
+    if prompt_tokens is None:
+        prompt_tokens = count_tokens(request.prompt_text, spec.tokenizer)
     if prompt_tokens > spec.context_limit:
         raise ContextOverflowError(
             f"prompt of {prompt_tokens} tokens exceeds {spec.name} context limit {spec.context_limit}"
         )
 
     if spec.kind is BackendKind.HTTP_CHAT:
-        return _http_complete(spec, request)
+        return _http_complete(spec, request, prompt_tokens)
 
     if spec.kind is BackendKind.MOCK:
         key = prompt_fingerprint(request.prompt_text)
@@ -385,6 +409,26 @@ def _record_key(record: dict) -> tuple[str, str]:
     return record["instance_id"], record["config"]
 
 
+def _dispatch(
+    spec: BackendSpec, run_one: Callable[[PromptRecord], dict], pending: list[PromptRecord]
+) -> Iterator[tuple[PromptRecord, Callable[[], dict]]]:
+    """Yield (prompt, result getter) pairs; calling the getter returns the record or raises.
+
+    Deterministic backends are pure computation, which threads cannot
+    overlap, so they run inline in prompt order. HTTP requests wait on the
+    network and go through a pool of ``max_concurrency`` workers, yielded
+    in completion order.
+    """
+    if spec.kind is not BackendKind.HTTP_CHAT:
+        for prompt in pending:
+            yield prompt, functools.partial(run_one, prompt)
+        return
+    with ThreadPoolExecutor(max_workers=spec.max_concurrency) as pool:
+        futures = {pool.submit(run_one, prompt): prompt for prompt in pending}
+        for future in as_completed(futures):
+            yield futures[future], future.result
+
+
 def run_batch(
     spec: BackendSpec,
     prompts: Sequence[PromptRecord],
@@ -393,14 +437,15 @@ def run_batch(
     *,
     max_output_tokens: int | None = None,
 ) -> BatchResult:
-    """Dispatch a batch of prompts through a bounded worker pool.
+    """Complete a batch of prompts, inline or through a worker pool (see ``_dispatch``).
 
-    The manifest is the unit of resumability: completed records are flushed
-    line by line as they finish, and on restart any (instance, config) pair
-    already present is skipped. Once every request has succeeded the file is
-    rewritten sorted by (instance_id, config) so the final bytes do not
-    depend on completion order. Individual failures do not stop the batch;
-    they are collected and reported together.
+    A prompt's stored ``token_count`` is reused when it was made under the
+    spec's tokenizer. The manifest is the unit of resumability: completed
+    records are flushed line by line as they finish, and on restart any
+    (instance, config) pair already present is skipped. Once every request
+    has succeeded the file is rewritten sorted by (instance_id, config) so
+    the final bytes do not depend on completion order. Individual failures
+    do not stop the batch; they are collected and reported together.
     """
     if not prompts:
         raise BackendError("run_batch called with no prompts")
@@ -429,27 +474,28 @@ def run_batch(
 
     def _run_one(prompt: PromptRecord) -> dict:
         budget = max_output_tokens if max_output_tokens is not None else output_budget(prompt.config.strategy)
-        response = complete(spec, CompletionRequest(prompt_text=prompt.prompt_text, max_output_tokens=budget))
-        record = response.to_dict()
+        request = CompletionRequest(
+            prompt_text=prompt.prompt_text,
+            max_output_tokens=budget,
+            prompt_tokens=prompt.count_under(spec.tokenizer),
+        )
+        record = complete(spec, request).to_dict()
         record["instance_id"] = prompt.instance_id
         record["config"] = prompt.config.selector
         return record
 
     if pending:
-        with open(manifest_path, "a", encoding="utf-8") as sink:
-            with ThreadPoolExecutor(max_workers=spec.max_concurrency) as pool:
-                futures = {pool.submit(_run_one, prompt): prompt for prompt in pending}
-                for future in as_completed(futures):
-                    prompt = futures[future]
-                    try:
-                        record = future.result()
-                    except BackendError as exc:
-                        logger.error("request failed for %s/%s: %s", prompt.instance_id, prompt.config.selector, exc)
-                        failures.append(BatchFailure(prompt.instance_id, prompt.config.selector, str(exc)))
-                        continue
-                    completed[_record_key(record)] = record
-                    sink.write(manifest.canonical_json(record) + "\n")
-                    sink.flush()
+        with open(manifest_path, "a", encoding="utf-8") as sink, closing(_dispatch(spec, _run_one, pending)) as outcomes:
+            for prompt, result in outcomes:
+                try:
+                    record = result()
+                except BackendError as exc:
+                    logger.error("request failed for %s/%s: %s", prompt.instance_id, prompt.config.selector, exc)
+                    failures.append(BatchFailure(prompt.instance_id, prompt.config.selector, str(exc)))
+                    continue
+                completed[_record_key(record)] = record
+                sink.write(manifest.canonical_json(record) + "\n")
+                sink.flush()
 
     if not failures:
         ordered = [completed[key] for key in sorted(completed)]

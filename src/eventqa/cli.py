@@ -18,6 +18,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -166,10 +167,21 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _read_backends_config(path: str, backend: str) -> dict[str, dict]:
+    where = f"backends config {path} (for backend {backend!r})"
+    try:
+        table = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CliError(f"cannot read {where}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise CliError(f"{where} is not valid JSON: {exc}") from None
+    if not isinstance(table, dict) or not isinstance(table.get(backend, {}), dict):
+        raise CliError(f"{where} must map backend names to JSON objects")
+    return table
+
+
 def _resolve_backend(args) -> backends.BackendSpec:
-    table: dict[str, dict] = {}
-    if args.backends_config:
-        table = json.loads(Path(args.backends_config).read_text(encoding="utf-8"))
+    table = _read_backends_config(args.backends_config, args.backend) if args.backends_config else {}
     if args.backend in table:
         spec = backends.BackendSpec.from_dict({"name": args.backend, **table[args.backend]})
     elif args.backend == "oracle":
@@ -182,7 +194,7 @@ def _resolve_backend(args) -> backends.BackendSpec:
             "(builtins: 'oracle', and 'mock' with --fixtures)"
         )
     if args.max_concurrency is not None:
-        spec.max_concurrency = args.max_concurrency
+        spec = dataclasses.replace(spec, max_concurrency=args.max_concurrency)  # re-runs the spec's checks
     return spec
 
 
@@ -205,12 +217,11 @@ def cmd_run(args) -> int:
     }
     header = manifest.make_header("run", args.seed, config_payload)
 
-    oversized = [p for p in prompts if promptkit.count_tokens(p.prompt_text, spec.tokenizer) > spec.context_limit]
+    oversized = [n for n in (p.count_under(spec.tokenizer) for p in prompts) if n > spec.context_limit]
     if oversized:
-        worst = max(promptkit.count_tokens(p.prompt_text, spec.tokenizer) for p in oversized)
         raise CliError(
             f"{len(oversized)} prompts exceed the {spec.context_limit}-token context limit of {spec.name} "
-            f"(largest: {worst}); rebuild with --context-limit"
+            f"(largest: {max(oversized)}); rebuild with --context-limit"
         )
 
     result = backends.run_batch(spec, prompts, out / RESPONSES_FILE, header)

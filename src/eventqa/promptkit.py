@@ -293,6 +293,10 @@ class PromptRecord:
             "tokenizer": self.tokenizer,
         }
 
+    def count_under(self, tokenizer: str) -> int:
+        """Prompt tokens under ``tokenizer``: the stored count when it is the record's own, else a fresh count."""
+        return self.token_count if tokenizer == self.tokenizer else count_tokens(self.prompt_text, tokenizer)
+
     @classmethod
     def from_dict(cls, raw: dict) -> "PromptRecord":
         return cls(

@@ -394,8 +394,8 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
     for name in ARTIFACTS:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
-    # Shuffled completion order: resubmitting the same batch in a scrambled
-    # order through a concurrent pool must not change the manifest bytes.
+    # Shuffled submission order: resubmitting the same batch in a scrambled
+    # order must not change the manifest bytes.
     header, _ = manifest.read_ndjson(first / "responses.ndjson")
     _, prompt_rows = manifest.read_ndjson(first / "prompts.ndjson")
     prompts = [PromptRecord.from_dict(row) for row in prompt_rows]

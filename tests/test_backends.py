@@ -4,13 +4,16 @@ import json
 import threading
 from collections import deque
 from contextlib import contextmanager
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from random import Random
 
 import pytest
 
 import helpers
 from eventqa import backends as backends_module
+from eventqa import promptkit
 from eventqa.backends import (
     BackendError,
     BackendKind,
@@ -24,10 +27,22 @@ from eventqa.backends import (
     prompt_fingerprint,
     run_batch,
 )
+from eventqa.cli import main
 from eventqa.corpus import Answer
 from eventqa.graphcore import verbalize_graph
 from eventqa.manifest import make_header, read_ndjson
-from eventqa.promptkit import Modality, PromptConfig, Strategy, assemble_prompt, select_demonstrations
+from eventqa.promptkit import (
+    Modality,
+    PromptConfig,
+    PromptRecord,
+    Strategy,
+    assemble_prompt,
+    count_tokens,
+    register_tokenizer,
+    select_demonstrations,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 @contextmanager
@@ -107,8 +122,6 @@ class TestOracleBackend:
     def test_answers_appendix_demo_questions(self, rally_instance, worked_demos):
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
         verbalized = verbalize_graph(rally_instance.graph)
-        from dataclasses import replace
-
         expectations = {worked_demos[0].question: "no", worked_demos[1].question: "yes"}
         for question, expected in expectations.items():
             instance = replace(rally_instance, question=question)
@@ -137,6 +150,42 @@ class TestOracleBackend:
         with pytest.raises(ContextOverflowError):
             complete(spec, CompletionRequest(prompt_text="one two three four five", max_output_tokens=8))
 
+    def test_given_prompt_tokens_replace_counting(self, monkeypatch):
+        counted = []
+        monkeypatch.setattr(backends_module, "count_tokens", lambda text, tokenizer: counted.append(text) or 1)
+        spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE, context_limit=10)
+        prompt = "one two three"
+        response = complete(spec, CompletionRequest(prompt_text=prompt, max_output_tokens=8, prompt_tokens=7))
+        assert response.input_tokens == 7
+        with pytest.raises(ContextOverflowError, match="prompt of 11 tokens"):
+            complete(spec, CompletionRequest(prompt_text=prompt, max_output_tokens=8, prompt_tokens=11))
+        assert prompt not in counted
+
+    def test_repeated_graph_sections_parse_once_and_answer_alike(self, rally_instance, worked_demos, monkeypatch):
+        parses = []
+        original = backends_module.graph_from_sentences
+
+        def counting_parse(sentences):
+            parses.append(len(sentences))
+            return original(sentences)
+
+        monkeypatch.setattr(backends_module, "graph_from_sentences", counting_parse)
+        backends_module._graph_of_section.cache_clear()
+        spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
+        verbalized = verbalize_graph(rally_instance.graph)
+        instance = replace(rally_instance, question=worked_demos[1].question)
+        record = assemble_prompt(instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], verbalized)
+        request = CompletionRequest(prompt_text=record.prompt_text, max_output_tokens=8)
+        replies = {(r.raw_text, r.flags) for r in (complete(spec, request) for _ in range(3))}
+        assert replies == {("yes", ())}
+        assert len(parses) == 1
+
+        malformed = record.prompt_text.replace(verbalized.sentences[0], "this is not an edge sentence", 1)
+        request = CompletionRequest(prompt_text=malformed, max_output_tokens=8)
+        replies = {(r.raw_text, r.flags) for r in (complete(spec, request) for _ in range(3))}
+        assert replies == {("no", ("unparsed",))}
+        assert len(parses) == 4  # a parse error is raised afresh on every repeat, never cached
+
 
 class TestHttpBackend:
     def _spec(self, endpoint, **overrides):
@@ -162,6 +211,14 @@ class TestHttpBackend:
         assert response.raw_text == "yes"
         assert response.input_tokens == 5
         assert len(seen) == 3
+
+    def test_given_prompt_tokens_stand_in_for_missing_usage(self):
+        script = [(200, {}, chat_payload("no"))]
+        with stub_server(script) as (endpoint, _):
+            response = complete(
+                self._spec(endpoint), CompletionRequest(prompt_text="Did it?", max_output_tokens=8, prompt_tokens=42)
+            )
+        assert response.input_tokens == 42
 
     def test_sends_single_user_message_greedy(self):
         script = [(200, {}, chat_payload("no"))]
@@ -323,6 +380,20 @@ class TestRunBatch:
         failed_ids = {f.instance_id for f in result.failures}
         assert failed_ids == {prompts[2].instance_id, prompts[4].instance_id}
 
+    @pytest.mark.parametrize("kind", [BackendKind.ORACLE, BackendKind.MOCK])
+    def test_deterministic_backends_run_without_an_executor(self, tmp_path, monkeypatch, kind):
+        def no_executor(*args, **kwargs):
+            raise AssertionError("deterministic backends must run inline")
+
+        monkeypatch.setattr(backends_module, "ThreadPoolExecutor", no_executor)
+        prompts = build_prompts(4)
+        fixtures_path = tmp_path / "fixtures.json"
+        fixtures_path.write_text(json.dumps({prompt_fingerprint(p.prompt_text): "no" for p in prompts}))
+        spec = BackendSpec(name=kind.value, kind=kind, fixtures_path=str(fixtures_path), max_concurrency=2)
+        result = run_batch(spec, prompts, tmp_path / "r.ndjson", self._header())
+        assert result.ok
+        assert len(result.responses) == 4
+
     def test_mock_batch_is_deterministic(self, tmp_path):
         prompts = build_prompts(5)
         fixtures = {prompt_fingerprint(p.prompt_text): f"answer is irrelevant {i}" for i, p in enumerate(prompts)}
@@ -333,3 +404,45 @@ class TestRunBatch:
         run_batch(spec, prompts, path_a, self._header())
         run_batch(spec, prompts, path_b, self._header())
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+class TestRunStageTokenCounts:
+    """`eventqa run` reuses each prompt's stored token count when the tokenizers match."""
+
+    def _build(self, tmp_path, tokenizer="simple"):
+        out = tmp_path / "out"
+        argv = ["build", "--dataset", DATA / "sample_dataset.ndjson", "--out", out, "--configs", "zero-graph,zero-text"]
+        assert main([str(part) for part in [*argv, "--tokenizer", tokenizer]]) == 0
+        _, rows = read_ndjson(out / "prompts.ndjson")
+        return out, [PromptRecord.from_dict(row) for row in rows]
+
+    def _run(self, out, *extra):
+        return main([str(part) for part in ["run", "--out", out, *extra]])
+
+    def test_matching_tokenizer_counts_no_prompt(self, tmp_path, monkeypatch):
+        out, prompts = self._build(tmp_path)
+        counted = []
+
+        def recording_count(text, tokenizer="simple"):
+            counted.append(text)
+            return count_tokens(text, tokenizer)
+
+        monkeypatch.setattr(promptkit, "count_tokens", recording_count)
+        monkeypatch.setattr(backends_module, "count_tokens", recording_count)
+        assert self._run(out, "--backend", "oracle") == 0
+        assert not {p.prompt_text for p in prompts} & set(counted)
+        _, rows = read_ndjson(out / "responses.ndjson")
+        assert [row["input_tokens"] for row in rows] == [p.token_count for p in prompts]
+
+    def test_other_tokenizer_is_recounted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(promptkit, "_TOKENIZERS", dict(promptkit._TOKENIZERS))
+        register_tokenizer("chars", len)
+        out, prompts = self._build(tmp_path, tokenizer="chars")
+        simple = [count_tokens(p.prompt_text, "simple") for p in prompts]
+        assert min(p.token_count for p in prompts) > max(simple)
+        # A limit the stored character counts exceed but the spec's own counts meet.
+        config = tmp_path / "backends.json"
+        config.write_text(json.dumps({"narrow": {"kind": "oracle", "context_limit": max(simple)}}))
+        assert self._run(out, "--backend", "narrow", "--backends-config", config) == 0
+        _, rows = read_ndjson(out / "responses.ndjson")
+        assert [row["input_tokens"] for row in rows] == simple

@@ -155,6 +155,44 @@ class TestPipeline:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"model_name": "m"}, "missing 'kind'"),
+            ({"kind": "bogus"}, "unknown kind 'bogus'"),
+            ({"kind": "oracle", "context_limit": 0}, "context_limit must be positive"),
+            (5, "must map backend names to JSON objects"),
+        ],
+        ids=["no-kind", "unknown-kind", "zero-context-limit", "entry-not-object"],
+    )
+    def test_run_bad_backend_entry_exits_2(self, built, tmp_path, capsys, entry, message):
+        config = tmp_path / "backends.json"
+        config.write_text(json.dumps({"x": entry}))
+        rc = run_cli("run", "--out", built, "--backend", "x", "--backends-config", config)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "'x'" in err
+
+    @pytest.mark.parametrize(
+        "content, message", [(None, "cannot read"), ("{not json", "not valid JSON")], ids=["missing", "not-json"]
+    )
+    def test_run_unreadable_backends_config_exits_2(self, built, tmp_path, capsys, content, message):
+        config = tmp_path / "backends.json"
+        if content is not None:
+            config.write_text(content)
+        rc = run_cli("run", "--out", built, "--backend", "x", "--backends-config", config)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "'x'" in err
+
+    def test_run_rejects_zero_max_concurrency(self, built, capsys):
+        rc = run_cli("run", "--out", built, "--backend", "oracle", "--max-concurrency", 0)
+        assert rc == 2
+        assert "max_concurrency must be at least 1" in capsys.readouterr().err
+        assert not (built / "responses.ndjson").exists()
+
     def test_cost_matches_library_projection(self, built):
         assert run_cli("cost", "--out", built, "--model", "gpt-3.5-turbo", "--expected-output-tokens", 30) == 0
         payload = json.loads((built / "cost.json").read_text())

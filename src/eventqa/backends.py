@@ -30,8 +30,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-import requests
-
 from . import manifest
 from .corpus import Answer
 from .graphcore import (
@@ -86,6 +84,35 @@ def _check_keys(cls: type, raw: dict, where: str) -> None:
         raise BackendError(f"{where}: unknown config keys {', '.join(unknown)}")
 
 
+_STRING = (str, "a string")
+_INTEGER = (int, "an integer")
+_NUMBER = ((int, float), "a number")
+
+# The JSON type of each config value other than ``kind``.
+_SPEC_VALUE_TYPES = {
+    "name": _STRING,
+    "model_name": _STRING,
+    "endpoint": _STRING,
+    "context_limit": _INTEGER,
+    "tokenizer": _STRING,
+    "max_concurrency": _INTEGER,
+    "retry_policy": (dict, "a JSON object"),
+    "api_key_env": _STRING,
+    "request_timeout": _NUMBER,
+    "fixtures_path": ((str, type(None)), "a string or null"),
+}
+_RETRY_VALUE_TYPES = {"max_attempts": _INTEGER, "base_backoff": _NUMBER}
+
+
+def _check_values(types: dict[str, tuple], raw: dict, where: str) -> None:
+    for key, (accepted, described) in types.items():
+        if key not in raw:
+            continue
+        value = raw[key]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise BackendError(f"{where}: {key} must be {described}, got {value!r}")
+
+
 @dataclass
 class BackendSpec:
     name: str
@@ -106,12 +133,17 @@ class BackendSpec:
             raise BackendError(f"backend {self.name!r}: context_limit must be positive")
         if self.max_concurrency < 1:
             raise BackendError(f"backend {self.name!r}: max_concurrency must be at least 1")
+        if self.retry_policy.max_attempts < 1:
+            raise BackendError(f"backend {self.name!r}: retry_policy.max_attempts must be at least 1")
+        if not 0 <= self.retry_policy.base_backoff < math.inf:  # also rejects NaN
+            raise BackendError(f"backend {self.name!r}: retry_policy.base_backoff must be finite and non-negative")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BackendSpec":
-        """Build a spec from a config entry; unknown and private keys are rejected."""
+        """Build a spec from a config entry; unknown and private keys and mistyped values are rejected."""
         where = f"backend {raw.get('name')!r}"
         _check_keys(cls, raw, where)
+        _check_values(_SPEC_VALUE_TYPES, raw, where)
         raw = dict(raw)
         if "kind" not in raw:
             raise BackendError(f"{where}: missing 'kind'")
@@ -120,8 +152,9 @@ class BackendSpec:
         except ValueError:
             kinds = ", ".join(kind.value for kind in BackendKind)
             raise BackendError(f"{where}: unknown kind {raw['kind']!r} (expected one of {kinds})") from None
-        if "retry_policy" in raw and isinstance(raw["retry_policy"], dict):
+        if "retry_policy" in raw:
             _check_keys(RetryPolicy, raw["retry_policy"], f"retry_policy of {where}")
+            _check_values(_RETRY_VALUE_TYPES, raw["retry_policy"], f"retry_policy of {where}")
             raw["retry_policy"] = RetryPolicy(**raw["retry_policy"])
         return cls(**raw)
 
@@ -286,6 +319,8 @@ def _retry_after(header: str | None, backoff: float) -> float:
 
 
 def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens: int) -> CompletionResponse:
+    import requests  # here, not at module top, so stages that make no HTTP request do not load it
+
     url = spec.endpoint if spec.endpoint.endswith("/chat/completions") else spec.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(spec.api_key_env, "")

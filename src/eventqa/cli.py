@@ -111,7 +111,7 @@ def cmd_build(args) -> int:
         ({"instance_id": r.instance_id, "reason": r.reason} for r in rejections),
     )
 
-    pool: list[corpus.QAInstance] = []
+    pool = promptkit.DemoPool()
     if any(config.demo_count > 0 for config in configs):
         if not args.demo_pool:
             raise CliError("--demo-pool is required for few-shot and chain-of-thought configurations")
@@ -121,8 +121,8 @@ def cmd_build(args) -> int:
             strict=args.strict,
             graph_kind=corpus.GraphKind(args.graph_kind),
         )
-        pool = list(pool_result.split.instances)
-        overlap = {i.instance_id for i in pool} & {i.instance_id for i in split.instances}
+        pool = promptkit.DemoPool(pool_result.split.instances)
+        overlap = pool.ids & {i.instance_id for i in split.instances}
         if overlap:
             raise CliError(f"demo pool is contaminated by evaluation instances: {sorted(overlap)[:5]}")
 

@@ -462,6 +462,42 @@ def _trace_for(instance: QAInstance, modality: Modality) -> str:
     return prefix + canonical_answer_sentence(instance.gold_answer)
 
 
+class DemoPool(tuple):
+    """A demonstration pool prepared once and reused across prompts.
+
+    Holds the pool's instances in order, their ids, and the positions of
+    the yes and the no instances. Each demonstration is rendered on first
+    use and kept, keyed by (position, modality, with trace), so a pool
+    graph is verbalized at most once per modality however many prompts
+    draw it.
+    """
+
+    ids: frozenset[str]
+    yes_positions: tuple[int, ...]
+    no_positions: tuple[int, ...]
+
+    def __new__(cls, instances: Sequence[QAInstance] = ()) -> "DemoPool":
+        pool = super().__new__(cls, instances)
+        pool.ids = frozenset(instance.instance_id for instance in pool)
+        pool.yes_positions = tuple(i for i, instance in enumerate(pool) if instance.gold_answer is Answer.YES)
+        pool.no_positions = tuple(i for i, instance in enumerate(pool) if instance.gold_answer is Answer.NO)
+        pool._demos = {}
+        return pool
+
+    def demonstration(self, position: int, modality: Modality, with_trace: bool) -> Demonstration:
+        key = (position, modality, with_trace)
+        demo = self._demos.get(key)
+        if demo is None:
+            instance = self[position]
+            demo = self._demos[key] = Demonstration(
+                question=instance.question,
+                answer=instance.gold_answer,
+                source_modality=modality,
+                reasoning_trace=_trace_for(instance, modality) if with_trace else None,
+            )
+        return demo
+
+
 def select_demonstrations(
     pool: Sequence[QAInstance],
     config: PromptConfig,
@@ -472,19 +508,24 @@ def select_demonstrations(
 
     The instance under evaluation is excluded via ``exclude_ids``. When the
     pool carries both labels, the selection always includes at least one yes
-    and one no; a single-label pool is used as-is with a warning.
+    and one no; a single-label pool is used as-is with a warning. Pass a
+    ``DemoPool`` built once to reuse its label split and rendered demos
+    across calls; any other sequence is prepared on every call.
     """
     if config.demo_count == 0:
         return []
-    eligible = [instance for instance in pool if instance.instance_id not in exclude_ids]
+    if not isinstance(pool, DemoPool):
+        pool = DemoPool(pool)
+    eligible = pool
+    if not pool.ids.isdisjoint(exclude_ids):
+        eligible = DemoPool([instance for instance in pool if instance.instance_id not in exclude_ids])
     if len(eligible) < config.demo_count:
         raise InsufficientPoolError(
             f"need {config.demo_count} demonstrations, pool has {len(eligible)} eligible instances"
         )
 
     rng = Random(seed)
-    yes_positions = [i for i, instance in enumerate(eligible) if instance.gold_answer is Answer.YES]
-    no_positions = [i for i, instance in enumerate(eligible) if instance.gold_answer is Answer.NO]
+    yes_positions, no_positions = eligible.yes_positions, eligible.no_positions
 
     if yes_positions and no_positions and config.demo_count >= 2:
         picked = {rng.choice(yes_positions), rng.choice(no_positions)}
@@ -499,15 +540,7 @@ def select_demonstrations(
             )
         picked = set(rng.sample(range(len(eligible)), config.demo_count))
 
-    demos = []
-    for position in sorted(picked):  # stable pool order
-        instance = eligible[position]
-        demos.append(
-            Demonstration(
-                question=instance.question,
-                answer=instance.gold_answer,
-                source_modality=config.modality,
-                reasoning_trace=_trace_for(instance, config.modality) if config.include_reasoning_traces else None,
-            )
-        )
-    return demos
+    return [
+        eligible.demonstration(position, config.modality, config.include_reasoning_traces)
+        for position in sorted(picked)  # stable pool order
+    ]

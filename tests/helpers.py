@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import logging
 from random import Random
+from typing import Collection, Sequence
 
 from eventqa.corpus import (
     Answer,
@@ -15,6 +17,9 @@ from eventqa.corpus import (
     QuestionCategory,
     Relation,
 )
+from eventqa.promptkit import Demonstration, InsufficientPoolError, PromptConfig, _trace_for
+
+logger = logging.getLogger(__name__)
 
 RALLY_PASSAGE = (
     "Organizers state the two days of music, dancing, and speeches is expected to draw "
@@ -172,3 +177,56 @@ def write_dataset(path, instances) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for instance in instances:
             handle.write(json.dumps(instance_to_record(instance)) + "\n")
+
+
+# The selection as it was before DemoPool, kept as the reference that
+# select_demonstrations must match draw for draw.
+def select_demonstrations_reference(
+    pool: Sequence[QAInstance],
+    config: PromptConfig,
+    seed: int,
+    exclude_ids: Collection[str] = (),
+) -> list[Demonstration]:
+    """Pick in-context demonstrations for a configuration, seeded.
+
+    The instance under evaluation is excluded via ``exclude_ids``. When the
+    pool carries both labels, the selection always includes at least one yes
+    and one no; a single-label pool is used as-is with a warning.
+    """
+    if config.demo_count == 0:
+        return []
+    eligible = [instance for instance in pool if instance.instance_id not in exclude_ids]
+    if len(eligible) < config.demo_count:
+        raise InsufficientPoolError(
+            f"need {config.demo_count} demonstrations, pool has {len(eligible)} eligible instances"
+        )
+
+    rng = Random(seed)
+    yes_positions = [i for i, instance in enumerate(eligible) if instance.gold_answer is Answer.YES]
+    no_positions = [i for i, instance in enumerate(eligible) if instance.gold_answer is Answer.NO]
+
+    if yes_positions and no_positions and config.demo_count >= 2:
+        picked = {rng.choice(yes_positions), rng.choice(no_positions)}
+        rest = [i for i in range(len(eligible)) if i not in picked]
+        picked.update(rng.sample(rest, config.demo_count - 2))
+    else:
+        if not yes_positions or not no_positions:
+            logger.warning(
+                "demonstration pool is label-imbalanced: %d yes / %d no",
+                len(yes_positions),
+                len(no_positions),
+            )
+        picked = set(rng.sample(range(len(eligible)), config.demo_count))
+
+    demos = []
+    for position in sorted(picked):  # stable pool order
+        instance = eligible[position]
+        demos.append(
+            Demonstration(
+                question=instance.question,
+                answer=instance.gold_answer,
+                source_modality=config.modality,
+                reasoning_trace=_trace_for(instance, config.modality) if config.include_reasoning_traces else None,
+            )
+        )
+    return demos

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+import eventqa
 import helpers
-from eventqa import manifest
+from eventqa import cli, manifest, promptkit
 from eventqa.cli import main
 from eventqa.costmodel import load_pricing, project_run_cost
 from eventqa.promptkit import PromptRecord
@@ -96,6 +101,32 @@ class TestBuild:
         assert any(row["truncation_applied"] for row in records)
 
 
+    def test_each_graph_verbalized_once_per_use(self, tmp_path, monkeypatch):
+        calls = Counter()
+        original = promptkit.verbalize_graph
+
+        def counting(graph):
+            calls[graph.graph_id] += 1
+            return original(graph)
+
+        monkeypatch.setattr(promptkit, "verbalize_graph", counting)
+        monkeypatch.setattr(cli, "verbalize_graph", counting)
+        assert run_cli("build", "--dataset", DATASET, "--demo-pool", POOL, "--out", tmp_path / "out") == 0
+        pool_graphs = {json.loads(line)["graphs"][0]["graph_id"] for line in Path(POOL).read_text().splitlines()}
+        graph_modalities = [m for m in promptkit.Modality if m is not promptkit.Modality.TEXT]
+        assert pool_graphs & set(calls)
+        for graph_id, count in calls.items():
+            assert count <= (len(graph_modalities) if graph_id in pool_graphs else 1), graph_id
+
+
+def test_importing_the_cli_does_not_load_requests():
+    src = str(Path(eventqa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import eventqa.cli, sys; assert 'requests' not in sys.modules, 'requests was imported'"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
 class TestPipeline:
     def test_full_oracle_pipeline(self, built, capsys):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0
@@ -162,8 +193,23 @@ class TestPipeline:
             ({"kind": "bogus"}, "unknown kind 'bogus'"),
             ({"kind": "oracle", "context_limit": 0}, "context_limit must be positive"),
             (5, "must map backend names to JSON objects"),
+            ({"kind": "oracle", "context_limit": "abc"}, "context_limit must be an integer"),
+            ({"kind": "oracle", "max_concurrency": 2.5}, "max_concurrency must be an integer"),
+            ({"kind": "oracle", "retry_policy": "fast"}, "retry_policy must be a JSON object"),
+            ({"kind": "oracle", "retry_policy": {"max_attempts": True}}, "max_attempts must be an integer"),
+            ({"kind": "oracle", "retry_policy": {"base_backoff": -1}}, "base_backoff must be finite and non-negative"),
         ],
-        ids=["no-kind", "unknown-kind", "zero-context-limit", "entry-not-object"],
+        ids=[
+            "no-kind",
+            "unknown-kind",
+            "zero-context-limit",
+            "entry-not-object",
+            "string-context-limit",
+            "float-max-concurrency",
+            "string-retry-policy",
+            "bool-max-attempts",
+            "negative-backoff",
+        ],
     )
     def test_run_bad_backend_entry_exits_2(self, built, tmp_path, capsys, entry, message):
         config = tmp_path / "backends.json"

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from eventqa import promptkit
 from eventqa.corpus import Answer
 from eventqa.graphcore import verbalize_graph
 from eventqa.promptkit import (
@@ -13,8 +16,10 @@ from eventqa.promptkit import (
     SECTION_INSTRUCTION,
     SECTION_QUESTION,
     SECTION_TEXT,
+    DEFAULT_DEMO_COUNT,
     BudgetError,
     Demonstration,
+    DemoPool,
     InsufficientPoolError,
     Modality,
     PromptAssemblyError,
@@ -256,8 +261,6 @@ class TestDemonstrationSelection:
             assert labels == {Answer.YES, Answer.NO}
 
     def test_single_label_pool_warns(self, demo_pool, caplog):
-        from dataclasses import replace
-
         all_yes = [replace(i, gold_answer=Answer.YES) for i in demo_pool[:3]]
         with caplog.at_level("WARNING"):
             demos = select_demonstrations(all_yes, PromptConfig(Strategy.FEW, Modality.TEXT), seed=0)
@@ -285,6 +288,61 @@ class TestDemonstrationSelection:
     def test_few_demos_have_no_traces(self, demo_pool):
         demos = select_demonstrations(demo_pool, PromptConfig(Strategy.FEW, Modality.GRAPH), seed=3)
         assert all(demo.reasoning_trace is None for demo in demos)
+
+
+@st.composite
+def _pool_and_calls(draw):
+    """A pool (mixed, single-label or exactly ``DEFAULT_DEMO_COUNT`` long) and selection calls against it."""
+    size = draw(st.one_of(st.just(DEFAULT_DEMO_COUNT), st.integers(0, 9)))
+    labels = draw(
+        st.one_of(
+            st.lists(st.sampled_from(Answer), min_size=size, max_size=size),
+            st.sampled_from(Answer).map(lambda label: [label] * size),
+        )
+    )
+    with_graph = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    instances = helpers.synthetic_split(size, seed=draw(st.integers(0, 1000)), id_prefix="pool").instances
+    pool = [
+        replace(instance, gold_answer=label, graph=instance.graph if graph else None)
+        for instance, label, graph in zip(instances, labels, with_graph)
+    ]
+    ids = [instance.instance_id for instance in pool]
+    exclude = st.sets(st.sampled_from(ids + ["eval-0001", "eval-0002"]) if ids else st.just("eval-0001"), max_size=3)
+    calls = draw(
+        st.lists(
+            st.tuples(st.sampled_from(all_configs()), st.integers(0, 2**64 - 1), exclude), min_size=1, max_size=8
+        )
+    )
+    return pool, calls
+
+
+def _outcome(select, *args, **kwargs):
+    try:
+        return select(*args, **kwargs)
+    except InsufficientPoolError:
+        return InsufficientPoolError
+
+
+class TestDemoPool:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_pool_and_calls())
+    def test_reused_pool_matches_reference(self, case):
+        pool, calls = case
+        prepared = DemoPool(pool)
+        for config, seed, exclude_ids in calls:
+            expected = _outcome(helpers.select_demonstrations_reference, pool, config, seed, exclude_ids)
+            assert _outcome(select_demonstrations, prepared, config, seed, exclude_ids) == expected
+
+    def test_each_demo_rendered_once(self, demo_pool, monkeypatch):
+        traced = []
+        monkeypatch.setattr(promptkit, "_trace_for", lambda instance, modality: traced.append(instance) or "trace")
+        prepared = DemoPool(demo_pool)
+        config = PromptConfig(Strategy.COT, Modality.GRAPH)
+        first = select_demonstrations(prepared, config, seed=5)
+        again = select_demonstrations(prepared, config, seed=5, exclude_ids={"eval-0001"})
+        assert again == first
+        assert all(a is b for a, b in zip(first, again))
+        assert len(traced) == DEFAULT_DEMO_COUNT
 
 
 class TestLengthOrdering:

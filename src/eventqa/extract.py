@@ -6,8 +6,9 @@ Two-stage rule. First look for the canonical closing sentence, matching
 conclusions, the last such sentence wins. Only if no canonical sentence is
 present, fall back to the first standalone yes/no token, where standalone
 means bounded by word boundaries, so "yesterday" and "nothing" never match.
-If neither rule fires the output is unparseable, which is a value, not an
-error; scoring counts it as incorrect.
+Both rules take yes/no in any ASCII case. If neither rule fires the output
+is unparseable, which is a value, not an error; scoring counts it as
+incorrect. Extraction is linear in the length of the output.
 """
 
 from __future__ import annotations
@@ -59,9 +60,11 @@ class ExtractedAnswer:
         )
 
 
-# The token group is case-insensitive; the "Therefore," lead-in is not.
-_CANONICAL_RE = re.compile(r"[Tt]herefore,.*?answer is: ((?i:yes|no))", re.DOTALL)
-_STANDALONE_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
+_LEAD_IN = "herefore,"  # after a "T" or a "t"
+_ANSWER_CUE = "answer is: "
+# Spelled out rather than IGNORECASE, which would also let "ſ" (U+017F) stand
+# for "s".
+_STANDALONE_RE = re.compile(r"\b([Yy][Ee][Ss]|[Nn][Oo])\b")
 
 UNPARSEABLE = ExtractedAnswer(answer=ExtractedLabel.UNPARSEABLE, method=ExtractionMethod.NONE)
 
@@ -70,19 +73,55 @@ def _byte_span(text: str, start: int, end: int) -> tuple[int, int]:
     return len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8"))
 
 
+def _label_at(text: str, at: int) -> str | None:
+    for label in ("yes", "no"):
+        if text[at : at + len(label)].lower() == label:
+            return label
+    return None
+
+
+def _last_canonical(text: str) -> tuple[str, int, int] | None:
+    """(label, start, end) of the last canonical sentence, or None.
+
+    Walks the leftmost non-overlapping matches of
+    ``[Tt]herefore,.*?answer is: (yes|no)`` forward: the next lead-in, then
+    the first cue at or after its end that is followed by yes or no, then on
+    from the end of that match. Once no cue follows a lead-in, none follows
+    a later one either, so the walk stops. Each character is looked at a
+    bounded number of times, where a lazy regex rescans to the end of the
+    text from every lead-in that has no answer after it.
+    """
+    last = None
+    position = 0
+    while True:
+        lead_in = text.find(_LEAD_IN, position + 1)
+        while lead_in > 0 and text[lead_in - 1] not in "Tt":
+            lead_in = text.find(_LEAD_IN, lead_in + 1)
+        if lead_in < 0:
+            return last
+        start = lead_in - 1
+        cue = text.find(_ANSWER_CUE, lead_in + len(_LEAD_IN))
+        while cue >= 0 and _label_at(text, cue + len(_ANSWER_CUE)) is None:
+            cue = text.find(_ANSWER_CUE, cue + 1)
+        if cue < 0:
+            return last
+        label = _label_at(text, cue + len(_ANSWER_CUE))
+        position = cue + len(_ANSWER_CUE) + len(label)
+        last = (label, start, position)
+
+
 def extract_answer(raw_text: str) -> ExtractedAnswer:
     """Extract a yes/no answer from model output text."""
     if not raw_text:
         return UNPARSEABLE
 
-    canonical = None
-    for canonical in _CANONICAL_RE.finditer(raw_text):
-        pass
+    canonical = _last_canonical(raw_text)
     if canonical is not None:
+        label, start, end = canonical
         return ExtractedAnswer(
-            answer=ExtractedLabel(canonical.group(1).lower()),
+            answer=ExtractedLabel(label),
             method=ExtractionMethod.CANONICAL_REGEX,
-            matched_span=_byte_span(raw_text, canonical.start(), canonical.end()),
+            matched_span=_byte_span(raw_text, start, end),
         )
 
     fallback = _STANDALONE_RE.search(raw_text)

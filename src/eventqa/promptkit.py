@@ -20,7 +20,9 @@ import logging
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 from random import Random
 from typing import Callable, Collection, Sequence
@@ -161,6 +163,17 @@ class Demonstration:
         # canonical answer sentence, which is what extraction keys on.
         return self.reasoning_trace if self.reasoning_trace else self.answer.value
 
+    # Kept on the object, so a demonstration that a DemoPool hands to many
+    # prompts is rendered and counted once.
+    @cached_property
+    def _text(self) -> str:
+        """The demonstration as it appears in the Examples section."""
+        return f"Question: {self.question}\nAnswer: {self.rendered_answer()}"
+
+    @cached_property
+    def _simple_tokens(self) -> int:
+        return _simple_count(self._text)
+
 
 # --- tokenizers --------------------------------------------------------------
 
@@ -207,15 +220,52 @@ _PLACEHOLDER_SECTIONS = {
 _PLACEHOLDER_RE = re.compile(r"\{(instruction|text|graph|examples|question)\}")
 
 
+@dataclass(frozen=True)
+class _Block:
+    """One skeleton block, compiled once: a format string over its placeholders."""
+
+    format: str
+    names: tuple[str, ...]  # placeholder names in order of appearance
+    section: str  # the section of the first placeholder
+    literal_tokens: int  # tokens of the literal text under ``simple``
+    bordered: bool  # every placeholder touches whitespace or a block edge on both sides
+
+
+def _compile_block(block: str) -> _Block:
+    pieces = _PLACEHOLDER_RE.split(block)  # literal, name, literal, ..., name, literal
+    literals, names = pieces[::2], tuple(pieces[1::2])
+    if not names:
+        raise PromptError(f"template block without placeholder: {block!r}")
+    escaped = [literal.replace("{", "{{").replace("}", "}}") for literal in literals]
+    last = len(names) - 1
+    bordered = all(
+        (before[-1:].isspace() or (i == 0 and not before)) and (after[:1].isspace() or (i == last and not after))
+        for i, (before, after) in enumerate(zip(literals, literals[1:]))
+    )
+    return _Block(
+        format=escaped[0] + "".join(f"{{{name}}}{literal}" for name, literal in zip(names, escaped[1:])),
+        names=names,
+        section=_PLACEHOLDER_SECTIONS[names[0]],
+        literal_tokens=sum(map(_simple_count, literals)),
+        bordered=bordered,
+    )
+
+
 class PromptTemplate:
-    """Skeleton plus instruction wordings, loaded from editable files."""
+    """Skeleton plus instruction wordings, loaded from editable files.
+
+    The skeleton is compiled once. Because a ``simple`` token never spans
+    whitespace, the count of a prompt is the sum of the counts of its parts
+    whenever every placeholder is bordered by whitespace or a block edge;
+    ``additive`` records whether that holds for this skeleton.
+    """
 
     def __init__(self, skeleton: str, instructions: dict[str, dict[str, str]]):
-        self.blocks = [block for block in re.split(r"\n{2,}", skeleton.strip("\n")) if block.strip()]
+        self.blocks = tuple(
+            _compile_block(block) for block in re.split(r"\n{2,}", skeleton.strip("\n")) if block.strip()
+        )
         self.instructions = instructions
-        for block in self.blocks:
-            if not _PLACEHOLDER_RE.search(block):
-                raise PromptError(f"template block without placeholder: {block!r}")
+        self.additive = all(block.bordered for block in self.blocks)
 
     @classmethod
     def default(cls) -> "PromptTemplate":
@@ -234,6 +284,18 @@ class PromptTemplate:
     def instruction_for(self, modality: Modality, with_examples: bool) -> str:
         table = self.instructions[modality.value]
         return table["with_examples" if with_examples else "zero"]
+
+    def _count_from_sections(self, section_tokens: dict[str, int | None]) -> int:
+        """``simple`` tokens of a prompt whose sections have these counts (None: section absent).
+
+        Valid only for an ``additive`` template.
+        """
+        total = 0
+        for block in self.blocks:
+            counts = [section_tokens[name] for name in block.names]
+            if None not in counts:
+                total += block.literal_tokens + sum(counts)
+        return total
 
 
 _DEFAULT_TEMPLATE: PromptTemplate | None = None
@@ -310,12 +372,8 @@ class PromptRecord:
         )
 
 
-def _render_demo(demo: Demonstration) -> str:
-    return f"Question: {demo.question}\nAnswer: {demo.rendered_answer()}"
-
-
-def _byte_offset(text: str, char_offset: int) -> int:
-    return len(text[:char_offset].encode("utf-8"))
+def _utf8_len(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 def _render(parts: PromptParts, template: PromptTemplate) -> tuple[str, dict[str, tuple[int, int]]]:
@@ -323,37 +381,94 @@ def _render(parts: PromptParts, template: PromptTemplate) -> tuple[str, dict[str
         "instruction": parts.instruction,
         "text": " ".join(parts.passage_sentences) if parts.passage_sentences is not None else None,
         "graph": "\n".join(parts.graph_sentences) if parts.graph_sentences is not None else None,
-        "examples": "\n".join(_render_demo(d) for d in parts.demos) if parts.demos else None,
+        "examples": "\n".join(demo._text for demo in parts.demos) if parts.demos else None,
         "question": parts.question,
     }
 
     rendered_blocks: list[str] = []
-    # (section name, char start, char end) relative to the block, resolved later.
-    section_spans: list[tuple[str, int, int]] = []
-    offset = 0
+    sections: dict[str, tuple[int, int]] = {}
+    offset = 0  # in UTF-8 bytes
     for block in template.blocks:
-        placeholders = _PLACEHOLDER_RE.findall(block)
-        if any(values[name] is None for name in placeholders):
+        if any(values[name] is None for name in block.names):
             continue
-        text = _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], block)
+        text = block.format.format_map(values)
         if rendered_blocks:
             offset += 2  # the separating blank line
-        if "question" in placeholders:
+        size = _utf8_len(text)
+        if "question" in block.names:
             # The question block also carries the trailing answer header.
-            answer_header_at = text.rindex("\n### Answer ###")
-            section_spans.append((SECTION_QUESTION, offset, offset + answer_header_at))
-            section_spans.append((SECTION_ANSWER, offset + answer_header_at + 1, offset + len(text)))
+            answer_header_at = _utf8_len(text[: text.rindex("\n### Answer ###")])
+            sections[SECTION_QUESTION] = (offset, offset + answer_header_at)
+            sections[SECTION_ANSWER] = (offset + answer_header_at + 1, offset + size)
         else:
-            section_spans.append((_PLACEHOLDER_SECTIONS[placeholders[0]], offset, offset + len(text)))
+            sections[block.section] = (offset, offset + size)
         rendered_blocks.append(text)
-        offset += len(text)
+        offset += size
 
-    prompt_text = "\n\n".join(rendered_blocks) + "\n"
-    sections = {
-        name: (_byte_offset(prompt_text, start), _byte_offset(prompt_text, end))
-        for name, start, end in section_spans
-    }
-    return prompt_text, sections
+    return "\n\n".join(rendered_blocks) + "\n", sections
+
+
+# How many passages, graphs, questions and instructions keep their counts.
+# A build visits all configurations of one instance in a row, so a few
+# entries per instance are enough.
+PART_COUNT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PART_COUNT_CACHE_SIZE)
+def _part_counts(part: tuple[str, ...]) -> tuple[int, ...]:
+    return tuple(map(_simple_count, part))
+
+
+def _prefix_sums(sentences: tuple[str, ...] | None) -> list[int] | None:
+    return None if sentences is None else list(accumulate(_part_counts(sentences), initial=0))
+
+
+# A cut of a prompt's parts: how many passage sentences, demonstrations and
+# graph sentences it keeps, None for a section it drops entirely.
+_Lengths = tuple[int | None, int, int | None]
+
+
+def _lengths(parts: PromptParts) -> _Lengths:
+    passage, graph = parts.passage_sentences, parts.graph_sentences
+    return (None if passage is None else len(passage), len(parts.demos), None if graph is None else len(graph))
+
+
+def _cut(parts: PromptParts, lengths: _Lengths) -> PromptParts:
+    n_text, n_demos, n_graph = lengths
+    return replace(
+        parts,
+        passage_sentences=None if n_text is None else parts.passage_sentences[:n_text],
+        demos=parts.demos[:n_demos],
+        graph_sentences=None if n_graph is None else parts.graph_sentences[:n_graph],
+    )
+
+
+def _composed_counter(
+    parts: PromptParts, template: PromptTemplate, tokenizer: str
+) -> Callable[[_Lengths], int] | None:
+    """Token count of any cut of ``parts``, summed from per-part counts.
+
+    None unless the tokenizer is ``simple`` and the template is additive;
+    the caller then counts the rendered text in full.
+    """
+    if not template.additive or _TOKENIZERS.get(tokenizer) is not _simple_count:
+        return None
+    fixed = {"instruction": _part_counts((parts.instruction,))[0], "question": _part_counts((parts.question,))[0]}
+    text, graph = _prefix_sums(parts.passage_sentences), _prefix_sums(parts.graph_sentences)
+    demos = list(accumulate((demo._simple_tokens for demo in parts.demos), initial=0))
+
+    def count(lengths: _Lengths) -> int:
+        n_text, n_demos, n_graph = lengths
+        return template._count_from_sections(
+            {
+                **fixed,
+                "text": None if n_text is None else text[n_text],
+                "examples": demos[n_demos] if n_demos else None,
+                "graph": None if n_graph is None else graph[n_graph],
+            }
+        )
+
+    return count
 
 
 def assemble_prompt(
@@ -392,16 +507,32 @@ def assemble_prompt(
         demos=tuple(demos),
     )
     prompt_text, sections = _render(parts, template)
+    composed = _composed_counter(parts, template, tokenizer)
     return PromptRecord(
         instance_id=instance.instance_id,
         config=config,
         prompt_text=prompt_text,
-        token_count=count_tokens(prompt_text, tokenizer),
+        token_count=composed(_lengths(parts)) if composed else count_tokens(prompt_text, tokenizer),
         truncation_applied=False,
         sections=sections,
         tokenizer=tokenizer,
         parts=parts,
     )
+
+
+def _trim_sequence(parts: PromptParts):
+    """The cuts of ``parts`` in trim order, each one sentence or demonstration shorter than the last."""
+    n_text, n_demos, n_graph = _lengths(parts)
+    while True:
+        if n_text:
+            n_text = n_text - 1 or None
+        elif n_demos:
+            n_demos -= 1
+        elif n_graph:
+            n_graph = n_graph - 1 or None
+        else:
+            return
+        yield n_text, n_demos, n_graph
 
 
 def truncate_to_budget(
@@ -414,7 +545,10 @@ def truncate_to_budget(
 
     Trim priority: passage sentences from the end, then demonstrations last
     first, then graph sentences from the end. The graph is only touched once
-    the passage is gone, so structure survives longer than prose.
+    the passage is gone, so structure survives longer than prose. Under an
+    additive template and tokenizer each cut is counted from per-part
+    counts, so the walk is linear; otherwise each cut is rendered and
+    counted in full. Either way the result is rendered once.
     """
     if record.token_count <= budget:
         return record
@@ -422,33 +556,28 @@ def truncate_to_budget(
         raise PromptError("cannot truncate a record without its structured parts (truncate before serializing)")
     template = template or default_template()
 
-    skeleton = replace(record.parts, passage_sentences=None, graph_sentences=None, demos=())
-    skeleton_text, _ = _render(skeleton, template)
-    if count_tokens(skeleton_text, record.tokenizer) > budget:
+    parts = record.parts
+    count = _composed_counter(parts, template, record.tokenizer) or (
+        lambda lengths: count_tokens(_render(_cut(parts, lengths), template)[0], record.tokenizer)
+    )
+    if count((None, 0, None)) > budget:
         raise BudgetError(f"budget {budget} is below the prompt skeleton size")
 
-    parts = record.parts
-    while True:
-        if parts.passage_sentences:
-            parts = replace(parts, passage_sentences=parts.passage_sentences[:-1] or None)
-        elif parts.demos:
-            parts = replace(parts, demos=parts.demos[:-1])
-        elif parts.graph_sentences:
-            parts = replace(parts, graph_sentences=parts.graph_sentences[:-1] or None)
-        else:
-            break
-        prompt_text, sections = _render(parts, template)
-        token_count = count_tokens(prompt_text, record.tokenizer)
+    for lengths in _trim_sequence(parts):
+        token_count = count(lengths)
         if token_count <= budget:
+            kept = _cut(parts, lengths)
+            prompt_text, sections = _render(kept, template)
             return replace(
                 record,
                 prompt_text=prompt_text,
                 token_count=token_count,
                 truncation_applied=True,
                 sections=sections,
-                parts=parts,
+                parts=kept,
             )
-    raise BudgetError(f"budget {budget} cannot be met")  # unreachable: skeleton fits
+    # Reached when a passage or graph with no sentences keeps its header.
+    raise BudgetError(f"budget {budget} cannot be met")
 
 
 def _trace_for(instance: QAInstance, modality: Modality) -> str:

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 import helpers
 from eventqa.corpus import Answer
 from eventqa.promptkit import Demonstration, Modality
+
+# A shared CI runner can be slow enough to trip the per-example deadline, and
+# a failure there should be reproducible from the log: the "ci" profile drops
+# the deadline and draws the same examples on every run.
+settings.register_profile("ci", deadline=None, derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import logging
+import re
+from dataclasses import replace
 from random import Random
 from typing import Collection, Sequence
 
@@ -17,7 +19,29 @@ from eventqa.corpus import (
     QuestionCategory,
     Relation,
 )
-from eventqa.promptkit import Demonstration, InsufficientPoolError, PromptConfig, _trace_for
+from eventqa.extract import UNPARSEABLE, ExtractedAnswer, ExtractedLabel, ExtractionMethod, _byte_span
+from eventqa.graphcore import VerbalizedGraph
+from eventqa.promptkit import (
+    DEFAULT_TOKENIZER,
+    SECTION_ANSWER,
+    SECTION_EXAMPLES,
+    SECTION_GRAPH,
+    SECTION_INSTRUCTION,
+    SECTION_QUESTION,
+    SECTION_TEXT,
+    BudgetError,
+    Demonstration,
+    InsufficientPoolError,
+    Modality,
+    PromptAssemblyError,
+    PromptConfig,
+    PromptError,
+    PromptParts,
+    PromptRecord,
+    _trace_for,
+    count_tokens,
+    split_sentences,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -230,3 +254,207 @@ def select_demonstrations_reference(
             )
         )
     return demos
+
+
+# Prompt rendering, assembly and truncation as they were before the
+# skeleton was compiled once and counts were composed from parts, kept as
+# the reference that promptkit must match record for record. The template
+# must be passed explicitly.
+
+_PLACEHOLDER_SECTIONS = {
+    "instruction": SECTION_INSTRUCTION,
+    "text": SECTION_TEXT,
+    "graph": SECTION_GRAPH,
+    "examples": SECTION_EXAMPLES,
+    "question": SECTION_QUESTION,
+}
+
+_PLACEHOLDER_RE = re.compile(r"\{(instruction|text|graph|examples|question)\}")
+
+
+class ReferenceTemplate:
+    """Skeleton plus instruction wordings, parsed as promptkit.PromptTemplate did."""
+
+    def __init__(self, skeleton: str, instructions: dict[str, dict[str, str]]):
+        self.blocks = [block for block in re.split(r"\n{2,}", skeleton.strip("\n")) if block.strip()]
+        self.instructions = instructions
+        for block in self.blocks:
+            if not _PLACEHOLDER_RE.search(block):
+                raise PromptError(f"template block without placeholder: {block!r}")
+
+    def instruction_for(self, modality: Modality, with_examples: bool) -> str:
+        table = self.instructions[modality.value]
+        return table["with_examples" if with_examples else "zero"]
+
+
+def _render_demo(demo: Demonstration) -> str:
+    return f"Question: {demo.question}\nAnswer: {demo.rendered_answer()}"
+
+
+def _byte_offset(text: str, char_offset: int) -> int:
+    return len(text[:char_offset].encode("utf-8"))
+
+
+def render_reference(parts: PromptParts, template: ReferenceTemplate) -> tuple[str, dict[str, tuple[int, int]]]:
+    values = {
+        "instruction": parts.instruction,
+        "text": " ".join(parts.passage_sentences) if parts.passage_sentences is not None else None,
+        "graph": "\n".join(parts.graph_sentences) if parts.graph_sentences is not None else None,
+        "examples": "\n".join(_render_demo(d) for d in parts.demos) if parts.demos else None,
+        "question": parts.question,
+    }
+
+    rendered_blocks: list[str] = []
+    # (section name, char start, char end) relative to the block, resolved later.
+    section_spans: list[tuple[str, int, int]] = []
+    offset = 0
+    for block in template.blocks:
+        placeholders = _PLACEHOLDER_RE.findall(block)
+        if any(values[name] is None for name in placeholders):
+            continue
+        text = _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], block)
+        if rendered_blocks:
+            offset += 2  # the separating blank line
+        if "question" in placeholders:
+            # The question block also carries the trailing answer header.
+            answer_header_at = text.rindex("\n### Answer ###")
+            section_spans.append((SECTION_QUESTION, offset, offset + answer_header_at))
+            section_spans.append((SECTION_ANSWER, offset + answer_header_at + 1, offset + len(text)))
+        else:
+            section_spans.append((_PLACEHOLDER_SECTIONS[placeholders[0]], offset, offset + len(text)))
+        rendered_blocks.append(text)
+        offset += len(text)
+
+    prompt_text = "\n\n".join(rendered_blocks) + "\n"
+    sections = {
+        name: (_byte_offset(prompt_text, start), _byte_offset(prompt_text, end))
+        for name, start, end in section_spans
+    }
+    return prompt_text, sections
+
+
+def assemble_prompt_reference(
+    instance: QAInstance,
+    config: PromptConfig,
+    demos: Sequence[Demonstration] = (),
+    verbalized: VerbalizedGraph | None = None,
+    *,
+    tokenizer: str = DEFAULT_TOKENIZER,
+    template: ReferenceTemplate,
+) -> PromptRecord:
+    """Build the full prompt for one instance under one configuration.
+
+    The verbalized graph must be supplied exactly when the modality includes
+    the graph; demonstrations must match the configured count and modality.
+    Assembly is pure: identical inputs give byte-identical prompt text.
+    """
+    if config.includes_graph and verbalized is None:
+        raise PromptAssemblyError(f"{config.selector} requires a verbalized graph")
+    if not config.includes_graph and verbalized is not None:
+        raise PromptAssemblyError(f"{config.selector} does not take a graph")
+    if len(demos) != config.demo_count:
+        raise PromptAssemblyError(f"{config.selector} expects {config.demo_count} demonstrations, got {len(demos)}")
+    for demo in demos:
+        if demo.source_modality is not config.modality:
+            raise PromptAssemblyError(
+                f"demonstration modality {demo.source_modality.value} does not match {config.selector}"
+            )
+
+    parts = PromptParts(
+        instruction=template.instruction_for(config.modality, config.includes_examples),
+        question=instance.question,
+        passage_sentences=split_sentences(instance.passage) if config.includes_text else None,
+        graph_sentences=tuple(verbalized.sentences) if config.includes_graph else None,
+        demos=tuple(demos),
+    )
+    prompt_text, sections = render_reference(parts, template)
+    return PromptRecord(
+        instance_id=instance.instance_id,
+        config=config,
+        prompt_text=prompt_text,
+        token_count=count_tokens(prompt_text, tokenizer),
+        truncation_applied=False,
+        sections=sections,
+        tokenizer=tokenizer,
+        parts=parts,
+    )
+
+
+def truncate_to_budget_reference(
+    record: PromptRecord,
+    budget: int,
+    *,
+    template: ReferenceTemplate,
+) -> PromptRecord:
+    """Shrink a prompt to the token budget without touching instruction or question.
+
+    Trim priority: passage sentences from the end, then demonstrations last
+    first, then graph sentences from the end. The graph is only touched once
+    the passage is gone, so structure survives longer than prose.
+    """
+    if record.token_count <= budget:
+        return record
+    if record.parts is None:
+        raise PromptError("cannot truncate a record without its structured parts (truncate before serializing)")
+
+    skeleton = replace(record.parts, passage_sentences=None, graph_sentences=None, demos=())
+    skeleton_text, _ = render_reference(skeleton, template)
+    if count_tokens(skeleton_text, record.tokenizer) > budget:
+        raise BudgetError(f"budget {budget} is below the prompt skeleton size")
+
+    parts = record.parts
+    while True:
+        if parts.passage_sentences:
+            parts = replace(parts, passage_sentences=parts.passage_sentences[:-1] or None)
+        elif parts.demos:
+            parts = replace(parts, demos=parts.demos[:-1])
+        elif parts.graph_sentences:
+            parts = replace(parts, graph_sentences=parts.graph_sentences[:-1] or None)
+        else:
+            break
+        prompt_text, sections = render_reference(parts, template)
+        token_count = count_tokens(prompt_text, record.tokenizer)
+        if token_count <= budget:
+            return replace(
+                record,
+                prompt_text=prompt_text,
+                token_count=token_count,
+                truncation_applied=True,
+                sections=sections,
+                parts=parts,
+            )
+    raise BudgetError(f"budget {budget} cannot be met")  # unreachable: skeleton fits
+
+
+# Answer extraction as it was before the forward scan, kept as the reference
+# for label, method and span. Its lazy regex is quadratic on outputs with many
+# "Therefore," and no answer after them, and it raises ValueError on "yeſ"
+# (U+017F folds to "s" under IGNORECASE), so feed it neither.
+_CANONICAL_RE = re.compile(r"[Tt]herefore,.*?answer is: ((?i:yes|no))", re.DOTALL)
+_STANDALONE_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
+
+
+def extract_answer_reference(raw_text: str) -> ExtractedAnswer:
+    """Extract a yes/no answer from model output text."""
+    if not raw_text:
+        return UNPARSEABLE
+
+    canonical = None
+    for canonical in _CANONICAL_RE.finditer(raw_text):
+        pass
+    if canonical is not None:
+        return ExtractedAnswer(
+            answer=ExtractedLabel(canonical.group(1).lower()),
+            method=ExtractionMethod.CANONICAL_REGEX,
+            matched_span=_byte_span(raw_text, canonical.start(), canonical.end()),
+        )
+
+    fallback = _STANDALONE_RE.search(raw_text)
+    if fallback is not None:
+        return ExtractedAnswer(
+            answer=ExtractedLabel(fallback.group(1).lower()),
+            method=ExtractionMethod.FALLBACK_FIRST_TOKEN,
+            matched_span=_byte_span(raw_text, fallback.start(), fallback.end()),
+        )
+
+    return UNPARSEABLE

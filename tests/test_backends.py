@@ -254,6 +254,28 @@ class TestHttpBackend:
         assert response.attempt_count == 4
         assert response.raw_text == "yes"
 
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_is_capped_by_max_backoff(self, status, monkeypatch):
+        slept = []
+        monkeypatch.setattr(backends_module.time, "sleep", slept.append)
+        script = [(status, {"Retry-After": "86400"}, ""), (200, {}, chat_payload("yes"))]
+        with stub_server(script) as (endpoint, _):
+            spec = self._spec(endpoint, retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.01, max_backoff=0.5))
+            response = complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
+        assert response.raw_text == "yes"
+        assert slept == [0.5]
+
+    def test_retry_after_honoured_on_503(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(backends_module.time, "sleep", slept.append)
+        script = [(503, {"Retry-After": "0.25"}, ""), (500, {"Retry-After": "0.25"}, ""), (200, {}, chat_payload("no"))]
+        with stub_server(script) as (endpoint, _):
+            spec = self._spec(endpoint, retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.01))
+            response = complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
+        assert response.attempt_count == 3
+        # 503 waits as asked; a 500's Retry-After is ignored for the doubled backoff.
+        assert slept == [0.25, 0.02]
+
     def test_client_error_fails_immediately(self):
         script = [(400, {}, "bad request")]
         with stub_server(script) as (endpoint, seen):

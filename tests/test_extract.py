@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from eventqa.extract import ExtractedLabel, ExtractionMethod, extract_answer
+import helpers
+from eventqa.extract import UNPARSEABLE, ExtractedLabel, ExtractionMethod, extract_answer
 
 
 def reference_first_standalone(text: str) -> str | None:
@@ -112,3 +114,44 @@ class TestIdempotence:
     def test_never_crashes_and_classifies(self, text):
         result = extract_answer(text)
         assert result.answer in (ExtractedLabel.YES, ExtractedLabel.NO, ExtractedLabel.UNPARSEABLE)
+
+
+# Pieces a model reply is drawn from: both lead-ins, near misses of them and
+# of the cue, labels in mixed case and glued to words, and non-ASCII text,
+# so the forward scan meets every branch of the regex it replaces.
+_REPLY_PIECES = (
+    "Therefore,", "therefore,", "THEREFORE,", "Therefore", "herefore,", "Xherefore,", "Therefore, ",
+    "answer is: ", "answer is:", "Answer is: ", "the final answer is: ",
+    "yes", "no", "Yes", "NO", "nO", "yesterday", "nothing", "yes.", " ", "\n", ".", ",",
+    "Zürich", "東京", "—", "x",
+)
+
+
+class TestForwardScan:
+    @settings(max_examples=500, deadline=None)
+    @given(pieces=st.lists(st.one_of(st.sampled_from(_REPLY_PIECES), st.text(max_size=6)), max_size=30))
+    @example(pieces=["Xherefore,", " the ", "answer is: ", "yes"])
+    @example(pieces=["Therefore,", "answer is: ", "maybe. ", "answer is: ", "No"])
+    @example(pieces=["therefore,", "answer is: ", "yes", "Therefore,", " ", "answer is: "])
+    def test_matches_reference_regex(self, pieces):
+        text = "".join(pieces)
+        assume("ſ" not in text)  # the reference raises on it; see test_long_s_is_not_an_s
+        assert extract_answer(text) == helpers.extract_answer_reference(text)
+
+    def test_leftmost_matches_not_the_last_cue(self):
+        # The first cue closes the match that starts at the lead-in; the
+        # second one has no lead-in of its own.
+        result = extract_answer("Therefore, answer is: yes. answer is: no")
+        assert result.answer is ExtractedLabel.YES
+        assert result.matched_span == (0, 25)
+
+    @pytest.mark.parametrize("text", ["Therefore, the answer is: yeſ", "maybe yeſ", "YEſ"])
+    def test_long_s_is_not_an_s(self, text):
+        assert extract_answer(text) == UNPARSEABLE
+
+    def test_hostile_reply_extracts_in_linear_time(self):
+        text = "Therefore, we consider it. " * 8000  # 216 KB, no answer after any lead-in
+        started = time.perf_counter()
+        result = extract_answer(text)
+        assert time.perf_counter() - started < 0.1
+        assert result == UNPARSEABLE

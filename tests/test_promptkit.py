@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import time
 from dataclasses import replace
+from importlib import resources
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,7 @@ from eventqa.promptkit import (
     canonical_answer_sentence,
     count_tokens,
     parse_selector,
+    register_tokenizer,
     select_demonstrations,
     split_sentences,
     truncate_to_budget,
@@ -358,3 +362,140 @@ class TestLengthOrdering:
                 counts = [_build(i, config, pool).token_count for i in split.instances]
                 means[strategy] = sum(counts) / len(counts)
             assert means[Strategy.ZERO] < means[Strategy.FEW] < means[Strategy.COT]
+
+
+# Skeletons the composed counts are checked on besides the shipped one: one
+# with placeholders glued to a word character and to punctuation (counted in
+# full), and one whose placeholders touch only whitespace (composed) with
+# two placeholders in one block, a repeated placeholder and literal braces.
+GLUED_SKELETON = (
+    "### Instruction ###\n{instruction}\n\n### Text ###\nPassage:{text}\n\n### Graph ###\n{graph}end\n\n"
+    "### Examples ###\n{examples}\n\n### Question ###\n{question}\n### Answer ###\n"
+)
+BORDERED_SKELETON = (
+    "Do this: {instruction}\n\nNote {braces} stay. {text} and {graph}\n\n{examples}\n\n"
+    "Q: {question}\nAgain: {question}\n### Answer ###"
+)
+_SENTENCES = (
+    "The council met at dawn.",
+    "A storm closed the harbor!",
+    "Did trains resume after the repair?",
+    "Im Café « Zürich » sprach man über naïve Pläne — niemand widersprach.",
+    "東京の会議は延期された。",
+    "snake_case words and 42 numbers",
+)
+
+
+def _templates():
+    """(template, reference template) pairs: the shipped skeleton, then the two above."""
+    shipped = (resources.files("eventqa") / "templates" / "skeleton.txt").read_text(encoding="utf-8")
+    instructions = promptkit.default_template().instructions
+    return [
+        (promptkit.PromptTemplate(skeleton, instructions), helpers.ReferenceTemplate(skeleton, instructions))
+        for skeleton in (shipped, GLUED_SKELETON, BORDERED_SKELETON)
+    ]
+
+
+_TEMPLATES = _templates()
+CHARS_TOKENIZER = "chars"  # the same counter tests/test_backends.py registers under this name
+
+
+@st.composite
+def _prompt_case(draw):
+    sentence = st.one_of(st.sampled_from(_SENTENCES), st.text(max_size=30))
+    passage = draw(
+        st.one_of(
+            st.lists(sentence, min_size=1, max_size=8).map(" ".join),
+            sentence,  # often a single sentence, sometimes whitespace only
+        )
+    )
+    graph = helpers.random_graph(Random(draw(st.integers(0, 10**6))), max_nodes=6, max_edges=8)
+    if draw(st.booleans()):
+        graph = replace(graph, nodes=tuple(replace(node, label=node.label + " — café") for node in graph.nodes))
+    instance = replace(
+        helpers.rally_instance(),
+        passage=passage,
+        question=draw(st.one_of(st.sampled_from(_SENTENCES), st.text(min_size=1, max_size=40))),
+        graph=graph,
+    )
+    config = draw(st.sampled_from(all_configs()))
+    demos = [
+        Demonstration(
+            question=draw(sentence),
+            answer=draw(st.sampled_from(Answer)),
+            source_modality=config.modality,
+            reasoning_trace=draw(st.one_of(st.none(), sentence)) if config.include_reasoning_traces else None,
+        )
+        for _ in range(config.demo_count)
+    ]
+    tokenizer = draw(st.sampled_from(["simple", CHARS_TOKENIZER]))
+    template, reference_template = draw(st.sampled_from(_TEMPLATES))
+    return instance, config, demos, tokenizer, template, reference_template
+
+
+def _record_or_error(truncate, record, budget, template):
+    try:
+        result = truncate(record, budget, template=template)
+    except BudgetError as exc:
+        return BudgetError, str(exc)
+    return result.to_dict(), result.parts
+
+
+class TestComposedCounts:
+    def test_shipped_skeleton_composes_glued_one_does_not(self):
+        assert [template.additive for template, _ in _TEMPLATES] == [True, False, True]
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_prompt_case(), data=st.data())
+    def test_records_match_reference(self, case, data):
+        register_tokenizer(CHARS_TOKENIZER, len)
+        instance, config, demos, tokenizer, template, reference_template = case
+        verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
+        expected = helpers.assemble_prompt_reference(
+            instance, config, demos, verbalized, tokenizer=tokenizer, template=reference_template
+        )
+        record = assemble_prompt(instance, config, demos, verbalized, tokenizer=tokenizer, template=template)
+        assert record.to_dict() == expected.to_dict()
+        assert record.parts == expected.parts
+
+        budget = data.draw(st.integers(0, expected.token_count + 2), label="budget")
+        assert _record_or_error(truncate_to_budget, record, budget, template) == _record_or_error(
+            helpers.truncate_to_budget_reference, expected, budget, reference_template
+        )
+
+    @pytest.mark.parametrize("tokenizer", ["simple", CHARS_TOKENIZER])
+    def test_empty_graph_keeps_its_header_and_misses_the_budget_like_reference(self, rally_instance, tokenizer):
+        register_tokenizer(CHARS_TOKENIZER, len)
+        template, reference_template = _TEMPLATES[0]
+        edgeless = replace(rally_instance.graph, edges=())
+        config = PromptConfig(Strategy.ZERO, Modality.GRAPH)
+        record = assemble_prompt(
+            rally_instance, config, (), verbalize_graph(edgeless), tokenizer=tokenizer, template=template
+        )
+        assert record.parts.graph_sentences == ()
+        skeleton = replace(record.parts, graph_sentences=None)
+        budget = count_tokens(helpers.render_reference(skeleton, reference_template)[0], tokenizer)
+        outcome = _record_or_error(truncate_to_budget, record, budget, template)
+        assert outcome == (BudgetError, f"budget {budget} cannot be met")
+        assert outcome == _record_or_error(helpers.truncate_to_budget_reference, record, budget, reference_template)
+
+    def test_simple_counts_are_composed_without_a_full_count(self, rally_instance, demo_pool, monkeypatch):
+        counted = []
+        monkeypatch.setattr(promptkit, "count_tokens", lambda text, tokenizer="simple": counted.append(tokenizer) or 0)
+        register_tokenizer(CHARS_TOKENIZER, len)
+        config = PromptConfig(Strategy.COT, Modality.TAG)
+        record = _build(rally_instance, config, demo_pool)
+        truncate_to_budget(record, record.token_count // 2)
+        assert counted == []
+        demos = select_demonstrations(demo_pool, config, seed=0)
+        assemble_prompt(rally_instance, config, demos, verbalize_graph(rally_instance.graph), tokenizer=CHARS_TOKENIZER)
+        assert counted == [CHARS_TOKENIZER]
+
+    def test_long_passage_truncates_in_linear_time(self, rally_instance):
+        passage = " ".join(f"Sentence {i} tells of the council, the storm and the harbor." for i in range(1000))
+        record = assemble_prompt(replace(rally_instance, passage=passage), PromptConfig(Strategy.ZERO, Modality.TEXT))
+        assert record.token_count > 12_000
+        started = time.perf_counter()
+        truncated = truncate_to_budget(record, 100)
+        assert time.perf_counter() - started < 0.1
+        assert truncated.token_count <= 100 and truncated.token_count == count_tokens(truncated.prompt_text)

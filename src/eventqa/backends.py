@@ -75,7 +75,6 @@ class BackendKind(str, Enum):
 class RetryPolicy:
     max_attempts: int = 5
     base_backoff: float = 0.5
-    max_backoff: float = 60.0  # caps every wait, a server's Retry-After included
 
 
 def _check_keys(cls: type, raw: dict, where: str) -> None:
@@ -102,7 +101,7 @@ _SPEC_VALUE_TYPES = {
     "request_timeout": _NUMBER,
     "fixtures_path": ((str, type(None)), "a string or null"),
 }
-_RETRY_VALUE_TYPES = {"max_attempts": _INTEGER, "base_backoff": _NUMBER, "max_backoff": _NUMBER}
+_RETRY_VALUE_TYPES = {"max_attempts": _INTEGER, "base_backoff": _NUMBER}
 
 
 def _check_values(types: dict[str, tuple], raw: dict, where: str) -> None:
@@ -136,9 +135,8 @@ class BackendSpec:
             raise BackendError(f"backend {self.name!r}: max_concurrency must be at least 1")
         if self.retry_policy.max_attempts < 1:
             raise BackendError(f"backend {self.name!r}: retry_policy.max_attempts must be at least 1")
-        for key in ("base_backoff", "max_backoff"):
-            if not 0 <= getattr(self.retry_policy, key) < math.inf:  # also rejects NaN
-                raise BackendError(f"backend {self.name!r}: retry_policy.{key} must be finite and non-negative")
+        if not 0 <= self.retry_policy.base_backoff < math.inf:  # also rejects NaN
+            raise BackendError(f"backend {self.name!r}: retry_policy.base_backoff must be finite and non-negative")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BackendSpec":
@@ -280,6 +278,9 @@ def parse_oracle_question(question: str, graph: CausalGraph) -> tuple[Structured
 # batch sorted by instance finds each section here on all but its first visit.
 ORACLE_GRAPH_CACHE_SIZE = 1024
 
+# The longest wait between two attempts, a server's Retry-After included.
+MAX_RETRY_WAIT = 60.0
+
 
 @functools.lru_cache(maxsize=ORACLE_GRAPH_CACHE_SIZE)
 def _graph_of_section(section: str) -> CausalGraph:
@@ -340,7 +341,7 @@ def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens:
     last_error = "exhausted retries"
     for attempt in range(1, policy.max_attempts + 1):
         if attempt > 1:
-            time.sleep(min(delay, policy.max_backoff))  # the wait the previous attempt settled on
+            time.sleep(min(delay, MAX_RETRY_WAIT))  # the wait the previous attempt settled on
         delay = policy.base_backoff * 2 ** (attempt - 1)
         try:
             response = requests.post(url, headers=headers, json=body, timeout=spec.request_timeout)

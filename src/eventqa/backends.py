@@ -23,12 +23,13 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from . import manifest
 from .corpus import Answer
@@ -198,20 +199,6 @@ class CompletionResponse:
             "backend": self.backend,
             "flags": list(self.flags),
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CompletionResponse":
-        return cls(
-            raw_text=raw["raw_text"],
-            input_tokens=int(raw["input_tokens"]),
-            output_tokens=int(raw["output_tokens"]),
-            latency=float(raw["latency"]),
-            attempt_count=int(raw["attempt_count"]),
-            backend=raw["backend"],
-            instance_id=raw.get("instance_id", ""),
-            config=raw.get("config", ""),
-            flags=tuple(raw.get("flags", ())),
-        )
 
 
 def prompt_fingerprint(prompt_text: str) -> str:
@@ -435,7 +422,7 @@ class BatchFailure:
 
 @dataclass(frozen=True)
 class BatchResult:
-    responses: list[CompletionResponse]
+    completed: int  # records in the manifest, resumed ones included
     failures: list[BatchFailure]
 
     @property
@@ -447,29 +434,65 @@ def _record_key(record: dict) -> tuple[str, str]:
     return record["instance_id"], record["config"]
 
 
+def _prompt_key(prompt: PromptRecord) -> tuple[str, str]:
+    return prompt.instance_id, prompt.config.selector
+
+
+def _check_batch(spec: BackendSpec, prompts: Iterable[PromptRecord]) -> None:
+    """Refuse an empty batch, a repeated (instance_id, config) pair, or a prompt over the context limit.
+
+    In a batch sorted by key, as ``prompts.ndjson`` is, a repeat shows as
+    two equal neighbours, so the check holds nothing per prompt; a batch in
+    any other order is checked again against a set of its keys.
+    """
+    size, last, in_order, oversized = 0, (), True, []
+    for prompt in prompts:
+        key = _prompt_key(prompt)
+        in_order, last = in_order and key > last, key
+        size += 1
+        tokens = prompt.count_under(spec.tokenizer)
+        if tokens > spec.context_limit:
+            oversized.append(tokens)
+    if not size:
+        raise BackendError("run_batch called with no prompts")
+    if not in_order and len({_prompt_key(prompt) for prompt in prompts}) < size:
+        raise BackendError("duplicate (instance_id, config) pairs in prompt batch")
+    if oversized:
+        raise ContextOverflowError(
+            f"{len(oversized)} prompts exceed the {spec.context_limit}-token context limit of {spec.name} "
+            f"(largest: {max(oversized)})"
+        )
+
+
 def _dispatch(
-    spec: BackendSpec, run_one: Callable[[PromptRecord], dict], pending: list[PromptRecord]
+    spec: BackendSpec, run_one: Callable[[PromptRecord], dict], pending: Iterable[PromptRecord]
 ) -> Iterator[tuple[PromptRecord, Callable[[], dict]]]:
     """Yield (prompt, result getter) pairs; calling the getter returns the record or raises.
 
     Deterministic backends are pure computation, which threads cannot
     overlap, so they run inline in prompt order. HTTP requests wait on the
     network and go through a pool of ``max_concurrency`` workers, yielded
-    in completion order.
+    in completion order; at most twice that many are submitted and not yet
+    yielded, so the pool never holds more than a window of the batch.
     """
     if spec.kind is not BackendKind.HTTP_CHAT:
         for prompt in pending:
             yield prompt, functools.partial(run_one, prompt)
         return
+    pending = iter(pending)
     with ThreadPoolExecutor(max_workers=spec.max_concurrency) as pool:
-        futures = {pool.submit(run_one, prompt): prompt for prompt in pending}
-        for future in as_completed(futures):
-            yield futures[future], future.result
+        in_flight = {pool.submit(run_one, prompt): prompt for prompt in islice(pending, 2 * spec.max_concurrency)}
+        while in_flight:
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                yield in_flight.pop(future), future.result
+                for prompt in islice(pending, 1):
+                    in_flight[pool.submit(run_one, prompt)] = prompt
 
 
 def run_batch(
     spec: BackendSpec,
-    prompts: Sequence[PromptRecord],
+    prompts: Iterable[PromptRecord],
     manifest_path: str | Path,
     header: dict,
     *,
@@ -477,36 +500,40 @@ def run_batch(
 ) -> BatchResult:
     """Complete a batch of prompts, inline or through a worker pool (see ``_dispatch``).
 
-    A prompt's stored ``token_count`` is reused when it was made under the
-    spec's tokenizer. The manifest is the unit of resumability: completed
-    records are flushed line by line as they finish, and on restart any
-    (instance, config) pair already present is skipped. Once every request
-    has succeeded the file is rewritten sorted by (instance_id, config) so
-    the final bytes do not depend on completion order. Individual failures
-    do not stop the batch; they are collected and reported together.
+    ``prompts`` is iterated at least twice, so it must be a collection,
+    not an iterator: a first pass checks the batch (see ``_check_batch``)
+    before any request is sent or any file is written, and a second pass
+    streams the prompts to the backend. Apart from the keys a resumed
+    manifest already holds, nothing is kept per prompt. A prompt's stored
+    ``token_count`` is reused when it was made under the spec's tokenizer.
+
+    The manifest is the unit of resumability: completed records are
+    flushed line by line as they finish, and on restart a torn last line is
+    cut off and any pair already present is skipped. Once every request
+    has succeeded the file holds its records sorted by (instance_id,
+    config), so the final bytes do not depend on completion order; it is
+    rewritten only when the records were written out of that order.
+    Individual failures do not stop the batch; they are collected and
+    reported together.
     """
-    if not prompts:
-        raise BackendError("run_batch called with no prompts")
-    keys = [(p.instance_id, p.config.selector) for p in prompts]
-    if len(set(keys)) != len(keys):
-        raise BackendError("duplicate (instance_id, config) pairs in prompt batch")
+    if iter(prompts) is prompts:
+        raise BackendError("run_batch needs a collection of prompts it can iterate twice, not an iterator")
+    _check_batch(spec, prompts)
 
     manifest_path = Path(manifest_path)
-    completed: dict[tuple[str, str], dict] = {}
+    done: set[tuple[str, str]] = set()
+    last: tuple = ()  # the key of the last record in the file
+    in_order = True
     if manifest_path.exists():
-        existing_header, records = manifest.read_ndjson(manifest_path, tolerate_partial=True)
+        existing_header, records = manifest.resume_ndjson(manifest_path)
         if existing_header != header:
             raise BackendError(
                 f"manifest {manifest_path} was produced by a different run configuration; refusing to resume"
             )
         for record in records:
-            completed[_record_key(record)] = record
-    pending = [p for p in prompts if (p.instance_id, p.config.selector) not in completed]
-
-    failures: list[BatchFailure] = []
-    if manifest_path.exists():
-        # Rewrite up front so a partial trailing line never survives.
-        manifest.write_ndjson(manifest_path, header, completed.values())
+            key = _record_key(record)
+            in_order, last = in_order and key > last, key
+            done.add(key)
     else:
         manifest.write_ndjson(manifest_path, header, [])
 
@@ -518,25 +545,26 @@ def run_batch(
             prompt_tokens=prompt.count_under(spec.tokenizer),
         )
         record = complete(spec, request).to_dict()
-        record["instance_id"] = prompt.instance_id
-        record["config"] = prompt.config.selector
+        record["instance_id"], record["config"] = _prompt_key(prompt)
         return record
 
-    if pending:
-        with open(manifest_path, "a", encoding="utf-8") as sink, closing(_dispatch(spec, _run_one, pending)) as outcomes:
-            for prompt, result in outcomes:
-                try:
-                    record = result()
-                except BackendError as exc:
-                    logger.error("request failed for %s/%s: %s", prompt.instance_id, prompt.config.selector, exc)
-                    failures.append(BatchFailure(prompt.instance_id, prompt.config.selector, str(exc)))
-                    continue
-                completed[_record_key(record)] = record
-                sink.write(manifest.canonical_json(record) + "\n")
-                sink.flush()
+    pending = (prompt for prompt in prompts if _prompt_key(prompt) not in done)
+    failures: list[BatchFailure] = []
+    completed = len(done)
+    with open(manifest_path, "a", encoding="utf-8") as sink, closing(_dispatch(spec, _run_one, pending)) as outcomes:
+        for prompt, result in outcomes:
+            try:
+                record = result()
+            except BackendError as exc:
+                logger.error("request failed for %s/%s: %s", prompt.instance_id, prompt.config.selector, exc)
+                failures.append(BatchFailure(prompt.instance_id, prompt.config.selector, str(exc)))
+                continue
+            key = _record_key(record)
+            in_order, last = in_order and key > last, key
+            sink.write(manifest.canonical_json(record) + "\n")
+            sink.flush()
+            completed += 1
 
-    if not failures:
-        ordered = [completed[key] for key in sorted(completed)]
-        manifest.write_ndjson(manifest_path, header, ordered)
-    responses = [CompletionResponse.from_dict(completed[key]) for key in sorted(completed)]
-    return BatchResult(responses=responses, failures=sorted(failures, key=lambda f: (f.instance_id, f.config)))
+    if not failures and not in_order:
+        manifest.sort_ndjson(manifest_path, _record_key)
+    return BatchResult(completed=completed, failures=sorted(failures, key=lambda f: (f.instance_id, f.config)))

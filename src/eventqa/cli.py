@@ -25,6 +25,7 @@ import sys
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 from . import backends, corpus, costmodel, evalkit, extract, manifest, promptkit
 from .graphcore import verbalize_graph
@@ -126,42 +127,46 @@ def cmd_build(args) -> int:
         if overlap:
             raise CliError(f"demo pool is contaminated by evaluation instances: {sorted(overlap)[:5]}")
 
-    records: list[promptkit.PromptRecord] = []
-    for instance in split.instances:
-        verbalized = verbalize_graph(instance.graph) if instance.graph is not None else None
-        for config in configs:
-            if config.includes_graph and verbalized is None:
-                raise CliError(f"instance {instance.instance_id!r} has no graph but {config.selector} needs one")
-            try:
-                demos = promptkit.select_demonstrations(
-                    pool,
-                    config,
-                    seed=_derived_seed(args.seed, instance.instance_id, config.selector),
-                    exclude_ids={instance.instance_id},
-                )
-                record = promptkit.assemble_prompt(
-                    instance,
-                    config,
-                    demos,
-                    verbalized if config.includes_graph else None,
-                    tokenizer=args.tokenizer,
-                )
-                if args.context_limit is not None:
-                    record = promptkit.truncate_to_budget(record, args.context_limit)
-            except promptkit.PromptError as exc:
-                raise CliError(f"building {config.selector} for instance {instance.instance_id!r}: {exc}") from exc
-            records.append(record)
+    # Visiting instances by id and configurations by selector makes the
+    # records in manifest order, so each is written as soon as it is made.
+    tallies: dict[str, list[int]] = {}  # selector -> [prompts, tokens]
 
-    records.sort(key=lambda r: (r.instance_id, r.config.selector))
-    manifest.write_ndjson(out / PROMPTS_FILE, header, (r.to_dict() for r in records))
+    def records():
+        for instance in sorted(split.instances, key=lambda i: i.instance_id):
+            verbalized = verbalize_graph(instance.graph) if instance.graph is not None else None
+            for config in sorted(configs, key=lambda c: c.selector):
+                if config.includes_graph and verbalized is None:
+                    raise CliError(f"instance {instance.instance_id!r} has no graph but {config.selector} needs one")
+                try:
+                    demos = promptkit.select_demonstrations(
+                        pool,
+                        config,
+                        seed=_derived_seed(args.seed, instance.instance_id, config.selector),
+                        exclude_ids={instance.instance_id},
+                    )
+                    record = promptkit.assemble_prompt(
+                        instance,
+                        config,
+                        demos,
+                        verbalized if config.includes_graph else None,
+                        tokenizer=args.tokenizer,
+                    )
+                    if args.context_limit is not None:
+                        record = promptkit.truncate_to_budget(record, args.context_limit)
+                except promptkit.PromptError as exc:
+                    raise CliError(f"building {config.selector} for instance {instance.instance_id!r}: {exc}") from exc
+                tally = tallies.setdefault(config.selector, [0, 0])
+                tally[0] += 1
+                tally[1] += record.token_count
+                yield record.to_dict()
 
-    by_config: dict[str, list[int]] = {}
-    for record in records:
-        by_config.setdefault(record.config.selector, []).append(record.token_count)
-    print(f"built {len(records)} prompts for {len(split.instances)} instances -> {out / PROMPTS_FILE}")
-    for selector in sorted(by_config):
-        counts = by_config[selector]
-        print(f"  {selector:10s} n={len(counts):5d} mean_tokens={sum(counts) / len(counts):8.1f}")
+    manifest.write_ndjson(out / PROMPTS_FILE, header, records())
+
+    built = sum(n for n, _ in tallies.values())
+    print(f"built {built} prompts for {len(split.instances)} instances -> {out / PROMPTS_FILE}")
+    for selector in sorted(tallies):
+        n, tokens = tallies[selector]
+        print(f"  {selector:10s} n={n:5d} mean_tokens={tokens / n:8.1f}")
     if rejections:
         print(f"  rejected {len(rejections)} records -> {out / REJECTIONS_FILE}")
     return 0
@@ -198,10 +203,19 @@ def _resolve_backend(args) -> backends.BackendSpec:
     return spec
 
 
+@dataclasses.dataclass(frozen=True)
+class _PromptStream:
+    """The records of a prompts manifest, parsed as they stream; iterable more than once."""
+
+    rows: manifest.Records
+
+    def __iter__(self) -> Iterator[promptkit.PromptRecord]:
+        return map(promptkit.PromptRecord.from_dict, self.rows)
+
+
 def cmd_run(args) -> int:
     out = Path(args.out)
     prompts_header, prompt_rows = manifest.read_ndjson(out / PROMPTS_FILE)
-    prompts = [promptkit.PromptRecord.from_dict(row) for row in prompt_rows]
     spec = _resolve_backend(args)
 
     config_payload = {
@@ -217,15 +231,11 @@ def cmd_run(args) -> int:
     }
     header = manifest.make_header("run", args.seed, config_payload)
 
-    oversized = [n for n in (p.count_under(spec.tokenizer) for p in prompts) if n > spec.context_limit]
-    if oversized:
-        raise CliError(
-            f"{len(oversized)} prompts exceed the {spec.context_limit}-token context limit of {spec.name} "
-            f"(largest: {max(oversized)}); rebuild with --context-limit"
-        )
-
-    result = backends.run_batch(spec, prompts, out / RESPONSES_FILE, header)
-    print(f"ran {len(result.responses)} completions on {spec.name} -> {out / RESPONSES_FILE}")
+    try:
+        result = backends.run_batch(spec, _PromptStream(prompt_rows), out / RESPONSES_FILE, header)
+    except backends.ContextOverflowError as exc:
+        raise CliError(f"{exc}; rebuild with --context-limit") from None
+    print(f"ran {result.completed} completions on {spec.name} -> {out / RESPONSES_FILE}")
     if result.failures:
         print(f"  {len(result.failures)} requests failed:", file=sys.stderr)
         for failure in result.failures[:10]:
@@ -270,8 +280,7 @@ def cmd_score(args) -> int:
 def cmd_report(args) -> int:
     out = Path(args.out)
     predictions_header, rows = manifest.read_ndjson(out / PREDICTIONS_FILE)
-    predictions = [evalkit.PredictionRecord.from_dict(row) for row in rows]
-    report = evalkit.score(predictions)
+    report = evalkit.score(map(evalkit.PredictionRecord.from_dict, rows))
 
     config_payload = {"stage": "report", "predictions_hash": predictions_header["config_hash"]}
     header = manifest.make_header("report", args.seed, config_payload)
@@ -291,21 +300,27 @@ def _default_pricing_path() -> Path:
 def cmd_cost(args) -> int:
     out = Path(args.out)
     prompts_header, prompt_rows = manifest.read_ndjson(out / PROMPTS_FILE)
-    prompts = [promptkit.PromptRecord.from_dict(row) for row in prompt_rows]
     pricing = costmodel.load_pricing(args.pricing or _default_pricing_path())
 
+    # (prompts, input tokens) per strategy name, in first-seen order.
+    tallies: dict[str, list[int]] = {}
+    for row in prompt_rows:
+        tally = tallies.setdefault(row["config"]["strategy"], [0, 0])
+        tally[0] += 1
+        tally[1] += int(row["token_count"])
+
     if args.expected_output_tokens is not None:
-        estimate = costmodel.project_run_cost(prompts, args.expected_output_tokens, args.model, pricing)
+        prompts = sum(n for n, _ in tallies.values())
+        input_tokens = sum(tokens for _, tokens in tallies.values())
+        estimate = costmodel.project_run_cost(prompts, input_tokens, args.expected_output_tokens, args.model, pricing)
     else:
         # Default output budgets differ by strategy; cost is additive, so
-        # project per strategy group and sum.
-        groups: dict[promptkit.Strategy, list[promptkit.PromptRecord]] = {}
-        for record in prompts:
-            groups.setdefault(record.config.strategy, []).append(record)
+        # project per strategy and sum.
         total = Decimal(0)
         input_tokens = output_tokens = 0
-        for strategy, group in groups.items():
-            part = costmodel.project_run_cost(group, backends.output_budget(strategy), args.model, pricing)
+        for strategy, (prompts, tokens) in tallies.items():
+            budget = backends.output_budget(promptkit.Strategy(strategy))
+            part = costmodel.project_run_cost(prompts, tokens, budget, args.model, pricing)
             total += part.total_cost
             input_tokens += part.input_tokens
             output_tokens += part.output_tokens

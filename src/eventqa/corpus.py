@@ -98,6 +98,20 @@ _ORIGINAL_CLUSTERS: dict[QuestionCategory, str] = {
 ALL_CATEGORIES: tuple[QuestionCategory, ...] = tuple(QuestionCategory)
 
 
+def _check_unicode(text: str, what: str) -> None:
+    """Reject text that cannot be written as UTF-8: lone surrogates, from "\\ud800" escapes or undecodable bytes."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{what} holds a lone surrogate or bytes that are not UTF-8") from None
+
+
+def _printable(text: str) -> str:
+    """``text`` with any lone surrogate spelled out as a backslash escape."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 @dataclass(frozen=True)
 class EventNode:
     id: str
@@ -138,6 +152,7 @@ class CausalGraph:
             seen.add(node.id)
             if not node.label:
                 raise ValueError(f"empty label for node {node.id!r}")
+            _check_unicode(node.label, f"label of node {node.id!r}")
             # Labels feed the fixed verbalization grammar; quotes and
             # newlines would make the emitted sentences unparseable.
             if '"' in node.label or "\n" in node.label:
@@ -167,6 +182,8 @@ class QAInstance:
             raise ValueError("empty passage")
         if not self.question:
             raise ValueError("empty question")
+        for text, what in ((self.instance_id, "instance_id"), (self.passage, "passage"), (self.question, "question")):
+            _check_unicode(text, what)
         if not isinstance(self.gold_answer, Answer):
             raise ValueError(f"gold answer must be yes or no, got {self.gold_answer!r}")
         if self.graph is not None:
@@ -235,6 +252,19 @@ def merge_schema(overrides: dict | None) -> dict:
     return schema
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    return value
+
+
+def _json_objects(value, what: str) -> list[dict]:
+    """The objects of a JSON array of objects."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what}s are not a JSON array")
+    return [_json_object(item, what) for item in value]
+
+
 def _parse_graph(raw: dict, schema: dict) -> CausalGraph:
     gf, nf, ef = schema["graph_fields"], schema["node_fields"], schema["edge_fields"]
     kind_raw = str(raw.get(gf["kind"], "instance")).lower()
@@ -243,10 +273,11 @@ def _parse_graph(raw: dict, schema: dict) -> CausalGraph:
     except ValueError:
         raise ValueError(f"unknown graph kind {kind_raw!r}") from None
     nodes = tuple(
-        EventNode(id=str(node[nf["id"]]), label=str(node[nf["label"]])) for node in raw.get(gf["nodes"], [])
+        EventNode(id=str(node[nf["id"]]), label=str(node[nf["label"]]))
+        for node in _json_objects(raw.get(gf["nodes"], []), "graph node")
     )
     edges = []
-    for edge in raw.get(gf["edges"], []):
+    for edge in _json_objects(raw.get(gf["edges"], []), "graph edge"):
         relation_raw = str(edge[ef["relation"]]).lower()
         try:
             relation = Relation(relation_raw)
@@ -279,7 +310,7 @@ def _parse_instance(raw: dict, schema: dict, graph_kind: GraphKind) -> QAInstanc
         except ValueError:
             raise ValueError(f"unrecognized category {category_raw!r}") from None
 
-    graphs = [_parse_graph(g, schema) for g in raw.get(schema["graphs"], [])]
+    graphs = [_parse_graph(g, schema) for g in _json_objects(raw.get(schema["graphs"], []), "graph")]
     instance = QAInstance(
         instance_id=str(raw.get(schema["instance_id"], "")),
         passage=str(raw.get(schema["passage"], "")),
@@ -314,24 +345,25 @@ def load_dataset(
     instances: list[QAInstance] = []
     rejections: list[RejectedRecord] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    # Bytes that are not UTF-8 become lone surrogates, which validation rejects.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             instance_id = ""
             try:
-                raw = json.loads(line)
+                raw = _json_object(json.loads(line), "record")
                 instance_id = str(raw.get(schema["instance_id"], ""))
                 instance = _parse_instance(raw, schema, graph_kind)
                 if instance.instance_id in seen_ids:
                     raise ValueError(f"duplicate instance_id {instance.instance_id!r}")
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
                 reason = str(exc) or exc.__class__.__name__
                 if strict:
                     raise DatasetFormatError(f"{path}:{line_no}: {reason}") from exc
                 logger.warning("skipping record at %s:%d: %s", path, line_no, reason)
-                rejections.append(RejectedRecord(instance_id=instance_id, reason=reason))
+                rejections.append(RejectedRecord(instance_id=_printable(instance_id), reason=reason))
                 continue
             seen_ids.add(instance.instance_id)
             instances.append(instance)

@@ -12,9 +12,6 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Sequence
-
-from .promptkit import PromptRecord
 
 MILLION = Decimal(1_000_000)
 CENT = Decimal("0.01")
@@ -101,18 +98,18 @@ def estimate_cost(input_tokens: int, output_tokens: int, model_name: str, pricin
 
 
 def project_run_cost(
-    prompts: Sequence[PromptRecord],
+    prompts: int,
+    input_tokens: int,
     expected_output_tokens: int,
     model_name: str,
     pricing: PricingTable,
 ) -> CostEstimate:
-    """Project the cost of running a built prompt manifest.
+    """Project the cost of running a built prompt manifest from its tally.
 
-    Input tokens are the sum of per-prompt counts; every prompt is assumed
-    to produce ``expected_output_tokens`` of output.
+    ``input_tokens`` is the sum of the per-prompt counts of ``prompts``
+    prompts; every prompt is assumed to produce ``expected_output_tokens``
+    of output.
     """
-    if not prompts:
+    if prompts == 0:
         raise CostError("cannot project cost of an empty prompt list")
-    input_tokens = sum(record.token_count for record in prompts)
-    output_tokens = len(prompts) * expected_output_tokens
-    return estimate_cost(input_tokens, output_tokens, model_name, pricing)
+    return estimate_cost(input_tokens, prompts * expected_output_tokens, model_name, pricing)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import ALL_CATEGORIES, Answer, QuestionCategory
 from .extract import ExtractedAnswer, ExtractedLabel
@@ -104,8 +104,8 @@ class AccuracyReport:
     cluster_cells: dict[ClusterKey, CellStats] = field(default_factory=dict)
 
 
-def score(predictions: Sequence[PredictionRecord]) -> AccuracyReport:
-    """Aggregate predictions into per-configuration and per-category cells."""
+def score(predictions: Iterable[PredictionRecord]) -> AccuracyReport:
+    """Aggregate predictions, in one pass, into per-configuration and per-category cells."""
     seen: set[tuple[str, str, str]] = set()
     report = AccuracyReport()
     for record in predictions:

@@ -100,7 +100,7 @@ class PromptConfig:
         if self.demo_count < 0:
             raise ValueError("demo_count must be non-negative")
 
-    @property
+    @cached_property
     def selector(self) -> str:
         return f"{self.strategy.value}-{self.modality.value}"
 
@@ -126,12 +126,14 @@ class PromptConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PromptConfig":
-        return cls(
-            strategy=Strategy(raw["strategy"]),
-            modality=Modality(raw["modality"]),
-            demo_count=int(raw["demo_count"]),
-            include_reasoning_traces=bool(raw["include_reasoning_traces"]),
-        )
+        return _config(raw["strategy"], raw["modality"], int(raw["demo_count"]), bool(raw["include_reasoning_traces"]))
+
+
+# Every record of a manifest names one of a few configurations; each is
+# built once and shared, which is safe because a config is frozen.
+@lru_cache(maxsize=64)
+def _config(strategy: str, modality: str, demo_count: int, include_reasoning_traces: bool) -> PromptConfig:
+    return PromptConfig(Strategy(strategy), Modality(modality), demo_count, include_reasoning_traces)
 
 
 _MODALITY_ALIASES = {"text": Modality.TEXT, "graph": Modality.GRAPH, "graphs": Modality.GRAPH, "tag": Modality.TAG}
@@ -408,10 +410,16 @@ def _render(parts: PromptParts, template: PromptTemplate) -> tuple[str, dict[str
     return "\n\n".join(rendered_blocks) + "\n", sections
 
 
-# How many passages, graphs, questions and instructions keep their counts.
-# A build visits all configurations of one instance in a row, so a few
-# entries per instance are enough.
+# How many passages keep their sentences, and how many passages, graphs,
+# questions and instructions keep their counts. A build visits all
+# configurations of one instance in a row, so a few entries per instance
+# are enough.
 PART_COUNT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PART_COUNT_CACHE_SIZE)
+def _passage_sentences(passage: str) -> tuple[str, ...]:
+    return split_sentences(passage)
 
 
 @lru_cache(maxsize=PART_COUNT_CACHE_SIZE)
@@ -502,7 +510,7 @@ def assemble_prompt(
     parts = PromptParts(
         instruction=template.instruction_for(config.modality, config.includes_examples),
         question=instance.question,
-        passage_sentences=split_sentences(instance.passage) if config.includes_text else None,
+        passage_sentences=_passage_sentences(instance.passage) if config.includes_text else None,
         graph_sentences=tuple(verbalized.sentences) if config.includes_graph else None,
         demos=tuple(demos),
     )
@@ -657,9 +665,16 @@ def select_demonstrations(
     yes_positions, no_positions = eligible.yes_positions, eligible.no_positions
 
     if yes_positions and no_positions and config.demo_count >= 2:
-        picked = {rng.choice(yes_positions), rng.choice(no_positions)}
-        rest = [i for i in range(len(eligible)) if i not in picked]
-        picked.update(rng.sample(rest, config.demo_count - 2))
+        first = sorted({rng.choice(yes_positions), rng.choice(no_positions)})
+        # Draw among the positions not yet picked without listing them: the
+        # index-th of them is index stepped past each picked position at or
+        # below it, in ascending order. ``sample`` makes the same draws for a
+        # range as for a list of the same length.
+        picked = set(first)
+        for index in rng.sample(range(len(eligible) - len(first)), config.demo_count - 2):
+            for position in first:
+                index += index >= position
+            picked.add(index)
     else:
         if not yes_positions or not no_positions:
             logger.warning(

@@ -50,7 +50,6 @@ from test_costmodel import (
     GPT35_ZERO,
     GPT4O_COT,
     back_solve_gpt35,
-    fake_prompts,
     solved_pricing,  # noqa: F401  (registers the fixture in this module)
 )
 from test_graphcore import (
@@ -333,7 +332,7 @@ def test_criterion_07_cost_reproduction(solved_pricing):
     for tokens_in, tokens_out, expected in (GPT35_ZERO, GPT35_FEW):
         estimate = estimate_cost(tokens_in, tokens_out, "gpt-3.5-turbo", solved_pricing)
         assert abs(estimate.total_cost - expected) <= Decimal("0.05")
-    projection = project_run_cost(fake_prompts(1000, 21_100), 212_000, "gpt-4o", solved_pricing)
+    projection = project_run_cost(1000, 1000 * 21_100, 212_000, "gpt-4o", solved_pricing)
     assert abs(projection.total_cost - GPT4O_COT[2]) <= Decimal("1.00")
     _report(7, "published cost rows reproduced from back-solved prices", started, 1.0)
 

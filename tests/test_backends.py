@@ -74,6 +74,7 @@ def stub_server(script):
         yield f"http://127.0.0.1:{server.server_port}/v1", requests_seen
     finally:
         server.shutdown()
+        server.server_close()
         thread.join()
 
 
@@ -307,6 +308,7 @@ class TestHttpBackend:
             complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
         finally:
             server.shutdown()
+            server.server_close()
             thread.join()
         assert captured["auth"] == "Bearer sekrit"
 
@@ -398,7 +400,7 @@ class TestRunBatch:
         monkeypatch.setattr(backends_module, "complete", flaky_complete)
         result = run_batch(self._oracle_spec(), prompts, tmp_path / "r.ndjson", self._header())
         assert len(result.failures) == 2
-        assert len(result.responses) == 4
+        assert result.completed == 4
         failed_ids = {f.instance_id for f in result.failures}
         assert failed_ids == {prompts[2].instance_id, prompts[4].instance_id}
 
@@ -414,7 +416,71 @@ class TestRunBatch:
         spec = BackendSpec(name=kind.value, kind=kind, fixtures_path=str(fixtures_path), max_concurrency=2)
         result = run_batch(spec, prompts, tmp_path / "r.ndjson", self._header())
         assert result.ok
-        assert len(result.responses) == 4
+        assert result.completed == 4
+
+    @pytest.mark.parametrize(
+        "batch, error",
+        [
+            (lambda prompts: [], "no prompts"),
+            (lambda prompts: prompts + prompts[:1], "duplicate"),
+            (lambda prompts: sorted(prompts + prompts[:1], key=lambda p: p.instance_id), "duplicate"),
+            (lambda prompts: prompts[:1] + [replace(prompts[1], token_count=10**6)], "exceed"),
+        ],
+        ids=["empty", "duplicate", "adjacent-duplicate", "oversized"],
+    )
+    def test_refused_batch_sends_and_writes_nothing(self, tmp_path, monkeypatch, batch, error):
+        def no_request(spec, request):
+            raise AssertionError("a refused batch must send nothing")
+
+        monkeypatch.setattr(backends_module, "complete", no_request)
+        path = tmp_path / "r.ndjson"
+        with pytest.raises(BackendError, match=error):
+            run_batch(self._oracle_spec(), batch(build_prompts(3)), path, self._header())
+        assert not path.exists()
+
+    def test_an_iterator_of_prompts_is_refused(self, tmp_path):
+        with pytest.raises(BackendError, match="iterate twice"):
+            run_batch(self._oracle_spec(), iter(build_prompts(3)), tmp_path / "r.ndjson", self._header())
+
+    def test_output_written_in_order_is_not_rewritten(self, tmp_path, monkeypatch):
+        rewrites = []
+        monkeypatch.setattr(backends_module.manifest, "sort_ndjson", lambda *args: rewrites.append(args))
+        prompts = sorted(build_prompts(6, configs=("zero-graph", "zero-tag")), key=lambda p: p.instance_id)
+        assert run_batch(self._oracle_spec(), prompts, tmp_path / "r.ndjson", self._header()).completed == 12
+        assert rewrites == []
+        run_batch(self._oracle_spec(), prompts[::-1], tmp_path / "reversed.ndjson", self._header())
+        assert len(rewrites) == 1
+
+    def test_resume_redoes_a_last_record_missing_its_newline(self, tmp_path):
+        prompts = build_prompts(4)
+        path = tmp_path / "responses.ndjson"
+        header = self._header()
+        run_batch(self._oracle_spec(), prompts, path, header)
+        full_bytes = path.read_bytes()
+        path.write_bytes(full_bytes[:-1])
+        assert run_batch(self._oracle_spec(), prompts, path, header).completed == 4
+        assert path.read_bytes() == full_bytes
+
+    def test_http_submissions_stay_within_the_window(self):
+        spec = BackendSpec(name="http", kind=BackendKind.HTTP_CHAT, endpoint="http://127.0.0.1:9", max_concurrency=2)
+        prompts = build_prompts(20)
+        pulled, yielded, widest = 0, 0, 0
+
+        def pending():
+            nonlocal pulled
+            for prompt in prompts:
+                pulled += 1
+                yield prompt
+
+        def run_one(prompt):
+            return {"instance_id": prompt.instance_id}
+
+        for prompt, result in backends_module._dispatch(spec, run_one, pending()):
+            widest = max(widest, pulled - yielded)
+            yielded += 1
+            assert result() == {"instance_id": prompt.instance_id}
+        assert yielded == len(prompts)
+        assert widest <= 2 * spec.max_concurrency
 
     def test_mock_batch_is_deterministic(self, tmp_path):
         prompts = build_prompts(5)

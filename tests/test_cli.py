@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -101,6 +102,14 @@ class TestBuild:
         assert any(row["truncation_applied"] for row in records)
 
 
+    def test_failed_build_leaves_no_prompts_file(self, tmp_path):
+        instances = helpers.synthetic_split(3, seed=1).instances
+        dataset = tmp_path / "data.ndjson"
+        helpers.write_dataset(dataset, [instances[0], replace(instances[1], graph=None), instances[2]])
+        out = tmp_path / "out"
+        assert run_cli("build", "--dataset", dataset, "--out", out, "--configs", "zero-graph") == 2
+        assert [path.name for path in out.iterdir()] == ["rejections.ndjson"]
+
     def test_each_graph_verbalized_once_per_use(self, tmp_path, monkeypatch):
         calls = Counter()
         original = promptkit.verbalize_graph
@@ -117,6 +126,20 @@ class TestBuild:
         assert pool_graphs & set(calls)
         for graph_id, count in calls.items():
             assert count <= (len(graph_modalities) if graph_id in pool_graphs else 1), graph_id
+
+    def test_each_passage_split_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+        original = promptkit.split_sentences
+
+        def counting(text):
+            calls[text] += 1
+            return original(text)
+
+        monkeypatch.setattr(promptkit, "split_sentences", counting)
+        promptkit._passage_sentences.cache_clear()
+        assert run_cli("build", "--dataset", DATASET, "--demo-pool", POOL, "--out", tmp_path / "out") == 0
+        passages = [json.loads(line)["passage"] for line in Path(DATASET).read_text().splitlines()]
+        assert [calls[passage] for passage in passages] == [1] * len(passages)
 
 
 def test_importing_the_cli_does_not_load_requests():
@@ -246,7 +269,8 @@ class TestPipeline:
         prompts = [PromptRecord.from_dict(row) for row in rows]
         from eventqa.cli import _default_pricing_path
 
-        expected = project_run_cost(prompts, 30, "gpt-3.5-turbo", load_pricing(_default_pricing_path()))
+        tokens = sum(p.token_count for p in prompts)
+        expected = project_run_cost(len(prompts), tokens, 30, "gpt-3.5-turbo", load_pricing(_default_pricing_path()))
         assert Decimal(payload["estimate"]["total_cost"]) == expected.total_cost
         assert payload["estimate"]["display_cost"] == str(expected.display_cost)
 

@@ -21,6 +21,7 @@ from eventqa.corpus import (
     answer_distribution,
     load_dataset,
     load_schema,
+    merge_schema,
     stratified_sample,
 )
 
@@ -245,3 +246,124 @@ class TestStratifiedSample:
         sample = stratified_sample(synthetic_split, 25, seed=2)
         positions = [synthetic_split.instances.index(i) for i in sample.instances]
         assert positions == sorted(positions)
+
+
+# --- fuzzing the loader ---------------------------------------------------------
+
+# Text that sometimes holds lone surrogates, which JSON can spell as "\ud800".
+_TEXT = st.text(max_size=6) | st.text(
+    st.characters(min_codepoint=0xD7F0, max_codepoint=0xE010, exclude_categories=()), max_size=3
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+_REMAPPED = {
+    "instance_id": "uid",
+    "passage": "text",
+    "answer": "label",
+    "graphs": "structures",
+    "graph_fields": {"kind": "type", "nodes": "vertices"},
+    "node_fields": {"id": "key"},
+    "edge_fields": {"relation": "rel", "source": "from"},
+}
+
+
+def _anything_or(*strategies):
+    return st.one_of(*strategies, _JSON)
+
+
+def _near_records(schema):
+    """Records shaped like the schema, whose every field may be missing, mistyped or out of range."""
+    nf, ef, gf = schema["node_fields"], schema["edge_fields"], schema["graph_fields"]
+    node_ids = st.sampled_from(["a", "b", "c", ""])
+    node = _anything_or(
+        st.fixed_dictionaries({}, optional={nf["id"]: _anything_or(node_ids), nf["label"]: _anything_or(_TEXT)})
+    )
+    edge = _anything_or(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                ef["source"]: _anything_or(node_ids),
+                ef["target"]: _anything_or(node_ids),
+                ef["relation"]: _anything_or(st.sampled_from(["enables", "BLOCKS", "causes"])),
+            },
+        )
+    )
+    graph = _anything_or(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                gf["graph_id"]: _JSON,
+                gf["kind"]: _anything_or(st.sampled_from(["instance", "Schema", "other"])),
+                gf["nodes"]: _anything_or(st.lists(node, max_size=4)),
+                gf["edges"]: _anything_or(st.lists(edge, max_size=4)),
+            },
+        )
+    )
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            schema["instance_id"]: _anything_or(st.sampled_from(["x", "y", "z"])),
+            schema["passage"]: _anything_or(_TEXT),
+            schema["question"]: _anything_or(_TEXT),
+            schema["answer"]: _anything_or(st.sampled_from(["yes", "No", "maybe"])),
+            schema["category"]: _anything_or(st.sampled_from([c.value for c in QuestionCategory] + ["CAUSAL", "other"])),
+            schema["graphs"]: _anything_or(st.lists(graph, max_size=3)),
+        },
+    )
+
+
+@st.composite
+def _dataset_lines(draw):
+    """(schema overrides or None, dataset lines): JSON of any shape, near-records, and text that is not JSON."""
+    overrides = draw(st.sampled_from([None, _REMAPPED]))
+    schema = merge_schema(overrides)
+    line = st.one_of(
+        _near_records(schema).map(json.dumps),
+        _JSON.map(json.dumps),
+        st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=20),
+    )
+    return overrides, draw(st.lists(line, min_size=1, max_size=6))
+
+
+class TestLoadDatasetFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_dataset_lines())
+    def test_every_line_becomes_an_instance_or_a_rejection(self, tmp_path_factory, case):
+        overrides, lines = case
+        path = tmp_path_factory.mktemp("fuzz") / "data.ndjson"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        result = load_dataset(path, overrides)
+        assert len(result.split.instances) + len(result.rejections) == sum(1 for line in lines if line.strip())
+        # Whatever loads can be written out: instances into prompts, rejections into their log.
+        for instance in result.split.instances:
+            labels = [node.label for node in instance.graph.nodes] if instance.graph else []
+            "".join([instance.instance_id, instance.passage, instance.question, *labels]).encode("utf-8")
+        for rejection in result.rejections:
+            (rejection.instance_id + rejection.reason).encode("utf-8")
+        try:
+            strict = load_dataset(path, overrides, strict=True)
+        except DatasetFormatError:
+            assert result.rejections
+        else:
+            assert strict == result
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"null",
+            b"[" * 100_000 + b"]" * 100_000,
+            json.dumps(_record("MARK")).encode().replace(b"MARK", b"x\xffy"),
+            json.dumps(_record("c", passage="caf\ud800 closed.")).encode(),
+        ],
+        ids=["not-an-object", "nested-too-deep", "not-utf8", "lone-surrogate"],
+    )
+    def test_hostile_line_is_rejected(self, tmp_path, line):
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(b"\n".join([json.dumps(_record("a")).encode(), line, json.dumps(_record("b")).encode()]) + b"\n")
+        result = load_dataset(path)
+        assert [instance.instance_id for instance in result.split.instances] == ["a", "b"]
+        [rejection] = result.rejections
+        (rejection.instance_id + rejection.reason).encode("utf-8")

@@ -15,7 +15,6 @@ from eventqa.costmodel import (
     load_pricing,
     project_run_cost,
 )
-from eventqa.promptkit import Modality, PromptConfig, PromptRecord, Strategy
 
 # Recorded full-run token tallies with their reported dollar costs; two
 # same-model rows form a 2x2 linear system in (input, output) price.
@@ -60,21 +59,6 @@ def solved_pricing() -> PricingTable:
     )
 
 
-def fake_prompts(count: int, tokens_each: int, strategy=Strategy.COT) -> list[PromptRecord]:
-    config = PromptConfig(strategy, Modality.TAG)
-    return [
-        PromptRecord(
-            instance_id=f"i{i:05d}",
-            config=config,
-            prompt_text="",
-            token_count=tokens_each,
-            truncation_applied=False,
-            sections={},
-        )
-        for i in range(count)
-    ]
-
-
 class TestEstimate:
     def test_reproduces_both_published_gpt35_rows(self, solved_pricing):
         for tokens_in, tokens_out, expected in (GPT35_ZERO, GPT35_FEW):
@@ -109,27 +93,25 @@ class TestEstimate:
 
 class TestProjection:
     def test_gpt4o_run_within_a_dollar(self, solved_pricing):
-        prompts = fake_prompts(1000, tokens_each=21_100)
-        estimate = project_run_cost(prompts, 212_000, "gpt-4o", solved_pricing)
+        estimate = project_run_cost(1000, 1000 * 21_100, 212_000, "gpt-4o", solved_pricing)
         assert estimate.input_tokens == GPT4O_COT[0]
         assert estimate.output_tokens == GPT4O_COT[1]
         assert abs(estimate.total_cost - GPT4O_COT[2]) <= Decimal("1.00")
 
     def test_simple_arithmetic(self):
         pricing = PricingTable("flat", {"m": ModelPricing(Decimal("1"), Decimal("1"))})
-        estimate = project_run_cost(fake_prompts(10, 100), 30, "m", pricing)
+        estimate = project_run_cost(10, 10 * 100, 30, "m", pricing)
         assert estimate.total_cost == Decimal("0.0013")
 
     def test_zero_expected_output_is_input_only(self, solved_pricing):
-        prompts = fake_prompts(10, 1000)
-        with_output = project_run_cost(prompts, 50, "gpt-4o", solved_pricing)
-        without = project_run_cost(prompts, 0, "gpt-4o", solved_pricing)
+        with_output = project_run_cost(10, 10 * 1000, 50, "gpt-4o", solved_pricing)
+        without = project_run_cost(10, 10 * 1000, 0, "gpt-4o", solved_pricing)
         assert without.output_tokens == 0
         assert without.total_cost < with_output.total_cost
 
     def test_empty_prompt_list_rejected(self, solved_pricing):
         with pytest.raises(CostError):
-            project_run_cost([], 10, "gpt-4o", solved_pricing)
+            project_run_cost(0, 0, 10, "gpt-4o", solved_pricing)
 
 
 class TestPricingConfig:

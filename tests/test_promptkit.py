@@ -296,8 +296,13 @@ class TestDemonstrationSelection:
 
 @st.composite
 def _pool_and_calls(draw):
-    """A pool (mixed, single-label or exactly ``DEFAULT_DEMO_COUNT`` long) and selection calls against it."""
-    size = draw(st.one_of(st.just(DEFAULT_DEMO_COUNT), st.integers(0, 9)))
+    """A pool (mixed, single-label, exactly ``DEFAULT_DEMO_COUNT`` long or up to 40) and selection calls against it.
+
+    Besides the nine configurations, the calls ask for 1 to 12 demonstrations,
+    so the draw of the positions not yet picked covers many pool sizes and
+    sample sizes.
+    """
+    size = draw(st.one_of(st.just(DEFAULT_DEMO_COUNT), st.integers(0, 9), st.integers(10, 40)))
     labels = draw(
         st.one_of(
             st.lists(st.sampled_from(Answer), min_size=size, max_size=size),
@@ -311,10 +316,15 @@ def _pool_and_calls(draw):
         for instance, label, graph in zip(instances, labels, with_graph)
     ]
     ids = [instance.instance_id for instance in pool]
+    demo_counts = st.builds(
+        PromptConfig, st.sampled_from([Strategy.FEW, Strategy.COT]), st.sampled_from(Modality), st.integers(1, 12)
+    )
     exclude = st.sets(st.sampled_from(ids + ["eval-0001", "eval-0002"]) if ids else st.just("eval-0001"), max_size=3)
     calls = draw(
         st.lists(
-            st.tuples(st.sampled_from(all_configs()), st.integers(0, 2**64 - 1), exclude), min_size=1, max_size=8
+            st.tuples(st.one_of(st.sampled_from(all_configs()), demo_counts), st.integers(0, 2**64 - 1), exclude),
+            min_size=1,
+            max_size=8,
         )
     )
     return pool, calls

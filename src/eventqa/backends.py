@@ -31,7 +31,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from . import manifest
+from . import EventQAError, manifest
 from .corpus import Answer
 from .graphcore import (
     CausalGraph,
@@ -41,7 +41,7 @@ from .graphcore import (
     graph_from_sentences,
     oracle_answer,
 )
-from .promptkit import PromptRecord, Strategy, count_tokens
+from .promptkit import PromptRecord, count_tokens, output_budget
 
 logger = logging.getLogger(__name__)
 
@@ -50,11 +50,8 @@ DEFAULT_API_KEY_ENV = "TAGEQA_API_KEY"
 # Named context-limit defaults for the three model classes.
 CONTEXT_LIMITS = {"t5": 1024, "qwen": 2048, "gpt": 16384}
 
-# Answer budget: a handful of tokens for bare labels, headroom for traces.
-OUTPUT_BUDGETS = {Strategy.ZERO: 8, Strategy.FEW: 8, Strategy.COT: 256}
 
-
-class BackendError(Exception):
+class BackendError(EventQAError):
     pass
 
 
@@ -204,10 +201,6 @@ class CompletionResponse:
 def prompt_fingerprint(prompt_text: str) -> str:
     """Content hash used to key mock fixtures."""
     return hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()
-
-
-def output_budget(strategy: Strategy) -> int:
-    return OUTPUT_BUDGETS[strategy]
 
 
 # --- oracle question grammar ---------------------------------------------------

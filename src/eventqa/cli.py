@@ -13,6 +13,10 @@ be rerun or resumed on its own:
 Every file starts with a provenance header (seed, config hash, version).
 With the deterministic backends (oracle, mock) the whole pipeline is
 byte-reproducible.
+
+Each stage imports only the layers it runs (see ``cmd_*``): a stage is its
+own process, and without a bytecode cache every module it imports is
+compiled again at start-up.
 """
 
 from __future__ import annotations
@@ -22,30 +26,23 @@ import dataclasses
 import hashlib
 import json
 import sys
-from decimal import Decimal
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from . import backends, corpus, costmodel, evalkit, extract, manifest, promptkit
+from . import EventQAError, corpus, manifest, promptkit
 from .graphcore import verbalize_graph
+
+if TYPE_CHECKING:
+    from . import backends
 
 PROMPTS_FILE = "prompts.ndjson"
 RESPONSES_FILE = "responses.ndjson"
 PREDICTIONS_FILE = "predictions.ndjson"
 REJECTIONS_FILE = "rejections.ndjson"
 
-_ERRORS = (
-    corpus.CorpusError,
-    promptkit.PromptError,
-    backends.BackendError,
-    manifest.ManifestError,
-    evalkit.ScoringError,
-    costmodel.CostError,
-)
 
-
-class CliError(Exception):
+class CliError(EventQAError):
     pass
 
 
@@ -106,11 +103,6 @@ def cmd_build(args) -> int:
         "demo_pool_sha": _file_sha(args.demo_pool) if args.demo_pool else None,
     }
     header = manifest.make_header("build", args.seed, config_payload)
-    manifest.write_ndjson(
-        out / REJECTIONS_FILE,
-        header,
-        ({"instance_id": r.instance_id, "reason": r.reason} for r in rejections),
-    )
 
     pool = promptkit.DemoPool()
     if any(config.demo_count > 0 for config in configs):
@@ -161,6 +153,13 @@ def cmd_build(args) -> int:
                 yield record.to_dict()
 
     manifest.write_ndjson(out / PROMPTS_FILE, header, records())
+    # Written only once the prompts are, so a failed build leaves the
+    # previous build's rejection log in place.
+    manifest.write_ndjson(
+        out / REJECTIONS_FILE,
+        header,
+        ({"instance_id": r.instance_id, "reason": r.reason} for r in rejections),
+    )
 
     built = sum(n for n, _ in tallies.values())
     print(f"built {built} prompts for {len(split.instances)} instances -> {out / PROMPTS_FILE}")
@@ -186,6 +185,8 @@ def _read_backends_config(path: str, backend: str) -> dict[str, dict]:
 
 
 def _resolve_backend(args) -> backends.BackendSpec:
+    from . import backends
+
     table = _read_backends_config(args.backends_config, args.backend) if args.backends_config else {}
     if args.backend in table:
         spec = backends.BackendSpec.from_dict({"name": args.backend, **table[args.backend]})
@@ -214,6 +215,8 @@ class _PromptStream:
 
 
 def cmd_run(args) -> int:
+    from . import backends
+
     out = Path(args.out)
     prompts_header, prompt_rows = manifest.read_ndjson(out / PROMPTS_FILE)
     spec = _resolve_backend(args)
@@ -245,6 +248,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from . import evalkit, extract
+
     out = Path(args.out)
     responses_header, response_rows = manifest.read_ndjson(out / RESPONSES_FILE)
     split, _ = _load_split(args)
@@ -278,6 +283,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import evalkit
+
     out = Path(args.out)
     predictions_header, rows = manifest.read_ndjson(out / PREDICTIONS_FILE)
     report = evalkit.score(map(evalkit.PredictionRecord.from_dict, rows))
@@ -298,6 +305,10 @@ def _default_pricing_path() -> Path:
 
 
 def cmd_cost(args) -> int:
+    from decimal import Decimal
+
+    from . import costmodel
+
     out = Path(args.out)
     prompts_header, prompt_rows = manifest.read_ndjson(out / PROMPTS_FILE)
     pricing = costmodel.load_pricing(args.pricing or _default_pricing_path())
@@ -319,7 +330,7 @@ def cmd_cost(args) -> int:
         total = Decimal(0)
         input_tokens = output_tokens = 0
         for strategy, (prompts, tokens) in tallies.items():
-            budget = backends.output_budget(promptkit.Strategy(strategy))
+            budget = promptkit.output_budget(promptkit.Strategy(strategy))
             part = costmodel.project_run_cost(prompts, tokens, budget, args.model, pricing)
             total += part.total_cost
             input_tokens += part.input_tokens
@@ -399,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, *_ERRORS) as exc:
+    except EventQAError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

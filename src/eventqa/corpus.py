@@ -13,10 +13,11 @@ import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 from random import Random
 from typing import Callable, Hashable, Iterable, Sequence
+
+from . import EventQAError
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +26,7 @@ SMALL = "small"
 SMALL_SIZE = 1024
 
 
-class CorpusError(Exception):
+class CorpusError(EventQAError):
     """Base class for dataset-level failures."""
 
 
@@ -388,15 +389,19 @@ def by_category(instance: QAInstance) -> Hashable:
 def _allocate_quotas(sizes: list[int], total: int) -> list[int]:
     """Floor-proportional allocation with largest-remainder correction.
 
-    Quotas are computed with exact rational arithmetic so remainder ties
-    are broken deterministically (by stratum position). Strata never
-    receive more than their population; surplus spills to the strata with
-    the largest remainders that still have capacity.
+    Every exact quota is ``total * size / population``; they share one
+    denominator, so integer division gives each floor and a numerator for
+    its remainder, and remainder ties are broken deterministically (by
+    stratum position). Strata never receive more than their population;
+    surplus spills to the strata with the largest remainders that still
+    have capacity.
     """
     population = sum(sizes)
-    quotas = [Fraction(total * size, population) for size in sizes]
-    counts = [int(quota) for quota in quotas]
-    remainders = [quota - count for quota, count in zip(quotas, counts)]
+    counts, remainders = [], []
+    for size in sizes:
+        count, remainder = divmod(total * size, population)
+        counts.append(count)
+        remainders.append(remainder)
     deficit = total - sum(counts)
     order = sorted(range(len(sizes)), key=lambda i: (-remainders[i], i))
     for i in order:

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
+from . import EventQAError
+
 MILLION = Decimal(1_000_000)
 CENT = Decimal("0.01")
 
 
-class CostError(Exception):
+class CostError(EventQAError):
     pass
 
 

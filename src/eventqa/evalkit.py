@@ -16,13 +16,14 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import EventQAError
 from .corpus import ALL_CATEGORIES, Answer, QuestionCategory
 from .extract import ExtractedAnswer, ExtractedLabel
 from .manifest import HEADER_KEY, csv_header_line
 from .promptkit import Modality, PromptConfig, Strategy
 
 
-class ScoringError(Exception):
+class ScoringError(EventQAError):
     pass
 
 

@@ -20,12 +20,12 @@ from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from . import __version__
+from . import EventQAError, __version__
 
 HEADER_KEY = "_header"
 
 
-class ManifestError(Exception):
+class ManifestError(EventQAError):
     pass
 
 

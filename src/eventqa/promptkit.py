@@ -27,6 +27,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Collection, Sequence
 
+from . import EventQAError
 from .corpus import Answer, QAInstance
 from .graphcore import VerbalizedGraph, verbalize_graph
 
@@ -42,7 +43,7 @@ SECTION_ANSWER = "Answer"
 DEFAULT_DEMO_COUNT = 3
 
 
-class PromptError(Exception):
+class PromptError(EventQAError):
     """Base class for prompt-stage failures."""
 
 
@@ -66,6 +67,14 @@ class Strategy(str, Enum):
     ZERO = "zero"
     FEW = "few"
     COT = "cot"
+
+
+# Answer budget: a handful of tokens for bare labels, headroom for traces.
+OUTPUT_BUDGETS = {Strategy.ZERO: 8, Strategy.FEW: 8, Strategy.COT: 256}
+
+
+def output_budget(strategy: Strategy) -> int:
+    return OUTPUT_BUDGETS[strategy]
 
 
 class Modality(str, Enum):

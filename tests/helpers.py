@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import replace
+from fractions import Fraction
 from random import Random
 from typing import Collection, Sequence
 
@@ -18,6 +19,7 @@ from eventqa.corpus import (
     QAInstance,
     QuestionCategory,
     Relation,
+    SamplingError,
 )
 from eventqa.extract import UNPARSEABLE, ExtractedAnswer, ExtractedLabel, ExtractionMethod, _byte_span
 from eventqa.graphcore import VerbalizedGraph
@@ -201,6 +203,26 @@ def write_dataset(path, instances) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for instance in instances:
             handle.write(json.dumps(instance_to_record(instance)) + "\n")
+
+
+# The quota allocation as it was before it moved to integer division, kept as
+# the reference that corpus._allocate_quotas must match.
+def allocate_quotas_reference(sizes: list[int], total: int) -> list[int]:
+    population = sum(sizes)
+    quotas = [Fraction(total * size, population) for size in sizes]
+    counts = [int(quota) for quota in quotas]
+    remainders = [quota - count for quota, count in zip(quotas, counts)]
+    deficit = total - sum(counts)
+    order = sorted(range(len(sizes)), key=lambda i: (-remainders[i], i))
+    for i in order:
+        if deficit == 0:
+            break
+        if counts[i] < sizes[i]:
+            counts[i] += 1
+            deficit -= 1
+    if deficit > 0:
+        raise SamplingError("quota allocation failed to converge")
+    return counts
 
 
 # The selection as it was before DemoPool, kept as the reference that

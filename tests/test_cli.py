@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -13,7 +14,7 @@ import pytest
 
 import eventqa
 import helpers
-from eventqa import cli, manifest, promptkit
+from eventqa import backends, cli, corpus, costmodel, evalkit, graphcore, manifest, promptkit
 from eventqa.cli import main
 from eventqa.costmodel import load_pricing, project_run_cost
 from eventqa.promptkit import PromptRecord
@@ -101,14 +102,30 @@ class TestBuild:
         assert all(row["token_count"] <= 60 for row in records)
         assert any(row["truncation_applied"] for row in records)
 
-
     def test_failed_build_leaves_no_prompts_file(self, tmp_path):
         instances = helpers.synthetic_split(3, seed=1).instances
         dataset = tmp_path / "data.ndjson"
         helpers.write_dataset(dataset, [instances[0], replace(instances[1], graph=None), instances[2]])
         out = tmp_path / "out"
         assert run_cli("build", "--dataset", dataset, "--out", out, "--configs", "zero-graph") == 2
-        assert [path.name for path in out.iterdir()] == ["rejections.ndjson"]
+        assert list(out.iterdir()) == []
+
+    def test_failed_rebuild_keeps_the_previous_rejection_log(self, tmp_path, capsys):
+        instances = helpers.synthetic_split(3, seed=1).instances
+        records = [helpers.instance_to_record(instance) for instance in instances]
+        dataset = tmp_path / "data.ndjson"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in [records[0], dict(records[1], answer="maybe")]))
+        out = tmp_path / "out"
+        assert run_cli("build", "--dataset", dataset, "--out", out, "--configs", "zero-graph") == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["prompts.ndjson", "rejections.ndjson"]
+
+        # Another rejection, then an instance without the graph zero-graph needs.
+        graphless = dict(records[2], graphs=[])
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in [dict(records[0], answer="?"), graphless]))
+        assert run_cli("build", "--dataset", dataset, "--out", out, "--configs", "zero-graph") == 2
+        assert "has no graph" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_each_graph_verbalized_once_per_use(self, tmp_path, monkeypatch):
         calls = Counter()
@@ -142,12 +159,130 @@ class TestBuild:
         assert [calls[passage] for passage in passages] == [1] * len(passages)
 
 
-def test_importing_the_cli_does_not_load_requests():
+# --- start-up: each stage imports only the layers it runs -----------------------
+
+CORE_MODULES = {"eventqa", "eventqa.corpus", "eventqa.graphcore", "eventqa.promptkit", "eventqa.manifest"}
+STAGE_MODULES = {
+    "build": CORE_MODULES,
+    "run": CORE_MODULES | {"eventqa.backends"},
+    "score": CORE_MODULES | {"eventqa.evalkit", "eventqa.extract"},
+    "report": CORE_MODULES | {"eventqa.evalkit", "eventqa.extract"},
+    "cost": CORE_MODULES | {"eventqa.costmodel"},
+}
+STAGE_ARGS = {
+    "build": ["--dataset", DATASET, "--demo-pool", POOL, "--seed", "7"],
+    "run": ["--backend", "oracle"],
+    "score": ["--dataset", DATASET],
+    "report": [],
+    "cost": ["--model", "gpt-3.5-turbo"],
+}
+
+
+def _python(*argv, timeout=60) -> subprocess.CompletedProcess:
+    """``python *argv`` with this checkout's ``eventqa`` importable."""
     src = str(Path(eventqa.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import eventqa.cli, sys; assert 'requests' not in sys.modules, 'requests was imported'"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *map(str, argv)], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.fixture(scope="module")
+def cli_import_modules() -> set[str]:
+    result = _python("-c", "import eventqa.cli, sys; print('\\n'.join(sys.modules))")
     assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "eventqa.backends",
+        "eventqa.evalkit",
+        "eventqa.extract",
+        "eventqa.costmodel",
+        "decimal",
+        "fractions",
+        "concurrent.futures",
+        "requests",
+    ],
+)
+def test_importing_the_cli_does_not_load(cli_import_modules, module):
+    assert module not in cli_import_modules
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory) -> Path:
+    """An output directory that every stage has run in once."""
+    out = tmp_path_factory.mktemp("pipeline")
+    for stage in STAGE_MODULES:
+        assert run_cli(stage, "--out", out, *STAGE_ARGS[stage]) == 0, stage
+    return out
+
+
+@pytest.mark.parametrize("stage", list(STAGE_MODULES))
+def test_each_stage_loads_only_its_layers(pipeline_dir, tmp_path, stage):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_dir, out)
+    result = _python("-X", "importtime", "-m", "eventqa.cli", stage, "--out", out, *STAGE_ARGS[stage])
+    assert result.returncode == 0, result.stderr
+    # "import time: <self us> | <cumulative us> | <indented module name>"; the
+    # cli itself runs as __main__, so it must not show up as eventqa.cli.
+    imported = {
+        line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert {name for name in imported if name.split(".")[0] == "eventqa"} == STAGE_MODULES[stage]
+
+
+LAYER_ERRORS = [
+    corpus.CorpusError,
+    promptkit.PromptError,
+    backends.BackendError,
+    manifest.ManifestError,
+    evalkit.ScoringError,
+    costmodel.CostError,
+    cli.CliError,
+]
+
+
+@pytest.mark.parametrize("error", LAYER_ERRORS, ids=lambda error: error.__name__)
+def test_layer_errors_share_the_base_main_catches(error):
+    assert issubclass(error, eventqa.EventQAError)
+
+
+@pytest.mark.parametrize("error", [graphcore.GraphQueryError, graphcore.VerbalizationParseError])
+def test_graph_errors_stay_outside_the_base(error):
+    assert not issubclass(error, eventqa.EventQAError)
+
+
+def _malformed_dataset(tmp_path) -> list:
+    path = tmp_path / "malformed.ndjson"
+    path.write_text(Path(DATASET).read_text() + "{not json\n")
+    return ["build", "--dataset", path, "--strict", "--out", tmp_path / "strict"]
+
+
+def _unknown_backend_kind(tmp_path) -> list:
+    config = tmp_path / "backends.json"
+    config.write_text(json.dumps({"x": {"kind": "bogus"}}))
+    return ["run", "--backend", "x", "--backends-config", config]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda tmp_path: ["report", "--out", tmp_path], "missing manifest"),
+        (_unknown_backend_kind, "unknown kind 'bogus'"),
+        (lambda tmp_path: ["cost", "--model", "no-such-model"], "no pricing for model 'no-such-model'"),
+        (_malformed_dataset, "malformed.ndjson:14:"),
+    ],
+    ids=["ManifestError", "BackendError", "CostError", "CorpusError"],
+)
+def test_lazily_loaded_layer_error_exits_2(pipeline_dir, tmp_path, argv, message):
+    argv = argv(tmp_path)
+    if "--out" not in argv:
+        argv += ["--out", pipeline_dir]
+    result = _python("-m", "eventqa.cli", *argv)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ") and message in result.stderr, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 class TestPipeline:

@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -18,6 +18,7 @@ from eventqa.corpus import (
     EmptySplitError,
     QuestionCategory,
     SamplingError,
+    _allocate_quotas,
     answer_distribution,
     load_dataset,
     load_schema,
@@ -195,6 +196,14 @@ class TestAnswerDistribution:
         assert abs(dist.yes_fraction + dist.no_fraction - 1.0) <= 2 ** -52
 
 
+def _outcome(allocate, sizes, total):
+    """The counts, or the type of the exception raised instead: the two must fail alike, too."""
+    try:
+        return allocate(list(sizes), total)
+    except (SamplingError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
 class TestStratifiedSample:
     def test_two_equal_categories_split_evenly(self):
         rng = random.Random(5)
@@ -241,6 +250,20 @@ class TestStratifiedSample:
         for category, members in population.items():
             exact = Fraction(size * members, len(split.instances))
             assert abs(Fraction(counts[category]) - exact) <= 1
+
+    @settings(max_examples=300)
+    @given(sizes=st.lists(st.integers(0, 12), max_size=8), data=st.data())
+    @example(sizes=[], data=None)  # an empty split
+    @example(sizes=[3, 3, 3], data=None)  # three-way remainder tie
+    @example(sizes=[0, 1, 1, 1], data=None)  # an empty stratum ties at remainder 0
+    @example(sizes=[0, 0], data=None)  # no population at all
+    def test_integer_quotas_match_fraction_reference(self, sizes, data):
+        population = sum(sizes)
+        totals = range(population + 2) if data is None else [data.draw(st.integers(0, population + 1))]
+        for total in totals:
+            assert _outcome(_allocate_quotas, sizes, total) == _outcome(
+                helpers.allocate_quotas_reference, sizes, total
+            ), (sizes, total)
 
     def test_sample_ids_are_a_subset_in_stable_order(self, synthetic_split):
         sample = stratified_sample(synthetic_split, 25, seed=2)

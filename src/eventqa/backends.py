@@ -76,7 +76,7 @@ class RetryPolicy:
 
 
 def _check_keys(cls: type, raw: dict, where: str) -> None:
-    allowed = {f.name for f in fields(cls) if not f.name.startswith("_")}
+    allowed = {f.name for f in fields(cls)}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise BackendError(f"{where}: unknown config keys {', '.join(unknown)}")
@@ -124,7 +124,6 @@ class BackendSpec:
     api_key_env: str = DEFAULT_API_KEY_ENV
     request_timeout: float = 60.0
     fixtures_path: str | None = None
-    _fixtures: dict[str, str] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.context_limit <= 0:
@@ -138,7 +137,7 @@ class BackendSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BackendSpec":
-        """Build a spec from a config entry; unknown and private keys and mistyped values are rejected."""
+        """Build a spec from a config entry; unknown keys and mistyped values are rejected."""
         where = f"backend {raw.get('name')!r}"
         _check_keys(cls, raw, where)
         _check_values(_SPEC_VALUE_TYPES, raw, where)
@@ -156,19 +155,27 @@ class BackendSpec:
             raw["retry_policy"] = RetryPolicy(**raw["retry_policy"])
         return cls(**raw)
 
+    @functools.cached_property
     def fixtures(self) -> dict[str, str]:
-        if self._fixtures is None:
-            if not self.fixtures_path:
-                raise MockFixtureError(f"mock backend {self.name!r} has no fixtures file")
-            self._fixtures = json.loads(Path(self.fixtures_path).read_text(encoding="utf-8"))
-        return self._fixtures
+        """Mock replies by prompt hash, read once; a missing or malformed file raises ``MockFixtureError``."""
+        where = f"mock backend {self.name!r}"
+        if not self.fixtures_path:
+            raise MockFixtureError(f"{where} has no fixtures file")
+        try:
+            fixtures = json.loads(Path(self.fixtures_path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise MockFixtureError(f"{where}: cannot read {self.fixtures_path}: {exc.strerror or exc}") from None
+        except ValueError as exc:
+            raise MockFixtureError(f"{where}: {self.fixtures_path} is not valid JSON: {exc}") from None
+        if not isinstance(fixtures, dict) or not all(isinstance(text, str) for text in fixtures.values()):
+            raise MockFixtureError(f"{where}: {self.fixtures_path} must map prompt hashes to reply strings")
+        return fixtures
 
 
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt_text: str
     max_output_tokens: int
-    temperature: float = field(default=0.0, init=False)  # greedy decoding, not configurable
     prompt_tokens: int | None = None  # count under the backend's tokenizer; None means count here
 
 
@@ -180,14 +187,10 @@ class CompletionResponse:
     latency: float
     attempt_count: int
     backend: str
-    instance_id: str = ""
-    config: str = ""
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
-            "instance_id": self.instance_id,
-            "config": self.config,
             "raw_text": self.raw_text,
             "input_tokens": self.input_tokens,
             "output_tokens": self.output_tokens,
@@ -301,6 +304,30 @@ def _retry_after(header: str | None, backoff: float) -> float:
     return delay if math.isfinite(delay) and delay >= 0 else backoff
 
 
+def _read_chat_payload(payload, prompt_tokens: int, tokenizer: str) -> tuple[str, int, int]:
+    """(reply text, prompt tokens, reply tokens) of a chat-completions payload; ``ValueError`` if it is malformed.
+
+    A count the server leaves out is filled in: ``prompt_tokens`` for the
+    prompt, a count under ``tokenizer`` for the reply.
+    """
+    try:
+        content = payload["choices"][0]["message"]["content"]
+        usage = payload.get("usage") or {}
+    except (KeyError, IndexError, TypeError, AttributeError):
+        raise ValueError("no choices[0].message.content") from None
+    raw_text = "" if content is None else content
+    if not isinstance(raw_text, str):
+        raise ValueError(f"content is not a string: {content!r}")
+    if not isinstance(usage, dict):
+        raise ValueError(f"usage is not an object: {usage!r}")
+    input_tokens = usage.get("prompt_tokens", prompt_tokens)
+    output_tokens = usage["completion_tokens"] if "completion_tokens" in usage else count_tokens(raw_text, tokenizer)
+    for key, count in (("prompt_tokens", input_tokens), ("completion_tokens", output_tokens)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(f"{key} is not a non-negative integer: {count!r}")
+    return raw_text, input_tokens, output_tokens
+
+
 def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens: int) -> CompletionResponse:
     import requests  # here, not at module top, so stages that make no HTTP request do not load it
 
@@ -312,7 +339,7 @@ def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens:
     body = {
         "model": spec.model_name,
         "messages": [{"role": "user", "content": request.prompt_text}],
-        "temperature": request.temperature,
+        "temperature": 0.0,  # greedy decoding, not configurable
         "max_tokens": request.max_output_tokens,
     }
 
@@ -343,14 +370,13 @@ def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens:
             last_error = "response body is not JSON"
             continue
         try:
-            raw_text = payload["choices"][0]["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError):
-            raise BackendError(f"{spec.name}: malformed chat-completions payload") from None
-        usage = payload.get("usage") or {}
+            raw_text, input_tokens, output_tokens = _read_chat_payload(payload, prompt_tokens, spec.tokenizer)
+        except ValueError as exc:
+            raise BackendError(f"{spec.name}: malformed chat-completions payload ({exc})") from None
         return CompletionResponse(
             raw_text=raw_text,
-            input_tokens=int(usage.get("prompt_tokens", prompt_tokens)),
-            output_tokens=int(usage.get("completion_tokens", count_tokens(raw_text, spec.tokenizer))),
+            input_tokens=input_tokens,
+            output_tokens=output_tokens,
             latency=time.monotonic() - started,
             attempt_count=attempt,
             backend=spec.name,
@@ -378,7 +404,7 @@ def complete(spec: BackendSpec, request: CompletionRequest) -> CompletionRespons
 
     if spec.kind is BackendKind.MOCK:
         key = prompt_fingerprint(request.prompt_text)
-        fixtures = spec.fixtures()
+        fixtures = spec.fixtures
         if key not in fixtures:
             raise MockFixtureError(f"no mock fixture for prompt hash {key}")
         raw_text = fixtures[key]
@@ -434,10 +460,13 @@ def _prompt_key(prompt: PromptRecord) -> tuple[str, str]:
 def _check_batch(spec: BackendSpec, prompts: Iterable[PromptRecord]) -> None:
     """Refuse an empty batch, a repeated (instance_id, config) pair, or a prompt over the context limit.
 
-    In a batch sorted by key, as ``prompts.ndjson`` is, a repeat shows as
-    two equal neighbours, so the check holds nothing per prompt; a batch in
-    any other order is checked again against a set of its keys.
+    A mock backend's fixtures file is read and checked first. In a batch
+    sorted by key, as ``prompts.ndjson`` is, a repeat shows as two equal
+    neighbours, so the check holds nothing per prompt; a batch in any other
+    order is checked again against a set of its keys.
     """
+    if spec.kind is BackendKind.MOCK:
+        spec.fixtures  # raises on a missing or malformed file
     size, last, in_order, oversized = 0, (), True, []
     for prompt in prompts:
         key = _prompt_key(prompt)
@@ -488,8 +517,6 @@ def run_batch(
     prompts: Iterable[PromptRecord],
     manifest_path: str | Path,
     header: dict,
-    *,
-    max_output_tokens: int | None = None,
 ) -> BatchResult:
     """Complete a batch of prompts, inline or through a worker pool (see ``_dispatch``).
 
@@ -531,10 +558,9 @@ def run_batch(
         manifest.write_ndjson(manifest_path, header, [])
 
     def _run_one(prompt: PromptRecord) -> dict:
-        budget = max_output_tokens if max_output_tokens is not None else output_budget(prompt.config.strategy)
         request = CompletionRequest(
             prompt_text=prompt.prompt_text,
-            max_output_tokens=budget,
+            max_output_tokens=output_budget(prompt.config.strategy),
             prompt_tokens=prompt.count_under(spec.tokenizer),
         )
         record = complete(spec, request).to_dict()

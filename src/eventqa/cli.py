@@ -61,17 +61,20 @@ def _parse_configs(raw: str) -> list[promptkit.PromptConfig]:
     configs = [promptkit.parse_selector(part) for part in raw.split(",") if part.strip()]
     if not configs:
         raise CliError(f"no configurations selected by {raw!r}")
+    selectors = [config.selector for config in configs]
+    repeated = sorted({selector for selector in selectors if selectors.count(selector) > 1})
+    if repeated:
+        raise CliError(f"configuration selected more than once by {raw!r}: {', '.join(repeated)}")
     return configs
 
 
-def _load_split(args) -> tuple[corpus.DatasetSplit, tuple[corpus.RejectedRecord, ...]]:
+def _load(args, path: str) -> corpus.LoadResult:
     schema = corpus.load_schema(args.schema) if args.schema else None
-    result = corpus.load_dataset(
-        args.dataset,
-        schema,
-        strict=args.strict,
-        graph_kind=corpus.GraphKind(args.graph_kind),
-    )
+    return corpus.load_dataset(path, schema, strict=args.strict, graph_kind=corpus.GraphKind(args.graph_kind))
+
+
+def _load_split(args) -> tuple[corpus.DatasetSplit, tuple[corpus.RejectedRecord, ...]]:
+    result = _load(args, args.dataset)
     split = result.split
     if args.split == corpus.SMALL:
         split = corpus.stratified_sample(split, corpus.SMALL_SIZE, seed=args.seed)
@@ -85,10 +88,8 @@ def _load_split(args) -> tuple[corpus.DatasetSplit, tuple[corpus.RejectedRecord,
 
 
 def cmd_build(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split, rejections = _load_split(args)
     configs = _parse_configs(args.configs)
+    split, rejections = _load_split(args)
 
     config_payload = {
         "stage": "build",
@@ -108,13 +109,7 @@ def cmd_build(args) -> int:
     if any(config.demo_count > 0 for config in configs):
         if not args.demo_pool:
             raise CliError("--demo-pool is required for few-shot and chain-of-thought configurations")
-        pool_result = corpus.load_dataset(
-            args.demo_pool,
-            corpus.load_schema(args.schema) if args.schema else None,
-            strict=args.strict,
-            graph_kind=corpus.GraphKind(args.graph_kind),
-        )
-        pool = promptkit.DemoPool(pool_result.split.instances)
+        pool = promptkit.DemoPool(_load(args, args.demo_pool).split.instances)
         overlap = pool.ids & {i.instance_id for i in split.instances}
         if overlap:
             raise CliError(f"demo pool is contaminated by evaluation instances: {sorted(overlap)[:5]}")
@@ -152,6 +147,8 @@ def cmd_build(args) -> int:
                 tally[1] += record.token_count
                 yield record.to_dict()
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     manifest.write_ndjson(out / PROMPTS_FILE, header, records())
     # Written only once the prompts are, so a failed build leaves the
     # previous build's rejection log in place.

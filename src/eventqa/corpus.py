@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from random import Random
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Sequence
 
 from . import EventQAError
 
@@ -32,10 +32,6 @@ class CorpusError(EventQAError):
 
 class DatasetFormatError(CorpusError):
     """Raised in strict mode when a record cannot be parsed or validated."""
-
-
-class EmptySplitError(CorpusError):
-    """Raised when an operation requires a non-empty split."""
 
 
 class SamplingError(CorpusError):
@@ -74,27 +70,6 @@ class QuestionCategory(str, Enum):
     TEMPORAL_CONFLICT = "temporal_conflict"
     UNKNOWN = "unknown"
 
-    @property
-    def original_cluster(self) -> str:
-        return _ORIGINAL_CLUSTERS[self]
-
-
-# Expanded category -> the coarser cluster it was split out from.
-_ORIGINAL_CLUSTERS: dict[QuestionCategory, str] = {
-    QuestionCategory.CAUSAL: "causal",
-    QuestionCategory.COUNTERFACTUAL: "causal (extended)",
-    QuestionCategory.EVENT: "event",
-    QuestionCategory.EXISTENTIAL: "event (subtype)",
-    QuestionCategory.FUTURE: "future",
-    QuestionCategory.NEGATIVE: "event (negative polarity)",
-    QuestionCategory.OCCURRENCE: "event / temporal",
-    QuestionCategory.PAST: "past",
-    QuestionCategory.POSITIVE: "event (positive polarity)",
-    QuestionCategory.POSSIBLE: "possible",
-    QuestionCategory.PRESENT: "present",
-    QuestionCategory.TEMPORAL_CONFLICT: "temporal_conflict",
-    QuestionCategory.UNKNOWN: "unknown",
-}
 
 ALL_CATEGORIES: tuple[QuestionCategory, ...] = tuple(QuestionCategory)
 
@@ -196,9 +171,6 @@ class DatasetSplit:
     name: str
     instances: tuple[QAInstance, ...]
 
-    def __len__(self) -> int:
-        return len(self.instances)
-
 
 @dataclass(frozen=True)
 class RejectedRecord:
@@ -210,12 +182,6 @@ class RejectedRecord:
 class LoadResult:
     split: DatasetSplit
     rejections: tuple[RejectedRecord, ...]
-
-
-@dataclass(frozen=True)
-class AnswerDistribution:
-    yes_fraction: float
-    no_fraction: float
 
 
 # Canonical field names; a schema descriptor overrides any subset of these
@@ -234,10 +200,20 @@ DEFAULT_SCHEMA: dict = {
 
 
 def load_schema(path: str | Path) -> dict:
-    """Read a schema descriptor file and merge it over the defaults."""
-    with open(path, encoding="utf-8") as handle:
-        overrides = json.load(handle)
-    return merge_schema(overrides)
+    """Read a schema descriptor file and merge it over the defaults; a bad file raises ``DatasetFormatError``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            overrides = json.load(handle)
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot read schema file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise DatasetFormatError(f"schema file {path} is not valid JSON: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise DatasetFormatError(f"schema file {path} is not a JSON object")
+    try:
+        return merge_schema(overrides)
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"schema file {path}: {exc}") from None
 
 
 def merge_schema(overrides: dict | None) -> dict:
@@ -247,6 +223,8 @@ def merge_schema(overrides: dict | None) -> dict:
             if key not in schema:
                 raise DatasetFormatError(f"unknown schema key {key!r}")
             if isinstance(schema[key], dict):
+                if not isinstance(value, dict):
+                    raise DatasetFormatError(f"schema key {key!r} must be a JSON object")
                 schema[key].update(value)
             else:
                 schema[key] = value
@@ -372,20 +350,6 @@ def load_dataset(
     return LoadResult(split=DatasetSplit(name=FULL, instances=tuple(instances)), rejections=tuple(rejections))
 
 
-def answer_distribution(split: DatasetSplit) -> AnswerDistribution:
-    """Fraction of yes and no gold answers; raises on an empty split."""
-    if not split.instances:
-        raise EmptySplitError("cannot compute answer distribution of an empty split")
-    total = len(split.instances)
-    yes = sum(1 for instance in split.instances if instance.gold_answer is Answer.YES)
-    return AnswerDistribution(yes_fraction=yes / total, no_fraction=(total - yes) / total)
-
-
-def by_category(instance: QAInstance) -> Hashable:
-    """Default stratification key: the question category."""
-    return instance.category
-
-
 def _allocate_quotas(sizes: list[int], total: int) -> list[int]:
     """Floor-proportional allocation with largest-remainder correction.
 
@@ -419,9 +383,7 @@ def stratified_sample(
     split: DatasetSplit,
     size: int,
     seed: int,
-    key: Callable[[QAInstance], Hashable] = by_category,
     *,
-    expected_strata: Iterable[Hashable] | None = None,
     name: str = SMALL,
 ) -> DatasetSplit:
     """Draw a proportional stratified sample of exactly ``size`` instances.
@@ -430,22 +392,17 @@ def stratified_sample(
     remainder correction, so each stratum count is within one of its exact
     proportional share. Selection is driven solely by ``seed``; the output
     preserves the original split order, so sampling the whole population
-    returns it unchanged. Expected strata absent from the data are warned
-    about and their share reallocated to the populated strata.
+    returns it unchanged. Strata are the question categories present in
+    the split.
     """
     if size > len(split.instances):
         raise SamplingError(f"requested {size} instances from a split of {len(split.instances)}")
     if size < 0:
         raise SamplingError("sample size must be non-negative")
 
-    strata: dict[Hashable, list[int]] = {}
+    strata: dict[QuestionCategory, list[int]] = {}
     for index, instance in enumerate(split.instances):
-        strata.setdefault(key(instance), []).append(index)
-
-    if expected_strata is not None:
-        for stratum_key in expected_strata:
-            if stratum_key not in strata:
-                logger.warning("stratum %r is empty; its share goes to the remaining strata", stratum_key)
+        strata.setdefault(instance.category, []).append(index)
 
     keys = list(strata)
     counts = _allocate_quotas([len(strata[k]) for k in keys], size)

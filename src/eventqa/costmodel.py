@@ -66,19 +66,41 @@ class CostEstimate:
         }
 
 
+def _price(value, where: str) -> Decimal:
+    """``value`` as an exact decimal; ``CostError`` unless it is a finite, non-negative number."""
+    try:
+        price = None if isinstance(value, bool) else Decimal(str(value))
+    except ArithmeticError:  # decimal.InvalidOperation: not a number
+        price = None
+    if price is None or not price.is_finite() or price < 0:
+        raise CostError(f"{where} must be a non-negative decimal, got {value!r}")
+    return price
+
+
 def load_pricing(path: str | Path) -> PricingTable:
     """Load a pricing config file: {"label": ..., "models": {name: {input_per_million, output_per_million}}}.
 
-    Prices are read as strings so they stay exact decimals.
+    Prices are read as strings so they stay exact decimals. A file that
+    cannot be read, is not JSON, has no "models" object or holds a price
+    that is not a non-negative decimal raises ``CostError``.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = {
-        name: ModelPricing(
-            input_per_million=Decimal(str(prices["input_per_million"])),
-            output_per_million=Decimal(str(prices["output_per_million"])),
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CostError(f"cannot read pricing file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise CostError(f"pricing file {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict) or not isinstance(raw.get("models"), dict):
+        raise CostError(f"pricing file {path} has no \"models\" object")
+    entries = {}
+    for name, prices in raw["models"].items():
+        where = f"pricing file {path}: model {name!r}"
+        if not isinstance(prices, dict):
+            raise CostError(f"{where} is not a JSON object")
+        entries[name] = ModelPricing(
+            input_per_million=_price(prices.get("input_per_million"), f"{where}: input_per_million"),
+            output_per_million=_price(prices.get("output_per_million"), f"{where}: output_per_million"),
         )
-        for name, prices in raw["models"].items()
-    }
     return PricingTable(label=str(raw.get("label", "")), entries=entries)
 
 

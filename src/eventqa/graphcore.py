@@ -167,7 +167,7 @@ def parse_sentence(sentence: str) -> tuple[str, Relation, str]:
     return match.group("source"), relation, match.group("target")
 
 
-def graph_from_sentences(sentences: list[str], graph_id: str = "parsed", kind: GraphKind = GraphKind.INSTANCE) -> CausalGraph:
+def graph_from_sentences(sentences: list[str]) -> CausalGraph:
     """Rebuild a graph from edge sentences, using labels as node ids."""
     nodes: dict[str, EventNode] = {}
     edges: list[CausalEdge] = []
@@ -177,7 +177,7 @@ def graph_from_sentences(sentences: list[str], graph_id: str = "parsed", kind: G
             if label not in nodes:
                 nodes[label] = EventNode(id=label, label=label)
         edges.append(CausalEdge(source=source, target=target, relation=relation))
-    return CausalGraph(graph_id=graph_id, kind=kind, nodes=tuple(nodes.values()), edges=tuple(edges))
+    return CausalGraph(graph_id="parsed", kind=GraphKind.INSTANCE, nodes=tuple(nodes.values()), edges=tuple(edges))
 
 
 def _enables_reachable(graph: CausalGraph, start: str, goal: str) -> bool:

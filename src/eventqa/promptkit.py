@@ -23,7 +23,6 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import accumulate
-from pathlib import Path
 from random import Random
 from typing import Callable, Collection, Sequence
 
@@ -95,23 +94,22 @@ class PromptConfig:
     strategy: Strategy
     modality: Modality
     demo_count: int = -1  # -1 means "default for the strategy"
-    include_reasoning_traces: bool | None = None
 
     def __post_init__(self) -> None:
         if self.demo_count == -1:
             object.__setattr__(self, "demo_count", 0 if self.strategy is Strategy.ZERO else DEFAULT_DEMO_COUNT)
-        if self.include_reasoning_traces is None:
-            object.__setattr__(self, "include_reasoning_traces", self.strategy is Strategy.COT)
         if (self.demo_count == 0) != (self.strategy is Strategy.ZERO):
             raise ValueError("demo_count must be 0 exactly for the zero-shot strategy")
-        if self.include_reasoning_traces != (self.strategy is Strategy.COT):
-            raise ValueError("reasoning traces are used exactly in the chain-of-thought strategy")
         if self.demo_count < 0:
             raise ValueError("demo_count must be non-negative")
 
     @cached_property
     def selector(self) -> str:
         return f"{self.strategy.value}-{self.modality.value}"
+
+    @property
+    def include_reasoning_traces(self) -> bool:
+        return self.strategy is Strategy.COT
 
     @property
     def includes_text(self) -> bool:
@@ -135,14 +133,14 @@ class PromptConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PromptConfig":
-        return _config(raw["strategy"], raw["modality"], int(raw["demo_count"]), bool(raw["include_reasoning_traces"]))
+        return _config(raw["strategy"], raw["modality"], int(raw["demo_count"]))
 
 
 # Every record of a manifest names one of a few configurations; each is
 # built once and shared, which is safe because a config is frozen.
 @lru_cache(maxsize=64)
-def _config(strategy: str, modality: str, demo_count: int, include_reasoning_traces: bool) -> PromptConfig:
-    return PromptConfig(Strategy(strategy), Modality(modality), demo_count, include_reasoning_traces)
+def _config(strategy: str, modality: str, demo_count: int) -> PromptConfig:
+    return PromptConfig(Strategy(strategy), Modality(modality), demo_count)
 
 
 _MODALITY_ALIASES = {"text": Modality.TEXT, "graph": Modality.GRAPH, "graphs": Modality.GRAPH, "tag": Modality.TAG}
@@ -281,16 +279,8 @@ class PromptTemplate:
     @classmethod
     def default(cls) -> "PromptTemplate":
         root = resources.files("eventqa") / "templates"
-        return cls.load(root / "skeleton.txt", root / "instructions.json")
-
-    @classmethod
-    def load(cls, skeleton_path, instructions_path) -> "PromptTemplate":
-        def read(source) -> str:
-            if hasattr(source, "read_text"):
-                return source.read_text(encoding="utf-8")
-            return Path(source).read_text(encoding="utf-8")
-
-        return cls(read(skeleton_path), json.loads(read(instructions_path)))
+        skeleton = (root / "skeleton.txt").read_text(encoding="utf-8")
+        return cls(skeleton, json.loads((root / "instructions.json").read_text(encoding="utf-8")))
 
     def instruction_for(self, modality: Modality, with_examples: bool) -> str:
         table = self.instructions[modality.value]

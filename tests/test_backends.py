@@ -277,6 +277,46 @@ class TestHttpBackend:
         # 503 waits as asked; a 500's Retry-After is ignored for the doubled backoff.
         assert slept == [0.25, 0.02]
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            chat_payload(5),
+            chat_payload("yes", {"prompt_tokens": "abc"}),
+            chat_payload("yes", {"prompt_tokens": None}),
+            json.dumps({"choices": [{"message": {"content": "yes"}}], "usage": ["x"]}),
+        ],
+        ids=["numeric-content", "string-prompt-tokens", "null-prompt-tokens", "usage-list"],
+    )
+    def test_malformed_payload_fails_only_its_prompt(self, tmp_path, payload):
+        script = [(200, {}, payload), (200, {}, chat_payload("no"))]
+        prompts = build_prompts(2)
+        with stub_server(script) as (endpoint, seen):
+            spec = self._spec(endpoint, max_concurrency=1)
+            result = run_batch(spec, prompts, tmp_path / "r.ndjson", make_header("run", 0, {}))
+        assert len(seen) == 2
+        assert result.completed == 1
+        [failure] = result.failures
+        assert failure.instance_id == prompts[0].instance_id
+        assert "malformed chat-completions payload" in failure.error
+
+    def test_reply_is_counted_only_without_completion_tokens(self, monkeypatch):
+        counted = []
+
+        def recording_count(text, tokenizer="simple"):
+            counted.append(text)
+            return count_tokens(text, tokenizer)
+
+        monkeypatch.setattr(backends_module, "count_tokens", recording_count)
+        script = [
+            (200, {}, chat_payload("given count", {"completion_tokens": 9})),
+            (200, {}, chat_payload("counted here", {"prompt_tokens": 5})),
+        ]
+        with stub_server(script) as (endpoint, _):
+            request = CompletionRequest(prompt_text="x", max_output_tokens=8, prompt_tokens=1)
+            replies = [complete(self._spec(endpoint), request) for _ in script]
+        assert [reply.output_tokens for reply in replies] == [9, 2]
+        assert counted == ["counted here"]
+
     def test_client_error_fails_immediately(self):
         script = [(400, {}, "bad request")]
         with stub_server(script) as (endpoint, seen):
@@ -481,6 +521,35 @@ class TestRunBatch:
             assert result() == {"instance_id": prompt.instance_id}
         assert yielded == len(prompts)
         assert widest <= 2 * spec.max_concurrency
+
+    @pytest.mark.parametrize(
+        "fixtures, message",
+        [
+            (lambda prompts: None, "cannot read"),
+            (lambda prompts: "{not json", "not valid JSON"),
+            (lambda prompts: "[]", "must map prompt hashes to reply strings"),
+            (
+                lambda prompts: json.dumps({prompt_fingerprint(p.prompt_text): 5 for p in prompts}),
+                "must map prompt hashes to reply strings",
+            ),
+        ],
+        ids=["missing", "not-json", "not-an-object", "non-string-reply"],
+    )
+    def test_unusable_fixtures_refuse_the_batch(self, tmp_path, monkeypatch, fixtures, message):
+        def no_request(spec, request):
+            raise AssertionError("a refused batch must send nothing")
+
+        monkeypatch.setattr(backends_module, "complete", no_request)
+        prompts = build_prompts(3)
+        fixtures_path = tmp_path / "fixtures.json"
+        text = fixtures(prompts)
+        if text is not None:
+            fixtures_path.write_text(text)
+        spec = BackendSpec(name="mock", kind=BackendKind.MOCK, fixtures_path=str(fixtures_path))
+        path = tmp_path / "r.ndjson"
+        with pytest.raises(MockFixtureError, match=message):
+            run_batch(spec, prompts, path, self._header())
+        assert not path.exists()
 
     def test_mock_batch_is_deterministic(self, tmp_path):
         prompts = build_prompts(5)

@@ -74,6 +74,36 @@ class TestBuild:
         assert rc == 2
         assert "contaminated" in capsys.readouterr().err
 
+    def test_repeated_configuration_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run_cli("build", "--dataset", DATASET, "--out", out, "--configs", "zero-graph,zero-graphs")
+        assert rc == 2
+        assert "selected more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read schema file"),
+            ("{not json", "is not valid JSON"),
+            ("[]", "is not a JSON object"),
+            ('{"graph_fields": "g"}', "'graph_fields' must be a JSON object"),
+            ('{"node_fields": 5}', "'node_fields' must be a JSON object"),
+            ('{"edge_fields": ["source"]}', "'edge_fields' must be a JSON object"),
+        ],
+        ids=["missing", "not-json", "not-an-object", "string-graph-fields", "number-node-fields", "list-edge-fields"],
+    )
+    def test_bad_schema_file_exits_2(self, tmp_path, capsys, content, message):
+        schema = tmp_path / "schema.json"
+        if content is not None:
+            schema.write_text(content)
+        out = tmp_path / "out"
+        rc = run_cli("build", "--dataset", DATASET, "--schema", schema, "--out", out, "--configs", "zero-text")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(schema) in err and message in err
+        assert not out.exists()
+
     def test_rejection_log_written(self, tmp_path):
         dataset = tmp_path / "mixed.ndjson"
         good = helpers.instance_to_record(helpers.synthetic_split(1, seed=2).instances[0])
@@ -396,6 +426,34 @@ class TestPipeline:
         assert rc == 2
         assert "max_concurrency must be at least 1" in capsys.readouterr().err
         assert not (built / "responses.ndjson").exists()
+
+    def test_run_with_missing_fixtures_file_exits_2(self, built, tmp_path, capsys):
+        rc = run_cli("run", "--out", built, "--backend", "mock", "--fixtures", tmp_path / "missing.json")
+        assert rc == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not (built / "responses.ndjson").exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read pricing file"),
+            ("{not json", "is not valid JSON"),
+            ('{"label": "x"}', 'has no "models" object'),
+            ('{"models": {"m": {"input_per_million": "abc", "output_per_million": "1"}}}', "input_per_million must"),
+            ('{"models": {"m": {"input_per_million": "1", "output_per_million": -2}}}', "output_per_million must"),
+            ('{"models": {"m": {"output_per_million": "1"}}}', "input_per_million must"),
+        ],
+        ids=["missing", "not-json", "no-models", "string-price", "negative-price", "missing-price"],
+    )
+    def test_bad_pricing_file_exits_2(self, built, tmp_path, capsys, content, message):
+        pricing = tmp_path / "pricing.json"
+        if content is not None:
+            pricing.write_text(content)
+        rc = run_cli("cost", "--out", built, "--model", "m", "--pricing", pricing)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(pricing) in err and message in err
+        assert not (built / "cost.json").exists()
 
     def test_cost_matches_library_projection(self, built):
         assert run_cli("cost", "--out", built, "--model", "gpt-3.5-turbo", "--expected-output-tokens", 30) == 0

@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 
 import helpers
 from eventqa.corpus import (
-    Answer,
     DatasetFormatError,
     DatasetSplit,
-    EmptySplitError,
     QuestionCategory,
     SamplingError,
     _allocate_quotas,
-    answer_distribution,
     load_dataset,
     load_schema,
     merge_schema,
@@ -140,60 +137,8 @@ class TestLoadDataset:
 
 
 class TestCategoryTaxonomy:
-    # The expanded taxonomy and its back-mapping to the original clusters.
-    EXPECTED = {
-        "causal": "causal",
-        "counterfactual": "causal (extended)",
-        "event": "event",
-        "existential": "event (subtype)",
-        "future": "future",
-        "negative": "event (negative polarity)",
-        "occurrence": "event / temporal",
-        "past": "past",
-        "positive": "event (positive polarity)",
-        "possible": "possible",
-        "present": "present",
-        "temporal_conflict": "temporal_conflict",
-        "unknown": "unknown",
-    }
-
     def test_thirteen_categories(self):
         assert len(QuestionCategory) == 13
-
-    def test_original_cluster_mapping(self):
-        assert {c.value: c.original_cluster for c in QuestionCategory} == self.EXPECTED
-
-
-class TestAnswerDistribution:
-    def test_direct_count(self):
-        split = helpers.synthetic_split(4, seed=1)
-        answers = [Answer.YES, Answer.NO, Answer.NO, Answer.NO]
-        instances = tuple(replace(i, gold_answer=a) for i, a in zip(split.instances, answers))
-        dist = answer_distribution(DatasetSplit("t", instances))
-        assert dist.yes_fraction == 0.25
-        assert dist.no_fraction == 0.75
-
-    def test_degenerate_single_yes(self):
-        split = helpers.synthetic_split(1, seed=2)
-        instances = (replace(split.instances[0], gold_answer=Answer.YES),)
-        dist = answer_distribution(DatasetSplit("t", instances))
-        assert (dist.yes_fraction, dist.no_fraction) == (1.0, 0.0)
-
-    def test_empty_split_is_an_error(self):
-        with pytest.raises(EmptySplitError):
-            answer_distribution(DatasetSplit("t", ()))
-
-    @given(yes=st.integers(0, 40), no=st.integers(0, 40))
-    def test_fractions_sum_to_one(self, yes, no):
-        if yes + no == 0:
-            return
-        rng = random.Random(0)
-        instances = [
-            replace(helpers.synthetic_instance(index, rng), gold_answer=answer)
-            for index, answer in enumerate([Answer.YES] * yes + [Answer.NO] * no)
-        ]
-        dist = answer_distribution(DatasetSplit("t", tuple(instances)))
-        assert abs(dist.yes_fraction + dist.no_fraction - 1.0) <= 2 ** -52
 
 
 def _outcome(allocate, sizes, total):
@@ -233,11 +178,6 @@ class TestStratifiedSample:
     def test_oversized_request_fails(self, synthetic_split):
         with pytest.raises(SamplingError):
             stratified_sample(synthetic_split, len(synthetic_split.instances) + 1, seed=1)
-
-    def test_empty_expected_stratum_warns(self, synthetic_split, caplog):
-        with caplog.at_level("WARNING"):
-            stratified_sample(synthetic_split, 10, seed=1, expected_strata=[("missing", "stratum")])
-        assert any("empty" in message for message in caplog.messages)
 
     @settings(max_examples=40)
     @given(size=st.integers(1, 130), seed=st.integers(0, 10))

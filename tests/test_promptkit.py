@@ -90,7 +90,7 @@ class TestPromptConfig:
     def test_traces_tied_to_cot(self):
         assert PromptConfig(Strategy.COT, Modality.TAG).include_reasoning_traces
         assert not PromptConfig(Strategy.FEW, Modality.TAG).include_reasoning_traces
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # derived from the strategy, not settable
             PromptConfig(Strategy.FEW, Modality.TAG, include_reasoning_traces=True)
 
     def test_unknown_selector(self):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from . import EventQAError, manifest
 from .corpus import Answer
@@ -41,7 +41,7 @@ from .graphcore import (
     graph_from_sentences,
     oracle_answer,
 )
-from .promptkit import PromptRecord, count_tokens, output_budget
+from .promptkit import PromptConfig, count_tokens, output_budget
 
 logger = logging.getLogger(__name__)
 
@@ -208,13 +208,20 @@ def prompt_fingerprint(prompt_text: str) -> str:
 
 # --- oracle question grammar ---------------------------------------------------
 
-_QUESTION_SECTION_RE = re.compile(r"### Question ###\n(.*?)\n### Answer ###", re.DOTALL)
-_GRAPH_SECTION_RE = re.compile(r"### Graph ###\n(.*?)(?:\n\n|\n\Z)", re.DOTALL)
-
 _Q_CAUSE = re.compile(r'^Did "(.+?)" cause "(.+?)"\?$')
 _Q_BLOCK = re.compile(r'^Did "(.+?)" block "(.+?)"\?$')
 _Q_AFTER = re.compile(r'^Did "(.+?)" happen after "(.+?)"\?$')
 _Q_OCCUR = re.compile(r'^Did "(.+?)" (?:happen|occur)\?$')
+
+
+def _section(text: str, header: str, end: str) -> str | None:
+    """The text between the first ``header`` in ``text`` and the first ``end`` after it; None if either is missing."""
+    start = text.find(header)
+    if start < 0:
+        return None
+    start += len(header)
+    stop = text.find(end, start)
+    return None if stop < 0 else text[start:stop]
 
 
 def _resolve_label(span: str, graph: CausalGraph) -> str | None:
@@ -257,32 +264,24 @@ def parse_oracle_question(question: str, graph: CausalGraph) -> tuple[Structured
     return None
 
 
-# Every configuration of an instance carries the same graph section, so a
-# batch sorted by instance finds each section here on all but its first visit.
-ORACLE_GRAPH_CACHE_SIZE = 1024
+# Six of the nine configurations of an instance carry the same graph section
+# and ask the same question, so a batch sorted by instance finds each
+# (section, question) pair here on all but its first visit.
+ORACLE_REPLY_CACHE_SIZE = 1024
 
 # The longest wait between two attempts, a server's Retry-After included.
 MAX_RETRY_WAIT = 60.0
 
 
-@functools.lru_cache(maxsize=ORACLE_GRAPH_CACHE_SIZE)
-def _graph_of_section(section: str) -> CausalGraph:
-    """The (frozen) graph a prompt's graph section verbalizes; parse errors are raised anew each call."""
-    return graph_from_sentences(section.splitlines())
+@functools.lru_cache(maxsize=ORACLE_REPLY_CACHE_SIZE)
+def _section_reply(section: str, question: str) -> tuple[str, tuple[str, ...]]:
+    """The oracle's (reply, flags) for ``question`` about the graph ``section`` verbalizes.
 
-
-def _oracle_reply(prompt_text: str) -> tuple[str, tuple[str, ...]]:
-    graph_match = _GRAPH_SECTION_RE.search(prompt_text)
-    if graph_match is None:
-        return Answer.NO.value, ("no_graph",)
-    question_match = _QUESTION_SECTION_RE.search(prompt_text)
-    if question_match is None:
-        return Answer.NO.value, ("unparsed",)
-    try:
-        graph = _graph_of_section(graph_match.group(1))
-    except VerbalizationParseError:
-        return Answer.NO.value, ("unparsed",)
-    parsed = parse_oracle_question(question_match.group(1).strip(), graph)
+    A section that does not parse raises ``VerbalizationParseError``,
+    which ``lru_cache`` does not keep, so it is raised anew on every call.
+    """
+    graph = graph_from_sentences(section.splitlines())
+    parsed = parse_oracle_question(question, graph)
     if parsed is None:
         return Answer.NO.value, ("unparsed",)
     query, negate = parsed
@@ -290,6 +289,20 @@ def _oracle_reply(prompt_text: str) -> tuple[str, tuple[str, ...]]:
     if negate:
         answer = Answer.NO if answer is Answer.YES else Answer.YES
     return answer.value, ()
+
+
+def _oracle_reply(prompt_text: str) -> tuple[str, tuple[str, ...]]:
+    # A graph section ends at a blank line, or at the prompt's last newline.
+    graph_section = _section(prompt_text + "\n", "### Graph ###\n", "\n\n")
+    if graph_section is None:
+        return Answer.NO.value, ("no_graph",)
+    question = _section(prompt_text, "### Question ###\n", "\n### Answer ###")
+    if question is None:
+        return Answer.NO.value, ("unparsed",)
+    try:
+        return _section_reply(graph_section, question.strip())
+    except VerbalizationParseError:
+        return Answer.NO.value, ("unparsed",)
 
 
 # --- completion ----------------------------------------------------------------
@@ -302,6 +315,11 @@ def _retry_after(header: str | None, backoff: float) -> float:
     except (TypeError, ValueError):
         return backoff
     return delay if math.isfinite(delay) and delay >= 0 else backoff
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is a non-negative JSON integer (``bool`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _read_chat_payload(payload, prompt_tokens: int, tokenizer: str) -> tuple[str, int, int]:
@@ -323,7 +341,7 @@ def _read_chat_payload(payload, prompt_tokens: int, tokenizer: str) -> tuple[str
     input_tokens = usage.get("prompt_tokens", prompt_tokens)
     output_tokens = usage["completion_tokens"] if "completion_tokens" in usage else count_tokens(raw_text, tokenizer)
     for key, count in (("prompt_tokens", input_tokens), ("completion_tokens", output_tokens)):
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        if not _is_count(count):
             raise ValueError(f"{key} is not a non-negative integer: {count!r}")
     return raw_text, input_tokens, output_tokens
 
@@ -449,35 +467,70 @@ class BatchResult:
         return not self.failures
 
 
+# The fields of a prompts-manifest row that a run reads.
+_ROW_FIELDS = ("instance_id", "config", "prompt_text", "token_count", "tokenizer")
+
+
 def _record_key(record: dict) -> tuple[str, str]:
     return record["instance_id"], record["config"]
 
 
-def _prompt_key(prompt: PromptRecord) -> tuple[str, str]:
-    return prompt.instance_id, prompt.config.selector
+def _row_key(row: dict) -> tuple[str, str]:
+    """The (instance_id, config selector) of a prompt row that ``_checked_row_key`` has passed."""
+    return row["instance_id"], PromptConfig.from_dict(row["config"]).selector
 
 
-def _check_batch(spec: BackendSpec, prompts: Iterable[PromptRecord]) -> None:
-    """Refuse an empty batch, a repeated (instance_id, config) pair, or a prompt over the context limit.
+def _checked_row_key(row, number: int) -> tuple[str, str]:
+    """``_row_key`` of the ``number``-th prompt row; ``BackendError`` naming the row if it is malformed."""
+    where = f"prompt row {number}"
+    if not isinstance(row, dict):
+        raise BackendError(f"{where} is not a JSON object")
+    missing = [name for name in _ROW_FIELDS if name not in row]
+    if missing:
+        raise BackendError(f"{where} lacks {', '.join(missing)}")
+    instance_id = row["instance_id"]
+    if not isinstance(instance_id, str) or not instance_id:
+        raise BackendError(f"{where}: instance_id must be a non-empty string, got {instance_id!r}")
+    where = f"{where} ({instance_id})"
+    try:
+        config = PromptConfig.from_dict(row["config"])
+    except (KeyError, TypeError, ValueError):
+        raise BackendError(f"{where}: unusable config {row['config']!r}") from None
+    if not _is_count(row["token_count"]):
+        raise BackendError(f"{where}: token_count must be a non-negative integer, got {row['token_count']!r}")
+    for name in ("prompt_text", "tokenizer"):
+        if not isinstance(row[name], str):
+            raise BackendError(f"{where}: {name} must be a string, got {row[name]!r}")
+    return instance_id, config.selector
+
+
+def _prompt_tokens(spec: BackendSpec, row: dict) -> int:
+    """A prompt row's tokens under the spec's tokenizer: its stored count when that was made under it."""
+    if row["tokenizer"] == spec.tokenizer:
+        return row["token_count"]
+    return count_tokens(row["prompt_text"], spec.tokenizer)
+
+
+def _check_batch(spec: BackendSpec, rows: Collection[dict]) -> None:
+    """Refuse a malformed row, an empty batch, a repeated (instance_id, config) pair, or a prompt over the context limit.
 
     A mock backend's fixtures file is read and checked first. In a batch
     sorted by key, as ``prompts.ndjson`` is, a repeat shows as two equal
-    neighbours, so the check holds nothing per prompt; a batch in any other
+    neighbours, so the check holds nothing per row; a batch in any other
     order is checked again against a set of its keys.
     """
     if spec.kind is BackendKind.MOCK:
         spec.fixtures  # raises on a missing or malformed file
     size, last, in_order, oversized = 0, (), True, []
-    for prompt in prompts:
-        key = _prompt_key(prompt)
+    for size, row in enumerate(rows, start=1):
+        key = _checked_row_key(row, size)
         in_order, last = in_order and key > last, key
-        size += 1
-        tokens = prompt.count_under(spec.tokenizer)
+        tokens = _prompt_tokens(spec, row)
         if tokens > spec.context_limit:
             oversized.append(tokens)
     if not size:
         raise BackendError("run_batch called with no prompts")
-    if not in_order and len({_prompt_key(prompt) for prompt in prompts}) < size:
+    if not in_order and len({_row_key(row) for row in rows}) < size:
         raise BackendError("duplicate (instance_id, config) pairs in prompt batch")
     if oversized:
         raise ContextOverflowError(
@@ -487,45 +540,47 @@ def _check_batch(spec: BackendSpec, prompts: Iterable[PromptRecord]) -> None:
 
 
 def _dispatch(
-    spec: BackendSpec, run_one: Callable[[PromptRecord], dict], pending: Iterable[PromptRecord]
-) -> Iterator[tuple[PromptRecord, Callable[[], dict]]]:
-    """Yield (prompt, result getter) pairs; calling the getter returns the record or raises.
+    spec: BackendSpec, run_one: Callable[[dict], dict], pending: Iterable[dict]
+) -> Iterator[tuple[dict, Callable[[], dict]]]:
+    """Yield (row, result getter) pairs; calling the getter returns the record or raises.
 
     Deterministic backends are pure computation, which threads cannot
-    overlap, so they run inline in prompt order. HTTP requests wait on the
+    overlap, so they run inline in row order. HTTP requests wait on the
     network and go through a pool of ``max_concurrency`` workers, yielded
     in completion order; at most twice that many are submitted and not yet
     yielded, so the pool never holds more than a window of the batch.
     """
     if spec.kind is not BackendKind.HTTP_CHAT:
-        for prompt in pending:
-            yield prompt, functools.partial(run_one, prompt)
+        for row in pending:
+            yield row, functools.partial(run_one, row)
         return
     pending = iter(pending)
     with ThreadPoolExecutor(max_workers=spec.max_concurrency) as pool:
-        in_flight = {pool.submit(run_one, prompt): prompt for prompt in islice(pending, 2 * spec.max_concurrency)}
+        in_flight = {pool.submit(run_one, row): row for row in islice(pending, 2 * spec.max_concurrency)}
         while in_flight:
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
                 yield in_flight.pop(future), future.result
-                for prompt in islice(pending, 1):
-                    in_flight[pool.submit(run_one, prompt)] = prompt
+                for row in islice(pending, 1):
+                    in_flight[pool.submit(run_one, row)] = row
 
 
 def run_batch(
     spec: BackendSpec,
-    prompts: Iterable[PromptRecord],
+    rows: Collection[dict],
     manifest_path: str | Path,
     header: dict,
 ) -> BatchResult:
-    """Complete a batch of prompts, inline or through a worker pool (see ``_dispatch``).
+    """Complete the prompts of a batch of prompts-manifest rows, inline or through a worker pool (see ``_dispatch``).
 
-    ``prompts`` is iterated at least twice, so it must be a collection,
-    not an iterator: a first pass checks the batch (see ``_check_batch``)
-    before any request is sent or any file is written, and a second pass
-    streams the prompts to the backend. Apart from the keys a resumed
-    manifest already holds, nothing is kept per prompt. A prompt's stored
-    ``token_count`` is reused when it was made under the spec's tokenizer.
+    ``rows`` are records as ``manifest.read_ndjson`` streams them from
+    ``prompts.ndjson``. They are iterated twice, so they must be a
+    collection, not an iterator: a first pass checks the batch (see
+    ``_check_batch``) before any request is sent or any file is written,
+    and a second pass builds each request from its row and streams it to
+    the backend. Apart from the keys a resumed manifest already holds,
+    nothing is kept per prompt. A row's stored ``token_count`` is reused
+    when it was made under the spec's tokenizer.
 
     The manifest is the unit of resumability: completed records are
     flushed line by line as they finish, and on restart a torn last line is
@@ -536,9 +591,9 @@ def run_batch(
     Individual failures do not stop the batch; they are collected and
     reported together.
     """
-    if iter(prompts) is prompts:
-        raise BackendError("run_batch needs a collection of prompts it can iterate twice, not an iterator")
-    _check_batch(spec, prompts)
+    if iter(rows) is rows:
+        raise BackendError("run_batch needs a collection of prompt rows it can iterate twice, not an iterator")
+    _check_batch(spec, rows)
 
     manifest_path = Path(manifest_path)
     done: set[tuple[str, str]] = set()
@@ -557,26 +612,28 @@ def run_batch(
     else:
         manifest.write_ndjson(manifest_path, header, [])
 
-    def _run_one(prompt: PromptRecord) -> dict:
+    def _run_one(row: dict) -> dict:
+        config = PromptConfig.from_dict(row["config"])
         request = CompletionRequest(
-            prompt_text=prompt.prompt_text,
-            max_output_tokens=output_budget(prompt.config.strategy),
-            prompt_tokens=prompt.count_under(spec.tokenizer),
+            prompt_text=row["prompt_text"],
+            max_output_tokens=output_budget(config.strategy),
+            prompt_tokens=_prompt_tokens(spec, row),
         )
         record = complete(spec, request).to_dict()
-        record["instance_id"], record["config"] = _prompt_key(prompt)
+        record["instance_id"], record["config"] = row["instance_id"], config.selector
         return record
 
-    pending = (prompt for prompt in prompts if _prompt_key(prompt) not in done)
+    pending = (row for row in rows if _row_key(row) not in done)
     failures: list[BatchFailure] = []
     completed = len(done)
     with open(manifest_path, "a", encoding="utf-8") as sink, closing(_dispatch(spec, _run_one, pending)) as outcomes:
-        for prompt, result in outcomes:
+        for row, result in outcomes:
             try:
                 record = result()
             except BackendError as exc:
-                logger.error("request failed for %s/%s: %s", prompt.instance_id, prompt.config.selector, exc)
-                failures.append(BatchFailure(prompt.instance_id, prompt.config.selector, str(exc)))
+                failure = BatchFailure(*_row_key(row), str(exc))
+                logger.error("request failed for %s/%s: %s", failure.instance_id, failure.config, exc)
+                failures.append(failure)
                 continue
             key = _record_key(record)
             in_order, last = in_order and key > last, key

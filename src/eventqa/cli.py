@@ -28,7 +28,7 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from . import EventQAError, corpus, manifest, promptkit
 from .graphcore import verbalize_graph
@@ -76,6 +76,8 @@ def _load(args, path: str) -> corpus.LoadResult:
 def _load_split(args) -> tuple[corpus.DatasetSplit, tuple[corpus.RejectedRecord, ...]]:
     result = _load(args, args.dataset)
     split = result.split
+    if not split.instances:
+        raise CliError(f"no instance of {args.dataset} survived loading ({len(result.rejections)} records rejected)")
     if args.split == corpus.SMALL:
         split = corpus.stratified_sample(split, corpus.SMALL_SIZE, seed=args.seed)
     elif args.split != corpus.FULL:
@@ -201,16 +203,6 @@ def _resolve_backend(args) -> backends.BackendSpec:
     return spec
 
 
-@dataclasses.dataclass(frozen=True)
-class _PromptStream:
-    """The records of a prompts manifest, parsed as they stream; iterable more than once."""
-
-    rows: manifest.Records
-
-    def __iter__(self) -> Iterator[promptkit.PromptRecord]:
-        return map(promptkit.PromptRecord.from_dict, self.rows)
-
-
 def cmd_run(args) -> int:
     from . import backends
 
@@ -232,7 +224,7 @@ def cmd_run(args) -> int:
     header = manifest.make_header("run", args.seed, config_payload)
 
     try:
-        result = backends.run_batch(spec, _PromptStream(prompt_rows), out / RESPONSES_FILE, header)
+        result = backends.run_batch(spec, prompt_rows, out / RESPONSES_FILE, header)
     except backends.ContextOverflowError as exc:
         raise CliError(f"{exc}; rebuild with --context-limit") from None
     print(f"ran {result.completed} completions on {spec.name} -> {out / RESPONSES_FILE}")
@@ -252,13 +244,22 @@ def cmd_score(args) -> int:
     split, _ = _load_split(args)
     by_id = {instance.instance_id: instance for instance in split.instances}
 
-    predictions: list[evalkit.PredictionRecord] = []
-    for row in response_rows:
-        instance = by_id.get(row["instance_id"])
-        if instance is None:
-            raise CliError(f"response for unknown instance {row['instance_id']!r}; wrong --dataset or --split?")
-        predictions.append(
-            evalkit.PredictionRecord(
+    config_payload = {"stage": "score", "responses_hash": responses_header["config_hash"]}
+    header = manifest.make_header("score", args.seed, config_payload)
+
+    # A successful run leaves its responses in prediction order, so each
+    # prediction is written and scored as it is made. Responses in any other
+    # order are sorted on disk once written, and scored from the sorted file.
+    scorer = evalkit.Scorer()
+    in_order = True
+
+    def predictions():
+        nonlocal in_order
+        for row in response_rows:
+            instance = by_id.get(row["instance_id"])
+            if instance is None:
+                raise CliError(f"response for unknown instance {row['instance_id']!r}; wrong --dataset or --split?")
+            prediction = evalkit.PredictionRecord(
                 instance_id=row["instance_id"],
                 config=promptkit.parse_selector(row["config"]),
                 backend=row["backend"],
@@ -266,15 +267,17 @@ def cmd_score(args) -> int:
                 gold=instance.gold_answer,
                 category=instance.category,
             )
-        )
-    predictions.sort(key=lambda p: (p.instance_id, p.config.selector, p.backend))
+            in_order = in_order and scorer.add(prediction)
+            yield prediction.to_dict()
 
-    config_payload = {"stage": "score", "responses_hash": responses_header["config_hash"]}
-    header = manifest.make_header("score", args.seed, config_payload)
-    manifest.write_ndjson(out / PREDICTIONS_FILE, header, (p.to_dict() for p in predictions))
+    manifest.write_ndjson(out / PREDICTIONS_FILE, header, predictions())
+    report = scorer.report
+    if not in_order:
+        manifest.sort_ndjson(out / PREDICTIONS_FILE, lambda row: evalkit.PredictionRecord.from_dict(row).identity)
+        _, rows = manifest.read_ndjson(out / PREDICTIONS_FILE)
+        report = evalkit.score(map(evalkit.PredictionRecord.from_dict, rows))
 
-    report = evalkit.score(predictions)
-    print(f"scored {len(predictions)} predictions -> {out / PREDICTIONS_FILE}")
+    print(f"scored {sum(cell.n for cell in report.cells.values())} predictions -> {out / PREDICTIONS_FILE}")
     print(evalkit.format_accuracy_table(report))
     return 0
 

@@ -225,10 +225,18 @@ def merge_schema(overrides: dict | None) -> dict:
             if isinstance(schema[key], dict):
                 if not isinstance(value, dict):
                     raise DatasetFormatError(f"schema key {key!r} must be a JSON object")
+                for field_key, name in value.items():
+                    _check_field_name(name, f"{key}.{field_key}")
                 schema[key].update(value)
             else:
+                _check_field_name(value, key)
                 schema[key] = value
     return schema
+
+
+def _check_field_name(name, key: str) -> None:
+    if not isinstance(name, str):
+        raise DatasetFormatError(f"the field name of schema key {key!r} must be a string, got {name!r}")
 
 
 def _json_object(value, what: str) -> dict:

@@ -45,10 +45,17 @@ class PredictionRecord:
     extracted: ExtractedAnswer
     gold: Answer
     category: QuestionCategory
+    correct: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        # Both labels are str enums, so they compare by value and no Answer
+        # is built; "unparseable" never equals a gold answer.
+        object.__setattr__(self, "correct", self.extracted.answer == self.gold)
 
     @property
-    def correct(self) -> bool:
-        return self.extracted.answer.as_answer() is not None and self.extracted.answer.as_answer() == self.gold
+    def identity(self) -> tuple[str, str, str]:
+        """What predictions are sorted and told apart by."""
+        return self.instance_id, self.config.selector, self.backend
 
     def to_dict(self) -> dict:
         return {
@@ -105,20 +112,47 @@ class AccuracyReport:
     cluster_cells: dict[ClusterKey, CellStats] = field(default_factory=dict)
 
 
-def score(predictions: Iterable[PredictionRecord]) -> AccuracyReport:
-    """Aggregate predictions, in one pass, into per-configuration and per-category cells."""
-    seen: set[tuple[str, str, str]] = set()
-    report = AccuracyReport()
-    for record in predictions:
-        identity = (record.instance_id, record.config.selector, record.backend)
-        if identity in seen:
-            raise ScoringError(f"duplicate prediction for {identity}")
-        seen.add(identity)
+class Scorer:
+    """Folds predictions into an ``AccuracyReport`` as they arrive in ascending identity order.
+
+    In that order a duplicate is a repeat of the previous identity, so
+    nothing is kept per prediction.
+    """
+
+    def __init__(self) -> None:
+        self.report = AccuracyReport()
+        self._last: tuple = ()
+
+    def add(self, record: PredictionRecord) -> bool:
+        """Fold ``record`` in and return True; return False, folding nothing, if it sorts before the previous one."""
+        identity = record.identity
+        if identity <= self._last:
+            if identity == self._last:
+                raise ScoringError(f"duplicate prediction for {identity}")
+            return False
+        self._last = identity
         config_key = (record.backend, record.config.strategy, record.config.modality)
         cluster_key = config_key + (record.category,)
-        report.cells.setdefault(config_key, CellStats()).add(record)
-        report.cluster_cells.setdefault(cluster_key, CellStats()).add(record)
-    return report
+        self.report.cells.setdefault(config_key, CellStats()).add(record)
+        self.report.cluster_cells.setdefault(cluster_key, CellStats()).add(record)
+        return True
+
+
+def score(predictions: Iterable[PredictionRecord]) -> AccuracyReport:
+    """Aggregate predictions into per-configuration and per-category cells.
+
+    Predictions in ascending identity order are folded in one pass (see
+    ``Scorer``). A collection in any other order is sorted first; an
+    iterator in any other order is refused, since only a sort of all of it
+    could find its duplicates.
+    """
+    scorer = Scorer()
+    for record in predictions:
+        if not scorer.add(record):
+            if iter(predictions) is predictions:
+                raise ScoringError(f"predictions out of (instance_id, config, backend) order at {record.identity}")
+            return score(sorted(predictions, key=lambda p: p.identity))
+    return scorer.report
 
 
 _STRATEGY_ORDER = {s: i for i, s in enumerate(Strategy)}

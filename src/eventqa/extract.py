@@ -17,18 +17,11 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import Answer
-
 
 class ExtractedLabel(str, Enum):
     YES = "yes"
     NO = "no"
     UNPARSEABLE = "unparseable"
-
-    def as_answer(self) -> Answer | None:
-        if self is ExtractedLabel.UNPARSEABLE:
-            return None
-        return Answer(self.value)
 
 
 class ExtractionMethod(str, Enum):

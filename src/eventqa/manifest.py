@@ -29,8 +29,12 @@ class ManifestError(EventQAError):
     pass
 
 
+# ``json.dumps`` with any setting of its own builds a new encoder per call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def config_hash(config: dict) -> str:

@@ -146,8 +146,9 @@ def _config(strategy: str, modality: str, demo_count: int) -> PromptConfig:
 _MODALITY_ALIASES = {"text": Modality.TEXT, "graph": Modality.GRAPH, "graphs": Modality.GRAPH, "tag": Modality.TAG}
 
 
+@lru_cache(maxsize=64)
 def parse_selector(selector: str) -> PromptConfig:
-    """Parse a ``strategy-modality`` name like ``cot-tag`` into a config."""
+    """Parse a ``strategy-modality`` name like ``cot-tag`` into a config, shared by every parse of that name."""
     try:
         strategy_raw, modality_raw = selector.strip().lower().split("-", 1)
         return PromptConfig(strategy=Strategy(strategy_raw), modality=_MODALITY_ALIASES[modality_raw])
@@ -355,10 +356,6 @@ class PromptRecord:
             "sections": {name: list(span) for name, span in self.sections.items()},
             "tokenizer": self.tokenizer,
         }
-
-    def count_under(self, tokenizer: str) -> int:
-        """Prompt tokens under ``tokenizer``: the stored count when it is the record's own, else a fresh count."""
-        return self.token_count if tokenizer == self.tokenizer else count_tokens(self.prompt_text, tokenizer)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PromptRecord":
@@ -603,9 +600,10 @@ class DemoPool(tuple):
 
     Holds the pool's instances in order, their ids, and the positions of
     the yes and the no instances. Each demonstration is rendered on first
-    use and kept, keyed by (position, modality, with trace), so a pool
-    graph is verbalized at most once per modality however many prompts
-    draw it.
+    use and kept, keyed by (position, modality, with trace). Its reasoning
+    trace is kept by (position, drawn from the graph), since the graph and
+    tag modalities draw the same evidence, so a pool graph is verbalized at
+    most once however many prompts draw it.
     """
 
     ids: frozenset[str]
@@ -618,6 +616,7 @@ class DemoPool(tuple):
         pool.yes_positions = tuple(i for i, instance in enumerate(pool) if instance.gold_answer is Answer.YES)
         pool.no_positions = tuple(i for i, instance in enumerate(pool) if instance.gold_answer is Answer.NO)
         pool._demos = {}
+        pool._traces = {}
         return pool
 
     def demonstration(self, position: int, modality: Modality, with_trace: bool) -> Demonstration:
@@ -629,9 +628,16 @@ class DemoPool(tuple):
                 question=instance.question,
                 answer=instance.gold_answer,
                 source_modality=modality,
-                reasoning_trace=_trace_for(instance, modality) if with_trace else None,
+                reasoning_trace=self._trace(position, modality) if with_trace else None,
             )
         return demo
+
+    def _trace(self, position: int, modality: Modality) -> str:
+        key = (position, modality is not Modality.TEXT)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._traces[key] = _trace_for(self[position], modality)
+        return trace
 
 
 def select_demonstrations(

@@ -401,7 +401,7 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
     Random(5).shuffle(prompts)
     spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE, max_concurrency=5)
     scrambled_path = tmp_path / "scrambled.ndjson"
-    run_batch(spec, prompts, scrambled_path, header)
+    run_batch(spec, [p.to_dict() for p in prompts], scrambled_path, header)
     assert scrambled_path.read_bytes() == (first / "responses.ndjson").read_bytes()
 
     # Resume: truncate the manifest, strip the already-completed prompts out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -10,6 +11,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from eventqa import backends as backends_module
@@ -99,6 +102,11 @@ def build_prompts(count=10, configs=("zero-graph",), pool=None):
     return records
 
 
+def rows(prompts):
+    """Prompt records as the rows of a prompts manifest, which is what ``run_batch`` takes."""
+    return [prompt.to_dict() for prompt in prompts]
+
+
 class TestMockBackend:
     def test_replays_fixture_exactly(self, tmp_path):
         prompt = "### Question ###\nDid it rain?\n### Answer ###\n"
@@ -117,6 +125,30 @@ class TestMockBackend:
         spec = BackendSpec(name="mock", kind=BackendKind.MOCK, fixtures_path=str(path))
         with pytest.raises(MockFixtureError):
             complete(spec, CompletionRequest(prompt_text="anything", max_output_tokens=8))
+
+
+# The regular expressions the oracle used to find a prompt's graph and
+# question sections, kept as the reference for the string search that
+# replaced them.
+REFERENCE_GRAPH_SECTION = re.compile(r"### Graph ###\n(.*?)(?:\n\n|\n\Z)", re.DOTALL)
+REFERENCE_QUESTION_SECTION = re.compile(r"### Question ###\n(.*?)\n### Answer ###", re.DOTALL)
+
+
+def reference_sections(prompt_text):
+    """(graph section, stripped question), or the oracle's reply when either is missing."""
+    graph = REFERENCE_GRAPH_SECTION.search(prompt_text)
+    if graph is None:
+        return "no", ("no_graph",)
+    question = REFERENCE_QUESTION_SECTION.search(prompt_text)
+    if question is None:
+        return "no", ("unparsed",)
+    return graph.group(1), question.group(1).strip()
+
+
+SECTION_FRAGMENTS = [
+    "### Graph ###\n", "### Graph ###", "### Question ###\n", "\n### Answer ###", "### Answer ###",
+    "\n", "\n\n", " ", "#", "x",
+]
 
 
 class TestOracleBackend:
@@ -146,6 +178,40 @@ class TestOracleBackend:
         assert response.raw_text == "no"
         assert "no_graph" in response.flags
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(SECTION_FRAGMENTS), max_size=14).map("".join))
+    def test_sections_found_where_the_reference_regexes_find_them(self, prompt_text):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backends_module, "_section_reply", lambda section, question: (section, question))
+            assert backends_module._oracle_reply(prompt_text) == reference_sections(prompt_text)
+
+    def test_each_graph_and_question_answered_once_per_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        build = ["build", "--dataset", DATA / "sample_dataset.ndjson", "--demo-pool", DATA / "demo_pool.ndjson"]
+        assert main([str(part) for part in [*build, "--out", out]]) == 0
+        calls = []
+        original = backends_module.oracle_answer
+
+        def counting_answer(graph, query):
+            calls.append((graph, query))
+            return original(graph, query)
+
+        monkeypatch.setattr(backends_module, "oracle_answer", counting_answer)
+        backends_module._section_reply.cache_clear()
+        assert main(["run", "--out", str(out), "--backend", "oracle"]) == 0
+
+        _, prompts = read_ndjson(out / "prompts.ndjson")
+        _, responses = read_ndjson(out / "responses.ndjson")
+        assert len({(p["instance_id"], p["config"]["strategy"], p["config"]["modality"]) for p in prompts}) == 9 * 13
+        answered = {(r["instance_id"], r["config"]) for r in responses if not r["flags"]}
+        pairs = {
+            reference_sections(p["prompt_text"])
+            for p in prompts
+            if (p["instance_id"], f"{p['config']['strategy']}-{p['config']['modality']}") in answered
+        }
+        assert pairs
+        assert len(calls) == len(pairs)
+
     def test_context_overflow_rejected(self):
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE, context_limit=4)
         with pytest.raises(ContextOverflowError):
@@ -171,7 +237,7 @@ class TestOracleBackend:
             return original(sentences)
 
         monkeypatch.setattr(backends_module, "graph_from_sentences", counting_parse)
-        backends_module._graph_of_section.cache_clear()
+        backends_module._section_reply.cache_clear()
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
         verbalized = verbalize_graph(rally_instance.graph)
         instance = replace(rally_instance, question=worked_demos[1].question)
@@ -292,7 +358,7 @@ class TestHttpBackend:
         prompts = build_prompts(2)
         with stub_server(script) as (endpoint, seen):
             spec = self._spec(endpoint, max_concurrency=1)
-            result = run_batch(spec, prompts, tmp_path / "r.ndjson", make_header("run", 0, {}))
+            result = run_batch(spec, rows(prompts), tmp_path / "r.ndjson", make_header("run", 0, {}))
         assert len(seen) == 2
         assert result.completed == 1
         [failure] = result.failures
@@ -368,7 +434,7 @@ class TestRunBatch:
     def test_manifest_ordered_by_instance_id(self, tmp_path):
         prompts = build_prompts(10)
         path = tmp_path / "responses.ndjson"
-        result = run_batch(self._oracle_spec(), prompts, path, self._header())
+        result = run_batch(self._oracle_spec(), rows(prompts), path, self._header())
         assert result.ok
         _, records = read_ndjson(path)
         keys = [(r["instance_id"], r["config"]) for r in records]
@@ -378,10 +444,10 @@ class TestRunBatch:
     def test_shuffled_submission_order_gives_identical_bytes(self, tmp_path):
         prompts = build_prompts(10)
         path_a, path_b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
-        run_batch(self._oracle_spec(), prompts, path_a, self._header())
+        run_batch(self._oracle_spec(), rows(prompts), path_a, self._header())
         shuffled = list(prompts)
         Random(99).shuffle(shuffled)
-        run_batch(self._oracle_spec(concurrency=3), shuffled, path_b, self._header())
+        run_batch(self._oracle_spec(concurrency=3), rows(shuffled), path_b, self._header())
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_empty_batch_is_an_error_and_writes_nothing(self, tmp_path):
@@ -393,13 +459,13 @@ class TestRunBatch:
     def test_duplicate_keys_rejected(self, tmp_path):
         prompts = build_prompts(2)
         with pytest.raises(BackendError, match="duplicate"):
-            run_batch(self._oracle_spec(), prompts + prompts[:1], tmp_path / "r.ndjson", self._header())
+            run_batch(self._oracle_spec(), rows(prompts + prompts[:1]), tmp_path / "r.ndjson", self._header())
 
     def test_resume_skips_completed_records(self, tmp_path, monkeypatch):
         prompts = build_prompts(8)
         path = tmp_path / "responses.ndjson"
         header = self._header()
-        run_batch(self._oracle_spec(), prompts, path, header)
+        run_batch(self._oracle_spec(), rows(prompts), path, header)
         full_bytes = path.read_bytes()
 
         # Keep the header and first 3 records, then a torn partial line.
@@ -414,7 +480,7 @@ class TestRunBatch:
             return original(spec, request)
 
         monkeypatch.setattr(backends_module, "complete", counting_complete)
-        result = run_batch(self._oracle_spec(), prompts, path, header)
+        result = run_batch(self._oracle_spec(), rows(prompts), path, header)
         assert result.ok
         assert len(requested) == len(prompts) - 3
         assert path.read_bytes() == full_bytes
@@ -422,10 +488,10 @@ class TestRunBatch:
     def test_refuses_manifest_from_other_config(self, tmp_path):
         prompts = build_prompts(3)
         path = tmp_path / "responses.ndjson"
-        run_batch(self._oracle_spec(), prompts, path, self._header())
+        run_batch(self._oracle_spec(), rows(prompts), path, self._header())
         other = make_header("run", 1, {"stage": "run", "test": False})
         with pytest.raises(BackendError, match="different run configuration"):
-            run_batch(self._oracle_spec(), prompts, path, other)
+            run_batch(self._oracle_spec(), rows(prompts), path, other)
 
     def test_partial_failure_keeps_going(self, tmp_path, monkeypatch):
         prompts = build_prompts(6)
@@ -438,7 +504,7 @@ class TestRunBatch:
             return original(spec, request)
 
         monkeypatch.setattr(backends_module, "complete", flaky_complete)
-        result = run_batch(self._oracle_spec(), prompts, tmp_path / "r.ndjson", self._header())
+        result = run_batch(self._oracle_spec(), rows(prompts), tmp_path / "r.ndjson", self._header())
         assert len(result.failures) == 2
         assert result.completed == 4
         failed_ids = {f.instance_id for f in result.failures}
@@ -454,7 +520,7 @@ class TestRunBatch:
         fixtures_path = tmp_path / "fixtures.json"
         fixtures_path.write_text(json.dumps({prompt_fingerprint(p.prompt_text): "no" for p in prompts}))
         spec = BackendSpec(name=kind.value, kind=kind, fixtures_path=str(fixtures_path), max_concurrency=2)
-        result = run_batch(spec, prompts, tmp_path / "r.ndjson", self._header())
+        result = run_batch(spec, rows(prompts), tmp_path / "r.ndjson", self._header())
         assert result.ok
         assert result.completed == 4
 
@@ -475,30 +541,66 @@ class TestRunBatch:
         monkeypatch.setattr(backends_module, "complete", no_request)
         path = tmp_path / "r.ndjson"
         with pytest.raises(BackendError, match=error):
-            run_batch(self._oracle_spec(), batch(build_prompts(3)), path, self._header())
+            run_batch(self._oracle_spec(), rows(batch(build_prompts(3))), path, self._header())
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda row: ["not", "a", "row"], "prompt row 2 is not a JSON object"),
+            (lambda row: {k: v for k, v in row.items() if k != "token_count"}, "prompt row 2 lacks token_count"),
+            (lambda row: {k: v for k, v in row.items() if k != "tokenizer"}, "prompt row 2 lacks tokenizer"),
+            (lambda row: dict(row, instance_id=7), "prompt row 2: instance_id must be a non-empty string, got 7"),
+            (lambda row: dict(row, instance_id=""), "prompt row 2: instance_id must be a non-empty string"),
+            (lambda row: dict(row, config="zero-graph"), "unusable config"),
+            (lambda row: dict(row, config=dict(row["config"], strategy="many")), "unusable config"),
+            (lambda row: dict(row, config=dict(row["config"], demo_count=3)), "unusable config"),
+            (lambda row: dict(row, config=dict(row["config"], demo_count=None)), "unusable config"),
+            (lambda row: dict(row, token_count=-1), "token_count must be a non-negative integer"),
+            (lambda row: dict(row, token_count=True), "token_count must be a non-negative integer"),
+            (lambda row: dict(row, token_count="5"), "token_count must be a non-negative integer"),
+            (lambda row: dict(row, prompt_text=None), "prompt_text must be a string"),
+            (lambda row: dict(row, tokenizer=["simple"]), "tokenizer must be a string"),
+        ],
+        ids=[
+            "not-an-object", "no-token-count", "no-tokenizer", "numeric-id", "empty-id", "selector-config",
+            "unknown-strategy", "zero-shot-demos", "null-demo-count", "negative-count", "bool-count",
+            "string-count", "null-prompt", "list-tokenizer",
+        ],
+    )
+    def test_malformed_row_refuses_the_batch(self, tmp_path, monkeypatch, spoil, message):
+        def no_request(spec, request):
+            raise AssertionError("a refused batch must send nothing")
+
+        monkeypatch.setattr(backends_module, "complete", no_request)
+        batch = rows(build_prompts(3))
+        batch[1] = spoil(batch[1])
+        path = tmp_path / "r.ndjson"
+        with pytest.raises(BackendError, match=re.escape(message)):
+            run_batch(self._oracle_spec(), batch, path, self._header())
         assert not path.exists()
 
     def test_an_iterator_of_prompts_is_refused(self, tmp_path):
         with pytest.raises(BackendError, match="iterate twice"):
-            run_batch(self._oracle_spec(), iter(build_prompts(3)), tmp_path / "r.ndjson", self._header())
+            run_batch(self._oracle_spec(), iter(rows(build_prompts(3))), tmp_path / "r.ndjson", self._header())
 
     def test_output_written_in_order_is_not_rewritten(self, tmp_path, monkeypatch):
         rewrites = []
         monkeypatch.setattr(backends_module.manifest, "sort_ndjson", lambda *args: rewrites.append(args))
         prompts = sorted(build_prompts(6, configs=("zero-graph", "zero-tag")), key=lambda p: p.instance_id)
-        assert run_batch(self._oracle_spec(), prompts, tmp_path / "r.ndjson", self._header()).completed == 12
+        assert run_batch(self._oracle_spec(), rows(prompts), tmp_path / "r.ndjson", self._header()).completed == 12
         assert rewrites == []
-        run_batch(self._oracle_spec(), prompts[::-1], tmp_path / "reversed.ndjson", self._header())
+        run_batch(self._oracle_spec(), rows(prompts[::-1]), tmp_path / "reversed.ndjson", self._header())
         assert len(rewrites) == 1
 
     def test_resume_redoes_a_last_record_missing_its_newline(self, tmp_path):
         prompts = build_prompts(4)
         path = tmp_path / "responses.ndjson"
         header = self._header()
-        run_batch(self._oracle_spec(), prompts, path, header)
+        run_batch(self._oracle_spec(), rows(prompts), path, header)
         full_bytes = path.read_bytes()
         path.write_bytes(full_bytes[:-1])
-        assert run_batch(self._oracle_spec(), prompts, path, header).completed == 4
+        assert run_batch(self._oracle_spec(), rows(prompts), path, header).completed == 4
         assert path.read_bytes() == full_bytes
 
     def test_http_submissions_stay_within_the_window(self):
@@ -548,7 +650,7 @@ class TestRunBatch:
         spec = BackendSpec(name="mock", kind=BackendKind.MOCK, fixtures_path=str(fixtures_path))
         path = tmp_path / "r.ndjson"
         with pytest.raises(MockFixtureError, match=message):
-            run_batch(spec, prompts, path, self._header())
+            run_batch(spec, rows(prompts), path, self._header())
         assert not path.exists()
 
     def test_mock_batch_is_deterministic(self, tmp_path):
@@ -558,8 +660,8 @@ class TestRunBatch:
         fixtures_path.write_text(json.dumps(fixtures))
         spec = BackendSpec(name="mock", kind=BackendKind.MOCK, fixtures_path=str(fixtures_path), max_concurrency=2)
         path_a, path_b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
-        run_batch(spec, prompts, path_a, self._header())
-        run_batch(spec, prompts, path_b, self._header())
+        run_batch(spec, rows(prompts), path_a, self._header())
+        run_batch(spec, rows(prompts), path_b, self._header())
         assert path_a.read_bytes() == path_b.read_bytes()
 
 

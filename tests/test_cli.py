@@ -90,8 +90,13 @@ class TestBuild:
             ('{"graph_fields": "g"}', "'graph_fields' must be a JSON object"),
             ('{"node_fields": 5}', "'node_fields' must be a JSON object"),
             ('{"edge_fields": ["source"]}', "'edge_fields' must be a JSON object"),
+            ('{"instance_id": 5}', "field name of schema key 'instance_id' must be a string"),
+            ('{"graph_fields": {"nodes": 5}}', "field name of schema key 'graph_fields.nodes' must be a string"),
         ],
-        ids=["missing", "not-json", "not-an-object", "string-graph-fields", "number-node-fields", "list-edge-fields"],
+        ids=[
+            "missing", "not-json", "not-an-object", "string-graph-fields", "number-node-fields", "list-edge-fields",
+            "number-field-name", "number-nested-field-name",
+        ],
     )
     def test_bad_schema_file_exits_2(self, tmp_path, capsys, content, message):
         schema = tmp_path / "schema.json"
@@ -102,6 +107,15 @@ class TestBuild:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(schema) in err and message in err
+        assert not out.exists()
+
+    def test_build_that_keeps_no_instance_exits_2(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text('{"instance_id": "no_such_field"}')
+        out = tmp_path / "out"
+        rc = run_cli("build", "--dataset", DATASET, "--schema", schema, "--out", out, "--configs", "zero-text")
+        assert rc == 2
+        assert "no instance of" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejection_log_written(self, tmp_path):
@@ -169,10 +183,9 @@ class TestBuild:
         monkeypatch.setattr(cli, "verbalize_graph", counting)
         assert run_cli("build", "--dataset", DATASET, "--demo-pool", POOL, "--out", tmp_path / "out") == 0
         pool_graphs = {json.loads(line)["graphs"][0]["graph_id"] for line in Path(POOL).read_text().splitlines()}
-        graph_modalities = [m for m in promptkit.Modality if m is not promptkit.Modality.TEXT]
         assert pool_graphs & set(calls)
         for graph_id, count in calls.items():
-            assert count <= (len(graph_modalities) if graph_id in pool_graphs else 1), graph_id
+            assert count == 1, graph_id
 
     def test_each_passage_split_once(self, tmp_path, monkeypatch):
         calls = Counter()
@@ -353,6 +366,59 @@ class TestPipeline:
         rc = run_cli("score", "--out", built, "--dataset", DATASET)
         assert rc == 2
         assert "missing manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda row: {k: v for k, v in row.items() if k != "token_count"}, "lacks token_count"),
+            (lambda row: dict(row, instance_id=5), "instance_id must be a non-empty string"),
+            (lambda row: dict(row, config=dict(row["config"], strategy="many-shot")), "unusable config"),
+        ],
+        ids=["no-token-count", "numeric-instance-id", "unknown-strategy"],
+    )
+    def test_run_refuses_a_malformed_prompt_row(self, built, capsys, spoil, message):
+        path = built / "prompts.ndjson"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = json.dumps(spoil(json.loads(lines[3])))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("run", "--out", built, "--backend", "oracle") == 2
+        err = capsys.readouterr().err
+        assert "prompt row 3" in err and message in err
+        assert not (built / "responses.ndjson").exists()
+
+    def test_score_sorts_responses_that_arrive_out_of_order(self, built, tmp_path):
+        assert run_cli("run", "--out", built, "--backend", "oracle") == 0
+        assert run_cli("score", "--out", built, "--dataset", DATASET) == 0
+        assert run_cli("report", "--out", built) == 0
+        expected = {name: (built / name).read_bytes() for name in ("predictions.ndjson", "report.json")}
+
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        header, *records = (built / "responses.ndjson").read_text(encoding="utf-8").splitlines()
+        records.reverse()
+        (shuffled / "responses.ndjson").write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+        assert run_cli("score", "--out", shuffled, "--dataset", DATASET) == 0
+        assert run_cli("report", "--out", shuffled) == 0
+        assert {name: (shuffled / name).read_bytes() for name in expected} == expected
+
+    @pytest.mark.parametrize("adjacent", [True, False], ids=["adjacent", "apart"])
+    def test_score_refuses_a_repeated_response(self, built, capsys, adjacent):
+        assert run_cli("run", "--out", built, "--backend", "oracle") == 0
+        path = built / "responses.ndjson"
+        header, *records = path.read_text(encoding="utf-8").splitlines()
+        records.insert(2 if adjacent else len(records), records[1])
+        path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+        assert run_cli("score", "--out", built, "--dataset", DATASET) == 2
+        assert "duplicate prediction" in capsys.readouterr().err
+
+    def test_report_refuses_predictions_out_of_order(self, built, capsys):
+        assert run_cli("run", "--out", built, "--backend", "oracle") == 0
+        assert run_cli("score", "--out", built, "--dataset", DATASET) == 0
+        path = built / "predictions.ndjson"
+        header, *records = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([header, *reversed(records)]) + "\n", encoding="utf-8")
+        assert run_cli("report", "--out", built) == 2
+        assert "out of (instance_id, config, backend) order" in capsys.readouterr().err
 
     def test_run_unknown_backend(self, built, capsys):
         rc = run_cli("run", "--out", built, "--backend", "gpt-17")

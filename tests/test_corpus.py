@@ -120,6 +120,20 @@ class TestLoadDataset:
         assert result.split.instances[0].instance_id == "a"
         assert result.split.instances[0].passage == record["passage"]
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"instance_id": 5}, "'instance_id'"),
+            ({"passage": None}, "'passage'"),
+            ({"graph_fields": {"nodes": 5}}, "'graph_fields.nodes'"),
+            ({"edge_fields": {"source": ["from"]}}, "'edge_fields.source'"),
+        ],
+        ids=["number", "null", "nested-number", "nested-list"],
+    )
+    def test_schema_field_names_must_be_strings(self, overrides, key):
+        with pytest.raises(DatasetFormatError, match=f"field name of schema key {key} must be a string"):
+            merge_schema(overrides)
+
     def test_schema_graph_selection_prefers_requested_kind(self, tmp_path):
         from eventqa.corpus import GraphKind
 

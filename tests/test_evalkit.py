@@ -87,6 +87,31 @@ class TestScore:
         with pytest.raises(ScoringError, match="duplicate"):
             score(predictions)
 
+    def test_duplicate_found_in_any_order(self):
+        predictions = [make_prediction("a"), make_prediction("b"), make_prediction("a")]
+        with pytest.raises(ScoringError, match="duplicate"):
+            score(predictions)
+
+    def test_iterator_out_of_order_refused(self):
+        with pytest.raises(ScoringError, match="out of"):
+            score(iter([make_prediction("b"), make_prediction("a")]))
+
+    @pytest.mark.parametrize(
+        "predicted, gold, correct",
+        [
+            (ExtractedLabel.YES, Answer.YES, True),
+            (ExtractedLabel.NO, Answer.NO, True),
+            (ExtractedLabel.YES, Answer.NO, False),
+            (ExtractedLabel.NO, Answer.YES, False),
+            (ExtractedLabel.UNPARSEABLE, Answer.YES, False),
+            (ExtractedLabel.UNPARSEABLE, Answer.NO, False),
+        ],
+    )
+    def test_correct_only_when_the_label_is_the_gold_answer(self, predicted, gold, correct):
+        prediction = make_prediction("a", predicted=predicted, gold=gold)
+        assert prediction.correct is correct
+        assert prediction.to_dict()["correct"] is correct
+
     def test_permutation_invariance(self):
         rng = Random(11)
         predictions = [

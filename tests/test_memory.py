@@ -1,18 +1,19 @@
 """Peak memory of the streamed stages does not grow with the manifest.
 
-Each check runs a stage on a generated prompts manifest of short records
-under ``tracemalloc``, which counts only what is allocated while it runs.
+Each check runs a stage on a generated manifest of short records under
+``tracemalloc``, which counts only what is allocated while it runs.
 """
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from eventqa import manifest
-from eventqa.cli import PROMPTS_FILE, main
+from eventqa import backends, manifest  # noqa: F401  (loaded here, so no measured run counts loading it)
+from eventqa.cli import PROMPTS_FILE, RESPONSES_FILE, main
 from eventqa.promptkit import all_configs
 
 SMALL, LARGE = 10_000, 100_000
@@ -72,3 +73,58 @@ def test_oracle_run_peak_is_far_below_the_manifest(prompt_dirs):
     assert peak < size / 10, (peak, size)
     _, responses = manifest.read_ndjson(out / "responses.ndjson")
     assert len(responses) == SMALL
+
+
+@pytest.fixture(scope="module")
+def response_dirs(tmp_path_factory):
+    """(dataset path, {record count: directory holding a responses manifest of that many records, in order}).
+
+    The dataset covers the larger manifest, so it costs both runs the same.
+    """
+    root = tmp_path_factory.mktemp("responses")
+    selectors = sorted(config.selector for config in all_configs())
+    instance_ids = [f"i{k:06d}" for k in range(-(-LARGE // len(selectors)))]
+    dataset = root / "dataset.ndjson"
+    with open(dataset, "w", encoding="utf-8") as handle:
+        for k, instance_id in enumerate(instance_ids):
+            record = {
+                "instance_id": instance_id,
+                "passage": "The rally went ahead.",
+                "question": "Did the rally happen?",
+                "answer": "yes" if k % 2 else "no",
+                "category": "causal",
+                "graphs": [],
+            }
+            handle.write(json.dumps(record) + "\n")
+
+    def records(count):
+        for k in range(count):
+            yield {
+                "instance_id": instance_ids[k // len(selectors)],
+                "config": selectors[k % len(selectors)],
+                "raw_text": "yes" if k % 3 else "no",
+                "input_tokens": 5,
+                "output_tokens": 1,
+                "latency": 0.0,
+                "attempt_count": 1,
+                "backend": "oracle",
+                "flags": [],
+            }
+
+    dirs = {}
+    for count in (SMALL, LARGE):
+        out = dirs[count] = root / str(count)
+        out.mkdir()
+        manifest.write_ndjson(out / RESPONSES_FILE, manifest.make_header("run", 0, {"count": count}), records(count))
+    return dataset, dirs
+
+
+def test_score_stage_peak_is_flat_in_manifest_size(response_dirs):
+    """``score`` writes and folds each prediction as it is made when the responses arrive in order."""
+    dataset, dirs = response_dirs
+    argv = {count: ["score", "--out", out, "--dataset", dataset] for count, out in dirs.items()}
+    main([str(part) for part in argv[SMALL]])  # warm: fill the interpreter's caches
+    peaks = {count: _peak_bytes(argv[count]) for count in (SMALL, LARGE)}
+    assert peaks[LARGE] < 1.5 * peaks[SMALL], peaks
+    _, predictions = manifest.read_ndjson(dirs[LARGE] / "predictions.ndjson")
+    assert len(predictions) == LARGE

@@ -41,7 +41,7 @@ from .graphcore import (
     graph_from_sentences,
     oracle_answer,
 )
-from .promptkit import PromptConfig, count_tokens, output_budget
+from .promptkit import TOKENIZER, PromptConfig, count_tokens, output_budget
 
 logger = logging.getLogger(__name__)
 
@@ -92,7 +92,6 @@ _SPEC_VALUE_TYPES = {
     "model_name": _STRING,
     "endpoint": _STRING,
     "context_limit": _INTEGER,
-    "tokenizer": _STRING,
     "max_concurrency": _INTEGER,
     "retry_policy": (dict, "a JSON object"),
     "api_key_env": _STRING,
@@ -118,7 +117,6 @@ class BackendSpec:
     model_name: str = ""
     endpoint: str = ""
     context_limit: int = CONTEXT_LIMITS["gpt"]
-    tokenizer: str = "simple"
     max_concurrency: int = 4
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     api_key_env: str = DEFAULT_API_KEY_ENV
@@ -176,7 +174,7 @@ class BackendSpec:
 class CompletionRequest:
     prompt_text: str
     max_output_tokens: int
-    prompt_tokens: int | None = None  # count under the backend's tokenizer; None means count here
+    prompt_tokens: int | None = None  # None means count here
 
 
 @dataclass(frozen=True)
@@ -322,11 +320,11 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _read_chat_payload(payload, prompt_tokens: int, tokenizer: str) -> tuple[str, int, int]:
+def _read_chat_payload(payload, prompt_tokens: int) -> tuple[str, int, int]:
     """(reply text, prompt tokens, reply tokens) of a chat-completions payload; ``ValueError`` if it is malformed.
 
     A count the server leaves out is filled in: ``prompt_tokens`` for the
-    prompt, a count under ``tokenizer`` for the reply.
+    prompt, ``count_tokens`` of the reply for the reply.
     """
     try:
         content = payload["choices"][0]["message"]["content"]
@@ -339,7 +337,7 @@ def _read_chat_payload(payload, prompt_tokens: int, tokenizer: str) -> tuple[str
     if not isinstance(usage, dict):
         raise ValueError(f"usage is not an object: {usage!r}")
     input_tokens = usage.get("prompt_tokens", prompt_tokens)
-    output_tokens = usage["completion_tokens"] if "completion_tokens" in usage else count_tokens(raw_text, tokenizer)
+    output_tokens = usage["completion_tokens"] if "completion_tokens" in usage else count_tokens(raw_text)
     for key, count in (("prompt_tokens", input_tokens), ("completion_tokens", output_tokens)):
         if not _is_count(count):
             raise ValueError(f"{key} is not a non-negative integer: {count!r}")
@@ -388,7 +386,7 @@ def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens:
             last_error = "response body is not JSON"
             continue
         try:
-            raw_text, input_tokens, output_tokens = _read_chat_payload(payload, prompt_tokens, spec.tokenizer)
+            raw_text, input_tokens, output_tokens = _read_chat_payload(payload, prompt_tokens)
         except ValueError as exc:
             raise BackendError(f"{spec.name}: malformed chat-completions payload ({exc})") from None
         return CompletionResponse(
@@ -406,12 +404,12 @@ def complete(spec: BackendSpec, request: CompletionRequest) -> CompletionRespons
     """Run one completion against a backend.
 
     Deterministic backends (mock, oracle) report zero latency so manifests
-    stay byte-stable across runs. The prompt is counted under the spec's
-    tokenizer only when the request carries no ``prompt_tokens``.
+    stay byte-stable across runs. The prompt is counted only when the
+    request carries no ``prompt_tokens``.
     """
     prompt_tokens = request.prompt_tokens
     if prompt_tokens is None:
-        prompt_tokens = count_tokens(request.prompt_text, spec.tokenizer)
+        prompt_tokens = count_tokens(request.prompt_text)
     if prompt_tokens > spec.context_limit:
         raise ContextOverflowError(
             f"prompt of {prompt_tokens} tokens exceeds {spec.name} context limit {spec.context_limit}"
@@ -429,7 +427,7 @@ def complete(spec: BackendSpec, request: CompletionRequest) -> CompletionRespons
         return CompletionResponse(
             raw_text=raw_text,
             input_tokens=prompt_tokens,
-            output_tokens=count_tokens(raw_text, spec.tokenizer),
+            output_tokens=count_tokens(raw_text),
             latency=0.0,
             attempt_count=1,
             backend=spec.name,
@@ -439,7 +437,7 @@ def complete(spec: BackendSpec, request: CompletionRequest) -> CompletionRespons
     return CompletionResponse(
         raw_text=raw_text,
         input_tokens=prompt_tokens,
-        output_tokens=count_tokens(raw_text, spec.tokenizer),
+        output_tokens=count_tokens(raw_text),
         latency=0.0,
         attempt_count=1,
         backend=spec.name,
@@ -498,17 +496,11 @@ def _checked_row_key(row, number: int) -> tuple[str, str]:
         raise BackendError(f"{where}: unusable config {row['config']!r}") from None
     if not _is_count(row["token_count"]):
         raise BackendError(f"{where}: token_count must be a non-negative integer, got {row['token_count']!r}")
-    for name in ("prompt_text", "tokenizer"):
-        if not isinstance(row[name], str):
-            raise BackendError(f"{where}: {name} must be a string, got {row[name]!r}")
+    if not isinstance(row["prompt_text"], str):
+        raise BackendError(f"{where}: prompt_text must be a string, got {row['prompt_text']!r}")
+    if row["tokenizer"] != TOKENIZER:
+        raise BackendError(f"{where}: tokenizer must be {TOKENIZER!r}, got {row['tokenizer']!r}")
     return instance_id, config.selector
-
-
-def _prompt_tokens(spec: BackendSpec, row: dict) -> int:
-    """A prompt row's tokens under the spec's tokenizer: its stored count when that was made under it."""
-    if row["tokenizer"] == spec.tokenizer:
-        return row["token_count"]
-    return count_tokens(row["prompt_text"], spec.tokenizer)
 
 
 def _check_batch(spec: BackendSpec, rows: Collection[dict]) -> None:
@@ -525,9 +517,8 @@ def _check_batch(spec: BackendSpec, rows: Collection[dict]) -> None:
     for size, row in enumerate(rows, start=1):
         key = _checked_row_key(row, size)
         in_order, last = in_order and key > last, key
-        tokens = _prompt_tokens(spec, row)
-        if tokens > spec.context_limit:
-            oversized.append(tokens)
+        if row["token_count"] > spec.context_limit:
+            oversized.append(row["token_count"])
     if not size:
         raise BackendError("run_batch called with no prompts")
     if not in_order and len({_row_key(row) for row in rows}) < size:
@@ -579,8 +570,8 @@ def run_batch(
     ``_check_batch``) before any request is sent or any file is written,
     and a second pass builds each request from its row and streams it to
     the backend. Apart from the keys a resumed manifest already holds,
-    nothing is kept per prompt. A row's stored ``token_count`` is reused
-    when it was made under the spec's tokenizer.
+    nothing is kept per prompt. Each row's stored ``token_count`` is its
+    prompt's count; no prompt is counted again.
 
     The manifest is the unit of resumability: completed records are
     flushed line by line as they finish, and on restart a torn last line is
@@ -617,7 +608,7 @@ def run_batch(
         request = CompletionRequest(
             prompt_text=row["prompt_text"],
             max_output_tokens=output_budget(config.strategy),
-            prompt_tokens=_prompt_tokens(spec, row),
+            prompt_tokens=row["token_count"],
         )
         record = complete(spec, request).to_dict()
         record["instance_id"], record["config"] = row["instance_id"], config.selector

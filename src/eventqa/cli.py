@@ -28,7 +28,7 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import EventQAError, corpus, manifest, promptkit
 from .graphcore import verbalize_graph
@@ -44,6 +44,23 @@ REJECTIONS_FILE = "rejections.ndjson"
 
 class CliError(EventQAError):
     pass
+
+
+def _read_rows(path: Path, rows: Iterable, read: Callable) -> Iterator:
+    """``read`` of each row of the manifest at ``path``; ``CliError`` naming the file and the row if ``read`` fails on it.
+
+    Rows are counted from 1 after the header. ``read`` fails on a malformed
+    row with ``KeyError`` (a missing field), ``TypeError`` (a value of the
+    wrong type), ``ValueError`` (a value outside its set) or ``IndexError``
+    (a list too short).
+    """
+    for number, row in enumerate(rows, start=1):
+        try:
+            value = read(row)
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            reason = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise CliError(f"{path} row {number} is malformed: {reason}") from None
+        yield value
 
 
 def _file_sha(path: str | Path) -> str:
@@ -102,7 +119,7 @@ def cmd_build(args) -> int:
         "graph_kind": args.graph_kind,
         "strict": args.strict,
         "context_limit": args.context_limit,
-        "tokenizer": args.tokenizer,
+        "tokenizer": promptkit.TOKENIZER,
         "demo_pool_sha": _file_sha(args.demo_pool) if args.demo_pool else None,
     }
     header = manifest.make_header("build", args.seed, config_payload)
@@ -134,11 +151,7 @@ def cmd_build(args) -> int:
                         exclude_ids={instance.instance_id},
                     )
                     record = promptkit.assemble_prompt(
-                        instance,
-                        config,
-                        demos,
-                        verbalized if config.includes_graph else None,
-                        tokenizer=args.tokenizer,
+                        instance, config, demos, verbalized if config.includes_graph else None
                     )
                     if args.context_limit is not None:
                         record = promptkit.truncate_to_budget(record, args.context_limit)
@@ -217,7 +230,7 @@ def cmd_run(args) -> int:
             "kind": spec.kind.value,
             "model_name": spec.model_name,
             "context_limit": spec.context_limit,
-            "tokenizer": spec.tokenizer,
+            "tokenizer": promptkit.TOKENIZER,
         },
         "prompts_hash": prompts_header["config_hash"],
     }
@@ -253,20 +266,25 @@ def cmd_score(args) -> int:
     scorer = evalkit.Scorer()
     in_order = True
 
+    def predict(row) -> evalkit.PredictionRecord:
+        instance = by_id.get(row["instance_id"])
+        if instance is None:
+            raise CliError(f"response for unknown instance {row['instance_id']!r}; wrong --dataset or --split?")
+        for name in ("backend", "raw_text"):
+            if not isinstance(row[name], str):
+                raise TypeError(f"{name} must be a string, got {row[name]!r}")
+        return evalkit.PredictionRecord(
+            instance_id=row["instance_id"],
+            config=promptkit.parse_selector(row["config"]),
+            backend=row["backend"],
+            extracted=extract.extract_answer(row["raw_text"]),
+            gold=instance.gold_answer,
+            category=instance.category,
+        )
+
     def predictions():
         nonlocal in_order
-        for row in response_rows:
-            instance = by_id.get(row["instance_id"])
-            if instance is None:
-                raise CliError(f"response for unknown instance {row['instance_id']!r}; wrong --dataset or --split?")
-            prediction = evalkit.PredictionRecord(
-                instance_id=row["instance_id"],
-                config=promptkit.parse_selector(row["config"]),
-                backend=row["backend"],
-                extracted=extract.extract_answer(row["raw_text"]),
-                gold=instance.gold_answer,
-                category=instance.category,
-            )
+        for prediction in _read_rows(out / RESPONSES_FILE, response_rows, predict):
             in_order = in_order and scorer.add(prediction)
             yield prediction.to_dict()
 
@@ -287,7 +305,7 @@ def cmd_report(args) -> int:
 
     out = Path(args.out)
     predictions_header, rows = manifest.read_ndjson(out / PREDICTIONS_FILE)
-    report = evalkit.score(map(evalkit.PredictionRecord.from_dict, rows))
+    report = evalkit.score(_read_rows(out / PREDICTIONS_FILE, rows, evalkit.PredictionRecord.from_dict))
 
     config_payload = {"stage": "report", "predictions_hash": predictions_header["config_hash"]}
     header = manifest.make_header("report", args.seed, config_payload)
@@ -313,12 +331,18 @@ def cmd_cost(args) -> int:
     prompts_header, prompt_rows = manifest.read_ndjson(out / PROMPTS_FILE)
     pricing = costmodel.load_pricing(args.pricing or _default_pricing_path())
 
-    # (prompts, input tokens) per strategy name, in first-seen order.
-    tallies: dict[str, list[int]] = {}
-    for row in prompt_rows:
-        tally = tallies.setdefault(row["config"]["strategy"], [0, 0])
+    def strategy_and_tokens(row) -> tuple[promptkit.Strategy, int]:
+        tokens = row["token_count"]
+        if isinstance(tokens, bool) or not isinstance(tokens, int) or tokens < 0:
+            raise ValueError(f"token_count must be a non-negative integer, got {tokens!r}")
+        return promptkit.PromptConfig.from_dict(row["config"]).strategy, tokens
+
+    # (prompts, input tokens) per strategy, in first-seen order.
+    tallies: dict[promptkit.Strategy, list[int]] = {}
+    for strategy, tokens in _read_rows(out / PROMPTS_FILE, prompt_rows, strategy_and_tokens):
+        tally = tallies.setdefault(strategy, [0, 0])
         tally[0] += 1
-        tally[1] += int(row["token_count"])
+        tally[1] += tokens
 
     if args.expected_output_tokens is not None:
         prompts = sum(n for n, _ in tallies.values())
@@ -330,7 +354,7 @@ def cmd_cost(args) -> int:
         total = Decimal(0)
         input_tokens = output_tokens = 0
         for strategy, (prompts, tokens) in tallies.items():
-            budget = promptkit.output_budget(promptkit.Strategy(strategy))
+            budget = promptkit.output_budget(strategy)
             part = costmodel.project_run_cost(prompts, tokens, budget, args.model, pricing)
             total += part.total_cost
             input_tokens += part.input_tokens
@@ -371,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--demo-pool", help="dataset file of held-out demonstration instances")
     p_build.add_argument("--context-limit", type=int, help="truncate prompts to this token budget")
-    p_build.add_argument("--tokenizer", default=promptkit.DEFAULT_TOKENIZER)
     p_build.set_defaults(func=cmd_build)
 
     p_run = sub.add_parser("run", help="send built prompts to a backend")

@@ -6,7 +6,11 @@ instruction table (``templates/instructions.json``). Which sections appear
 is fixed by the configuration matrix: the passage for text and text+graph
 prompts, the verbalized graph for graph and text+graph prompts, worked
 examples whenever demonstrations are in play. Both template files can be
-edited or swapped out without touching code.
+edited or swapped out without touching code, under one bordering rule:
+each placeholder of the skeleton has whitespace or a block edge on both
+sides. A skeleton with a placeholder glued to any other character is
+refused when it is compiled. The rule is what lets a prompt's token count
+be summed from the counts of its parts.
 
 All rendering is byte-deterministic: straight ASCII double quotes, one
 blank line between sections, a single trailing newline, and the answer
@@ -47,10 +51,6 @@ class PromptError(EventQAError):
 
 
 class PromptAssemblyError(PromptError):
-    pass
-
-
-class UnknownTokenizerError(PromptError):
     pass
 
 
@@ -185,7 +185,10 @@ class Demonstration:
         return _simple_count(self._text)
 
 
-# --- tokenizers --------------------------------------------------------------
+# --- token counting ------------------------------------------------------------
+
+# The name manifests record for the one token counter.
+TOKENIZER = "simple"
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -194,27 +197,13 @@ def _simple_count(text: str) -> int:
     return len(_TOKEN_RE.findall(text))
 
 
-_TOKENIZERS: dict[str, Callable[[str], int]] = {"simple": _simple_count}
+def count_tokens(text: str) -> int:
+    """Count tokens: runs of word characters and each remaining non-space character, one apiece.
 
-DEFAULT_TOKENIZER = "simple"
-
-
-def register_tokenizer(name: str, counter: Callable[[str], int]) -> None:
-    _TOKENIZERS[name] = counter
-
-
-def count_tokens(text: str, tokenizer: str = DEFAULT_TOKENIZER) -> int:
-    """Count tokens under a registered tokenizer proxy.
-
-    The default splitter counts runs of word characters and each remaining
-    non-space character as one token apiece. It is a proxy: orderings are
-    meaningful under it, absolute counts are tokenizer-specific.
+    It is a proxy: orderings between prompts are meaningful under it,
+    absolute counts are not a model's.
     """
-    try:
-        counter = _TOKENIZERS[tokenizer]
-    except KeyError:
-        raise UnknownTokenizerError(f"unknown tokenizer {tokenizer!r}") from None
-    return counter(text)
+    return _simple_count(text)
 
 
 # --- templates ----------------------------------------------------------------
@@ -237,8 +226,7 @@ class _Block:
     format: str
     names: tuple[str, ...]  # placeholder names in order of appearance
     section: str  # the section of the first placeholder
-    literal_tokens: int  # tokens of the literal text under ``simple``
-    bordered: bool  # every placeholder touches whitespace or a block edge on both sides
+    literal_tokens: int  # tokens of the literal text
 
 
 def _compile_block(block: str) -> _Block:
@@ -248,26 +236,26 @@ def _compile_block(block: str) -> _Block:
         raise PromptError(f"template block without placeholder: {block!r}")
     escaped = [literal.replace("{", "{{").replace("}", "}}") for literal in literals]
     last = len(names) - 1
-    bordered = all(
-        (before[-1:].isspace() or (i == 0 and not before)) and (after[:1].isspace() or (i == last and not after))
-        for i, (before, after) in enumerate(zip(literals, literals[1:]))
-    )
+    for i, (before, after) in enumerate(zip(literals, literals[1:])):
+        opens = before[-1:].isspace() or (i == 0 and not before)
+        closes = after[:1].isspace() or (i == last and not after)
+        if not (opens and closes):
+            raise PromptError(f"template placeholder {{{names[i]}}} touches a non-space character: {block!r}")
     return _Block(
         format=escaped[0] + "".join(f"{{{name}}}{literal}" for name, literal in zip(names, escaped[1:])),
         names=names,
         section=_PLACEHOLDER_SECTIONS[names[0]],
         literal_tokens=sum(map(_simple_count, literals)),
-        bordered=bordered,
     )
 
 
 class PromptTemplate:
     """Skeleton plus instruction wordings, loaded from editable files.
 
-    The skeleton is compiled once. Because a ``simple`` token never spans
-    whitespace, the count of a prompt is the sum of the counts of its parts
-    whenever every placeholder is bordered by whitespace or a block edge;
-    ``additive`` records whether that holds for this skeleton.
+    The skeleton is compiled once, and a placeholder without whitespace or
+    a block edge on both sides is refused. Because a token never spans
+    whitespace, the count of a prompt is then the sum of the counts of its
+    parts.
     """
 
     def __init__(self, skeleton: str, instructions: dict[str, dict[str, str]]):
@@ -275,7 +263,6 @@ class PromptTemplate:
             _compile_block(block) for block in re.split(r"\n{2,}", skeleton.strip("\n")) if block.strip()
         )
         self.instructions = instructions
-        self.additive = all(block.bordered for block in self.blocks)
 
     @classmethod
     def default(cls) -> "PromptTemplate":
@@ -288,10 +275,7 @@ class PromptTemplate:
         return table["with_examples" if with_examples else "zero"]
 
     def _count_from_sections(self, section_tokens: dict[str, int | None]) -> int:
-        """``simple`` tokens of a prompt whose sections have these counts (None: section absent).
-
-        Valid only for an ``additive`` template.
-        """
+        """Tokens of a prompt whose sections have these counts (None: section absent)."""
         total = 0
         for block in self.blocks:
             counts = [section_tokens[name] for name in block.names]
@@ -343,7 +327,6 @@ class PromptRecord:
     token_count: int
     truncation_applied: bool
     sections: dict[str, tuple[int, int]]
-    tokenizer: str = DEFAULT_TOKENIZER
     parts: PromptParts | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -354,20 +337,8 @@ class PromptRecord:
             "token_count": self.token_count,
             "truncation_applied": self.truncation_applied,
             "sections": {name: list(span) for name, span in self.sections.items()},
-            "tokenizer": self.tokenizer,
+            "tokenizer": TOKENIZER,
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PromptRecord":
-        return cls(
-            instance_id=raw["instance_id"],
-            config=PromptConfig.from_dict(raw["config"]),
-            prompt_text=raw["prompt_text"],
-            token_count=int(raw["token_count"]),
-            truncation_applied=bool(raw["truncation_applied"]),
-            sections={name: (int(span[0]), int(span[1])) for name, span in raw["sections"].items()},
-            tokenizer=raw.get("tokenizer", DEFAULT_TOKENIZER),
-        )
 
 
 def _utf8_len(text: str) -> int:
@@ -447,16 +418,8 @@ def _cut(parts: PromptParts, lengths: _Lengths) -> PromptParts:
     )
 
 
-def _composed_counter(
-    parts: PromptParts, template: PromptTemplate, tokenizer: str
-) -> Callable[[_Lengths], int] | None:
-    """Token count of any cut of ``parts``, summed from per-part counts.
-
-    None unless the tokenizer is ``simple`` and the template is additive;
-    the caller then counts the rendered text in full.
-    """
-    if not template.additive or _TOKENIZERS.get(tokenizer) is not _simple_count:
-        return None
+def _composed_counter(parts: PromptParts, template: PromptTemplate) -> Callable[[_Lengths], int]:
+    """Token count of any cut of ``parts``, summed from per-part counts."""
     fixed = {"instruction": _part_counts((parts.instruction,))[0], "question": _part_counts((parts.question,))[0]}
     text, graph = _prefix_sums(parts.passage_sentences), _prefix_sums(parts.graph_sentences)
     demos = list(accumulate((demo._simple_tokens for demo in parts.demos), initial=0))
@@ -481,7 +444,6 @@ def assemble_prompt(
     demos: Sequence[Demonstration] = (),
     verbalized: VerbalizedGraph | None = None,
     *,
-    tokenizer: str = DEFAULT_TOKENIZER,
     template: PromptTemplate | None = None,
 ) -> PromptRecord:
     """Build the full prompt for one instance under one configuration.
@@ -511,15 +473,13 @@ def assemble_prompt(
         demos=tuple(demos),
     )
     prompt_text, sections = _render(parts, template)
-    composed = _composed_counter(parts, template, tokenizer)
     return PromptRecord(
         instance_id=instance.instance_id,
         config=config,
         prompt_text=prompt_text,
-        token_count=composed(_lengths(parts)) if composed else count_tokens(prompt_text, tokenizer),
+        token_count=_composed_counter(parts, template)(_lengths(parts)),
         truncation_applied=False,
         sections=sections,
-        tokenizer=tokenizer,
         parts=parts,
     )
 
@@ -549,10 +509,9 @@ def truncate_to_budget(
 
     Trim priority: passage sentences from the end, then demonstrations last
     first, then graph sentences from the end. The graph is only touched once
-    the passage is gone, so structure survives longer than prose. Under an
-    additive template and tokenizer each cut is counted from per-part
-    counts, so the walk is linear; otherwise each cut is rendered and
-    counted in full. Either way the result is rendered once.
+    the passage is gone, so structure survives longer than prose. Each cut
+    is counted from per-part counts, so the walk is linear, and the result
+    is rendered once.
     """
     if record.token_count <= budget:
         return record
@@ -561,9 +520,7 @@ def truncate_to_budget(
     template = template or default_template()
 
     parts = record.parts
-    count = _composed_counter(parts, template, record.tokenizer) or (
-        lambda lengths: count_tokens(_render(_cut(parts, lengths), template)[0], record.tokenizer)
-    )
+    count = _composed_counter(parts, template)
     if count((None, 0, None)) > budget:
         raise BudgetError(f"budget {budget} is below the prompt skeleton size")
 

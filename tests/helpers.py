@@ -24,7 +24,6 @@ from eventqa.corpus import (
 from eventqa.extract import UNPARSEABLE, ExtractedAnswer, ExtractedLabel, ExtractionMethod, _byte_span
 from eventqa.graphcore import VerbalizedGraph
 from eventqa.promptkit import (
-    DEFAULT_TOKENIZER,
     SECTION_ANSWER,
     SECTION_EXAMPLES,
     SECTION_GRAPH,
@@ -361,7 +360,6 @@ def assemble_prompt_reference(
     demos: Sequence[Demonstration] = (),
     verbalized: VerbalizedGraph | None = None,
     *,
-    tokenizer: str = DEFAULT_TOKENIZER,
     template: ReferenceTemplate,
 ) -> PromptRecord:
     """Build the full prompt for one instance under one configuration.
@@ -394,10 +392,9 @@ def assemble_prompt_reference(
         instance_id=instance.instance_id,
         config=config,
         prompt_text=prompt_text,
-        token_count=count_tokens(prompt_text, tokenizer),
+        token_count=count_tokens(prompt_text),
         truncation_applied=False,
         sections=sections,
-        tokenizer=tokenizer,
         parts=parts,
     )
 
@@ -421,7 +418,7 @@ def truncate_to_budget_reference(
 
     skeleton = replace(record.parts, passage_sentences=None, graph_sentences=None, demos=())
     skeleton_text, _ = render_reference(skeleton, template)
-    if count_tokens(skeleton_text, record.tokenizer) > budget:
+    if count_tokens(skeleton_text) > budget:
         raise BudgetError(f"budget {budget} is below the prompt skeleton size")
 
     parts = record.parts
@@ -435,7 +432,7 @@ def truncate_to_budget_reference(
         else:
             break
         prompt_text, sections = render_reference(parts, template)
-        token_count = count_tokens(prompt_text, record.tokenizer)
+        token_count = count_tokens(prompt_text)
         if token_count <= budget:
             return replace(
                 record,

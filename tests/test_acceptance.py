@@ -39,7 +39,6 @@ from eventqa.graphcore import graph_from_sentences, topological_order, verbalize
 from eventqa.promptkit import (
     Modality,
     PromptConfig,
-    PromptRecord,
     Strategy,
     all_configs,
     assemble_prompt,
@@ -397,11 +396,11 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
     # order must not change the manifest bytes.
     header, _ = manifest.read_ndjson(first / "responses.ndjson")
     _, prompt_rows = manifest.read_ndjson(first / "prompts.ndjson")
-    prompts = [PromptRecord.from_dict(row) for row in prompt_rows]
+    prompts = list(prompt_rows)
     Random(5).shuffle(prompts)
     spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE, max_concurrency=5)
     scrambled_path = tmp_path / "scrambled.ndjson"
-    run_batch(spec, [p.to_dict() for p in prompts], scrambled_path, header)
+    run_batch(spec, prompts, scrambled_path, header)
     assert scrambled_path.read_bytes() == (first / "responses.ndjson").read_bytes()
 
     # Resume: truncate the manifest, strip the already-completed prompts out
@@ -410,7 +409,7 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
     mock_dir = tmp_path / "mock"
     mock_dir.mkdir()
     shutil.copy(first / "prompts.ndjson", mock_dir / "prompts.ndjson")
-    fixtures = {prompt_fingerprint(p.prompt_text): "Therefore, the final answer is: yes" for p in prompts}
+    fixtures = {prompt_fingerprint(p["prompt_text"]): "Therefore, the final answer is: yes" for p in prompts}
     fixtures_path = tmp_path / "fixtures.json"
     fixtures_path.write_text(json.dumps(fixtures))
     mock_args = ("--backend", "mock", "--fixtures", str(fixtures_path))
@@ -423,9 +422,9 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
     completed = [json.loads(line) for line in lines[1 : keep + 1]]
     completed_keys = {(row["instance_id"], row["config"]) for row in completed}
     remaining_fixtures = {
-        prompt_fingerprint(p.prompt_text): "Therefore, the final answer is: yes"
+        prompt_fingerprint(p["prompt_text"]): "Therefore, the final answer is: yes"
         for p in prompts
-        if (p.instance_id, p.config.selector) not in completed_keys
+        if (p["instance_id"], PromptConfig.from_dict(p["config"]).selector) not in completed_keys
     }
     fixtures_path.write_text(json.dumps(remaining_fixtures))
     assert cli_main(["run", "--out", str(mock_dir), *mock_args]) == 0

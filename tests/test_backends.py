@@ -33,15 +33,13 @@ from eventqa.backends import (
 from eventqa.cli import main
 from eventqa.corpus import Answer
 from eventqa.graphcore import verbalize_graph
-from eventqa.manifest import make_header, read_ndjson
+from eventqa.manifest import make_header, read_ndjson, write_ndjson
 from eventqa.promptkit import (
     Modality,
     PromptConfig,
-    PromptRecord,
     Strategy,
     assemble_prompt,
     count_tokens,
-    register_tokenizer,
     select_demonstrations,
 )
 
@@ -219,7 +217,7 @@ class TestOracleBackend:
 
     def test_given_prompt_tokens_replace_counting(self, monkeypatch):
         counted = []
-        monkeypatch.setattr(backends_module, "count_tokens", lambda text, tokenizer: counted.append(text) or 1)
+        monkeypatch.setattr(backends_module, "count_tokens", lambda text: counted.append(text) or 1)
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE, context_limit=10)
         prompt = "one two three"
         response = complete(spec, CompletionRequest(prompt_text=prompt, max_output_tokens=8, prompt_tokens=7))
@@ -368,9 +366,9 @@ class TestHttpBackend:
     def test_reply_is_counted_only_without_completion_tokens(self, monkeypatch):
         counted = []
 
-        def recording_count(text, tokenizer="simple"):
+        def recording_count(text):
             counted.append(text)
-            return count_tokens(text, tokenizer)
+            return count_tokens(text)
 
         monkeypatch.setattr(backends_module, "count_tokens", recording_count)
         script = [
@@ -560,7 +558,7 @@ class TestRunBatch:
             (lambda row: dict(row, token_count=True), "token_count must be a non-negative integer"),
             (lambda row: dict(row, token_count="5"), "token_count must be a non-negative integer"),
             (lambda row: dict(row, prompt_text=None), "prompt_text must be a string"),
-            (lambda row: dict(row, tokenizer=["simple"]), "tokenizer must be a string"),
+            (lambda row: dict(row, tokenizer=["simple"]), "tokenizer must be 'simple', got ['simple']"),
         ],
         ids=[
             "not-an-object", "no-token-count", "no-tokenizer", "numeric-id", "empty-id", "selector-config",
@@ -666,42 +664,38 @@ class TestRunBatch:
 
 
 class TestRunStageTokenCounts:
-    """`eventqa run` reuses each prompt's stored token count when the tokenizers match."""
+    """`eventqa run` takes each prompt's stored token count and refuses a count made by another tokenizer."""
 
-    def _build(self, tmp_path, tokenizer="simple"):
+    def _build(self, tmp_path):
         out = tmp_path / "out"
         argv = ["build", "--dataset", DATA / "sample_dataset.ndjson", "--out", out, "--configs", "zero-graph,zero-text"]
-        assert main([str(part) for part in [*argv, "--tokenizer", tokenizer]]) == 0
-        _, rows = read_ndjson(out / "prompts.ndjson")
-        return out, [PromptRecord.from_dict(row) for row in rows]
+        assert main([str(part) for part in argv]) == 0
+        header, rows = read_ndjson(out / "prompts.ndjson")
+        return out, header, list(rows)
 
     def _run(self, out, *extra):
         return main([str(part) for part in ["run", "--out", out, *extra]])
 
     def test_matching_tokenizer_counts_no_prompt(self, tmp_path, monkeypatch):
-        out, prompts = self._build(tmp_path)
+        out, _, prompts = self._build(tmp_path)
         counted = []
 
-        def recording_count(text, tokenizer="simple"):
+        def recording_count(text):
             counted.append(text)
-            return count_tokens(text, tokenizer)
+            return count_tokens(text)
 
         monkeypatch.setattr(promptkit, "count_tokens", recording_count)
         monkeypatch.setattr(backends_module, "count_tokens", recording_count)
         assert self._run(out, "--backend", "oracle") == 0
-        assert not {p.prompt_text for p in prompts} & set(counted)
+        assert not {p["prompt_text"] for p in prompts} & set(counted)
         _, rows = read_ndjson(out / "responses.ndjson")
-        assert [row["input_tokens"] for row in rows] == [p.token_count for p in prompts]
+        assert [row["input_tokens"] for row in rows] == [p["token_count"] for p in prompts]
 
-    def test_other_tokenizer_is_recounted(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(promptkit, "_TOKENIZERS", dict(promptkit._TOKENIZERS))
-        register_tokenizer("chars", len)
-        out, prompts = self._build(tmp_path, tokenizer="chars")
-        simple = [count_tokens(p.prompt_text, "simple") for p in prompts]
-        assert min(p.token_count for p in prompts) > max(simple)
-        # A limit the stored character counts exceed but the spec's own counts meet.
-        config = tmp_path / "backends.json"
-        config.write_text(json.dumps({"narrow": {"kind": "oracle", "context_limit": max(simple)}}))
-        assert self._run(out, "--backend", "narrow", "--backends-config", config) == 0
-        _, rows = read_ndjson(out / "responses.ndjson")
-        assert [row["input_tokens"] for row in rows] == simple
+    def test_other_tokenizer_is_refused(self, tmp_path, capsys):
+        out, header, prompts = self._build(tmp_path)
+        prompts[1] = dict(prompts[1], tokenizer="chars", token_count=len(prompts[1]["prompt_text"]))
+        write_ndjson(out / "prompts.ndjson", header, prompts)
+        assert self._run(out, "--backend", "oracle") == 2
+        err = capsys.readouterr().err
+        assert f"prompt row 2 ({prompts[1]['instance_id']}): tokenizer must be 'simple', got 'chars'" in err
+        assert not (out / "responses.ndjson").exists()

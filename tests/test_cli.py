@@ -17,7 +17,6 @@ import helpers
 from eventqa import backends, cli, corpus, costmodel, evalkit, graphcore, manifest, promptkit
 from eventqa.cli import main
 from eventqa.costmodel import load_pricing, project_run_cost
-from eventqa.promptkit import PromptRecord
 
 DATA = Path(__file__).parent / "data"
 DATASET = str(DATA / "sample_dataset.ndjson")
@@ -328,6 +327,13 @@ def test_lazily_loaded_layer_error_exits_2(pipeline_dir, tmp_path, argv, message
     assert "Traceback" not in result.stderr
 
 
+def _spoil_row(path, number, spoil):
+    """Replace row ``number`` of a manifest, counted from 1 after the header, by ``spoil`` of it."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[number] = json.dumps(spoil(json.loads(lines[number])))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestPipeline:
     def test_full_oracle_pipeline(self, built, capsys):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0
@@ -385,6 +391,58 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "prompt row 3" in err and message in err
         assert not (built / "responses.ndjson").exists()
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda row: {k: v for k, v in row.items() if k != "raw_text"}, "no field 'raw_text'"),
+            (lambda row: dict(row, raw_text=5), "raw_text must be a string, got 5"),
+            (lambda row: dict(row, config=["zero-text"]), "unhashable type"),
+            (lambda row: [row], "list indices must be integers"),
+        ],
+        ids=["no-raw-text", "numeric-raw-text", "list-config", "not-an-object"],
+    )
+    def test_score_refuses_a_malformed_response_row(self, built, capsys, spoil, message):
+        assert run_cli("run", "--out", built, "--backend", "oracle") == 0
+        _spoil_row(built / "responses.ndjson", 3, spoil)
+        assert run_cli("score", "--out", built, "--dataset", DATASET) == 2
+        err = capsys.readouterr().err
+        assert f"{built / 'responses.ndjson'} row 3 is malformed: {message}" in err
+        assert not (built / "predictions.ndjson").exists()
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda row: dict(row, gold="maybe"), "'maybe' is not a valid Answer"),
+            (lambda row: dict(row, extracted=dict(row["extracted"], matched_span=[1])), "list index out of range"),
+        ],
+        ids=["unknown-gold", "short-span"],
+    )
+    def test_report_refuses_a_malformed_prediction_row(self, built, capsys, spoil, message):
+        assert run_cli("run", "--out", built, "--backend", "oracle") == 0
+        assert run_cli("score", "--out", built, "--dataset", DATASET) == 0
+        _spoil_row(built / "predictions.ndjson", 3, spoil)
+        assert run_cli("report", "--out", built) == 2
+        err = capsys.readouterr().err
+        assert f"{built / 'predictions.ndjson'} row 3 is malformed: {message}" in err
+        assert not (built / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda row: dict(row, config=dict(row["config"], strategy="bogus")), "'bogus' is not a valid Strategy"),
+            (lambda row: dict(row, token_count="5"), "token_count must be a non-negative integer, got '5'"),
+            (lambda row: dict(row, token_count=5.9), "token_count must be a non-negative integer, got 5.9"),
+            (lambda row: dict(row, token_count=True), "token_count must be a non-negative integer, got True"),
+        ],
+        ids=["unknown-strategy", "string-count", "float-count", "bool-count"],
+    )
+    def test_cost_refuses_a_malformed_prompt_row(self, built, capsys, spoil, message):
+        _spoil_row(built / "prompts.ndjson", 3, spoil)
+        assert run_cli("cost", "--out", built, "--model", "gpt-4o") == 2
+        err = capsys.readouterr().err
+        assert f"{built / 'prompts.ndjson'} row 3 is malformed: {message}" in err
+        assert not (built / "cost.json").exists()
 
     def test_score_sorts_responses_that_arrive_out_of_order(self, built, tmp_path):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0
@@ -525,11 +583,11 @@ class TestPipeline:
         assert run_cli("cost", "--out", built, "--model", "gpt-3.5-turbo", "--expected-output-tokens", 30) == 0
         payload = json.loads((built / "cost.json").read_text())
         _, rows = manifest.read_ndjson(built / "prompts.ndjson")
-        prompts = [PromptRecord.from_dict(row) for row in rows]
+        token_counts = [row["token_count"] for row in rows]
         from eventqa.cli import _default_pricing_path
 
-        tokens = sum(p.token_count for p in prompts)
-        expected = project_run_cost(len(prompts), tokens, 30, "gpt-3.5-turbo", load_pricing(_default_pricing_path()))
+        tokens = sum(token_counts)
+        expected = project_run_cost(len(token_counts), tokens, 30, "gpt-3.5-turbo", load_pricing(_default_pricing_path()))
         assert Decimal(payload["estimate"]["total_cost"]) == expected.total_cost
         assert payload["estimate"]["display_cost"] == str(expected.display_cost)
 

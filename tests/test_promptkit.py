@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import replace
 from importlib import resources
@@ -29,13 +30,11 @@ from eventqa.promptkit import (
     PromptConfig,
     PromptError,
     Strategy,
-    UnknownTokenizerError,
     all_configs,
     assemble_prompt,
     canonical_answer_sentence,
     count_tokens,
     parse_selector,
-    register_tokenizer,
     select_demonstrations,
     split_sentences,
     truncate_to_budget,
@@ -112,10 +111,6 @@ class TestTokenCounting:
         sentence = 'The event "music" enables the event "draws many people to festival".'
         assert count_tokens(sentence) == len(expected_tokens) == 16
 
-    def test_unknown_tokenizer(self):
-        with pytest.raises(UnknownTokenizerError):
-            count_tokens("x", tokenizer="nope")
-
     @given(a=st.text(max_size=80), b=st.text(max_size=80))
     def test_monotone_under_concatenation(self, a, b):
         assert count_tokens(a + b) >= max(count_tokens(a), count_tokens(b))
@@ -178,12 +173,12 @@ class TestAssembly:
 
     def test_record_round_trips_through_dict(self, rally_instance, demo_pool):
         record = _build(rally_instance, PromptConfig(Strategy.FEW, Modality.TAG), demo_pool)
-        from eventqa.promptkit import PromptRecord
-
-        clone = PromptRecord.from_dict(record.to_dict())
-        assert clone.prompt_text == record.prompt_text
-        assert clone.config == record.config
-        assert clone.sections == record.sections
+        row = json.loads(json.dumps(record.to_dict()))
+        assert row["prompt_text"] == record.prompt_text
+        assert row["token_count"] == record.token_count
+        assert PromptConfig.from_dict(row["config"]) == record.config
+        assert {name: tuple(span) for name, span in row["sections"].items()} == record.sections
+        assert row["tokenizer"] == promptkit.TOKENIZER == "simple"
 
 
 class TestTruncation:
@@ -374,10 +369,10 @@ class TestLengthOrdering:
             assert means[Strategy.ZERO] < means[Strategy.FEW] < means[Strategy.COT]
 
 
-# Skeletons the composed counts are checked on besides the shipped one: one
-# with placeholders glued to a word character and to punctuation (counted in
-# full), and one whose placeholders touch only whitespace (composed) with
-# two placeholders in one block, a repeated placeholder and literal braces.
+# A skeleton with placeholders glued to a word character and to punctuation,
+# which is refused, and one whose placeholders touch only whitespace, which
+# the composed counts are checked on besides the shipped one; it has two
+# placeholders in one block, a repeated placeholder and literal braces.
 GLUED_SKELETON = (
     "### Instruction ###\n{instruction}\n\n### Text ###\nPassage:{text}\n\n### Graph ###\n{graph}end\n\n"
     "### Examples ###\n{examples}\n\n### Question ###\n{question}\n### Answer ###\n"
@@ -397,17 +392,16 @@ _SENTENCES = (
 
 
 def _templates():
-    """(template, reference template) pairs: the shipped skeleton, then the two above."""
+    """(template, reference template) pairs: the shipped skeleton, then ``BORDERED_SKELETON``."""
     shipped = (resources.files("eventqa") / "templates" / "skeleton.txt").read_text(encoding="utf-8")
     instructions = promptkit.default_template().instructions
     return [
         (promptkit.PromptTemplate(skeleton, instructions), helpers.ReferenceTemplate(skeleton, instructions))
-        for skeleton in (shipped, GLUED_SKELETON, BORDERED_SKELETON)
+        for skeleton in (shipped, BORDERED_SKELETON)
     ]
 
 
 _TEMPLATES = _templates()
-CHARS_TOKENIZER = "chars"  # the same counter tests/test_backends.py registers under this name
 
 
 @st.composite
@@ -438,9 +432,8 @@ def _prompt_case(draw):
         )
         for _ in range(config.demo_count)
     ]
-    tokenizer = draw(st.sampled_from(["simple", CHARS_TOKENIZER]))
     template, reference_template = draw(st.sampled_from(_TEMPLATES))
-    return instance, config, demos, tokenizer, template, reference_template
+    return instance, config, demos, template, reference_template
 
 
 def _record_or_error(truncate, record, budget, template):
@@ -452,19 +445,21 @@ def _record_or_error(truncate, record, budget, template):
 
 
 class TestComposedCounts:
-    def test_shipped_skeleton_composes_glued_one_does_not(self):
-        assert [template.additive for template, _ in _TEMPLATES] == [True, False, True]
+    def test_glued_skeleton_is_refused(self):
+        instructions = promptkit.default_template().instructions
+        with pytest.raises(PromptError, match=r"placeholder \{text\} touches a non-space character"):
+            promptkit.PromptTemplate(GLUED_SKELETON, instructions)
+        for glued in ("x{question}\n### Answer ###", "{question}.\n### Answer ###", "{text}{graph}"):
+            with pytest.raises(PromptError, match="touches a non-space character"):
+                promptkit.PromptTemplate(glued, instructions)
 
     @settings(max_examples=400, deadline=None)
     @given(case=_prompt_case(), data=st.data())
     def test_records_match_reference(self, case, data):
-        register_tokenizer(CHARS_TOKENIZER, len)
-        instance, config, demos, tokenizer, template, reference_template = case
+        instance, config, demos, template, reference_template = case
         verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
-        expected = helpers.assemble_prompt_reference(
-            instance, config, demos, verbalized, tokenizer=tokenizer, template=reference_template
-        )
-        record = assemble_prompt(instance, config, demos, verbalized, tokenizer=tokenizer, template=template)
+        expected = helpers.assemble_prompt_reference(instance, config, demos, verbalized, template=reference_template)
+        record = assemble_prompt(instance, config, demos, verbalized, template=template)
         assert record.to_dict() == expected.to_dict()
         assert record.parts == expected.parts
 
@@ -473,33 +468,29 @@ class TestComposedCounts:
             helpers.truncate_to_budget_reference, expected, budget, reference_template
         )
 
-    @pytest.mark.parametrize("tokenizer", ["simple", CHARS_TOKENIZER])
-    def test_empty_graph_keeps_its_header_and_misses_the_budget_like_reference(self, rally_instance, tokenizer):
-        register_tokenizer(CHARS_TOKENIZER, len)
+    def test_empty_graph_keeps_its_header_and_misses_the_budget_like_reference(self, rally_instance):
         template, reference_template = _TEMPLATES[0]
         edgeless = replace(rally_instance.graph, edges=())
         config = PromptConfig(Strategy.ZERO, Modality.GRAPH)
-        record = assemble_prompt(
-            rally_instance, config, (), verbalize_graph(edgeless), tokenizer=tokenizer, template=template
-        )
+        record = assemble_prompt(rally_instance, config, (), verbalize_graph(edgeless), template=template)
         assert record.parts.graph_sentences == ()
         skeleton = replace(record.parts, graph_sentences=None)
-        budget = count_tokens(helpers.render_reference(skeleton, reference_template)[0], tokenizer)
+        budget = count_tokens(helpers.render_reference(skeleton, reference_template)[0])
         outcome = _record_or_error(truncate_to_budget, record, budget, template)
         assert outcome == (BudgetError, f"budget {budget} cannot be met")
         assert outcome == _record_or_error(helpers.truncate_to_budget_reference, record, budget, reference_template)
 
     def test_simple_counts_are_composed_without_a_full_count(self, rally_instance, demo_pool, monkeypatch):
         counted = []
-        monkeypatch.setattr(promptkit, "count_tokens", lambda text, tokenizer="simple": counted.append(tokenizer) or 0)
-        register_tokenizer(CHARS_TOKENIZER, len)
+        original = promptkit._simple_count
+        monkeypatch.setattr(promptkit, "_simple_count", lambda text: counted.append(text) or original(text))
+        promptkit._part_counts.cache_clear()
         config = PromptConfig(Strategy.COT, Modality.TAG)
         record = _build(rally_instance, config, demo_pool)
-        truncate_to_budget(record, record.token_count // 2)
-        assert counted == []
-        demos = select_demonstrations(demo_pool, config, seed=0)
-        assemble_prompt(rally_instance, config, demos, verbalize_graph(rally_instance.graph), tokenizer=CHARS_TOKENIZER)
-        assert counted == [CHARS_TOKENIZER]
+        truncated = truncate_to_budget(record, record.token_count // 2)
+        assert truncated.truncation_applied
+        assert counted
+        assert not [text for text in counted if "\n\n" in text]  # parts are counted, never a rendered prompt
 
     def test_long_passage_truncates_in_linear_time(self, rally_instance):
         passage = " ".join(f"Sentence {i} tells of the council, the storm and the harbor." for i in range(1000))

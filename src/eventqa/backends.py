@@ -16,7 +16,6 @@ API keys come from the environment variable named in the backend spec
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import logging
 import math
@@ -201,7 +200,7 @@ class CompletionResponse:
 
 def prompt_fingerprint(prompt_text: str) -> str:
     """Content hash used to key mock fixtures."""
-    return hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()
+    return manifest.sha256(prompt_text.encode("utf-8")).hexdigest()
 
 
 # --- oracle question grammar ---------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 from importlib import resources
@@ -63,12 +62,21 @@ def _read_rows(path: Path, rows: Iterable, read: Callable) -> Iterator:
         yield value
 
 
+_HASH_CHUNK = 1 << 20
+
+
 def _file_sha(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    """The file's SHA-256 prefix, hashed a chunk at a time rather than read whole."""
+    digest = manifest.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_HASH_CHUNK):
+            digest.update(chunk)
+            del chunk  # freed before the next read, so one chunk is held at a time
+    return digest.hexdigest()[:16]
 
 
 def _derived_seed(seed: int, *parts: str) -> int:
-    digest = hashlib.sha256(("|".join([str(seed), *parts])).encode("utf-8")).digest()
+    digest = manifest.sha256(("|".join([str(seed), *parts])).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -263,6 +263,8 @@ def _parse_graph(raw: dict, schema: dict) -> CausalGraph:
         EventNode(id=str(node[nf["id"]]), label=str(node[nf["label"]]))
         for node in _json_objects(raw.get(gf["nodes"], []), "graph node")
     )
+    # An edge holds its endpoints' own id strings, not the decoder's second copies.
+    ids = {node.id: node.id for node in nodes}
     edges = []
     for edge in _json_objects(raw.get(gf["edges"], []), "graph edge"):
         relation_raw = str(edge[ef["relation"]]).lower()
@@ -270,7 +272,8 @@ def _parse_graph(raw: dict, schema: dict) -> CausalGraph:
             relation = Relation(relation_raw)
         except ValueError:
             raise ValueError(f"unknown relation {relation_raw!r}") from None
-        edges.append(CausalEdge(source=str(edge[ef["source"]]), target=str(edge[ef["target"]]), relation=relation))
+        source, target = str(edge[ef["source"]]), str(edge[ef["target"]])
+        edges.append(CausalEdge(source=ids.get(source, source), target=ids.get(target, target), relation=relation))
     return CausalGraph(graph_id=str(raw.get(gf["graph_id"], "")), kind=kind, nodes=nodes, edges=tuple(edges))
 
 

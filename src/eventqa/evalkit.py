@@ -70,6 +70,11 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PredictionRecord":
+        # Predictions are sorted and grouped by these, so a number here would
+        # only fail later, far from the row that holds it.
+        for name in ("instance_id", "backend"):
+            if not isinstance(raw[name], str):
+                raise TypeError(f"{name} must be a string, got {raw[name]!r}")
         return cls(
             instance_id=raw["instance_id"],
             config=PromptConfig.from_dict(raw["config"]),

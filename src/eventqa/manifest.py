@@ -9,11 +9,16 @@ with the same inputs must produce byte-identical files.
 Manifests are streamed: readers hold one record at a time, and writers
 write each record as it arrives, so no stage needs a whole manifest in
 memory.
+
+Every digest the pipeline takes (header config hashes, input file hashes,
+derived seeds, mock fixture keys) goes through ``sha256``, bound here to
+the interpreter's built-in SHA-256 the way ``random`` binds ``_sha512``.
+``hashlib`` would load OpenSSL's libcrypto into every stage, about 3.7 MB
+resident for one hash function; the built-in gives the same digests.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from contextlib import closing, contextmanager
@@ -21,6 +26,14 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from . import EventQAError, __version__
+
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 HEADER_KEY = "_header"
 
@@ -38,7 +51,7 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:16]
+    return sha256(canonical_json(config).encode("utf-8")).hexdigest()[:16]
 
 
 def make_header(stage: str, seed: int | None, config: dict) -> dict:

@@ -245,6 +245,8 @@ def cli_import_modules() -> set[str]:
         "fractions",
         "concurrent.futures",
         "requests",
+        "hashlib",
+        "_hashlib",
     ],
 )
 def test_importing_the_cli_does_not_load(cli_import_modules, module):
@@ -272,6 +274,8 @@ def test_each_stage_loads_only_its_layers(pipeline_dir, tmp_path, stage):
         line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")
     }
     assert {name for name in imported if name.split(".")[0] == "eventqa"} == STAGE_MODULES[stage]
+    # OpenSSL's libcrypto costs every stage ~3.7 MB resident; manifest.sha256 needs none of it.
+    assert "_hashlib" not in imported
 
 
 LAYER_ERRORS = [
@@ -415,8 +419,10 @@ class TestPipeline:
         [
             (lambda row: dict(row, gold="maybe"), "'maybe' is not a valid Answer"),
             (lambda row: dict(row, extracted=dict(row["extracted"], matched_span=[1])), "list index out of range"),
+            (lambda row: dict(row, backend=5), "backend must be a string, got 5"),
+            (lambda row: dict(row, instance_id=7), "instance_id must be a string, got 7"),
         ],
-        ids=["unknown-gold", "short-span"],
+        ids=["unknown-gold", "short-span", "numeric-backend", "numeric-instance-id"],
     )
     def test_report_refuses_a_malformed_prediction_row(self, built, capsys, spoil, message):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0

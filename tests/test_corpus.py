@@ -37,6 +37,19 @@ def _record(instance_id="a", **overrides):
     return base
 
 
+def _int_id_graph():
+    """A graph whose node ids and edge endpoints are JSON numbers, which the loader reads as strings."""
+    return {
+        "graph_id": "numbered",
+        "kind": "instance",
+        "nodes": [{"id": 100 + k, "label": f"step {k}"} for k in range(3)],
+        "edges": [
+            {"source": 100, "target": 101, "relation": "enables"},
+            {"source": 101, "target": 102, "relation": "blocks"},
+        ],
+    }
+
+
 class TestLoadDataset:
     def test_well_formed_records_all_load(self, tmp_path):
         path = tmp_path / "data.ndjson"
@@ -44,6 +57,19 @@ class TestLoadDataset:
         result = load_dataset(path)
         assert [i.instance_id for i in result.split.instances] == ["a", "b", "c"]
         assert result.rejections == ()
+
+    def test_edges_share_the_id_strings_of_their_nodes(self, tmp_path):
+        """An edge holds its endpoints' own id objects, not second copies from the JSON decoder."""
+        path = tmp_path / "data.ndjson"
+        _write(path, [_record(f"i{k}") for k in range(5)] + [_record("int-ids", graphs=[_int_id_graph()])])
+        result = load_dataset(path)
+        assert len(result.split.instances) == 6
+        for instance in result.split.instances:
+            nodes = {node.id: node for node in instance.graph.nodes}
+            assert instance.graph.edges
+            for edge in instance.graph.edges:
+                assert edge.source is nodes[edge.source].id
+                assert edge.target is nodes[edge.target].id
 
     def test_dangling_edge_endpoint_rejects_instance(self, tmp_path):
         bad = _record("bad")

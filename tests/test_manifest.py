@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eventqa.manifest import (
     ManifestError,
     make_header,
     read_ndjson,
     resume_ndjson,
+    sha256,
     sort_ndjson,
     write_ndjson,
 )
@@ -117,3 +121,15 @@ def test_a_failed_write_leaves_the_old_file(tmp_path):
         write_ndjson(path, HEADER, failing())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ndjson"]
+
+
+@given(st.binary(max_size=1 << 12), st.lists(st.integers(min_value=0, max_value=1 << 12), max_size=8))
+def test_sha256_matches_hashlib(data, cuts):
+    """The interpreter's built-in SHA-256 gives OpenSSL's digests, whole and fed in pieces."""
+    expected = hashlib.sha256(data)
+    assert sha256(data).hexdigest() == expected.hexdigest()
+    bounds = sorted({0, len(data), *(cut % (len(data) + 1) for cut in cuts)})
+    pieces = sha256()
+    for start, end in zip(bounds, bounds[1:]):
+        pieces.update(data[start:end])
+    assert pieces.digest() == expected.digest()

@@ -6,14 +6,16 @@ Each check runs a stage on a generated manifest of short records under
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from eventqa import backends, manifest  # noqa: F401  (loaded here, so no measured run counts loading it)
-from eventqa.cli import PROMPTS_FILE, RESPONSES_FILE, main
+from eventqa.cli import PROMPTS_FILE, RESPONSES_FILE, _file_sha, main
 from eventqa.promptkit import all_configs
 
 SMALL, LARGE = 10_000, 100_000
@@ -128,3 +130,18 @@ def test_score_stage_peak_is_flat_in_manifest_size(response_dirs):
     assert peaks[LARGE] < 1.5 * peaks[SMALL], peaks
     _, predictions = manifest.read_ndjson(dirs[LARGE] / "predictions.ndjson")
     assert len(predictions) == LARGE
+
+
+def test_file_hash_reads_in_chunks(tmp_path):
+    """``build`` hashes its dataset and demo pool without holding either file whole."""
+    data = random.Random(0).randbytes(8 << 20)
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = _file_sha(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()[:16]
+    assert peak < 2 << 20, peak

@@ -22,13 +22,13 @@ import math
 import os
 import re
 import time
+from collections import namedtuple
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import closing
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from . import EventQAError, manifest
 from .corpus import Answer
@@ -68,15 +68,13 @@ class BackendKind(str, Enum):
     ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(NamedTuple):
     max_attempts: int = 5
     base_backoff: float = 0.5
 
 
 def _check_keys(cls: type, raw: dict, where: str) -> None:
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(set(raw) - set(cls._fields))
     if unknown:
         raise BackendError(f"{where}: unknown config keys {', '.join(unknown)}")
 
@@ -109,28 +107,32 @@ def _check_values(types: dict[str, tuple], raw: dict, where: str) -> None:
             raise BackendError(f"{where}: {key} must be {described}, got {value!r}")
 
 
-@dataclass
-class BackendSpec:
-    name: str
-    kind: BackendKind
-    model_name: str = ""
-    endpoint: str = ""
-    context_limit: int = CONTEXT_LIMITS["gpt"]
-    max_concurrency: int = 4
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    api_key_env: str = DEFAULT_API_KEY_ENV
-    request_timeout: float = 60.0
-    fixtures_path: str | None = None
+_SPEC_DEFAULTS = {
+    "model_name": "",
+    "endpoint": "",
+    "context_limit": CONTEXT_LIMITS["gpt"],
+    "max_concurrency": 4,
+    "retry_policy": RetryPolicy(),
+    "api_key_env": DEFAULT_API_KEY_ENV,
+    "request_timeout": 60.0,
+    "fixtures_path": None,
+}
 
-    def __post_init__(self) -> None:
-        if self.context_limit <= 0:
-            raise BackendError(f"backend {self.name!r}: context_limit must be positive")
-        if self.max_concurrency < 1:
-            raise BackendError(f"backend {self.name!r}: max_concurrency must be at least 1")
-        if self.retry_policy.max_attempts < 1:
-            raise BackendError(f"backend {self.name!r}: retry_policy.max_attempts must be at least 1")
-        if not 0 <= self.retry_policy.base_backoff < math.inf:  # also rejects NaN
-            raise BackendError(f"backend {self.name!r}: retry_policy.base_backoff must be finite and non-negative")
+
+class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], defaults=_SPEC_DEFAULTS.values())):
+    """A backend's name and ``BackendKind``, then the settings in ``_SPEC_DEFAULTS``, checked when it is made."""
+
+    def __new__(cls, *args, **kwargs) -> "BackendSpec":
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.context_limit <= 0:
+            raise BackendError(f"backend {spec.name!r}: context_limit must be positive")
+        if spec.max_concurrency < 1:
+            raise BackendError(f"backend {spec.name!r}: max_concurrency must be at least 1")
+        if spec.retry_policy.max_attempts < 1:
+            raise BackendError(f"backend {spec.name!r}: retry_policy.max_attempts must be at least 1")
+        if not 0 <= spec.retry_policy.base_backoff < math.inf:  # also rejects NaN
+            raise BackendError(f"backend {spec.name!r}: retry_policy.base_backoff must be finite and non-negative")
+        return spec
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BackendSpec":
@@ -169,15 +171,13 @@ class BackendSpec:
         return fixtures
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class CompletionRequest(NamedTuple):
     prompt_text: str
     max_output_tokens: int
     prompt_tokens: int | None = None  # None means count here
 
 
-@dataclass(frozen=True)
-class CompletionResponse:
+class CompletionResponse(NamedTuple):
     raw_text: str
     input_tokens: int
     output_tokens: int
@@ -447,15 +447,13 @@ def complete(spec: BackendSpec, request: CompletionRequest) -> CompletionRespons
 # --- batched runs ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BatchFailure:
+class BatchFailure(NamedTuple):
     instance_id: str
     config: str
     error: str
 
 
-@dataclass(frozen=True)
-class BatchResult:
+class BatchResult(NamedTuple):
     completed: int  # records in the manifest, resumed ones included
     failures: list[BatchFailure]
 

@@ -22,10 +22,8 @@ compiled again at start-up.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -111,6 +109,8 @@ def _load_split(args) -> tuple[corpus.DatasetSplit, tuple[corpus.RejectedRecord,
         except ValueError:
             raise CliError(f"--split must be 'full', 'small', or an integer, got {args.split!r}") from None
         split = corpus.stratified_sample(split, size, seed=args.seed, name=f"custom-{size}")
+    if not split.instances:
+        raise CliError(f"--split {args.split} keeps no instance of {args.dataset}")
     return split, result.rejections
 
 
@@ -220,7 +220,8 @@ def _resolve_backend(args) -> backends.BackendSpec:
             "(builtins: 'oracle', and 'mock' with --fixtures)"
         )
     if args.max_concurrency is not None:
-        spec = dataclasses.replace(spec, max_concurrency=args.max_concurrency)  # re-runs the spec's checks
+        # Built anew rather than through ``_replace``, so the spec's checks run on the new value.
+        spec = backends.BackendSpec(**{**spec._asdict(), "max_concurrency": args.max_concurrency})
     return spec
 
 
@@ -327,7 +328,7 @@ def cmd_report(args) -> int:
 
 
 def _default_pricing_path() -> Path:
-    return Path(str(resources.files("eventqa") / "data" / "pricing_2025-05.json"))
+    return Path(__file__).with_name("data") / "pricing_2025-05.json"
 
 
 def cmd_cost(args) -> int:
@@ -351,6 +352,8 @@ def cmd_cost(args) -> int:
         tally = tallies.setdefault(strategy, [0, 0])
         tally[0] += 1
         tally[1] += tokens
+    if not tallies:
+        raise CliError(f"{out / PROMPTS_FILE} holds no prompts to cost")
 
     if args.expected_output_tokens is not None:
         prompts = sum(n for n, _ in tallies.values())

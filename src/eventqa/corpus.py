@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import EventQAError
 
@@ -88,21 +87,18 @@ def _printable(text: str) -> str:
     return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
-@dataclass(frozen=True)
-class EventNode:
+class EventNode(NamedTuple):
     id: str
     label: str
 
 
-@dataclass(frozen=True)
-class CausalEdge:
+class CausalEdge(NamedTuple):
     source: str
     target: str
     relation: Relation
 
 
-@dataclass(frozen=True)
-class CausalGraph:
+class CausalGraph(NamedTuple):
     """Directed multigraph of events with enables/blocks edges.
 
     Node and edge order is preserved from the source data; downstream
@@ -142,8 +138,7 @@ class CausalGraph:
                 raise ValueError(f"unknown relation {edge.relation!r}")
 
 
-@dataclass(frozen=True)
-class QAInstance:
+class QAInstance(NamedTuple):
     instance_id: str
     passage: str
     question: str
@@ -166,20 +161,17 @@ class QAInstance:
             self.graph.validate()
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
+class DatasetSplit(NamedTuple):
     name: str
     instances: tuple[QAInstance, ...]
 
 
-@dataclass(frozen=True)
-class RejectedRecord:
+class RejectedRecord(NamedTuple):
     instance_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class LoadResult:
+class LoadResult(NamedTuple):
     split: DatasetSplit
     rejections: tuple[RejectedRecord, ...]
 

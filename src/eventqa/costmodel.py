@@ -9,9 +9,10 @@ at display time, the exact value is kept.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 from . import EventQAError
 
@@ -23,18 +24,18 @@ class CostError(EventQAError):
     pass
 
 
-@dataclass(frozen=True)
-class ModelPricing:
-    input_per_million: Decimal
-    output_per_million: Decimal
+class ModelPricing(namedtuple("ModelPricing", "input_per_million output_per_million")):
+    """Decimal prices per million input and output tokens."""
 
-    def __post_init__(self) -> None:
-        if self.input_per_million < 0 or self.output_per_million < 0:
+    __slots__ = ()
+
+    def __new__(cls, input_per_million: Decimal, output_per_million: Decimal) -> "ModelPricing":
+        if input_per_million < 0 or output_per_million < 0:
             raise ValueError("prices must be non-negative")
+        return super().__new__(cls, input_per_million, output_per_million)
 
 
-@dataclass(frozen=True)
-class PricingTable:
+class PricingTable(NamedTuple):
     label: str
     entries: dict[str, ModelPricing]
 
@@ -45,8 +46,7 @@ class PricingTable:
             raise CostError(f"no pricing for model {model_name!r} in table {self.label!r}") from None
 
 
-@dataclass(frozen=True)
-class CostEstimate:
+class CostEstimate(NamedTuple):
     model_name: str
     input_tokens: int
     output_tokens: int

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import EventQAError
 from .corpus import ALL_CATEGORIES, Answer, QuestionCategory
@@ -37,20 +36,19 @@ class PlotGrouping(str, Enum):
     BY_STRATEGY = "by_strategy"
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     instance_id: str
     config: PromptConfig
     backend: str
     extracted: ExtractedAnswer
     gold: Answer
     category: QuestionCategory
-    correct: bool = field(init=False)
 
-    def __post_init__(self) -> None:
+    @property
+    def correct(self) -> bool:
         # Both labels are str enums, so they compare by value and no Answer
         # is built; "unparseable" never equals a gold answer.
-        object.__setattr__(self, "correct", self.extracted.answer == self.gold)
+        return self.extracted.answer == self.gold
 
     @property
     def identity(self) -> tuple[str, str, str]:
@@ -85,11 +83,13 @@ class PredictionRecord:
         )
 
 
-@dataclass
 class CellStats:
-    n: int = 0
-    correct: int = 0
-    unparseable: int = 0
+    """Running counts of one report cell."""
+
+    __slots__ = ("n", "correct", "unparseable")
+
+    def __init__(self) -> None:
+        self.n = self.correct = self.unparseable = 0
 
     @property
     def accuracy(self) -> float:
@@ -111,10 +111,12 @@ ConfigKey = tuple[str, Strategy, Modality]
 ClusterKey = tuple[str, Strategy, Modality, QuestionCategory]
 
 
-@dataclass
 class AccuracyReport:
-    cells: dict[ConfigKey, CellStats] = field(default_factory=dict)
-    cluster_cells: dict[ClusterKey, CellStats] = field(default_factory=dict)
+    """Cells per (backend, strategy, modality), and per category within each."""
+
+    def __init__(self) -> None:
+        self.cells: dict[ConfigKey, CellStats] = {}
+        self.cluster_cells: dict[ClusterKey, CellStats] = {}
 
 
 class Scorer:

@@ -14,8 +14,8 @@ incorrect. Extraction is linear in the length of the output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class ExtractedLabel(str, Enum):
@@ -30,8 +30,7 @@ class ExtractionMethod(str, Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class ExtractedAnswer:
+class ExtractedAnswer(NamedTuple):
     answer: ExtractedLabel
     method: ExtractionMethod
     matched_span: tuple[int, int] | None = None  # byte offsets into the raw text

@@ -17,8 +17,8 @@ from __future__ import annotations
 import heapq
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import Answer, CausalEdge, CausalGraph, EventNode, GraphKind, Relation
 
@@ -37,15 +37,13 @@ class QueryKind(Enum):
     OCCURRED = "occurred"
 
 
-@dataclass(frozen=True)
-class StructuredQuery:
+class StructuredQuery(NamedTuple):
     kind: QueryKind
     subject: str
     object: str | None = None
 
 
-@dataclass(frozen=True)
-class VerbalizedGraph:
+class VerbalizedGraph(NamedTuple):
     sentences: tuple[str, ...]
     edge_order: tuple[CausalEdge, ...]
     cycle_report: tuple[CausalEdge, ...]

@@ -22,13 +22,13 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
-from importlib import resources
 from itertools import accumulate
+from pathlib import Path
 from random import Random
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from . import EventQAError
 from .corpus import Answer, QAInstance
@@ -87,21 +87,17 @@ def canonical_answer_sentence(answer: Answer) -> str:
     return f"Therefore, the final answer is: {answer.value}"
 
 
-@dataclass(frozen=True)
-class PromptConfig:
-    """One cell of the strategy x modality matrix."""
+class PromptConfig(namedtuple("PromptConfig", "strategy modality demo_count")):
+    """One cell of the strategy x modality matrix: a ``Strategy``, a ``Modality`` and a demonstration count."""
 
-    strategy: Strategy
-    modality: Modality
-    demo_count: int = -1  # -1 means "default for the strategy"
-
-    def __post_init__(self) -> None:
-        if self.demo_count == -1:
-            object.__setattr__(self, "demo_count", 0 if self.strategy is Strategy.ZERO else DEFAULT_DEMO_COUNT)
-        if (self.demo_count == 0) != (self.strategy is Strategy.ZERO):
+    def __new__(cls, strategy: Strategy, modality: Modality, demo_count: int = -1) -> "PromptConfig":
+        if demo_count == -1:  # the default for the strategy
+            demo_count = 0 if strategy is Strategy.ZERO else DEFAULT_DEMO_COUNT
+        if (demo_count == 0) != (strategy is Strategy.ZERO):
             raise ValueError("demo_count must be 0 exactly for the zero-shot strategy")
-        if self.demo_count < 0:
+        if demo_count < 0:
             raise ValueError("demo_count must be non-negative")
+        return super().__new__(cls, strategy, modality, demo_count)
 
     @cached_property
     def selector(self) -> str:
@@ -133,7 +129,10 @@ class PromptConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PromptConfig":
-        return _config(raw["strategy"], raw["modality"], int(raw["demo_count"]))
+        demo_count = raw["demo_count"]
+        if isinstance(demo_count, bool) or not isinstance(demo_count, int):
+            raise TypeError(f"demo_count must be an integer, got {demo_count!r}")
+        return _config(raw["strategy"], raw["modality"], demo_count)
 
 
 # Every record of a manifest names one of a few configurations; each is
@@ -161,12 +160,8 @@ def all_configs() -> tuple[PromptConfig, ...]:
     return tuple(PromptConfig(strategy=s, modality=m) for s in Strategy for m in Modality)
 
 
-@dataclass(frozen=True)
-class Demonstration:
-    question: str
-    answer: Answer
-    source_modality: Modality
-    reasoning_trace: str | None = None
+class Demonstration(namedtuple("Demonstration", "question answer source_modality reasoning_trace", defaults=[None])):
+    """A worked example: its question, its ``Answer``, the ``Modality`` it is shown in, and an optional trace."""
 
     def rendered_answer(self) -> str:
         # A trace stands in for the bare label; it already ends with the
@@ -219,8 +214,7 @@ _PLACEHOLDER_SECTIONS = {
 _PLACEHOLDER_RE = re.compile(r"\{(instruction|text|graph|examples|question)\}")
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """One skeleton block, compiled once: a format string over its placeholders."""
 
     format: str
@@ -266,7 +260,9 @@ class PromptTemplate:
 
     @classmethod
     def default(cls) -> "PromptTemplate":
-        root = resources.files("eventqa") / "templates"
+        # Read beside this module, not through ``importlib.resources``, which
+        # on 3.12+ imports ``inspect`` and ``tempfile`` (~20 ms) at start-up.
+        root = Path(__file__).with_name("templates")
         skeleton = (root / "skeleton.txt").read_text(encoding="utf-8")
         return cls(skeleton, json.loads((root / "instructions.json").read_text(encoding="utf-8")))
 
@@ -304,12 +300,12 @@ def split_sentences(text: str) -> tuple[str, ...]:
     return tuple(part for part in _SENTENCE_SPLIT_RE.split(text.strip()) if part)
 
 
-@dataclass(frozen=True)
-class PromptParts:
+class PromptParts(NamedTuple):
     """The structured ingredients a prompt is rendered from.
 
     Kept on the record so truncation can re-render from structure instead
-    of hacking at the text. Not serialized.
+    of hacking at the text. Not serialized, but a field like any other: it
+    takes part in the record's ``==`` and ``repr``.
     """
 
     instruction: str
@@ -319,15 +315,14 @@ class PromptParts:
     demos: tuple[Demonstration, ...]
 
 
-@dataclass(frozen=True)
-class PromptRecord:
+class PromptRecord(NamedTuple):
     instance_id: str
     config: PromptConfig
     prompt_text: str
     token_count: int
     truncation_applied: bool
     sections: dict[str, tuple[int, int]]
-    parts: PromptParts | None = field(default=None, repr=False, compare=False)
+    parts: PromptParts | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -410,8 +405,7 @@ def _lengths(parts: PromptParts) -> _Lengths:
 
 def _cut(parts: PromptParts, lengths: _Lengths) -> PromptParts:
     n_text, n_demos, n_graph = lengths
-    return replace(
-        parts,
+    return parts._replace(
         passage_sentences=None if n_text is None else parts.passage_sentences[:n_text],
         demos=parts.demos[:n_demos],
         graph_sentences=None if n_graph is None else parts.graph_sentences[:n_graph],
@@ -529,8 +523,7 @@ def truncate_to_budget(
         if token_count <= budget:
             kept = _cut(parts, lengths)
             prompt_text, sections = _render(kept, template)
-            return replace(
-                record,
+            return record._replace(
                 prompt_text=prompt_text,
                 token_count=token_count,
                 truncation_applied=True,

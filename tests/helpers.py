@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 from typing import Collection, Sequence
@@ -416,7 +415,7 @@ def truncate_to_budget_reference(
     if record.parts is None:
         raise PromptError("cannot truncate a record without its structured parts (truncate before serializing)")
 
-    skeleton = replace(record.parts, passage_sentences=None, graph_sentences=None, demos=())
+    skeleton = record.parts._replace(passage_sentences=None, graph_sentences=None, demos=())
     skeleton_text, _ = render_reference(skeleton, template)
     if count_tokens(skeleton_text) > budget:
         raise BudgetError(f"budget {budget} is below the prompt skeleton size")
@@ -424,18 +423,17 @@ def truncate_to_budget_reference(
     parts = record.parts
     while True:
         if parts.passage_sentences:
-            parts = replace(parts, passage_sentences=parts.passage_sentences[:-1] or None)
+            parts = parts._replace(passage_sentences=parts.passage_sentences[:-1] or None)
         elif parts.demos:
-            parts = replace(parts, demos=parts.demos[:-1])
+            parts = parts._replace(demos=parts.demos[:-1])
         elif parts.graph_sentences:
-            parts = replace(parts, graph_sentences=parts.graph_sentences[:-1] or None)
+            parts = parts._replace(graph_sentences=parts.graph_sentences[:-1] or None)
         else:
             break
         prompt_text, sections = render_reference(parts, template)
         token_count = count_tokens(prompt_text)
         if token_count <= budget:
-            return replace(
-                record,
+            return record._replace(
                 prompt_text=prompt_text,
                 token_count=token_count,
                 truncation_applied=True,

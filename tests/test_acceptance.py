@@ -13,7 +13,6 @@ import json
 import shutil
 import time
 from collections import Counter
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -113,7 +112,7 @@ def test_criterion_01_template_fidelity(rally_instance, worked_demos):
     record = assemble_prompt(rally_instance, graph_cot, worked_demos, verbalized)
     assert record.prompt_text == EXPECTED_GRAPH_COT_PROMPT
 
-    tag_demos = [replace(d, source_modality=Modality.TAG) for d in worked_demos]
+    tag_demos = [d._replace(source_modality=Modality.TAG) for d in worked_demos]
     tag_cot = PromptConfig(Strategy.COT, Modality.TAG, demo_count=2)
     tag_record = assemble_prompt(rally_instance, tag_cot, tag_demos, verbalized)
     assert tag_record.prompt_text == EXPECTED_TAG_COT_PROMPT
@@ -243,7 +242,7 @@ def test_criterion_04_oracle_ground_truth(rally_instance, worked_demos):
     verbalized = verbalize_graph(rally_instance.graph)
     expected = {worked_demos[0].question: "no", worked_demos[1].question: "yes"}
     for question, answer in expected.items():
-        instance = replace(rally_instance, question=question)
+        instance = rally_instance._replace(question=question)
         record = assemble_prompt(instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], verbalized)
         response = complete(spec, CompletionRequest(prompt_text=record.prompt_text, max_output_tokens=8))
         assert response.raw_text == answer
@@ -343,10 +342,10 @@ def test_criterion_08_sampler_quotas():
     index = 0
     for cat_index, category in enumerate(QuestionCategory):
         for _ in range(60 + 37 * cat_index):
-            instances.append(replace(helpers.synthetic_instance(index, rng), category=category))
+            instances.append(helpers.synthetic_instance(index, rng)._replace(category=category))
             index += 1
     ids = [f"pop-{i:05d}" for i in range(len(instances))]
-    instances = [replace(inst, instance_id=new_id) for inst, new_id in zip(instances, ids)]
+    instances = [inst._replace(instance_id=new_id) for inst, new_id in zip(instances, ids)]
     population = DatasetSplit("population", tuple(instances))
     assert len(population.instances) == 3666
 
@@ -445,7 +444,7 @@ def test_criterion_10_replay_fixture_scores_to_precommitted_table(tmp_path):
     started = time.monotonic()
     # 26 instances, two per category; categories cycle through the taxonomy.
     instances = [helpers.synthetic_instance(i, Random(900 + i)) for i in range(26)]
-    instances = [replace(inst, instance_id=f"replay-{i:03d}") for i, inst in enumerate(instances)]
+    instances = [inst._replace(instance_id=f"replay-{i:03d}") for i, inst in enumerate(instances)]
     dataset_path = tmp_path / "replay_dataset.ndjson"
     helpers.write_dataset(dataset_path, instances)
     pool_path = tmp_path / "replay_pool.ndjson"

@@ -5,7 +5,6 @@ import re
 import threading
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from random import Random
@@ -155,7 +154,7 @@ class TestOracleBackend:
         verbalized = verbalize_graph(rally_instance.graph)
         expectations = {worked_demos[0].question: "no", worked_demos[1].question: "yes"}
         for question, expected in expectations.items():
-            instance = replace(rally_instance, question=question)
+            instance = rally_instance._replace(question=question)
             record = assemble_prompt(instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], verbalized)
             response = complete(spec, CompletionRequest(prompt_text=record.prompt_text, max_output_tokens=8))
             assert response.raw_text == expected
@@ -238,7 +237,7 @@ class TestOracleBackend:
         backends_module._section_reply.cache_clear()
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
         verbalized = verbalize_graph(rally_instance.graph)
-        instance = replace(rally_instance, question=worked_demos[1].question)
+        instance = rally_instance._replace(question=worked_demos[1].question)
         record = assemble_prompt(instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], verbalized)
         request = CompletionRequest(prompt_text=record.prompt_text, max_output_tokens=8)
         replies = {(r.raw_text, r.flags) for r in (complete(spec, request) for _ in range(3))}
@@ -528,7 +527,7 @@ class TestRunBatch:
             (lambda prompts: [], "no prompts"),
             (lambda prompts: prompts + prompts[:1], "duplicate"),
             (lambda prompts: sorted(prompts + prompts[:1], key=lambda p: p.instance_id), "duplicate"),
-            (lambda prompts: prompts[:1] + [replace(prompts[1], token_count=10**6)], "exceed"),
+            (lambda prompts: prompts[:1] + [prompts[1]._replace(token_count=10**6)], "exceed"),
         ],
         ids=["empty", "duplicate", "adjacent-duplicate", "oversized"],
     )

@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -117,6 +116,13 @@ class TestBuild:
         assert "no instance of" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sample_that_keeps_no_instance_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run_cli("build", "--dataset", DATASET, "--split", 0, "--out", out, "--configs", "zero-text")
+        assert rc == 2
+        assert "--split 0 keeps no instance of" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejection_log_written(self, tmp_path):
         dataset = tmp_path / "mixed.ndjson"
         good = helpers.instance_to_record(helpers.synthetic_split(1, seed=2).instances[0])
@@ -148,7 +154,7 @@ class TestBuild:
     def test_failed_build_leaves_no_prompts_file(self, tmp_path):
         instances = helpers.synthetic_split(3, seed=1).instances
         dataset = tmp_path / "data.ndjson"
-        helpers.write_dataset(dataset, [instances[0], replace(instances[1], graph=None), instances[2]])
+        helpers.write_dataset(dataset, [instances[0], instances[1]._replace(graph=None), instances[2]])
         out = tmp_path / "out"
         assert run_cli("build", "--dataset", dataset, "--out", out, "--configs", "zero-graph") == 2
         assert list(out.iterdir()) == []
@@ -247,6 +253,8 @@ def cli_import_modules() -> set[str]:
         "requests",
         "hashlib",
         "_hashlib",
+        "dataclasses",
+        "inspect",
     ],
 )
 def test_importing_the_cli_does_not_load(cli_import_modules, module):
@@ -276,6 +284,8 @@ def test_each_stage_loads_only_its_layers(pipeline_dir, tmp_path, stage):
     assert {name for name in imported if name.split(".")[0] == "eventqa"} == STAGE_MODULES[stage]
     # OpenSSL's libcrypto costs every stage ~3.7 MB resident; manifest.sha256 needs none of it.
     assert "_hashlib" not in imported
+    # Records are named tuples: building dataclasses cost every stage ~25 ms of start-up.
+    assert not {"dataclasses", "inspect"} & imported
 
 
 LAYER_ERRORS = [
@@ -338,6 +348,11 @@ def _spoil_row(path, number, spoil):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _with_demo_count(value):
+    """A spoiler that sets the row's ``config.demo_count`` to ``value``."""
+    return lambda row: dict(row, config=dict(row["config"], demo_count=value))
+
+
 class TestPipeline:
     def test_full_oracle_pipeline(self, built, capsys):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0
@@ -383,8 +398,18 @@ class TestPipeline:
             (lambda row: {k: v for k, v in row.items() if k != "token_count"}, "lacks token_count"),
             (lambda row: dict(row, instance_id=5), "instance_id must be a non-empty string"),
             (lambda row: dict(row, config=dict(row["config"], strategy="many-shot")), "unusable config"),
+            (_with_demo_count(3.9), "unusable config"),
+            (_with_demo_count("3"), "unusable config"),
+            (_with_demo_count(True), "unusable config"),
         ],
-        ids=["no-token-count", "numeric-instance-id", "unknown-strategy"],
+        ids=[
+            "no-token-count",
+            "numeric-instance-id",
+            "unknown-strategy",
+            "float-demo-count",
+            "string-demo-count",
+            "bool-demo-count",
+        ],
     )
     def test_run_refuses_a_malformed_prompt_row(self, built, capsys, spoil, message):
         path = built / "prompts.ndjson"
@@ -421,8 +446,9 @@ class TestPipeline:
             (lambda row: dict(row, extracted=dict(row["extracted"], matched_span=[1])), "list index out of range"),
             (lambda row: dict(row, backend=5), "backend must be a string, got 5"),
             (lambda row: dict(row, instance_id=7), "instance_id must be a string, got 7"),
+            (_with_demo_count(True), "demo_count must be an integer, got True"),
         ],
-        ids=["unknown-gold", "short-span", "numeric-backend", "numeric-instance-id"],
+        ids=["unknown-gold", "short-span", "numeric-backend", "numeric-instance-id", "bool-demo-count"],
     )
     def test_report_refuses_a_malformed_prediction_row(self, built, capsys, spoil, message):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0
@@ -440,14 +466,33 @@ class TestPipeline:
             (lambda row: dict(row, token_count="5"), "token_count must be a non-negative integer, got '5'"),
             (lambda row: dict(row, token_count=5.9), "token_count must be a non-negative integer, got 5.9"),
             (lambda row: dict(row, token_count=True), "token_count must be a non-negative integer, got True"),
+            (_with_demo_count(3.9), "demo_count must be an integer, got 3.9"),
+            (_with_demo_count("3"), "demo_count must be an integer, got '3'"),
+            (_with_demo_count(True), "demo_count must be an integer, got True"),
         ],
-        ids=["unknown-strategy", "string-count", "float-count", "bool-count"],
+        ids=[
+            "unknown-strategy",
+            "string-count",
+            "float-count",
+            "bool-count",
+            "float-demo-count",
+            "string-demo-count",
+            "bool-demo-count",
+        ],
     )
     def test_cost_refuses_a_malformed_prompt_row(self, built, capsys, spoil, message):
         _spoil_row(built / "prompts.ndjson", 3, spoil)
         assert run_cli("cost", "--out", built, "--model", "gpt-4o") == 2
         err = capsys.readouterr().err
         assert f"{built / 'prompts.ndjson'} row 3 is malformed: {message}" in err
+        assert not (built / "cost.json").exists()
+
+    @pytest.mark.parametrize("output_tokens", [[], ["--expected-output-tokens", 5]], ids=["per-strategy", "expected"])
+    def test_cost_refuses_a_manifest_without_prompts(self, built, capsys, output_tokens):
+        path = built / "prompts.ndjson"
+        path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        assert run_cli("cost", "--out", built, "--model", "gpt-4o", *output_tokens) == 2
+        assert "holds no prompts to cost" in capsys.readouterr().err
         assert not (built / "cost.json").exists()
 
     def test_score_sorts_responses_that_arrive_out_of_order(self, built, tmp_path):
@@ -555,6 +600,14 @@ class TestPipeline:
         rc = run_cli("run", "--out", built, "--backend", "oracle", "--max-concurrency", 0)
         assert rc == 2
         assert "max_concurrency must be at least 1" in capsys.readouterr().err
+        assert not (built / "responses.ndjson").exists()
+
+    def test_run_rejects_zero_max_concurrency_over_a_configured_backend(self, built, tmp_path, capsys):
+        config = tmp_path / "backends.json"
+        config.write_text(json.dumps({"x": {"kind": "oracle", "max_concurrency": 2}}))
+        rc = run_cli("run", "--out", built, "--backend", "x", "--backends-config", config, "--max-concurrency", 0)
+        assert rc == 2
+        assert "backend 'x': max_concurrency must be at least 1" in capsys.readouterr().err
         assert not (built / "responses.ndjson").exists()
 
     def test_run_with_missing_fixtures_file_exits_2(self, built, tmp_path, capsys):

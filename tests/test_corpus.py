@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -193,8 +192,7 @@ class TestStratifiedSample:
     def test_two_equal_categories_split_evenly(self):
         rng = random.Random(5)
         instances = [
-            replace(
-                helpers.synthetic_instance(index, rng),
+            helpers.synthetic_instance(index, rng)._replace(
                 category=QuestionCategory.CAUSAL if index < 50 else QuestionCategory.PAST,
             )
             for index in range(100)

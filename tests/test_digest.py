@@ -11,7 +11,6 @@ artifact version and updates the pinned values below.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 from random import Random
 
 import helpers
@@ -50,18 +49,18 @@ PINNED = {
 
 def _relabel(graph: CausalGraph, suffix: str) -> CausalGraph:
     nodes = tuple(EventNode(node.id, f"{node.label} {suffix}") for node in graph.nodes)
-    return replace(graph, nodes=nodes)
+    return graph._replace(nodes=nodes)
 
 
 def _non_ascii(instance):
     graph = _relabel(instance.graph, "in Zürich — café")
     first, last = graph.nodes[0].label, graph.nodes[-1].label
-    return replace(instance, passage=_NON_ASCII_PASSAGE, graph=graph, question=f'Did "{first}" cause "{last}"?')
+    return instance._replace(passage=_NON_ASCII_PASSAGE, graph=graph, question=f'Did "{first}" cause "{last}"?')
 
 
 def _long_passage(instance, rng: Random):
     sentences = [rng.choice(_LONG_CLAUSES) + "." for _ in range(rng.randint(8, 14))]
-    return replace(instance, passage=" ".join(sentences))
+    return instance._replace(passage=" ".join(sentences))
 
 
 def _corpus():

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
 from importlib import resources
 from random import Random
 
@@ -77,6 +76,10 @@ class TestPromptConfig:
 
     def test_graphs_alias(self):
         assert parse_selector("few-graphs").modality is Modality.GRAPH
+
+    def test_positional_demo_count_is_checked(self):
+        with pytest.raises(ValueError, match="exactly for the zero-shot strategy"):
+            PromptConfig(Strategy.ZERO, Modality.TEXT, 3)
 
     def test_zero_demo_count_tied_to_zero_strategy(self):
         assert PromptConfig(Strategy.ZERO, Modality.TEXT).demo_count == 0
@@ -219,12 +222,10 @@ class TestTruncation:
         assert skeleton_floor < record.token_count  # sanity on the fixture
 
     def test_truncation_never_raises_count(self, rally_instance, demo_pool):
-        from dataclasses import replace
-
         from eventqa.promptkit import _render, default_template
 
         record = _build(rally_instance, PromptConfig(Strategy.COT, Modality.TAG), demo_pool)
-        skeleton = replace(record.parts, passage_sentences=None, graph_sentences=None, demos=())
+        skeleton = record.parts._replace(passage_sentences=None, graph_sentences=None, demos=())
         floor = count_tokens(_render(skeleton, default_template())[0])
         for budget in range(record.token_count, floor, -7):
             truncated = truncate_to_budget(record, budget)
@@ -260,7 +261,7 @@ class TestDemonstrationSelection:
             assert labels == {Answer.YES, Answer.NO}
 
     def test_single_label_pool_warns(self, demo_pool, caplog):
-        all_yes = [replace(i, gold_answer=Answer.YES) for i in demo_pool[:3]]
+        all_yes = [i._replace(gold_answer=Answer.YES) for i in demo_pool[:3]]
         with caplog.at_level("WARNING"):
             demos = select_demonstrations(all_yes, PromptConfig(Strategy.FEW, Modality.TEXT), seed=0)
         assert len(demos) == 3
@@ -307,7 +308,7 @@ def _pool_and_calls(draw):
     with_graph = draw(st.lists(st.booleans(), min_size=size, max_size=size))
     instances = helpers.synthetic_split(size, seed=draw(st.integers(0, 1000)), id_prefix="pool").instances
     pool = [
-        replace(instance, gold_answer=label, graph=instance.graph if graph else None)
+        instance._replace(gold_answer=label, graph=instance.graph if graph else None)
         for instance, label, graph in zip(instances, labels, with_graph)
     ]
     ids = [instance.instance_id for instance in pool]
@@ -415,9 +416,8 @@ def _prompt_case(draw):
     )
     graph = helpers.random_graph(Random(draw(st.integers(0, 10**6))), max_nodes=6, max_edges=8)
     if draw(st.booleans()):
-        graph = replace(graph, nodes=tuple(replace(node, label=node.label + " — café") for node in graph.nodes))
-    instance = replace(
-        helpers.rally_instance(),
+        graph = graph._replace(nodes=tuple(node._replace(label=node.label + " — café") for node in graph.nodes))
+    instance = helpers.rally_instance()._replace(
         passage=passage,
         question=draw(st.one_of(st.sampled_from(_SENTENCES), st.text(min_size=1, max_size=40))),
         graph=graph,
@@ -470,11 +470,11 @@ class TestComposedCounts:
 
     def test_empty_graph_keeps_its_header_and_misses_the_budget_like_reference(self, rally_instance):
         template, reference_template = _TEMPLATES[0]
-        edgeless = replace(rally_instance.graph, edges=())
+        edgeless = rally_instance.graph._replace(edges=())
         config = PromptConfig(Strategy.ZERO, Modality.GRAPH)
         record = assemble_prompt(rally_instance, config, (), verbalize_graph(edgeless), template=template)
         assert record.parts.graph_sentences == ()
-        skeleton = replace(record.parts, graph_sentences=None)
+        skeleton = record.parts._replace(graph_sentences=None)
         budget = count_tokens(helpers.render_reference(skeleton, reference_template)[0])
         outcome = _record_or_error(truncate_to_budget, record, budget, template)
         assert outcome == (BudgetError, f"budget {budget} cannot be met")
@@ -494,7 +494,7 @@ class TestComposedCounts:
 
     def test_long_passage_truncates_in_linear_time(self, rally_instance):
         passage = " ".join(f"Sentence {i} tells of the council, the storm and the harbor." for i in range(1000))
-        record = assemble_prompt(replace(rally_instance, passage=passage), PromptConfig(Strategy.ZERO, Modality.TEXT))
+        record = assemble_prompt(rally_instance._replace(passage=passage), PromptConfig(Strategy.ZERO, Modality.TEXT))
         assert record.token_count > 12_000
         started = time.perf_counter()
         truncated = truncate_to_budget(record, 100)

@@ -457,10 +457,6 @@ class BatchResult(NamedTuple):
     completed: int  # records in the manifest, resumed ones included
     failures: list[BatchFailure]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 # The fields of a prompts-manifest row that a run reads.
 _ROW_FIELDS = ("instance_id", "config", "prompt_text", "token_count", "tokenizer")
@@ -593,7 +589,16 @@ def run_batch(
             raise BackendError(
                 f"manifest {manifest_path} was produced by a different run configuration; refusing to resume"
             )
-        for record in records:
+        for number, record in enumerate(records, start=1):
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("instance_id"), str)
+                and isinstance(record.get("config"), str)
+            ):
+                raise BackendError(
+                    f"{manifest_path} row {number} is malformed: instance_id and config must be strings; "
+                    "refusing to resume"
+                )
             key = _record_key(record)
             in_order, last = in_order and key > last, key
             done.add(key)

@@ -143,7 +143,7 @@ def cmd_build(args) -> int:
 
     # Visiting instances by id and configurations by selector makes the
     # records in manifest order, so each is written as soon as it is made.
-    tallies: dict[str, list[int]] = {}  # selector -> [prompts, tokens]
+    tallies: dict[str, list[int]] = {}  # selector -> [prompts, tokens, truncated prompts]
 
     def records():
         for instance in sorted(split.instances, key=lambda i: i.instance_id):
@@ -159,15 +159,18 @@ def cmd_build(args) -> int:
                         exclude_ids={instance.instance_id},
                     )
                     record = promptkit.assemble_prompt(
-                        instance, config, demos, verbalized if config.includes_graph else None
+                        instance,
+                        config,
+                        demos,
+                        verbalized if config.includes_graph else None,
+                        budget=args.context_limit,
                     )
-                    if args.context_limit is not None:
-                        record = promptkit.truncate_to_budget(record, args.context_limit)
                 except promptkit.PromptError as exc:
                     raise CliError(f"building {config.selector} for instance {instance.instance_id!r}: {exc}") from exc
-                tally = tallies.setdefault(config.selector, [0, 0])
+                tally = tallies.setdefault(config.selector, [0, 0, 0])
                 tally[0] += 1
                 tally[1] += record.token_count
+                tally[2] += record.truncation_applied
                 yield record.to_dict()
 
     out = Path(args.out)
@@ -181,11 +184,11 @@ def cmd_build(args) -> int:
         ({"instance_id": r.instance_id, "reason": r.reason} for r in rejections),
     )
 
-    built = sum(n for n, _ in tallies.values())
+    built = sum(n for n, _, _ in tallies.values())
     print(f"built {built} prompts for {len(split.instances)} instances -> {out / PROMPTS_FILE}")
     for selector in sorted(tallies):
-        n, tokens = tallies[selector]
-        print(f"  {selector:10s} n={n:5d} mean_tokens={tokens / n:8.1f}")
+        n, tokens, truncated = tallies[selector]
+        print(f"  {selector:10s} n={n:5d} mean_tokens={tokens / n:8.1f} truncated={truncated:5d}")
     if rejections:
         print(f"  rejected {len(rejections)} records -> {out / REJECTIONS_FILE}")
     return 0

@@ -135,7 +135,7 @@ class Records:
     """The records of a manifest, streamed from the file afresh on every iteration.
 
     An iterator holds one record at a time and closes the file when it is
-    exhausted or closed. ``len()`` streams the file too.
+    exhausted or closed.
     """
 
     def __init__(self, path: Path) -> None:
@@ -146,9 +146,6 @@ class Records:
         with closing(scan):
             for _, _, record in scan:
                 yield record
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 def read_ndjson(path: str | Path) -> tuple[dict, Records]:

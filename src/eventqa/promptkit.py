@@ -258,14 +258,6 @@ class PromptTemplate:
         )
         self.instructions = instructions
 
-    @classmethod
-    def default(cls) -> "PromptTemplate":
-        # Read beside this module, not through ``importlib.resources``, which
-        # on 3.12+ imports ``inspect`` and ``tempfile`` (~20 ms) at start-up.
-        root = Path(__file__).with_name("templates")
-        skeleton = (root / "skeleton.txt").read_text(encoding="utf-8")
-        return cls(skeleton, json.loads((root / "instructions.json").read_text(encoding="utf-8")))
-
     def instruction_for(self, modality: Modality, with_examples: bool) -> str:
         table = self.instructions[modality.value]
         return table["with_examples" if with_examples else "zero"]
@@ -280,14 +272,14 @@ class PromptTemplate:
         return total
 
 
-_DEFAULT_TEMPLATE: PromptTemplate | None = None
-
-
+@lru_cache(maxsize=None)
 def default_template() -> PromptTemplate:
-    global _DEFAULT_TEMPLATE
-    if _DEFAULT_TEMPLATE is None:
-        _DEFAULT_TEMPLATE = PromptTemplate.default()
-    return _DEFAULT_TEMPLATE
+    """The shipped template, loaded once."""
+    # Read beside this module, not through ``importlib.resources``, which
+    # on 3.12+ imports ``inspect`` and ``tempfile`` (~20 ms) at start-up.
+    root = Path(__file__).with_name("templates")
+    skeleton = (root / "skeleton.txt").read_text(encoding="utf-8")
+    return PromptTemplate(skeleton, json.loads((root / "instructions.json").read_text(encoding="utf-8")))
 
 
 # --- assembly -----------------------------------------------------------------
@@ -303,9 +295,8 @@ def split_sentences(text: str) -> tuple[str, ...]:
 class PromptParts(NamedTuple):
     """The structured ingredients a prompt is rendered from.
 
-    Kept on the record so truncation can re-render from structure instead
-    of hacking at the text. Not serialized, but a field like any other: it
-    takes part in the record's ``==`` and ``repr``.
+    ``assemble_prompt`` builds them once, cuts them to the budget on counts
+    alone, and renders the kept parts; the record holds only the result.
     """
 
     instruction: str
@@ -322,7 +313,6 @@ class PromptRecord(NamedTuple):
     token_count: int
     truncation_applied: bool
     sections: dict[str, tuple[int, int]]
-    parts: PromptParts | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -432,19 +422,42 @@ def _composed_counter(parts: PromptParts, template: PromptTemplate) -> Callable[
     return count
 
 
+def _trim_sequence(lengths: _Lengths):
+    """The cuts after ``lengths`` in trim order, each one sentence or demonstration shorter than the last."""
+    n_text, n_demos, n_graph = lengths
+    while True:
+        if n_text:
+            n_text = n_text - 1 or None
+        elif n_demos:
+            n_demos -= 1
+        elif n_graph:
+            n_graph = n_graph - 1 or None
+        else:
+            return
+        yield n_text, n_demos, n_graph
+
+
 def assemble_prompt(
     instance: QAInstance,
     config: PromptConfig,
     demos: Sequence[Demonstration] = (),
     verbalized: VerbalizedGraph | None = None,
     *,
+    budget: int | None = None,
     template: PromptTemplate | None = None,
 ) -> PromptRecord:
-    """Build the full prompt for one instance under one configuration.
+    """Build the prompt for one instance under one configuration, within ``budget`` tokens if one is given.
 
     The verbalized graph must be supplied exactly when the modality includes
     the graph; demonstrations must match the configured count and modality.
     Assembly is pure: identical inputs give byte-identical prompt text.
+
+    A prompt over the budget is cut without touching instruction or
+    question. Trim priority: passage sentences from the end, then
+    demonstrations last first, then graph sentences from the end. The graph
+    is only touched once the passage is gone, so structure survives longer
+    than prose. Each cut is counted from per-part counts, so the walk is
+    linear, and the prompt is rendered once, after the cut.
     """
     template = template or default_template()
     if config.includes_graph and verbalized is None:
@@ -466,72 +479,30 @@ def assemble_prompt(
         graph_sentences=tuple(verbalized.sentences) if config.includes_graph else None,
         demos=tuple(demos),
     )
+    count = _composed_counter(parts, template)
+    lengths = _lengths(parts)
+    token_count = count(lengths)
+    truncated = budget is not None and token_count > budget
+    if truncated:
+        if count((None, 0, None)) > budget:
+            raise BudgetError(f"budget {budget} is below the prompt skeleton size")
+        for lengths in _trim_sequence(lengths):
+            token_count = count(lengths)
+            if token_count <= budget:
+                break
+        else:
+            # Reached when a passage or graph with no sentences keeps its header.
+            raise BudgetError(f"budget {budget} cannot be met")
+        parts = _cut(parts, lengths)
     prompt_text, sections = _render(parts, template)
     return PromptRecord(
         instance_id=instance.instance_id,
         config=config,
         prompt_text=prompt_text,
-        token_count=_composed_counter(parts, template)(_lengths(parts)),
-        truncation_applied=False,
+        token_count=token_count,
+        truncation_applied=truncated,
         sections=sections,
-        parts=parts,
     )
-
-
-def _trim_sequence(parts: PromptParts):
-    """The cuts of ``parts`` in trim order, each one sentence or demonstration shorter than the last."""
-    n_text, n_demos, n_graph = _lengths(parts)
-    while True:
-        if n_text:
-            n_text = n_text - 1 or None
-        elif n_demos:
-            n_demos -= 1
-        elif n_graph:
-            n_graph = n_graph - 1 or None
-        else:
-            return
-        yield n_text, n_demos, n_graph
-
-
-def truncate_to_budget(
-    record: PromptRecord,
-    budget: int,
-    *,
-    template: PromptTemplate | None = None,
-) -> PromptRecord:
-    """Shrink a prompt to the token budget without touching instruction or question.
-
-    Trim priority: passage sentences from the end, then demonstrations last
-    first, then graph sentences from the end. The graph is only touched once
-    the passage is gone, so structure survives longer than prose. Each cut
-    is counted from per-part counts, so the walk is linear, and the result
-    is rendered once.
-    """
-    if record.token_count <= budget:
-        return record
-    if record.parts is None:
-        raise PromptError("cannot truncate a record without its structured parts (truncate before serializing)")
-    template = template or default_template()
-
-    parts = record.parts
-    count = _composed_counter(parts, template)
-    if count((None, 0, None)) > budget:
-        raise BudgetError(f"budget {budget} is below the prompt skeleton size")
-
-    for lengths in _trim_sequence(parts):
-        token_count = count(lengths)
-        if token_count <= budget:
-            kept = _cut(parts, lengths)
-            prompt_text, sections = _render(kept, template)
-            return record._replace(
-                prompt_text=prompt_text,
-                token_count=token_count,
-                truncation_applied=True,
-                sections=sections,
-                parts=kept,
-            )
-    # Reached when a passage or graph with no sentences keeps its header.
-    raise BudgetError(f"budget {budget} cannot be met")
 
 
 def _trace_for(instance: QAInstance, modality: Modality) -> str:

@@ -353,19 +353,18 @@ def render_reference(parts: PromptParts, template: ReferenceTemplate) -> tuple[s
     return prompt_text, sections
 
 
-def assemble_prompt_reference(
+def prompt_parts_reference(
     instance: QAInstance,
     config: PromptConfig,
     demos: Sequence[Demonstration] = (),
     verbalized: VerbalizedGraph | None = None,
     *,
     template: ReferenceTemplate,
-) -> PromptRecord:
-    """Build the full prompt for one instance under one configuration.
+) -> PromptParts:
+    """The parts of the full prompt for one instance under one configuration.
 
     The verbalized graph must be supplied exactly when the modality includes
     the graph; demonstrations must match the configured count and modality.
-    Assembly is pure: identical inputs give byte-identical prompt text.
     """
     if config.includes_graph and verbalized is None:
         raise PromptAssemblyError(f"{config.selector} requires a verbalized graph")
@@ -379,32 +378,49 @@ def assemble_prompt_reference(
                 f"demonstration modality {demo.source_modality.value} does not match {config.selector}"
             )
 
-    parts = PromptParts(
+    return PromptParts(
         instruction=template.instruction_for(config.modality, config.includes_examples),
         question=instance.question,
         passage_sentences=split_sentences(instance.passage) if config.includes_text else None,
         graph_sentences=tuple(verbalized.sentences) if config.includes_graph else None,
         demos=tuple(demos),
     )
+
+
+def assemble_prompt_reference(
+    instance: QAInstance,
+    config: PromptConfig,
+    demos: Sequence[Demonstration] = (),
+    verbalized: VerbalizedGraph | None = None,
+    *,
+    budget: int | None = None,
+    template: ReferenceTemplate,
+) -> PromptRecord:
+    """Build the full prompt for one instance under one configuration, then truncate it to ``budget`` if one is given.
+
+    Assembly is pure: identical inputs give byte-identical prompt text.
+    """
+    parts = prompt_parts_reference(instance, config, demos, verbalized, template=template)
     prompt_text, sections = render_reference(parts, template)
-    return PromptRecord(
+    record = PromptRecord(
         instance_id=instance.instance_id,
         config=config,
         prompt_text=prompt_text,
         token_count=count_tokens(prompt_text),
         truncation_applied=False,
         sections=sections,
-        parts=parts,
     )
+    return record if budget is None else truncate_to_budget_reference(record, parts, budget, template=template)
 
 
 def truncate_to_budget_reference(
     record: PromptRecord,
+    parts: PromptParts,
     budget: int,
     *,
     template: ReferenceTemplate,
 ) -> PromptRecord:
-    """Shrink a prompt to the token budget without touching instruction or question.
+    """Shrink a prompt, rendered from ``parts``, to the token budget without touching instruction or question.
 
     Trim priority: passage sentences from the end, then demonstrations last
     first, then graph sentences from the end. The graph is only touched once
@@ -412,15 +428,12 @@ def truncate_to_budget_reference(
     """
     if record.token_count <= budget:
         return record
-    if record.parts is None:
-        raise PromptError("cannot truncate a record without its structured parts (truncate before serializing)")
 
-    skeleton = record.parts._replace(passage_sentences=None, graph_sentences=None, demos=())
+    skeleton = parts._replace(passage_sentences=None, graph_sentences=None, demos=())
     skeleton_text, _ = render_reference(skeleton, template)
     if count_tokens(skeleton_text) > budget:
         raise BudgetError(f"budget {budget} is below the prompt skeleton size")
 
-    parts = record.parts
     while True:
         if parts.passage_sentences:
             parts = parts._replace(passage_sentences=parts.passage_sentences[:-1] or None)
@@ -438,7 +451,6 @@ def truncate_to_budget_reference(
                 token_count=token_count,
                 truncation_applied=True,
                 sections=sections,
-                parts=parts,
             )
     raise BudgetError(f"budget {budget} cannot be met")  # unreachable: skeleton fits
 

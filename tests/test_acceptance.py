@@ -455,7 +455,7 @@ def test_criterion_10_replay_fixture_scores_to_precommitted_table(tmp_path):
         ["build", "--dataset", str(dataset_path), "--demo-pool", str(pool_path), "--out", str(out), "--seed", "3"]
     ) == 0
     _, prompt_rows = manifest.read_ndjson(out / "prompts.ndjson")
-    assert len(prompt_rows) == 26 * 9
+    assert len(list(prompt_rows)) == 26 * 9
 
     by_id = {inst.instance_id: inst for inst in instances}
     fixtures = {}

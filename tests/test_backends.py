@@ -432,11 +432,11 @@ class TestRunBatch:
         prompts = build_prompts(10)
         path = tmp_path / "responses.ndjson"
         result = run_batch(self._oracle_spec(), rows(prompts), path, self._header())
-        assert result.ok
+        assert not result.failures
         _, records = read_ndjson(path)
         keys = [(r["instance_id"], r["config"]) for r in records]
         assert keys == sorted(keys)
-        assert len(records) == 10
+        assert len(list(records)) == 10
 
     def test_shuffled_submission_order_gives_identical_bytes(self, tmp_path):
         prompts = build_prompts(10)
@@ -478,7 +478,7 @@ class TestRunBatch:
 
         monkeypatch.setattr(backends_module, "complete", counting_complete)
         result = run_batch(self._oracle_spec(), rows(prompts), path, header)
-        assert result.ok
+        assert not result.failures
         assert len(requested) == len(prompts) - 3
         assert path.read_bytes() == full_bytes
 
@@ -518,7 +518,7 @@ class TestRunBatch:
         fixtures_path.write_text(json.dumps({prompt_fingerprint(p.prompt_text): "no" for p in prompts}))
         spec = BackendSpec(name=kind.value, kind=kind, fixtures_path=str(fixtures_path), max_concurrency=2)
         result = run_batch(spec, rows(prompts), tmp_path / "r.ndjson", self._header())
-        assert result.ok
+        assert not result.failures
         assert result.completed == 4
 
     @pytest.mark.parametrize(

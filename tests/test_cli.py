@@ -42,14 +42,14 @@ class TestBuild:
         rc = run_cli("build", "--dataset", dataset, "--demo-pool", POOL, "--out", out)
         assert rc == 0
         _, records = manifest.read_ndjson(out / "prompts.ndjson")
-        assert len(records) == 27
+        assert len(list(records)) == 27
 
     def test_zero_text_only_sections(self, tmp_path):
         out = tmp_path / "out"
         rc = run_cli("build", "--dataset", DATASET, "--out", out, "--configs", "zero-text")
         assert rc == 0
         _, records = manifest.read_ndjson(out / "prompts.ndjson")
-        assert len(records) == 13
+        assert len(list(records)) == 13
         for row in records:
             assert sorted(row["sections"]) == ["Answer", "Instruction", "Question", "Text"]
 
@@ -139,9 +139,9 @@ class TestBuild:
         rc = run_cli("build", "--dataset", DATASET, "--out", out, "--configs", "zero-text", "--split", 5)
         assert rc == 0
         _, records = manifest.read_ndjson(out / "prompts.ndjson")
-        assert len(records) == 5
+        assert len(list(records)) == 5
 
-    def test_context_limit_truncates(self, tmp_path):
+    def test_context_limit_truncates(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = run_cli(
             "build", "--dataset", DATASET, "--out", out, "--configs", "zero-tag", "--context-limit", 60
@@ -149,7 +149,10 @@ class TestBuild:
         assert rc == 0
         _, records = manifest.read_ndjson(out / "prompts.ndjson")
         assert all(row["token_count"] <= 60 for row in records)
-        assert any(row["truncation_applied"] for row in records)
+        truncated = sum(row["truncation_applied"] for row in records)
+        assert truncated
+        (summary,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  zero-tag ")]
+        assert summary.endswith(f" truncated={truncated:5d}")
 
     def test_failed_build_leaves_no_prompts_file(self, tmp_path):
         instances = helpers.synthetic_split(3, seed=1).instances
@@ -420,6 +423,24 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "prompt row 3" in err and message in err
         assert not (built / "responses.ndjson").exists()
+
+    @pytest.mark.parametrize(
+        "row", [[1, 2], {"instance_id": 5, "config": "zero-text"}], ids=["not-an-object", "numeric-instance-id"]
+    )
+    def test_run_refuses_to_resume_over_a_malformed_response_row(self, built, capsys, monkeypatch, row):
+        assert run_cli("run", "--out", built, "--backend", "oracle") == 0
+        path = built / "responses.ndjson"
+        # Drop the last response, so a resume has a request to send, and put the malformed row in its place.
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[-1] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        spoiled = path.read_bytes()
+        sent = []
+        monkeypatch.setattr(backends, "complete", lambda spec, request: sent.append(request))
+        assert run_cli("run", "--out", built, "--backend", "oracle") == 2
+        assert f"{path} row {len(lines) - 1} is malformed" in capsys.readouterr().err
+        assert not sent
+        assert path.read_bytes() == spoiled
 
     @pytest.mark.parametrize(
         "spoil, message",

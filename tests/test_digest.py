@@ -101,7 +101,7 @@ def test_artifact_digests_are_pinned(tmp_path):
     # The corpus must exercise what the digests are meant to pin.
     _, prompts = read_ndjson(out / "prompts.ndjson")
     truncated = [row for row in prompts if row["truncation_applied"]]
-    assert 0.1 < len(truncated) / len(prompts) < 0.9
+    assert 0.1 < len(truncated) / len(list(prompts)) < 0.9
     assert any("Examples" not in row["sections"] and row["config"]["strategy"] != "zero" for row in truncated)
     assert any(not row["prompt_text"].isascii() for row in truncated)
     assert any(not row["prompt_text"].isascii() for row in prompts if not row["truncation_applied"])

@@ -15,6 +15,7 @@ from eventqa.corpus import Answer
 from eventqa.graphcore import verbalize_graph
 from eventqa.promptkit import (
     SECTION_ANSWER,
+    SECTION_EXAMPLES,
     SECTION_GRAPH,
     SECTION_INSTRUCTION,
     SECTION_QUESTION,
@@ -28,6 +29,7 @@ from eventqa.promptkit import (
     PromptAssemblyError,
     PromptConfig,
     PromptError,
+    PromptRecord,
     Strategy,
     all_configs,
     assemble_prompt,
@@ -36,7 +38,6 @@ from eventqa.promptkit import (
     parse_selector,
     select_demonstrations,
     split_sentences,
-    truncate_to_budget,
 )
 
 # Section presence by configuration: text iff modality uses the passage,
@@ -54,10 +55,16 @@ COMPONENT_MATRIX = {
 }
 
 
-def _build(instance, config, pool=None, seed=0):
+def _build(instance, config, pool=None, seed=0, budget=None):
     demos = select_demonstrations(pool or [], config, seed=seed, exclude_ids={instance.instance_id})
     verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
-    return assemble_prompt(instance, config, demos, verbalized)
+    return assemble_prompt(instance, config, demos, verbalized, budget=budget)
+
+
+def _section(record, name):
+    """The text of section ``name`` of a record's prompt, sliced by its byte span."""
+    start, end = record.sections[name]
+    return record.prompt_text.encode("utf-8")[start:end].decode("utf-8")
 
 
 @pytest.fixture
@@ -182,59 +189,72 @@ class TestAssembly:
         assert PromptConfig.from_dict(row["config"]) == record.config
         assert {name: tuple(span) for name, span in row["sections"].items()} == record.sections
         assert row["tokenizer"] == promptkit.TOKENIZER == "simple"
+        assert list(row) == [*PromptRecord._fields, "tokenizer"]  # the record holds exactly what it writes
 
 
 class TestTruncation:
     def test_within_budget_is_identity(self, rally_instance):
         record = _build(rally_instance, PromptConfig(Strategy.ZERO, Modality.TAG))
-        assert truncate_to_budget(record, record.token_count) is record
+        assert _build(rally_instance, PromptConfig(Strategy.ZERO, Modality.TAG), budget=record.token_count) == record
+        assert not record.truncation_applied
 
     def test_drops_final_passage_sentence_first(self, rally_instance):
-        record = _build(rally_instance, PromptConfig(Strategy.ZERO, Modality.TAG))
+        config = PromptConfig(Strategy.ZERO, Modality.TAG)
+        record = _build(rally_instance, config)
         sentences = split_sentences(rally_instance.passage)
         # Derived expectation: dropping the final sentence (and its joining
         # space) removes exactly that sentence's tokens.
         last_tokens = count_tokens(sentences[-1])
-        truncated = truncate_to_budget(record, record.token_count - 1)
+        truncated = _build(rally_instance, config, budget=record.token_count - 1)
         assert truncated.token_count == record.token_count - last_tokens
         assert truncated.truncation_applied
-        graph_span = truncated.sections[SECTION_GRAPH]
-        original_span = record.sections[SECTION_GRAPH]
-        data, original_data = truncated.prompt_text.encode(), record.prompt_text.encode()
-        assert data[graph_span[0] : graph_span[1]] == original_data[original_span[0] : original_span[1]]
+        assert _section(truncated, SECTION_GRAPH) == _section(record, SECTION_GRAPH)
 
     def test_graph_only_prompt_trims_graph_keeps_question(self, rally_instance):
-        record = _build(rally_instance, PromptConfig(Strategy.ZERO, Modality.GRAPH))
-        truncated = truncate_to_budget(record, record.token_count - 1)
+        config = PromptConfig(Strategy.ZERO, Modality.GRAPH)
+        record = _build(rally_instance, config)
+        truncated = _build(rally_instance, config, budget=record.token_count - 1)
         assert SECTION_QUESTION in truncated.sections
         assert rally_instance.question in truncated.prompt_text
         assert truncated.token_count <= record.token_count - 1
 
     def test_passage_exhausted_before_graph_touched(self, rally_instance, demo_pool):
-        record = _build(rally_instance, PromptConfig(Strategy.FEW, Modality.TAG), demo_pool)
-        graph_tokens = count_tokens("\n".join(record.parts.graph_sentences))
-        skeleton_floor = record.token_count - count_tokens(rally_instance.passage) - 200
-        truncated = truncate_to_budget(record, max(graph_tokens + 40, 60))
+        config = PromptConfig(Strategy.FEW, Modality.TAG)
+        record = _build(rally_instance, config, demo_pool)
+        graph = _section(record, SECTION_GRAPH)
+        truncated = _build(rally_instance, config, demo_pool, budget=max(count_tokens(graph) + 40, 60))
         # The graph only shrinks once the passage and demos are gone.
-        if truncated.parts.graph_sentences != record.parts.graph_sentences:
-            assert truncated.parts.passage_sentences is None
-            assert truncated.parts.demos == ()
-        assert skeleton_floor < record.token_count  # sanity on the fixture
+        assert _section(truncated, SECTION_GRAPH) != graph
+        assert SECTION_TEXT not in truncated.sections
+        assert SECTION_EXAMPLES not in truncated.sections
 
     def test_truncation_never_raises_count(self, rally_instance, demo_pool):
-        from eventqa.promptkit import _render, default_template
-
-        record = _build(rally_instance, PromptConfig(Strategy.COT, Modality.TAG), demo_pool)
-        skeleton = record.parts._replace(passage_sentences=None, graph_sentences=None, demos=())
-        floor = count_tokens(_render(skeleton, default_template())[0])
+        config = PromptConfig(Strategy.COT, Modality.TAG)
+        record = _build(rally_instance, config, demo_pool)
+        _, reference_template = _TEMPLATES[0]
+        demos = select_demonstrations(demo_pool, config, seed=0, exclude_ids={rally_instance.instance_id})
+        parts = helpers.prompt_parts_reference(
+            rally_instance, config, demos, verbalize_graph(rally_instance.graph), template=reference_template
+        )
+        skeleton = parts._replace(passage_sentences=None, graph_sentences=None, demos=())
+        floor = count_tokens(helpers.render_reference(skeleton, reference_template)[0])
         for budget in range(record.token_count, floor, -7):
-            truncated = truncate_to_budget(record, budget)
+            truncated = _build(rally_instance, config, demo_pool, budget=budget)
             assert truncated.token_count <= budget
 
     def test_budget_below_skeleton_fails(self, rally_instance):
-        record = _build(rally_instance, PromptConfig(Strategy.ZERO, Modality.TEXT))
-        with pytest.raises(BudgetError):
-            truncate_to_budget(record, 5)
+        with pytest.raises(BudgetError, match="below the prompt skeleton size"):
+            _build(rally_instance, PromptConfig(Strategy.ZERO, Modality.TEXT), budget=5)
+
+    def test_truncated_prompt_is_rendered_once(self, rally_instance, demo_pool, monkeypatch):
+        config = PromptConfig(Strategy.COT, Modality.TAG)
+        record = _build(rally_instance, config, demo_pool)
+        rendered = []
+        original = promptkit._render
+        monkeypatch.setattr(promptkit, "_render", lambda *args: rendered.append(args) or original(*args))
+        truncated = _build(rally_instance, config, demo_pool, budget=record.token_count // 2)
+        assert truncated.truncation_applied
+        assert len(rendered) == 1
 
 
 class TestDemonstrationSelection:
@@ -436,12 +456,12 @@ def _prompt_case(draw):
     return instance, config, demos, template, reference_template
 
 
-def _record_or_error(truncate, record, budget, template):
+def _record_or_error(assemble, instance, config, demos, verbalized, budget, template):
     try:
-        result = truncate(record, budget, template=template)
+        result = assemble(instance, config, demos, verbalized, budget=budget, template=template)
     except BudgetError as exc:
         return BudgetError, str(exc)
-    return result.to_dict(), result.parts
+    return result.to_dict()
 
 
 class TestComposedCounts:
@@ -461,24 +481,27 @@ class TestComposedCounts:
         expected = helpers.assemble_prompt_reference(instance, config, demos, verbalized, template=reference_template)
         record = assemble_prompt(instance, config, demos, verbalized, template=template)
         assert record.to_dict() == expected.to_dict()
-        assert record.parts == expected.parts
 
         budget = data.draw(st.integers(0, expected.token_count + 2), label="budget")
-        assert _record_or_error(truncate_to_budget, record, budget, template) == _record_or_error(
-            helpers.truncate_to_budget_reference, expected, budget, reference_template
+        case = instance, config, demos, verbalized, budget
+        assert _record_or_error(assemble_prompt, *case, template) == _record_or_error(
+            helpers.assemble_prompt_reference, *case, reference_template
         )
 
     def test_empty_graph_keeps_its_header_and_misses_the_budget_like_reference(self, rally_instance):
         template, reference_template = _TEMPLATES[0]
         edgeless = rally_instance.graph._replace(edges=())
         config = PromptConfig(Strategy.ZERO, Modality.GRAPH)
-        record = assemble_prompt(rally_instance, config, (), verbalize_graph(edgeless), template=template)
-        assert record.parts.graph_sentences == ()
-        skeleton = record.parts._replace(graph_sentences=None)
+        parts = helpers.prompt_parts_reference(
+            rally_instance, config, (), verbalize_graph(edgeless), template=reference_template
+        )
+        assert parts.graph_sentences == ()
+        skeleton = parts._replace(graph_sentences=None)
         budget = count_tokens(helpers.render_reference(skeleton, reference_template)[0])
-        outcome = _record_or_error(truncate_to_budget, record, budget, template)
+        case = rally_instance, config, (), verbalize_graph(edgeless), budget
+        outcome = _record_or_error(assemble_prompt, *case, template)
         assert outcome == (BudgetError, f"budget {budget} cannot be met")
-        assert outcome == _record_or_error(helpers.truncate_to_budget_reference, record, budget, reference_template)
+        assert outcome == _record_or_error(helpers.assemble_prompt_reference, *case, reference_template)
 
     def test_simple_counts_are_composed_without_a_full_count(self, rally_instance, demo_pool, monkeypatch):
         counted = []
@@ -487,16 +510,16 @@ class TestComposedCounts:
         promptkit._part_counts.cache_clear()
         config = PromptConfig(Strategy.COT, Modality.TAG)
         record = _build(rally_instance, config, demo_pool)
-        truncated = truncate_to_budget(record, record.token_count // 2)
+        truncated = _build(rally_instance, config, demo_pool, budget=record.token_count // 2)
         assert truncated.truncation_applied
         assert counted
         assert not [text for text in counted if "\n\n" in text]  # parts are counted, never a rendered prompt
 
     def test_long_passage_truncates_in_linear_time(self, rally_instance):
         passage = " ".join(f"Sentence {i} tells of the council, the storm and the harbor." for i in range(1000))
-        record = assemble_prompt(rally_instance._replace(passage=passage), PromptConfig(Strategy.ZERO, Modality.TEXT))
-        assert record.token_count > 12_000
+        instance, config = rally_instance._replace(passage=passage), PromptConfig(Strategy.ZERO, Modality.TEXT)
+        assert assemble_prompt(instance, config).token_count > 12_000
         started = time.perf_counter()
-        truncated = truncate_to_budget(record, 100)
+        truncated = assemble_prompt(instance, config, budget=100)
         assert time.perf_counter() - started < 0.1
         assert truncated.token_count <= 100 and truncated.token_count == count_tokens(truncated.prompt_text)

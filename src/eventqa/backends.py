@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from . import EventQAError, manifest
-from .corpus import Answer
 from .graphcore import (
     CausalGraph,
     QueryKind,
@@ -40,7 +39,8 @@ from .graphcore import (
     graph_from_sentences,
     oracle_answer,
 )
-from .promptkit import TOKENIZER, PromptConfig, count_tokens, output_budget
+from .promptkit import TOKENIZER, count_tokens
+from .vocab import Answer, PromptConfig, output_budget
 
 logger = logging.getLogger(__name__)
 

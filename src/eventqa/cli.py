@@ -27,11 +27,10 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from . import EventQAError, corpus, manifest, promptkit
-from .graphcore import verbalize_graph
+from . import EventQAError, manifest, vocab
 
 if TYPE_CHECKING:
-    from . import backends
+    from . import backends, corpus
 
 PROMPTS_FILE = "prompts.ndjson"
 RESPONSES_FILE = "responses.ndjson"
@@ -41,6 +40,14 @@ REJECTIONS_FILE = "rejections.ndjson"
 
 class CliError(EventQAError):
     pass
+
+
+def __getattr__(name: str):
+    """``cli.verbalize_graph`` is the graph verbalizer, bound on first use so that no stage loads graphcore early."""
+    if name != "verbalize_graph":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .graphcore import verbalize_graph
+    return verbalize_graph
 
 
 def _read_rows(path: Path, rows: Iterable, read: Callable) -> Iterator:
@@ -78,10 +85,10 @@ def _derived_seed(seed: int, *parts: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _parse_configs(raw: str) -> list[promptkit.PromptConfig]:
+def _parse_configs(raw: str) -> list[vocab.PromptConfig]:
     if raw.strip().lower() == "all":
-        return list(promptkit.all_configs())
-    configs = [promptkit.parse_selector(part) for part in raw.split(",") if part.strip()]
+        return list(vocab.all_configs())
+    configs = [vocab.parse_selector(part) for part in raw.split(",") if part.strip()]
     if not configs:
         raise CliError(f"no configurations selected by {raw!r}")
     selectors = [config.selector for config in configs]
@@ -92,11 +99,15 @@ def _parse_configs(raw: str) -> list[promptkit.PromptConfig]:
 
 
 def _load(args, path: str) -> corpus.LoadResult:
+    from . import corpus
+
     schema = corpus.load_schema(args.schema) if args.schema else None
-    return corpus.load_dataset(path, schema, strict=args.strict, graph_kind=corpus.GraphKind(args.graph_kind))
+    return corpus.load_dataset(path, schema, strict=args.strict, graph_kind=vocab.GraphKind(args.graph_kind))
 
 
 def _load_split(args) -> tuple[corpus.DatasetSplit, tuple[corpus.RejectedRecord, ...]]:
+    from . import corpus
+
     result = _load(args, args.dataset)
     split = result.split
     if not split.instances:
@@ -115,6 +126,8 @@ def _load_split(args) -> tuple[corpus.DatasetSplit, tuple[corpus.RejectedRecord,
 
 
 def cmd_build(args) -> int:
+    from . import graphcore, promptkit
+
     configs = _parse_configs(args.configs)
     split, rejections = _load_split(args)
 
@@ -147,7 +160,7 @@ def cmd_build(args) -> int:
 
     def records():
         for instance in sorted(split.instances, key=lambda i: i.instance_id):
-            verbalized = verbalize_graph(instance.graph) if instance.graph is not None else None
+            verbalized = graphcore.verbalize_graph(instance.graph) if instance.graph is not None else None
             for config in sorted(configs, key=lambda c: c.selector):
                 if config.includes_graph and verbalized is None:
                     raise CliError(f"instance {instance.instance_id!r} has no graph but {config.selector} needs one")
@@ -229,7 +242,7 @@ def _resolve_backend(args) -> backends.BackendSpec:
 
 
 def cmd_run(args) -> int:
-    from . import backends
+    from . import backends, promptkit
 
     out = Path(args.out)
     prompts_header, prompt_rows = manifest.read_ndjson(out / PROMPTS_FILE)
@@ -266,8 +279,15 @@ def cmd_score(args) -> int:
 
     out = Path(args.out)
     responses_header, response_rows = manifest.read_ndjson(out / RESPONSES_FILE)
-    split, _ = _load_split(args)
-    by_id = {instance.instance_id: instance for instance in split.instances}
+    schema = vocab.DEFAULT_SCHEMA
+    if args.schema:
+        from . import corpus
+
+        schema = corpus.load_schema(args.schema)
+    try:
+        labels = vocab.read_labels(args.dataset, schema)
+    except OSError as exc:
+        raise CliError(f"cannot read dataset {args.dataset}: {exc.strerror or exc}") from None
 
     config_payload = {"stage": "score", "responses_hash": responses_header["config_hash"]}
     header = manifest.make_header("score", args.seed, config_payload)
@@ -279,19 +299,19 @@ def cmd_score(args) -> int:
     in_order = True
 
     def predict(row) -> evalkit.PredictionRecord:
-        instance = by_id.get(row["instance_id"])
-        if instance is None:
-            raise CliError(f"response for unknown instance {row['instance_id']!r}; wrong --dataset or --split?")
+        label = labels.get(row["instance_id"])
+        if label is None:
+            raise CliError(f"response for unknown instance {row['instance_id']!r}: no single gold label in --dataset")
         for name in ("backend", "raw_text"):
             if not isinstance(row[name], str):
                 raise TypeError(f"{name} must be a string, got {row[name]!r}")
         return evalkit.PredictionRecord(
             instance_id=row["instance_id"],
-            config=promptkit.parse_selector(row["config"]),
+            config=vocab.parse_selector(row["config"]),
             backend=row["backend"],
             extracted=extract.extract_answer(row["raw_text"]),
-            gold=instance.gold_answer,
-            category=instance.category,
+            gold=label[0],
+            category=label[1],
         )
 
     def predictions():
@@ -343,14 +363,14 @@ def cmd_cost(args) -> int:
     prompts_header, prompt_rows = manifest.read_ndjson(out / PROMPTS_FILE)
     pricing = costmodel.load_pricing(args.pricing or _default_pricing_path())
 
-    def strategy_and_tokens(row) -> tuple[promptkit.Strategy, int]:
+    def strategy_and_tokens(row) -> tuple[vocab.Strategy, int]:
         tokens = row["token_count"]
         if isinstance(tokens, bool) or not isinstance(tokens, int) or tokens < 0:
             raise ValueError(f"token_count must be a non-negative integer, got {tokens!r}")
-        return promptkit.PromptConfig.from_dict(row["config"]).strategy, tokens
+        return vocab.PromptConfig.from_dict(row["config"]).strategy, tokens
 
     # (prompts, input tokens) per strategy, in first-seen order.
-    tallies: dict[promptkit.Strategy, list[int]] = {}
+    tallies: dict[vocab.Strategy, list[int]] = {}
     for strategy, tokens in _read_rows(out / PROMPTS_FILE, prompt_rows, strategy_and_tokens):
         tally = tallies.setdefault(strategy, [0, 0])
         tally[0] += 1
@@ -368,7 +388,7 @@ def cmd_cost(args) -> int:
         total = Decimal(0)
         input_tokens = output_tokens = 0
         for strategy, (prompts, tokens) in tallies.items():
-            budget = promptkit.output_budget(strategy)
+            budget = vocab.output_budget(strategy)
             part = costmodel.project_run_cost(prompts, tokens, budget, args.model, pricing)
             total += part.total_cost
             input_tokens += part.input_tokens
@@ -388,14 +408,6 @@ def cmd_cost(args) -> int:
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", required=True, help="newline-delimited JSON dataset file")
     parser.add_argument("--schema", help="schema descriptor file remapping dataset field names")
-    parser.add_argument("--split", default=corpus.FULL, help="'full', 'small' (1024), or an integer sample size")
-    parser.add_argument("--strict", action="store_true", help="abort on the first malformed record")
-    parser.add_argument(
-        "--graph-kind",
-        choices=[kind.value for kind in corpus.GraphKind],
-        default=corpus.GraphKind.INSTANCE.value,
-        help="which graph to use when an instance carries several",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,6 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="assemble prompts for the selected configurations")
     _add_dataset_flags(p_build)
+    p_build.add_argument("--split", default="full", help="'full', 'small' (1024), or an integer sample size")
+    p_build.add_argument("--strict", action="store_true", help="abort on the first malformed record")
+    p_build.add_argument(
+        "--graph-kind",
+        choices=[kind.value for kind in vocab.GraphKind],
+        default=vocab.GraphKind.INSTANCE.value,
+        help="which graph to use when an instance carries several",
+    )
     p_build.add_argument("--out", required=True, help="output directory for pipeline artifacts")
     p_build.add_argument("--configs", default="all", help="'all' or comma list like zero-text,cot-tag")
     p_build.add_argument("--seed", type=int, default=0)

@@ -17,6 +17,7 @@ from random import Random
 from typing import NamedTuple, Sequence
 
 from . import EventQAError
+from .vocab import DEFAULT_SCHEMA, Answer, GraphKind, QuestionCategory, read_label
 
 logger = logging.getLogger(__name__)
 
@@ -40,37 +41,6 @@ class SamplingError(CorpusError):
 class Relation(str, Enum):
     ENABLES = "enables"
     BLOCKS = "blocks"
-
-
-class GraphKind(str, Enum):
-    INSTANCE = "instance"
-    SCHEMA = "schema"
-
-
-class Answer(str, Enum):
-    YES = "yes"
-    NO = "no"
-
-
-class QuestionCategory(str, Enum):
-    """The 13 semantic question categories used for per-cluster scoring."""
-
-    CAUSAL = "causal"
-    COUNTERFACTUAL = "counterfactual"
-    EVENT = "event"
-    EXISTENTIAL = "existential"
-    FUTURE = "future"
-    NEGATIVE = "negative"
-    OCCURRENCE = "occurrence"
-    PAST = "past"
-    POSITIVE = "positive"
-    POSSIBLE = "possible"
-    PRESENT = "present"
-    TEMPORAL_CONFLICT = "temporal_conflict"
-    UNKNOWN = "unknown"
-
-
-ALL_CATEGORIES: tuple[QuestionCategory, ...] = tuple(QuestionCategory)
 
 
 def _check_unicode(text: str, what: str) -> None:
@@ -176,21 +146,6 @@ class LoadResult(NamedTuple):
     rejections: tuple[RejectedRecord, ...]
 
 
-# Canonical field names; a schema descriptor overrides any subset of these
-# with the names used by a particular dump.
-DEFAULT_SCHEMA: dict = {
-    "instance_id": "instance_id",
-    "passage": "passage",
-    "question": "question",
-    "answer": "answer",
-    "category": "category",
-    "graphs": "graphs",
-    "graph_fields": {"graph_id": "graph_id", "kind": "kind", "nodes": "nodes", "edges": "edges"},
-    "node_fields": {"id": "id", "label": "label"},
-    "edge_fields": {"source": "source", "target": "target", "relation": "relation"},
-}
-
-
 def load_schema(path: str | Path) -> dict:
     """Read a schema descriptor file and merge it over the defaults; a bad file raises ``DatasetFormatError``."""
     try:
@@ -277,21 +232,7 @@ def _select_graph(graphs: Sequence[CausalGraph], preferred: GraphKind) -> Causal
 
 
 def _parse_instance(raw: dict, schema: dict, graph_kind: GraphKind) -> QAInstance:
-    answer_raw = str(raw.get(schema["answer"], "")).lower()
-    try:
-        answer = Answer(answer_raw)
-    except ValueError:
-        raise ValueError(f"gold answer must be yes or no, got {answer_raw!r}") from None
-
-    category_raw = raw.get(schema["category"])
-    if category_raw is None or category_raw == "":
-        category = QuestionCategory.UNKNOWN
-    else:
-        try:
-            category = QuestionCategory(str(category_raw).lower())
-        except ValueError:
-            raise ValueError(f"unrecognized category {category_raw!r}") from None
-
+    answer, category = read_label(raw, schema)
     graphs = [_parse_graph(g, schema) for g in _json_objects(raw.get(schema["graphs"], []), "graph")]
     instance = QAInstance(
         instance_id=str(raw.get(schema["instance_id"], "")),

@@ -16,10 +16,9 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from . import EventQAError
-from .corpus import ALL_CATEGORIES, Answer, QuestionCategory
 from .extract import ExtractedAnswer, ExtractedLabel
 from .manifest import HEADER_KEY, csv_header_line
-from .promptkit import Modality, PromptConfig, Strategy
+from .vocab import ALL_CATEGORIES, Answer, Modality, PromptConfig, QuestionCategory, Strategy
 
 
 class ScoringError(EventQAError):
@@ -73,7 +72,7 @@ class PredictionRecord(NamedTuple):
         for name in ("instance_id", "backend"):
             if not isinstance(raw[name], str):
                 raise TypeError(f"{name} must be a string, got {raw[name]!r}")
-        return cls(
+        record = cls(
             instance_id=raw["instance_id"],
             config=PromptConfig.from_dict(raw["config"]),
             backend=raw["backend"],
@@ -81,6 +80,10 @@ class PredictionRecord(NamedTuple):
             gold=Answer(raw["gold"]),
             category=QuestionCategory(raw["category"]),
         )
+        # Derived from the two labels and written for readers; a row that disagrees was edited.
+        if raw["correct"] is not record.correct:
+            raise ValueError(f"correct must be {record.correct}, from extracted and gold, got {raw['correct']!r}")
+        return record
 
 
 class CellStats:

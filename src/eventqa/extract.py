@@ -44,6 +44,8 @@ class ExtractedAnswer(NamedTuple):
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExtractedAnswer":
+        if not isinstance(raw, dict):
+            raise TypeError(f"extracted must be a JSON object, got {raw!r}")
         span = raw.get("matched_span")
         return cls(
             answer=ExtractedLabel(raw["answer"]),

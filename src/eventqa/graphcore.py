@@ -20,7 +20,8 @@ from collections import defaultdict
 from enum import Enum
 from typing import NamedTuple
 
-from .corpus import Answer, CausalEdge, CausalGraph, EventNode, GraphKind, Relation
+from .corpus import CausalEdge, CausalGraph, EventNode, Relation
+from .vocab import Answer, GraphKind
 
 
 class GraphQueryError(Exception):

@@ -23,16 +23,15 @@ import json
 import logging
 import re
 from collections import namedtuple
-from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from pathlib import Path
 from random import Random
 from typing import Callable, Collection, NamedTuple, Sequence
 
-from . import EventQAError
-from .corpus import Answer, QAInstance
+from .corpus import QAInstance
 from .graphcore import VerbalizedGraph, verbalize_graph
+from .vocab import Answer, Modality, PromptConfig, PromptError
 
 logger = logging.getLogger(__name__)
 
@@ -42,12 +41,6 @@ SECTION_GRAPH = "Graph"
 SECTION_EXAMPLES = "Examples"
 SECTION_QUESTION = "Question"
 SECTION_ANSWER = "Answer"
-
-DEFAULT_DEMO_COUNT = 3
-
-
-class PromptError(EventQAError):
-    """Base class for prompt-stage failures."""
 
 
 class PromptAssemblyError(PromptError):
@@ -62,102 +55,9 @@ class InsufficientPoolError(PromptError):
     pass
 
 
-class Strategy(str, Enum):
-    ZERO = "zero"
-    FEW = "few"
-    COT = "cot"
-
-
-# Answer budget: a handful of tokens for bare labels, headroom for traces.
-OUTPUT_BUDGETS = {Strategy.ZERO: 8, Strategy.FEW: 8, Strategy.COT: 256}
-
-
-def output_budget(strategy: Strategy) -> int:
-    return OUTPUT_BUDGETS[strategy]
-
-
-class Modality(str, Enum):
-    TEXT = "text"
-    GRAPH = "graph"
-    TAG = "tag"
-
-
 def canonical_answer_sentence(answer: Answer) -> str:
     """The closing sentence a reasoning trace must end with."""
     return f"Therefore, the final answer is: {answer.value}"
-
-
-class PromptConfig(namedtuple("PromptConfig", "strategy modality demo_count")):
-    """One cell of the strategy x modality matrix: a ``Strategy``, a ``Modality`` and a demonstration count."""
-
-    def __new__(cls, strategy: Strategy, modality: Modality, demo_count: int = -1) -> "PromptConfig":
-        if demo_count == -1:  # the default for the strategy
-            demo_count = 0 if strategy is Strategy.ZERO else DEFAULT_DEMO_COUNT
-        if (demo_count == 0) != (strategy is Strategy.ZERO):
-            raise ValueError("demo_count must be 0 exactly for the zero-shot strategy")
-        if demo_count < 0:
-            raise ValueError("demo_count must be non-negative")
-        return super().__new__(cls, strategy, modality, demo_count)
-
-    @cached_property
-    def selector(self) -> str:
-        return f"{self.strategy.value}-{self.modality.value}"
-
-    @property
-    def include_reasoning_traces(self) -> bool:
-        return self.strategy is Strategy.COT
-
-    @property
-    def includes_text(self) -> bool:
-        return self.modality in (Modality.TEXT, Modality.TAG)
-
-    @property
-    def includes_graph(self) -> bool:
-        return self.modality in (Modality.GRAPH, Modality.TAG)
-
-    @property
-    def includes_examples(self) -> bool:
-        return self.strategy in (Strategy.FEW, Strategy.COT)
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "modality": self.modality.value,
-            "demo_count": self.demo_count,
-            "include_reasoning_traces": self.include_reasoning_traces,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PromptConfig":
-        demo_count = raw["demo_count"]
-        if isinstance(demo_count, bool) or not isinstance(demo_count, int):
-            raise TypeError(f"demo_count must be an integer, got {demo_count!r}")
-        return _config(raw["strategy"], raw["modality"], demo_count)
-
-
-# Every record of a manifest names one of a few configurations; each is
-# built once and shared, which is safe because a config is frozen.
-@lru_cache(maxsize=64)
-def _config(strategy: str, modality: str, demo_count: int) -> PromptConfig:
-    return PromptConfig(Strategy(strategy), Modality(modality), demo_count)
-
-
-_MODALITY_ALIASES = {"text": Modality.TEXT, "graph": Modality.GRAPH, "graphs": Modality.GRAPH, "tag": Modality.TAG}
-
-
-@lru_cache(maxsize=64)
-def parse_selector(selector: str) -> PromptConfig:
-    """Parse a ``strategy-modality`` name like ``cot-tag`` into a config, shared by every parse of that name."""
-    try:
-        strategy_raw, modality_raw = selector.strip().lower().split("-", 1)
-        return PromptConfig(strategy=Strategy(strategy_raw), modality=_MODALITY_ALIASES[modality_raw])
-    except (ValueError, KeyError):
-        raise PromptError(f"unknown configuration selector {selector!r}") from None
-
-
-def all_configs() -> tuple[PromptConfig, ...]:
-    """All nine configurations, strategies outer, modalities inner."""
-    return tuple(PromptConfig(strategy=s, modality=m) for s in Strategy for m in Modality)
 
 
 class Demonstration(namedtuple("Demonstration", "question answer source_modality reasoning_trace", defaults=[None])):

@@ -1,0 +1,199 @@
+"""Labels, categories and configurations shared by every stage: a leaf, so ``score`` loads no graph or prompt code."""
+
+from __future__ import annotations
+
+import json
+from collections import namedtuple
+from enum import Enum
+from functools import cached_property, lru_cache
+from pathlib import Path
+
+from . import EventQAError
+
+
+class Answer(str, Enum):
+    YES = "yes"
+    NO = "no"
+
+
+class QuestionCategory(str, Enum):
+    """The 13 semantic question categories used for per-cluster scoring."""
+
+    CAUSAL = "causal"
+    COUNTERFACTUAL = "counterfactual"
+    EVENT = "event"
+    EXISTENTIAL = "existential"
+    FUTURE = "future"
+    NEGATIVE = "negative"
+    OCCURRENCE = "occurrence"
+    PAST = "past"
+    POSITIVE = "positive"
+    POSSIBLE = "possible"
+    PRESENT = "present"
+    TEMPORAL_CONFLICT = "temporal_conflict"
+    UNKNOWN = "unknown"
+
+
+ALL_CATEGORIES: tuple[QuestionCategory, ...] = tuple(QuestionCategory)
+
+
+class GraphKind(str, Enum):
+    INSTANCE = "instance"
+    SCHEMA = "schema"
+
+
+# Canonical field names; a schema descriptor overrides any subset of these
+# with the names used by a particular dump.
+DEFAULT_SCHEMA: dict = {
+    "instance_id": "instance_id",
+    "passage": "passage",
+    "question": "question",
+    "answer": "answer",
+    "category": "category",
+    "graphs": "graphs",
+    "graph_fields": {"graph_id": "graph_id", "kind": "kind", "nodes": "nodes", "edges": "edges"},
+    "node_fields": {"id": "id", "label": "label"},
+    "edge_fields": {"source": "source", "target": "target", "relation": "relation"},
+}
+
+Label = tuple[Answer, QuestionCategory]
+
+
+def read_label(raw: dict, schema: dict) -> Label:
+    """The gold answer and category of a raw dataset record; ``ValueError`` if either does not parse."""
+    answer_raw = str(raw.get(schema["answer"], "")).lower()
+    try:
+        answer = Answer(answer_raw)
+    except ValueError:
+        raise ValueError(f"gold answer must be yes or no, got {answer_raw!r}") from None
+    category_raw = raw.get(schema["category"])
+    if category_raw is None or category_raw == "":
+        return answer, QuestionCategory.UNKNOWN
+    try:
+        return answer, QuestionCategory(str(category_raw).lower())
+    except ValueError:
+        raise ValueError(f"unrecognized category {category_raw!r}") from None
+
+
+def read_labels(path: str | Path, schema: dict = DEFAULT_SCHEMA) -> dict[str, Label | None]:
+    """instance_id -> ``read_label`` of each dataset record, in one pass that parses no graph.
+
+    A record that is no JSON object, or whose label does not parse, gives none. An id that two records label
+    differently maps to None, as only ``corpus.load_dataset``, which parses graphs, can tell which one it keeps.
+    """
+    labels: dict[str, Label | None] = {}
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for line in handle:
+            try:
+                raw = json.loads(line.strip())  # a blank line fails here too
+                if not isinstance(raw, dict):
+                    continue
+                label = read_label(raw, schema)
+            except (ValueError, RecursionError):  # RecursionError: JSON nested too deep
+                continue
+            instance_id = str(raw.get(schema["instance_id"], ""))
+            if labels.setdefault(instance_id, label) != label:
+                labels[instance_id] = None
+    return labels
+
+
+DEFAULT_DEMO_COUNT = 3
+
+
+class PromptError(EventQAError):
+    """Base class for prompt-stage failures."""
+
+
+class Strategy(str, Enum):
+    ZERO = "zero"
+    FEW = "few"
+    COT = "cot"
+
+
+# Answer budget: a handful of tokens for bare labels, headroom for traces.
+OUTPUT_BUDGETS = {Strategy.ZERO: 8, Strategy.FEW: 8, Strategy.COT: 256}
+
+
+def output_budget(strategy: Strategy) -> int:
+    return OUTPUT_BUDGETS[strategy]
+
+
+class Modality(str, Enum):
+    TEXT = "text"
+    GRAPH = "graph"
+    TAG = "tag"
+
+
+class PromptConfig(namedtuple("PromptConfig", "strategy modality demo_count")):
+    """One cell of the strategy x modality matrix: a ``Strategy``, a ``Modality`` and a demonstration count."""
+
+    def __new__(cls, strategy: Strategy, modality: Modality, demo_count: int = -1) -> "PromptConfig":
+        if demo_count == -1:  # the default for the strategy
+            demo_count = 0 if strategy is Strategy.ZERO else DEFAULT_DEMO_COUNT
+        if (demo_count == 0) != (strategy is Strategy.ZERO):
+            raise ValueError("demo_count must be 0 exactly for the zero-shot strategy")
+        if demo_count < 0:
+            raise ValueError("demo_count must be non-negative")
+        return super().__new__(cls, strategy, modality, demo_count)
+
+    @cached_property
+    def selector(self) -> str:
+        return f"{self.strategy.value}-{self.modality.value}"
+
+    @property
+    def include_reasoning_traces(self) -> bool:
+        return self.strategy is Strategy.COT
+
+    @property
+    def includes_text(self) -> bool:
+        return self.modality in (Modality.TEXT, Modality.TAG)
+
+    @property
+    def includes_graph(self) -> bool:
+        return self.modality in (Modality.GRAPH, Modality.TAG)
+
+    @property
+    def includes_examples(self) -> bool:
+        return self.strategy in (Strategy.FEW, Strategy.COT)
+
+    def to_dict(self) -> dict:
+        return {
+            "strategy": self.strategy.value,
+            "modality": self.modality.value,
+            "demo_count": self.demo_count,
+            "include_reasoning_traces": self.include_reasoning_traces,
+        }
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "PromptConfig":
+        demo_count = raw["demo_count"]
+        if isinstance(demo_count, bool) or not isinstance(demo_count, int):
+            raise TypeError(f"demo_count must be an integer, got {demo_count!r}")
+        return _config(raw["strategy"], raw["modality"], demo_count)
+
+
+# Every record of a manifest names one of a few configurations; each is
+# built once and shared, which is safe because a config is frozen.
+@lru_cache(maxsize=64)
+def _config(strategy: str, modality: str, demo_count: int) -> PromptConfig:
+    return PromptConfig(Strategy(strategy), Modality(modality), demo_count)
+
+
+_MODALITY_ALIASES = {"text": Modality.TEXT, "graph": Modality.GRAPH, "graphs": Modality.GRAPH, "tag": Modality.TAG}
+
+
+@lru_cache(maxsize=64)
+def parse_selector(selector: str) -> PromptConfig:
+    """Parse a ``strategy-modality`` name like ``cot-tag`` into a config, shared by every parse of that name."""
+    if not isinstance(selector, str):
+        raise TypeError(f"configuration selector must be a string, got {selector!r}")
+    try:
+        strategy_raw, modality_raw = selector.strip().lower().split("-", 1)
+        return PromptConfig(strategy=Strategy(strategy_raw), modality=_MODALITY_ALIASES[modality_raw])
+    except (ValueError, KeyError):
+        raise PromptError(f"unknown configuration selector {selector!r}") from None
+
+
+def all_configs() -> tuple[PromptConfig, ...]:
+    """All nine configurations, strategies outer, modalities inner."""
+    return tuple(PromptConfig(strategy=s, modality=m) for s in Strategy for m in Modality)

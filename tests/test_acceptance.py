@@ -35,14 +35,8 @@ from eventqa.corpus import Answer, DatasetSplit, QuestionCategory, stratified_sa
 from eventqa.costmodel import estimate_cost, project_run_cost
 from eventqa.extract import ExtractedLabel, ExtractionMethod, extract_answer
 from eventqa.graphcore import graph_from_sentences, topological_order, verbalize_graph
-from eventqa.promptkit import (
-    Modality,
-    PromptConfig,
-    Strategy,
-    all_configs,
-    assemble_prompt,
-    select_demonstrations,
-)
+from eventqa.promptkit import assemble_prompt, select_demonstrations
+from eventqa.vocab import Modality, PromptConfig, Strategy, all_configs
 from test_costmodel import (
     GPT35_FEW,
     GPT35_ZERO,

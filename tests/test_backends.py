@@ -33,14 +33,8 @@ from eventqa.cli import main
 from eventqa.corpus import Answer
 from eventqa.graphcore import verbalize_graph
 from eventqa.manifest import make_header, read_ndjson, write_ndjson
-from eventqa.promptkit import (
-    Modality,
-    PromptConfig,
-    Strategy,
-    assemble_prompt,
-    count_tokens,
-    select_demonstrations,
-)
+from eventqa.promptkit import assemble_prompt, count_tokens, select_demonstrations
+from eventqa.vocab import Modality, PromptConfig, Strategy, parse_selector
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,8 +80,6 @@ def chat_payload(content, usage=None):
 
 
 def build_prompts(count=10, configs=("zero-graph",), pool=None):
-    from eventqa.promptkit import parse_selector
-
     split = helpers.synthetic_split(count, seed=17)
     records = []
     for instance in split.instances:

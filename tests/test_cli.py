@@ -181,14 +181,14 @@ class TestBuild:
 
     def test_each_graph_verbalized_once_per_use(self, tmp_path, monkeypatch):
         calls = Counter()
-        original = promptkit.verbalize_graph
+        original = graphcore.verbalize_graph
 
         def counting(graph):
             calls[graph.graph_id] += 1
             return original(graph)
 
         monkeypatch.setattr(promptkit, "verbalize_graph", counting)
-        monkeypatch.setattr(cli, "verbalize_graph", counting)
+        monkeypatch.setattr(graphcore, "verbalize_graph", counting)
         assert run_cli("build", "--dataset", DATASET, "--demo-pool", POOL, "--out", tmp_path / "out") == 0
         pool_graphs = {json.loads(line)["graphs"][0]["graph_id"] for line in Path(POOL).read_text().splitlines()}
         assert pool_graphs & set(calls)
@@ -212,10 +212,12 @@ class TestBuild:
 
 # --- start-up: each stage imports only the layers it runs -----------------------
 
-CORE_MODULES = {"eventqa", "eventqa.corpus", "eventqa.graphcore", "eventqa.promptkit", "eventqa.manifest"}
+# What every stage loads; only build and run parse datasets, verbalize graphs and assemble prompts.
+CORE_MODULES = {"eventqa", "eventqa.vocab", "eventqa.manifest"}
+PROMPT_MODULES = CORE_MODULES | {"eventqa.corpus", "eventqa.graphcore", "eventqa.promptkit"}
 STAGE_MODULES = {
-    "build": CORE_MODULES,
-    "run": CORE_MODULES | {"eventqa.backends"},
+    "build": PROMPT_MODULES,
+    "run": PROMPT_MODULES | {"eventqa.backends"},
     "score": CORE_MODULES | {"eventqa.evalkit", "eventqa.extract"},
     "report": CORE_MODULES | {"eventqa.evalkit", "eventqa.extract"},
     "cost": CORE_MODULES | {"eventqa.costmodel"},
@@ -246,6 +248,9 @@ def cli_import_modules() -> set[str]:
 @pytest.mark.parametrize(
     "module",
     [
+        "eventqa.corpus",
+        "eventqa.promptkit",
+        "eventqa.graphcore",
         "eventqa.backends",
         "eventqa.evalkit",
         "eventqa.extract",
@@ -291,6 +296,24 @@ def test_each_stage_loads_only_its_layers(pipeline_dir, tmp_path, stage):
     assert not {"dataclasses", "inspect"} & imported
 
 
+def test_score_with_a_schema_reads_remapped_labels(pipeline_dir, tmp_path):
+    """``score --schema`` in a fresh interpreter, where it alone loads ``corpus``, scores as the default run does."""
+    renamed = {"instance_id": "uid", "answer": "label", "category": "cluster", "graphs": "structures"}
+    dataset = tmp_path / "remapped.ndjson"
+    with open(dataset, "w", encoding="utf-8") as handle:
+        for line in Path(DATASET).read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            handle.write(json.dumps({renamed.get(key, key): value for key, value in record.items()}) + "\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(renamed), encoding="utf-8")
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_dir, out)
+    (out / "predictions.ndjson").unlink()
+    result = _python("-m", "eventqa.cli", "score", "--out", out, "--dataset", dataset, "--schema", schema)
+    assert result.returncode == 0, result.stderr
+    assert (out / "predictions.ndjson").read_bytes() == (pipeline_dir / "predictions.ndjson").read_bytes()
+
+
 LAYER_ERRORS = [
     corpus.CorpusError,
     promptkit.PromptError,
@@ -331,8 +354,10 @@ def _unknown_backend_kind(tmp_path) -> list:
         (_unknown_backend_kind, "unknown kind 'bogus'"),
         (lambda tmp_path: ["cost", "--model", "no-such-model"], "no pricing for model 'no-such-model'"),
         (_malformed_dataset, "malformed.ndjson:14:"),
+        (lambda tmp_path: ["score", "--dataset", tmp_path / "absent.ndjson"], "cannot read dataset"),
+        (lambda tmp_path: ["score", "--dataset", DATASET, "--schema", tmp_path / "absent.json"], "cannot read schema"),
     ],
-    ids=["ManifestError", "BackendError", "CostError", "CorpusError"],
+    ids=["ManifestError", "BackendError", "CostError", "CorpusError", "score-dataset", "score-schema"],
 )
 def test_lazily_loaded_layer_error_exits_2(pipeline_dir, tmp_path, argv, message):
     argv = argv(tmp_path)
@@ -448,9 +473,11 @@ class TestPipeline:
             (lambda row: {k: v for k, v in row.items() if k != "raw_text"}, "no field 'raw_text'"),
             (lambda row: dict(row, raw_text=5), "raw_text must be a string, got 5"),
             (lambda row: dict(row, config=["zero-text"]), "unhashable type"),
+            (lambda row: dict(row, config=5), "configuration selector must be a string, got 5"),
+            (lambda row: dict(row, config=None), "configuration selector must be a string, got None"),
             (lambda row: [row], "list indices must be integers"),
         ],
-        ids=["no-raw-text", "numeric-raw-text", "list-config", "not-an-object"],
+        ids=["no-raw-text", "numeric-raw-text", "list-config", "numeric-config", "null-config", "not-an-object"],
     )
     def test_score_refuses_a_malformed_response_row(self, built, capsys, spoil, message):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0
@@ -468,8 +495,20 @@ class TestPipeline:
             (lambda row: dict(row, backend=5), "backend must be a string, got 5"),
             (lambda row: dict(row, instance_id=7), "instance_id must be a string, got 7"),
             (_with_demo_count(True), "demo_count must be an integer, got True"),
+            (lambda row: dict(row, extracted=None), "extracted must be a JSON object, got None"),
+            (lambda row: dict(row, correct=not row["correct"]), "correct must be "),
+            (lambda row: dict(row, correct=int(row["correct"])), "correct must be "),
         ],
-        ids=["unknown-gold", "short-span", "numeric-backend", "numeric-instance-id", "bool-demo-count"],
+        ids=[
+            "unknown-gold",
+            "short-span",
+            "numeric-backend",
+            "numeric-instance-id",
+            "bool-demo-count",
+            "null-extracted",
+            "flipped-correct",
+            "numeric-correct",
+        ],
     )
     def test_report_refuses_a_malformed_prediction_row(self, built, capsys, spoil, message):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0
@@ -515,6 +554,16 @@ class TestPipeline:
         assert run_cli("cost", "--out", built, "--model", "gpt-4o", *output_tokens) == 2
         assert "holds no prompts to cost" in capsys.readouterr().err
         assert not (built / "cost.json").exists()
+
+    def test_score_refuses_a_response_whose_instance_is_labelled_twice(self, built, tmp_path, capsys):
+        assert run_cli("run", "--out", built, "--backend", "oracle") == 0
+        first = json.loads(Path(DATASET).read_text(encoding="utf-8").splitlines()[0])
+        flipped = dict(first, answer="yes" if first["answer"] == "no" else "no")
+        dataset = tmp_path / "twice.ndjson"
+        dataset.write_text(Path(DATASET).read_text(encoding="utf-8") + json.dumps(flipped) + "\n", encoding="utf-8")
+        assert run_cli("score", "--out", built, "--dataset", dataset) == 2
+        assert f"response for unknown instance {first['instance_id']!r}" in capsys.readouterr().err
+        assert not (built / "predictions.ndjson").exists()
 
     def test_score_sorts_responses_that_arrive_out_of_order(self, built, tmp_path):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0

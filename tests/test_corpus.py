@@ -21,6 +21,7 @@ from eventqa.corpus import (
     merge_schema,
     stratified_sample,
 )
+from eventqa.vocab import Answer, read_label, read_labels
 
 
 def _write(path, records):
@@ -368,3 +369,79 @@ class TestLoadDatasetFuzz:
         assert [instance.instance_id for instance in result.split.instances] == ["a", "b"]
         [rejection] = result.rejections
         (rejection.instance_id + rejection.reason).encode("utf-8")
+
+
+# --- labels without graphs --------------------------------------------------------
+
+
+def _in_schema(record: dict, schema: dict) -> dict:
+    """A record with default field names, renamed to ``schema``'s."""
+    gf, nf, ef = schema["graph_fields"], schema["node_fields"], schema["edge_fields"]
+    graphs = [
+        {
+            gf["graph_id"]: graph["graph_id"],
+            gf["kind"]: graph["kind"],
+            gf["nodes"]: [{nf[key]: value for key, value in node.items()} for node in graph["nodes"]],
+            gf["edges"]: [{ef[key]: value for key, value in edge.items()} for edge in graph["edges"]],
+        }
+        for graph in record["graphs"]
+    ]
+    return {schema[key]: graphs if key == "graphs" else value for key, value in record.items()}
+
+
+@st.composite
+def _labelled_lines(draw):
+    """``_dataset_lines`` with well-formed records mixed in, so repeated ids also reach instances that load."""
+    overrides, lines = draw(_dataset_lines())
+    schema = merge_schema(overrides)
+    valid = st.builds(
+        lambda instance_id, answer, category: json.dumps(
+            _in_schema(_record(instance_id, answer=answer, category=category), schema)
+        ),
+        st.sampled_from(["x", "y", "z"]),
+        st.sampled_from(["yes", "NO"]),
+        st.sampled_from(["causal", "Past", ""]),
+    )
+    return overrides, draw(st.permutations(lines + draw(st.lists(valid, max_size=4))))
+
+
+class TestReadLabels:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_labelled_lines())
+    def test_labels_agree_with_the_full_load(self, tmp_path_factory, case):
+        overrides, lines = case
+        path = tmp_path_factory.mktemp("labels") / "data.ndjson"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        schema = merge_schema(overrides)
+        # Every label each id is given by a record whose JSON, answer and category parse.
+        given_labels: dict = {}
+        for line in lines:
+            try:
+                raw = json.loads(line)
+                if isinstance(raw, dict):
+                    given_labels.setdefault(str(raw.get(schema["instance_id"], "")), set()).add(read_label(raw, schema))
+            except (ValueError, RecursionError):
+                pass
+
+        labels = read_labels(path, schema)
+        assert {instance_id for instance_id, label in labels.items() if label is None} == {
+            instance_id for instance_id, given in given_labels.items() if len(given) > 1
+        }
+        for instance in load_dataset(path, overrides).split.instances:
+            if len(given_labels[instance.instance_id]) == 1:
+                assert labels[instance.instance_id] == (instance.gold_answer, instance.category)
+
+    def test_an_unreadable_record_gives_no_label(self, tmp_path):
+        path = tmp_path / "data.ndjson"
+        lines = [
+            json.dumps(_record("a", answer="Yes", category="")),
+            "{not json",
+            json.dumps(_record("b", answer="maybe")),
+            json.dumps(_record("c", category="other")),
+            json.dumps(_record("d", graphs=[{"nodes": "none"}])),
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_labels(path) == {
+            "a": (Answer.YES, QuestionCategory.UNKNOWN),
+            "d": (Answer(_record("d")["answer"]), QuestionCategory(_record("d")["category"])),
+        }

@@ -19,7 +19,7 @@ from eventqa.evalkit import (
     score,
 )
 from eventqa.extract import ExtractedAnswer, ExtractedLabel, ExtractionMethod
-from eventqa.promptkit import all_configs, parse_selector
+from eventqa.vocab import all_configs, parse_selector
 
 
 def _extracted(label):

@@ -16,7 +16,7 @@ import pytest
 
 from eventqa import backends, manifest  # noqa: F401  (loaded here, so no measured run counts loading it)
 from eventqa.cli import PROMPTS_FILE, RESPONSES_FILE, _file_sha, main
-from eventqa.promptkit import all_configs
+from eventqa.vocab import all_configs
 
 SMALL, LARGE = 10_000, 100_000
 
@@ -130,6 +130,44 @@ def test_score_stage_peak_is_flat_in_manifest_size(response_dirs):
     assert peaks[LARGE] < 1.5 * peaks[SMALL], peaks
     _, predictions = manifest.read_ndjson(dirs[LARGE] / "predictions.ndjson")
     assert sum(1 for _ in predictions) == LARGE
+
+
+def test_score_peak_does_not_grow_with_graphs(tmp_path):
+    """``score`` reads each record's labels and parses no graph, so records with 64-node graphs cost it no more.
+
+    Only the record being read is decoded at a time: about 70 KB here, against
+    a peak of about 0.5 MB for the labels and the streamed manifests.
+    """
+    graph = {
+        "graph_id": "g",
+        "kind": "instance",
+        "nodes": [{"id": f"n{j}", "label": f"event number {j}"} for j in range(64)],
+        "edges": [{"source": f"n{j}", "target": f"n{j + 1}", "relation": "enables"} for j in range(63)],
+    }
+    argv = {}
+    for graphs in ([], [graph]):
+        root = tmp_path / f"graphs{len(graphs)}"
+        root.mkdir()
+        with open(root / "dataset.ndjson", "w", encoding="utf-8") as handle:
+            for k in range(4_000):
+                record = {
+                    "instance_id": f"i{k:06d}",
+                    "passage": "The rally went ahead.",
+                    "question": "Did the rally happen?",
+                    "answer": "yes" if k % 2 else "no",
+                    "category": "causal",
+                    "graphs": graphs,
+                }
+                handle.write(json.dumps(record) + "\n")
+        responses = (
+            {"instance_id": f"i{k:06d}", "config": "zero-graph", "raw_text": "yes", "backend": "oracle"}
+            for k in range(4_000)
+        )
+        manifest.write_ndjson(root / RESPONSES_FILE, manifest.make_header("run", 0, {}), responses)
+        argv[len(graphs)] = ["score", "--out", root, "--dataset", root / "dataset.ndjson"]
+    main([str(part) for part in argv[0]])  # warm: fill the interpreter's caches
+    peaks = {count: _peak_bytes(argv[count]) for count in argv}
+    assert peaks[1] < 1.2 * peaks[0], peaks
 
 
 def test_file_hash_reads_in_chunks(tmp_path):

@@ -20,25 +20,19 @@ from eventqa.promptkit import (
     SECTION_INSTRUCTION,
     SECTION_QUESTION,
     SECTION_TEXT,
-    DEFAULT_DEMO_COUNT,
     BudgetError,
     Demonstration,
     DemoPool,
     InsufficientPoolError,
-    Modality,
     PromptAssemblyError,
-    PromptConfig,
-    PromptError,
     PromptRecord,
-    Strategy,
-    all_configs,
     assemble_prompt,
     canonical_answer_sentence,
     count_tokens,
-    parse_selector,
     select_demonstrations,
     split_sentences,
 )
+from eventqa.vocab import DEFAULT_DEMO_COUNT, Modality, PromptConfig, PromptError, Strategy, all_configs, parse_selector
 
 # Section presence by configuration: text iff modality uses the passage,
 # graph iff it uses the graph, examples iff the strategy carries demos.

@@ -39,8 +39,9 @@ from .graphcore import (
     graph_from_sentences,
     oracle_answer,
 )
-from .promptkit import TOKENIZER, count_tokens
-from .vocab import Answer, PromptConfig, output_budget
+from .manifest import INTEGER, NUMBER, STRING, Reader, one_of
+from .promptkit import count_tokens
+from .vocab import COUNT, PROMPT_ROW, RESPONSE_ROW, Answer, output_budget
 
 logger = logging.getLogger(__name__)
 
@@ -79,32 +80,23 @@ def _check_keys(cls: type, raw: dict, where: str) -> None:
         raise BackendError(f"{where}: unknown config keys {', '.join(unknown)}")
 
 
-_STRING = (str, "a string")
-_INTEGER = (int, "an integer")
-_NUMBER = ((int, float), "a number")
-
-# The JSON type of each config value other than ``kind``.
-_SPEC_VALUE_TYPES = {
-    "name": _STRING,
-    "model_name": _STRING,
-    "endpoint": _STRING,
-    "context_limit": _INTEGER,
-    "max_concurrency": _INTEGER,
-    "retry_policy": (dict, "a JSON object"),
-    "api_key_env": _STRING,
-    "request_timeout": _NUMBER,
-    "fixtures_path": ((str, type(None)), "a string or null"),
-}
-_RETRY_VALUE_TYPES = {"max_attempts": _INTEGER, "base_backoff": _NUMBER}
-
-
-def _check_values(types: dict[str, tuple], raw: dict, where: str) -> None:
-    for key, (accepted, described) in types.items():
-        if key not in raw:
-            continue
-        value = raw[key]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise BackendError(f"{where}: {key} must be {described}, got {value!r}")
+# The JSON type of each config value; a spec reads as the dict of the values present.
+_RETRY_VALUES = Reader(RetryPolicy, {"max_attempts": INTEGER, "base_backoff": NUMBER})
+_SPEC_VALUES = Reader(
+    dict,
+    {
+        "name": STRING,
+        "kind": one_of(BackendKind),
+        "model_name": STRING,
+        "endpoint": STRING,
+        "context_limit": INTEGER,
+        "max_concurrency": INTEGER,
+        "retry_policy": ((dict,), "a JSON object", _RETRY_VALUES),
+        "api_key_env": STRING,
+        "request_timeout": NUMBER,
+        "fixtures_path": ((str, type(None)), "a string or null", None),
+    },
+)
 
 
 _SPEC_DEFAULTS = {
@@ -139,20 +131,15 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
         """Build a spec from a config entry; unknown keys and mistyped values are rejected."""
         where = f"backend {raw.get('name')!r}"
         _check_keys(cls, raw, where)
-        _check_values(_SPEC_VALUE_TYPES, raw, where)
-        raw = dict(raw)
-        if "kind" not in raw:
-            raise BackendError(f"{where}: missing 'kind'")
-        try:
-            raw["kind"] = BackendKind(raw["kind"])
-        except ValueError:
-            kinds = ", ".join(kind.value for kind in BackendKind)
-            raise BackendError(f"{where}: unknown kind {raw['kind']!r} (expected one of {kinds})") from None
-        if "retry_policy" in raw:
+        if isinstance(raw.get("retry_policy"), dict):
             _check_keys(RetryPolicy, raw["retry_policy"], f"retry_policy of {where}")
-            _check_values(_RETRY_VALUE_TYPES, raw["retry_policy"], f"retry_policy of {where}")
-            raw["retry_policy"] = RetryPolicy(**raw["retry_policy"])
-        return cls(**raw)
+        try:
+            values = _SPEC_VALUES.read(raw, required=False)
+        except manifest.ManifestError as exc:
+            raise BackendError(f"{where}: {exc}") from None
+        if "kind" not in values:
+            raise BackendError(f"{where}: missing 'kind'")
+        return cls(**values)
 
     @functools.cached_property
     def fixtures(self) -> dict[str, str]:
@@ -314,9 +301,7 @@ def _retry_after(header: str | None, backoff: float) -> float:
     return delay if math.isfinite(delay) and delay >= 0 else backoff
 
 
-def _is_count(value) -> bool:
-    """Whether ``value`` is a non-negative JSON integer (``bool`` is not)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+_USAGE = Reader(dict, {"prompt_tokens": COUNT, "completion_tokens": COUNT})
 
 
 def _read_chat_payload(payload, prompt_tokens: int) -> tuple[str, int, int]:
@@ -333,14 +318,13 @@ def _read_chat_payload(payload, prompt_tokens: int) -> tuple[str, int, int]:
     raw_text = "" if content is None else content
     if not isinstance(raw_text, str):
         raise ValueError(f"content is not a string: {content!r}")
-    if not isinstance(usage, dict):
-        raise ValueError(f"usage is not an object: {usage!r}")
-    input_tokens = usage.get("prompt_tokens", prompt_tokens)
-    output_tokens = usage["completion_tokens"] if "completion_tokens" in usage else count_tokens(raw_text)
-    for key, count in (("prompt_tokens", input_tokens), ("completion_tokens", output_tokens)):
-        if not _is_count(count):
-            raise ValueError(f"{key} is not a non-negative integer: {count!r}")
-    return raw_text, input_tokens, output_tokens
+    try:
+        counts = _USAGE.read(usage, required=False)
+    except manifest.ManifestError as exc:
+        raise ValueError(f"usage: {exc}") from None
+    if "completion_tokens" not in counts:
+        counts["completion_tokens"] = count_tokens(raw_text)
+    return raw_text, counts.get("prompt_tokens", prompt_tokens), counts["completion_tokens"]
 
 
 def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens: int) -> CompletionResponse:
@@ -458,63 +442,30 @@ class BatchResult(NamedTuple):
     failures: list[BatchFailure]
 
 
-# The fields of a prompts-manifest row that a run reads.
-_ROW_FIELDS = ("instance_id", "config", "prompt_text", "token_count", "tokenizer")
+def _key(row) -> tuple[str, str]:
+    """The (instance_id, config selector) of a ``PROMPT_ROW`` or ``RESPONSE_ROW`` record."""
+    return row.instance_id, row.config.selector
 
 
-def _record_key(record: dict) -> tuple[str, str]:
-    return record["instance_id"], record["config"]
-
-
-def _row_key(row: dict) -> tuple[str, str]:
-    """The (instance_id, config selector) of a prompt row that ``_checked_row_key`` has passed."""
-    return row["instance_id"], PromptConfig.from_dict(row["config"]).selector
-
-
-def _checked_row_key(row, number: int) -> tuple[str, str]:
-    """``_row_key`` of the ``number``-th prompt row; ``BackendError`` naming the row if it is malformed."""
-    where = f"prompt row {number}"
-    if not isinstance(row, dict):
-        raise BackendError(f"{where} is not a JSON object")
-    missing = [name for name in _ROW_FIELDS if name not in row]
-    if missing:
-        raise BackendError(f"{where} lacks {', '.join(missing)}")
-    instance_id = row["instance_id"]
-    if not isinstance(instance_id, str) or not instance_id:
-        raise BackendError(f"{where}: instance_id must be a non-empty string, got {instance_id!r}")
-    where = f"{where} ({instance_id})"
-    try:
-        config = PromptConfig.from_dict(row["config"])
-    except (KeyError, TypeError, ValueError):
-        raise BackendError(f"{where}: unusable config {row['config']!r}") from None
-    if not _is_count(row["token_count"]):
-        raise BackendError(f"{where}: token_count must be a non-negative integer, got {row['token_count']!r}")
-    if not isinstance(row["prompt_text"], str):
-        raise BackendError(f"{where}: prompt_text must be a string, got {row['prompt_text']!r}")
-    if row["tokenizer"] != TOKENIZER:
-        raise BackendError(f"{where}: tokenizer must be {TOKENIZER!r}, got {row['tokenizer']!r}")
-    return instance_id, config.selector
-
-
-def _check_batch(spec: BackendSpec, rows: Collection[dict]) -> None:
+def _check_batch(spec: BackendSpec, prompts: Callable[[], Iterator]) -> None:
     """Refuse a malformed row, an empty batch, a repeated (instance_id, config) pair, or a prompt over the context limit.
 
-    A mock backend's fixtures file is read and checked first. In a batch
-    sorted by key, as ``prompts.ndjson`` is, a repeat shows as two equal
-    neighbours, so the check holds nothing per row; a batch in any other
-    order is checked again against a set of its keys.
+    ``prompts()`` reads the batch afresh. A mock backend's fixtures file is
+    checked first. In a batch sorted by key, as ``prompts.ndjson`` is, a
+    repeat shows as two equal neighbours, so the check holds nothing per
+    row; a batch in any other order is read again into a set of its keys.
     """
     if spec.kind is BackendKind.MOCK:
         spec.fixtures  # raises on a missing or malformed file
     size, last, in_order, oversized = 0, (), True, []
-    for size, row in enumerate(rows, start=1):
-        key = _checked_row_key(row, size)
+    for size, prompt in enumerate(prompts(), start=1):
+        key = _key(prompt)
         in_order, last = in_order and key > last, key
-        if row["token_count"] > spec.context_limit:
-            oversized.append(row["token_count"])
+        if prompt.token_count > spec.context_limit:
+            oversized.append(prompt.token_count)
     if not size:
         raise BackendError("run_batch called with no prompts")
-    if not in_order and len({_row_key(row) for row in rows}) < size:
+    if not in_order and len(set(map(_key, prompts()))) < size:
         raise BackendError("duplicate (instance_id, config) pairs in prompt batch")
     if oversized:
         raise ContextOverflowError(
@@ -523,9 +474,7 @@ def _check_batch(spec: BackendSpec, rows: Collection[dict]) -> None:
         )
 
 
-def _dispatch(
-    spec: BackendSpec, run_one: Callable[[dict], dict], pending: Iterable[dict]
-) -> Iterator[tuple[dict, Callable[[], dict]]]:
+def _dispatch(spec: BackendSpec, run_one: Callable, pending: Iterable) -> Iterator[tuple[object, Callable[[], dict]]]:
     """Yield (row, result getter) pairs; calling the getter returns the record or raises.
 
     Deterministic backends are pure computation, which threads cannot
@@ -558,26 +507,27 @@ def run_batch(
     """Complete the prompts of a batch of prompts-manifest rows, inline or through a worker pool (see ``_dispatch``).
 
     ``rows`` are records as ``manifest.read_ndjson`` streams them from
-    ``prompts.ndjson``. They are iterated twice, so they must be a
-    collection, not an iterator: a first pass checks the batch (see
-    ``_check_batch``) before any request is sent or any file is written,
-    and a second pass builds each request from its row and streams it to
-    the backend. Apart from the keys a resumed manifest already holds,
-    nothing is kept per prompt. Each row's stored ``token_count`` is its
-    prompt's count; no prompt is counted again.
+    ``prompts.ndjson``, each pass reading them through ``vocab.PROMPT_ROW``.
+    They are iterated twice, so they must be a collection, not an iterator:
+    a first pass checks the batch (see ``_check_batch``) before any request
+    is sent or any file is written, and a second pass builds each request
+    from its row and streams it to the backend. Apart from the keys a
+    resumed manifest already holds, nothing is kept per prompt. Each row's
+    stored ``token_count`` is its prompt's count; no prompt is counted again.
 
     The manifest is the unit of resumability: completed records are
     flushed line by line as they finish, and on restart a torn last line is
-    cut off and any pair already present is skipped. Once every request
-    has succeeded the file holds its records sorted by (instance_id,
-    config), so the final bytes do not depend on completion order; it is
-    rewritten only when the records were written out of that order.
-    Individual failures do not stop the batch; they are collected and
-    reported together.
+    cut off and any pair already present (read through ``vocab.RESPONSE_ROW``)
+    is skipped. Once every request has succeeded the file holds its records
+    sorted by (instance_id, config), so the final bytes do not depend on
+    completion order; it is rewritten only when the records were written
+    out of that order. Individual failures do not stop the batch; they are
+    collected and reported together.
     """
     if iter(rows) is rows:
         raise BackendError("run_batch needs a collection of prompt rows it can iterate twice, not an iterator")
-    _check_batch(spec, rows)
+    prompts = functools.partial(manifest.read_rows, PROMPT_ROW, rows, getattr(rows, "path", "prompt batch"))
+    _check_batch(spec, prompts)
 
     manifest_path = Path(manifest_path)
     done: set[tuple[str, str]] = set()
@@ -589,51 +539,41 @@ def run_batch(
             raise BackendError(
                 f"manifest {manifest_path} was produced by a different run configuration; refusing to resume"
             )
-        for number, record in enumerate(records, start=1):
-            if not (
-                isinstance(record, dict)
-                and isinstance(record.get("instance_id"), str)
-                and isinstance(record.get("config"), str)
-            ):
-                raise BackendError(
-                    f"{manifest_path} row {number} is malformed: instance_id and config must be strings; "
-                    "refusing to resume"
-                )
-            key = _record_key(record)
+        for response in manifest.read_rows(RESPONSE_ROW, records, manifest_path):
+            key = _key(response)
             in_order, last = in_order and key > last, key
             done.add(key)
     else:
         manifest.write_ndjson(manifest_path, header, [])
 
-    def _run_one(row: dict) -> dict:
-        config = PromptConfig.from_dict(row["config"])
+    def _run_one(prompt) -> dict:
         request = CompletionRequest(
-            prompt_text=row["prompt_text"],
-            max_output_tokens=output_budget(config.strategy),
-            prompt_tokens=row["token_count"],
+            prompt_text=prompt.prompt_text,
+            max_output_tokens=output_budget(prompt.config.strategy),
+            prompt_tokens=prompt.token_count,
         )
         record = complete(spec, request).to_dict()
-        record["instance_id"], record["config"] = row["instance_id"], config.selector
+        record["instance_id"], record["config"] = _key(prompt)
         return record
 
-    pending = (row for row in rows if _row_key(row) not in done)
+    pending = (prompt for prompt in prompts() if _key(prompt) not in done)
     failures: list[BatchFailure] = []
     completed = len(done)
     with open(manifest_path, "a", encoding="utf-8") as sink, closing(_dispatch(spec, _run_one, pending)) as outcomes:
-        for row, result in outcomes:
+        for prompt, result in outcomes:
             try:
                 record = result()
             except BackendError as exc:
-                failure = BatchFailure(*_row_key(row), str(exc))
+                failure = BatchFailure(*_key(prompt), str(exc))
                 logger.error("request failed for %s/%s: %s", failure.instance_id, failure.config, exc)
                 failures.append(failure)
                 continue
-            key = _record_key(record)
+            key = _key(prompt)
             in_order, last = in_order and key > last, key
             sink.write(manifest.canonical_json(record) + "\n")
             sink.flush()
             completed += 1
 
     if not failures and not in_order:
-        manifest.sort_ndjson(manifest_path, _record_key)
+        manifest.sort_ndjson(manifest_path, lambda record: (record["instance_id"], record["config"]))
     return BatchResult(completed=completed, failures=sorted(failures, key=lambda f: (f.instance_id, f.config)))

@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from . import EventQAError, manifest, vocab
 
@@ -48,23 +48,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .graphcore import verbalize_graph
     return verbalize_graph
-
-
-def _read_rows(path: Path, rows: Iterable, read: Callable) -> Iterator:
-    """``read`` of each row of the manifest at ``path``; ``CliError`` naming the file and the row if ``read`` fails on it.
-
-    Rows are counted from 1 after the header. ``read`` fails on a malformed
-    row with ``KeyError`` (a missing field), ``TypeError`` (a value of the
-    wrong type), ``ValueError`` (a value outside its set) or ``IndexError``
-    (a list too short).
-    """
-    for number, row in enumerate(rows, start=1):
-        try:
-            value = read(row)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            reason = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise CliError(f"{path} row {number} is malformed: {reason}") from None
-        yield value
 
 
 _HASH_CHUNK = 1 << 20
@@ -140,7 +123,7 @@ def cmd_build(args) -> int:
         "graph_kind": args.graph_kind,
         "strict": args.strict,
         "context_limit": args.context_limit,
-        "tokenizer": promptkit.TOKENIZER,
+        "tokenizer": vocab.TOKENIZER,
         "demo_pool_sha": _file_sha(args.demo_pool) if args.demo_pool else None,
     }
     header = manifest.make_header("build", args.seed, config_payload)
@@ -242,7 +225,7 @@ def _resolve_backend(args) -> backends.BackendSpec:
 
 
 def cmd_run(args) -> int:
-    from . import backends, promptkit
+    from . import backends
 
     out = Path(args.out)
     prompts_header, prompt_rows = manifest.read_ndjson(out / PROMPTS_FILE)
@@ -255,7 +238,7 @@ def cmd_run(args) -> int:
             "kind": spec.kind.value,
             "model_name": spec.model_name,
             "context_limit": spec.context_limit,
-            "tokenizer": promptkit.TOKENIZER,
+            "tokenizer": vocab.TOKENIZER,
         },
         "prompts_hash": prompts_header["config_hash"],
     }
@@ -298,34 +281,25 @@ def cmd_score(args) -> int:
     scorer = evalkit.Scorer()
     in_order = True
 
-    def predict(row) -> evalkit.PredictionRecord:
-        label = labels.get(row["instance_id"])
-        if label is None:
-            raise CliError(f"response for unknown instance {row['instance_id']!r}: no single gold label in --dataset")
-        for name in ("backend", "raw_text"):
-            if not isinstance(row[name], str):
-                raise TypeError(f"{name} must be a string, got {row[name]!r}")
-        return evalkit.PredictionRecord(
-            instance_id=row["instance_id"],
-            config=vocab.parse_selector(row["config"]),
-            backend=row["backend"],
-            extracted=extract.extract_answer(row["raw_text"]),
-            gold=label[0],
-            category=label[1],
-        )
-
     def predictions():
         nonlocal in_order
-        for prediction in _read_rows(out / RESPONSES_FILE, response_rows, predict):
+        for response in manifest.read_rows(vocab.RESPONSE_ROW, response_rows, out / RESPONSES_FILE):
+            label = labels.get(response.instance_id)  # (gold, category)
+            if label is None:
+                raise CliError(
+                    f"response for unknown instance {response.instance_id!r}: no single gold label in --dataset"
+                )
+            # instance_id, config and backend come first in both records.
+            prediction = evalkit.PredictionRecord(*response[:3], extract.extract_answer(response.raw_text), *label)
             in_order = in_order and scorer.add(prediction)
             yield prediction.to_dict()
 
     manifest.write_ndjson(out / PREDICTIONS_FILE, header, predictions())
     report = scorer.report
     if not in_order:
-        manifest.sort_ndjson(out / PREDICTIONS_FILE, lambda row: evalkit.PredictionRecord.from_dict(row).identity)
+        manifest.sort_ndjson(out / PREDICTIONS_FILE, lambda row: evalkit.PREDICTION_ROW.read(row).identity)
         _, rows = manifest.read_ndjson(out / PREDICTIONS_FILE)
-        report = evalkit.score(map(evalkit.PredictionRecord.from_dict, rows))
+        report = evalkit.score(manifest.read_rows(evalkit.PREDICTION_ROW, rows, out / PREDICTIONS_FILE))
 
     print(f"scored {sum(cell.n for cell in report.cells.values())} predictions -> {out / PREDICTIONS_FILE}")
     print(evalkit.format_accuracy_table(report))
@@ -337,7 +311,7 @@ def cmd_report(args) -> int:
 
     out = Path(args.out)
     predictions_header, rows = manifest.read_ndjson(out / PREDICTIONS_FILE)
-    report = evalkit.score(_read_rows(out / PREDICTIONS_FILE, rows, evalkit.PredictionRecord.from_dict))
+    report = evalkit.score(manifest.read_rows(evalkit.PREDICTION_ROW, rows, out / PREDICTIONS_FILE))
 
     config_payload = {"stage": "report", "predictions_hash": predictions_header["config_hash"]}
     header = manifest.make_header("report", args.seed, config_payload)
@@ -363,18 +337,12 @@ def cmd_cost(args) -> int:
     prompts_header, prompt_rows = manifest.read_ndjson(out / PROMPTS_FILE)
     pricing = costmodel.load_pricing(args.pricing or _default_pricing_path())
 
-    def strategy_and_tokens(row) -> tuple[vocab.Strategy, int]:
-        tokens = row["token_count"]
-        if isinstance(tokens, bool) or not isinstance(tokens, int) or tokens < 0:
-            raise ValueError(f"token_count must be a non-negative integer, got {tokens!r}")
-        return vocab.PromptConfig.from_dict(row["config"]).strategy, tokens
-
     # (prompts, input tokens) per strategy, in first-seen order.
     tallies: dict[vocab.Strategy, list[int]] = {}
-    for strategy, tokens in _read_rows(out / PROMPTS_FILE, prompt_rows, strategy_and_tokens):
-        tally = tallies.setdefault(strategy, [0, 0])
+    for prompt in manifest.read_rows(vocab.PROMPT_ROW, prompt_rows, out / PROMPTS_FILE):
+        tally = tallies.setdefault(prompt.config.strategy, [0, 0])
         tally[0] += 1
-        tally[1] += tokens
+        tally[1] += prompt.token_count
     if not tallies:
         raise CliError(f"{out / PROMPTS_FILE} holds no prompts to cost")
 

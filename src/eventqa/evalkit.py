@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from . import EventQAError
-from .extract import ExtractedAnswer, ExtractedLabel
-from .manifest import HEADER_KEY, csv_header_line
-from .vocab import ALL_CATEGORIES, Answer, Modality, PromptConfig, QuestionCategory, Strategy
+from .extract import ExtractedAnswer, ExtractedLabel, ExtractionMethod
+from .manifest import HEADER_KEY, STRING, Reader, csv_header_line, one_of
+from .vocab import ALL_CATEGORIES, CONFIG, INSTANCE_ID, Answer, Modality, PromptConfig, QuestionCategory, Strategy
 
 
 class ScoringError(EventQAError):
@@ -65,25 +65,38 @@ class PredictionRecord(NamedTuple):
             "correct": self.correct,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PredictionRecord":
-        # Predictions are sorted and grouped by these, so a number here would
-        # only fail later, far from the row that holds it.
-        for name in ("instance_id", "backend"):
-            if not isinstance(raw[name], str):
-                raise TypeError(f"{name} must be a string, got {raw[name]!r}")
-        record = cls(
-            instance_id=raw["instance_id"],
-            config=PromptConfig.from_dict(raw["config"]),
-            backend=raw["backend"],
-            extracted=ExtractedAnswer.from_dict(raw["extracted"]),
-            gold=Answer(raw["gold"]),
-            category=QuestionCategory(raw["category"]),
-        )
-        # Derived from the two labels and written for readers; a row that disagrees was edited.
-        if raw["correct"] is not record.correct:
-            raise ValueError(f"correct must be {record.correct}, from extracted and gold, got {raw['correct']!r}")
-        return record
+
+def _span(span: list | None) -> tuple[int, int] | None:
+    if span is not None and not (len(span) == 2 and all(type(n) is int for n in span) and 0 <= span[0] <= span[1]):
+        raise ValueError(span)
+    return span and tuple(span)
+
+
+def _prediction(correct: bool, **fields) -> PredictionRecord:
+    record = PredictionRecord(**fields)
+    # Derived from the two labels and written for readers; a row that disagrees was edited.
+    if correct is not record.correct:
+        raise ValueError(f"correct must be {record.correct}, from extracted and gold, got {correct!r}")
+    return record
+
+
+_SPAN = ((list, type(None)), "null or two byte offsets, start first", _span)
+_EXTRACTED = Reader(
+    ExtractedAnswer, {"answer": one_of(ExtractedLabel), "method": one_of(ExtractionMethod), "matched_span": _SPAN}
+)
+# A ``predictions.ndjson`` row, as ``report`` reads it.
+PREDICTION_ROW = Reader(
+    _prediction,
+    {
+        "instance_id": INSTANCE_ID,
+        "config": CONFIG,
+        "backend": STRING,
+        "extracted": ((dict,), "a JSON object", _EXTRACTED),
+        "gold": one_of(Answer),
+        "category": one_of(QuestionCategory),
+        "correct": ((bool,), "a boolean", None),
+    },
+)
 
 
 class CellStats:
@@ -149,19 +162,16 @@ class Scorer:
 
 
 def score(predictions: Iterable[PredictionRecord]) -> AccuracyReport:
-    """Aggregate predictions into per-configuration and per-category cells.
+    """Aggregate predictions, in ascending identity order, into per-configuration and per-category cells.
 
-    Predictions in ascending identity order are folded in one pass (see
-    ``Scorer``). A collection in any other order is sorted first; an
-    iterator in any other order is refused, since only a sort of all of it
-    could find its duplicates.
+    They are folded in one pass (see ``Scorer``). Predictions in any other
+    order are refused, since only a sort of all of them could find their
+    duplicates.
     """
     scorer = Scorer()
     for record in predictions:
         if not scorer.add(record):
-            if iter(predictions) is predictions:
-                raise ScoringError(f"predictions out of (instance_id, config, backend) order at {record.identity}")
-            return score(sorted(predictions, key=lambda p: p.identity))
+            raise ScoringError(f"predictions out of (instance_id, config, backend) order at {record.identity}")
     return scorer.report
 
 

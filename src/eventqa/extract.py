@@ -42,17 +42,6 @@ class ExtractedAnswer(NamedTuple):
             "matched_span": list(self.matched_span) if self.matched_span else None,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExtractedAnswer":
-        if not isinstance(raw, dict):
-            raise TypeError(f"extracted must be a JSON object, got {raw!r}")
-        span = raw.get("matched_span")
-        return cls(
-            answer=ExtractedLabel(raw["answer"]),
-            method=ExtractionMethod(raw["method"]),
-            matched_span=(int(span[0]), int(span[1])) if span else None,
-        )
-
 
 _LEAD_IN = "herefore,"  # after a "T" or a "t"
 _ANSWER_CUE = "answer is: "

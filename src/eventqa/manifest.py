@@ -23,7 +23,7 @@ import json
 import os
 from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import EventQAError, __version__
 
@@ -195,3 +195,68 @@ def sort_ndjson(path: str | Path, key: Callable[[dict], Any]) -> None:
 
 def csv_header_line(header: dict) -> str:
     return "# " + canonical_json(header)
+
+
+# --- typed rows ---------------------------------------------------------------------
+#
+# A row table maps each field of a record to an entry: the types ``json``
+# decodes its accepted JSON types to (``bool`` is no integer here), how a
+# message names them, and None or a parser of the value, which refuses it
+# with ``ValueError``, ``LookupError`` or an ``EventQAError``. Messages
+# number the rows of a manifest from 1 after the header.
+
+STRING = ((str,), "a string", None)
+INTEGER = ((int,), "an integer", None)
+NUMBER = ((int, float), "a number", None)
+
+
+def one_of(enum: type) -> tuple:
+    """The entry of a string field naming a member of ``enum``, found in a dict: calling ``enum`` is slower."""
+    members = {member.value: member for member in enum}
+    return (str,), "one of " + ", ".join(members), members.__getitem__
+
+
+class Reader(NamedTuple):
+    """Reads a JSON object as ``make(**values)``, with one value per field of the row table ``fields``."""
+
+    make: Callable
+    fields: dict[str, tuple]
+
+    def read(self, value, required: bool = True, prefix: str = ""):
+        """The record of ``value``; ``ManifestError`` names the first field (``prefix`` + name) that does not fit.
+
+        Without ``required`` a missing field takes ``make``'s default. A ``ValueError`` from ``make`` names its field.
+        """
+        if type(value) is not dict:
+            raise ManifestError("is not a JSON object")
+        values = {}
+        for name, (types, described, parse) in self.fields.items():
+            if name not in value:
+                if required:
+                    raise ManifestError(f"no field {prefix + name!r}")
+                continue
+            field = value[name]
+            if type(field) in types:
+                if type(parse) is Reader:  # a nested object, whose errors name its own fields
+                    values[name] = parse.read(field, required, f"{prefix}{name}.")
+                    continue
+                try:
+                    values[name] = field if parse is None else parse(field)
+                    continue
+                except (ValueError, LookupError, EventQAError):
+                    pass
+            raise ManifestError(f"{prefix}{name} must be {described}, got {field!r}")
+        try:
+            return self.make(**values)
+        except ValueError as exc:
+            raise ManifestError(f"{prefix}{exc}") from None
+
+
+def read_rows(reader: Reader, rows: Iterable, path: str | Path) -> Iterator:
+    """The rows of the manifest at ``path`` as ``reader`` reads them; ``<path> row N is malformed`` refuses one."""
+    for number, row in enumerate(rows, start=1):
+        try:
+            record = reader.read(row)
+        except ManifestError as exc:
+            raise ManifestError(f"{path} row {number} is malformed: {exc}") from None
+        yield record

@@ -31,7 +31,7 @@ from typing import Callable, Collection, NamedTuple, Sequence
 
 from .corpus import QAInstance
 from .graphcore import VerbalizedGraph, verbalize_graph
-from .vocab import Answer, Modality, PromptConfig, PromptError
+from .vocab import TOKENIZER, Answer, Modality, PromptConfig, PromptError
 
 logger = logging.getLogger(__name__)
 
@@ -81,9 +81,6 @@ class Demonstration(namedtuple("Demonstration", "question answer source_modality
 
 
 # --- token counting ------------------------------------------------------------
-
-# The name manifests record for the one token counter.
-TOKENIZER = "simple"
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 

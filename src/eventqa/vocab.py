@@ -1,4 +1,4 @@
-"""Labels, categories and configurations shared by every stage: a leaf, so ``score`` loads no graph or prompt code."""
+"""Labels, categories, configurations and row tables that every stage shares; it imports only ``manifest``."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Callable
 
 from . import EventQAError
+from .manifest import STRING, Reader, one_of
 
 
 class Answer(str, Enum):
@@ -127,8 +129,8 @@ class Modality(str, Enum):
 class PromptConfig(namedtuple("PromptConfig", "strategy modality demo_count")):
     """One cell of the strategy x modality matrix: a ``Strategy``, a ``Modality`` and a demonstration count."""
 
-    def __new__(cls, strategy: Strategy, modality: Modality, demo_count: int = -1) -> "PromptConfig":
-        if demo_count == -1:  # the default for the strategy
+    def __new__(cls, strategy: Strategy, modality: Modality, demo_count: int | None = None) -> "PromptConfig":
+        if demo_count is None:  # the default for the strategy
             demo_count = 0 if strategy is Strategy.ZERO else DEFAULT_DEMO_COUNT
         if (demo_count == 0) != (strategy is Strategy.ZERO):
             raise ValueError("demo_count must be 0 exactly for the zero-shot strategy")
@@ -164,20 +166,6 @@ class PromptConfig(namedtuple("PromptConfig", "strategy modality demo_count")):
             "include_reasoning_traces": self.include_reasoning_traces,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PromptConfig":
-        demo_count = raw["demo_count"]
-        if isinstance(demo_count, bool) or not isinstance(demo_count, int):
-            raise TypeError(f"demo_count must be an integer, got {demo_count!r}")
-        return _config(raw["strategy"], raw["modality"], demo_count)
-
-
-# Every record of a manifest names one of a few configurations; each is
-# built once and shared, which is safe because a config is frozen.
-@lru_cache(maxsize=64)
-def _config(strategy: str, modality: str, demo_count: int) -> PromptConfig:
-    return PromptConfig(Strategy(strategy), Modality(modality), demo_count)
-
 
 _MODALITY_ALIASES = {"text": Modality.TEXT, "graph": Modality.GRAPH, "graphs": Modality.GRAPH, "tag": Modality.TAG}
 
@@ -185,8 +173,6 @@ _MODALITY_ALIASES = {"text": Modality.TEXT, "graph": Modality.GRAPH, "graphs": M
 @lru_cache(maxsize=64)
 def parse_selector(selector: str) -> PromptConfig:
     """Parse a ``strategy-modality`` name like ``cot-tag`` into a config, shared by every parse of that name."""
-    if not isinstance(selector, str):
-        raise TypeError(f"configuration selector must be a string, got {selector!r}")
     try:
         strategy_raw, modality_raw = selector.strip().lower().split("-", 1)
         return PromptConfig(strategy=Strategy(strategy_raw), modality=_MODALITY_ALIASES[modality_raw])
@@ -197,3 +183,45 @@ def parse_selector(selector: str) -> PromptConfig:
 def all_configs() -> tuple[PromptConfig, ...]:
     """All nine configurations, strategies outer, modalities inner."""
     return tuple(PromptConfig(strategy=s, modality=m) for s in Strategy for m in Modality)
+
+
+# --- manifest rows (see ``manifest.Reader``) ---------------------------------------
+
+# The name manifests record for the one token counter.
+TOKENIZER = "simple"
+
+
+def _kept(test: Callable) -> Callable:
+    """A parser that keeps each value ``test`` passes and refuses any other."""
+    def parse(value):
+        if not test(value):
+            raise ValueError(value)
+        return value
+    return parse
+
+
+INSTANCE_ID = ((str,), "a non-empty string", _kept(bool))
+COUNT = ((int,), "a non-negative integer", _kept((0).__le__))
+# A configuration of a prompt or prediction row, built once per value and shared (safe, as a config is frozen).
+_CONFIG_FIELDS = {"strategy": one_of(Strategy), "modality": one_of(Modality), "demo_count": COUNT}
+CONFIG = ((dict,), "a JSON object", Reader(lru_cache(maxsize=64)(PromptConfig), _CONFIG_FIELDS))
+
+_PROMPT_FIELDS = {
+    "instance_id": INSTANCE_ID,
+    "config": CONFIG,
+    "prompt_text": STRING,
+    "token_count": COUNT,
+    # A count another counter made cannot be checked against a context limit.
+    "tokenizer": ((str,), repr(TOKENIZER), {TOKENIZER: TOKENIZER}.__getitem__),
+}
+# The fields of a ``prompts.ndjson`` row that ``run`` and ``cost`` read.
+PROMPT_ROW = Reader(namedtuple("PromptRow", _PROMPT_FIELDS), _PROMPT_FIELDS)
+
+_RESPONSE_FIELDS = {
+    "instance_id": INSTANCE_ID,
+    "config": ((str,), "a configuration selector", parse_selector),
+    "backend": STRING,
+    "raw_text": STRING,
+}
+# The fields of a ``responses.ndjson`` row that ``run`` (resuming) and ``score`` read.
+RESPONSE_ROW = Reader(namedtuple("ResponseRow", _RESPONSE_FIELDS), _RESPONSE_FIELDS)

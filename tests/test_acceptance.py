@@ -36,7 +36,7 @@ from eventqa.costmodel import estimate_cost, project_run_cost
 from eventqa.extract import ExtractedLabel, ExtractionMethod, extract_answer
 from eventqa.graphcore import graph_from_sentences, topological_order, verbalize_graph
 from eventqa.promptkit import assemble_prompt, select_demonstrations
-from eventqa.vocab import Modality, PromptConfig, Strategy, all_configs
+from eventqa.vocab import PROMPT_ROW, Modality, PromptConfig, Strategy, all_configs
 from test_costmodel import (
     GPT35_FEW,
     GPT35_ZERO,
@@ -417,7 +417,7 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
     remaining_fixtures = {
         prompt_fingerprint(p["prompt_text"]): "Therefore, the final answer is: yes"
         for p in prompts
-        if (p["instance_id"], PromptConfig.from_dict(p["config"]).selector) not in completed_keys
+        if (p["instance_id"], PROMPT_ROW.read(p).config.selector) not in completed_keys
     }
     fixtures_path.write_text(json.dumps(remaining_fixtures))
     assert cli_main(["run", "--out", str(mock_dir), *mock_args]) == 0

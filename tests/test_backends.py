@@ -32,7 +32,7 @@ from eventqa.backends import (
 from eventqa.cli import main
 from eventqa.corpus import Answer
 from eventqa.graphcore import verbalize_graph
-from eventqa.manifest import make_header, read_ndjson, write_ndjson
+from eventqa.manifest import ManifestError, make_header, read_ndjson, write_ndjson
 from eventqa.promptkit import assemble_prompt, count_tokens, select_demonstrations
 from eventqa.vocab import Modality, PromptConfig, Strategy, parse_selector
 
@@ -536,25 +536,29 @@ class TestRunBatch:
     @pytest.mark.parametrize(
         "spoil, message",
         [
-            (lambda row: ["not", "a", "row"], "prompt row 2 is not a JSON object"),
-            (lambda row: {k: v for k, v in row.items() if k != "token_count"}, "prompt row 2 lacks token_count"),
-            (lambda row: {k: v for k, v in row.items() if k != "tokenizer"}, "prompt row 2 lacks tokenizer"),
-            (lambda row: dict(row, instance_id=7), "prompt row 2: instance_id must be a non-empty string, got 7"),
-            (lambda row: dict(row, instance_id=""), "prompt row 2: instance_id must be a non-empty string"),
-            (lambda row: dict(row, config="zero-graph"), "unusable config"),
-            (lambda row: dict(row, config=dict(row["config"], strategy="many")), "unusable config"),
-            (lambda row: dict(row, config=dict(row["config"], demo_count=3)), "unusable config"),
-            (lambda row: dict(row, config=dict(row["config"], demo_count=None)), "unusable config"),
+            (lambda row: ["not", "a", "row"], "is not a JSON object"),
+            (lambda row: {k: v for k, v in row.items() if k != "token_count"}, "no field 'token_count'"),
+            (lambda row: {k: v for k, v in row.items() if k != "tokenizer"}, "no field 'tokenizer'"),
+            (lambda row: dict(row, instance_id=7), "instance_id must be a non-empty string, got 7"),
+            (lambda row: dict(row, instance_id=""), "instance_id must be a non-empty string"),
+            (lambda row: dict(row, config="zero-graph"), "config must be a JSON object"),
+            (lambda row: dict(row, config=dict(row["config"], strategy="many")), "config.strategy"),
+            (lambda row: dict(row, config=dict(row["config"], demo_count=3)), "config.demo_count"),
+            (lambda row: dict(row, config=dict(row["config"], demo_count=None)), "config.demo_count"),
             (lambda row: dict(row, token_count=-1), "token_count must be a non-negative integer"),
             (lambda row: dict(row, token_count=True), "token_count must be a non-negative integer"),
             (lambda row: dict(row, token_count="5"), "token_count must be a non-negative integer"),
             (lambda row: dict(row, prompt_text=None), "prompt_text must be a string"),
             (lambda row: dict(row, tokenizer=["simple"]), "tokenizer must be 'simple', got ['simple']"),
+            (
+                lambda row: dict(row, config=dict(row["config"], demo_count=-1)),
+                "config.demo_count must be a non-negative integer, got -1",
+            ),
         ],
         ids=[
             "not-an-object", "no-token-count", "no-tokenizer", "numeric-id", "empty-id", "selector-config",
             "unknown-strategy", "zero-shot-demos", "null-demo-count", "negative-count", "bool-count",
-            "string-count", "null-prompt", "list-tokenizer",
+            "string-count", "null-prompt", "list-tokenizer", "negative-demo-count",
         ],
     )
     def test_malformed_row_refuses_the_batch(self, tmp_path, monkeypatch, spoil, message):
@@ -565,7 +569,7 @@ class TestRunBatch:
         batch = rows(build_prompts(3))
         batch[1] = spoil(batch[1])
         path = tmp_path / "r.ndjson"
-        with pytest.raises(BackendError, match=re.escape(message)):
+        with pytest.raises(ManifestError, match=re.escape(f"prompt batch row 2 is malformed: {message}")):
             run_batch(self._oracle_spec(), batch, path, self._header())
         assert not path.exists()
 
@@ -688,5 +692,5 @@ class TestRunStageTokenCounts:
         write_ndjson(out / "prompts.ndjson", header, prompts)
         assert self._run(out, "--backend", "oracle") == 2
         err = capsys.readouterr().err
-        assert f"prompt row 2 ({prompts[1]['instance_id']}): tokenizer must be 'simple', got 'chars'" in err
+        assert f"{out / 'prompts.ndjson'} row 2 is malformed: tokenizer must be 'simple', got 'chars'" in err
         assert not (out / "responses.ndjson").exists()

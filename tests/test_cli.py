@@ -351,7 +351,7 @@ def _unknown_backend_kind(tmp_path) -> list:
     "argv, message",
     [
         (lambda tmp_path: ["report", "--out", tmp_path], "missing manifest"),
-        (_unknown_backend_kind, "unknown kind 'bogus'"),
+        (_unknown_backend_kind, "kind must be one of http_chat, mock, oracle, got 'bogus'"),
         (lambda tmp_path: ["cost", "--model", "no-such-model"], "no pricing for model 'no-such-model'"),
         (_malformed_dataset, "malformed.ndjson:14:"),
         (lambda tmp_path: ["score", "--dataset", tmp_path / "absent.ndjson"], "cannot read dataset"),
@@ -423,12 +423,13 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "spoil, message",
         [
-            (lambda row: {k: v for k, v in row.items() if k != "token_count"}, "lacks token_count"),
-            (lambda row: dict(row, instance_id=5), "instance_id must be a non-empty string"),
-            (lambda row: dict(row, config=dict(row["config"], strategy="many-shot")), "unusable config"),
-            (_with_demo_count(3.9), "unusable config"),
-            (_with_demo_count("3"), "unusable config"),
-            (_with_demo_count(True), "unusable config"),
+            (lambda row: {k: v for k, v in row.items() if k != "token_count"}, "no field 'token_count'"),
+            (lambda row: dict(row, instance_id=5), "instance_id must be a non-empty string, got 5"),
+            (lambda row: dict(row, config=dict(row["config"], strategy="many-shot")), "config.strategy must be one of"),
+            (_with_demo_count(3.9), "config.demo_count must be a non-negative integer, got 3.9"),
+            (_with_demo_count("3"), "config.demo_count must be a non-negative integer, got '3'"),
+            (_with_demo_count(True), "config.demo_count must be a non-negative integer, got True"),
+            (_with_demo_count(-1), "config.demo_count must be a non-negative integer, got -1"),
         ],
         ids=[
             "no-token-count",
@@ -437,6 +438,7 @@ class TestPipeline:
             "float-demo-count",
             "string-demo-count",
             "bool-demo-count",
+            "negative-demo-count",
         ],
     )
     def test_run_refuses_a_malformed_prompt_row(self, built, capsys, spoil, message):
@@ -446,24 +448,35 @@ class TestPipeline:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run_cli("run", "--out", built, "--backend", "oracle") == 2
         err = capsys.readouterr().err
-        assert "prompt row 3" in err and message in err
+        assert f"{path} row 3 is malformed: {message}" in err
         assert not (built / "responses.ndjson").exists()
 
     @pytest.mark.parametrize(
-        "row", [[1, 2], {"instance_id": 5, "config": "zero-text"}], ids=["not-an-object", "numeric-instance-id"]
+        "number, spoil",
+        [
+            (None, lambda row: [1, 2]),
+            (None, lambda row: {"instance_id": 5, "config": "zero-text"}),
+            (3, lambda row: {k: v for k, v in row.items() if k != "raw_text"}),
+        ],
+        ids=["not-an-object", "numeric-instance-id", "no-raw-text"],
     )
-    def test_run_refuses_to_resume_over_a_malformed_response_row(self, built, capsys, monkeypatch, row):
+    def test_run_refuses_to_resume_over_a_malformed_response_row(self, built, capsys, monkeypatch, number, spoil):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0
         path = built / "responses.ndjson"
-        # Drop the last response, so a resume has a request to send, and put the malformed row in its place.
+        # Drop the last response, so a resume has a request to send, and spoil row ``number`` (None: put the
+        # malformed row in the last one's place).
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines[-1] = json.dumps(row)
+        if number is None:
+            number = len(lines) - 1
+        else:
+            del lines[-1]
+        lines[number] = json.dumps(spoil(json.loads(lines[number])))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         spoiled = path.read_bytes()
         sent = []
         monkeypatch.setattr(backends, "complete", lambda spec, request: sent.append(request))
         assert run_cli("run", "--out", built, "--backend", "oracle") == 2
-        assert f"{path} row {len(lines) - 1} is malformed" in capsys.readouterr().err
+        assert f"{path} row {number} is malformed" in capsys.readouterr().err
         assert not sent
         assert path.read_bytes() == spoiled
 
@@ -472,10 +485,10 @@ class TestPipeline:
         [
             (lambda row: {k: v for k, v in row.items() if k != "raw_text"}, "no field 'raw_text'"),
             (lambda row: dict(row, raw_text=5), "raw_text must be a string, got 5"),
-            (lambda row: dict(row, config=["zero-text"]), "unhashable type"),
-            (lambda row: dict(row, config=5), "configuration selector must be a string, got 5"),
-            (lambda row: dict(row, config=None), "configuration selector must be a string, got None"),
-            (lambda row: [row], "list indices must be integers"),
+            (lambda row: dict(row, config=["zero-text"]), "config must be a configuration selector, got ['zero-text']"),
+            (lambda row: dict(row, config=5), "config must be a configuration selector, got 5"),
+            (lambda row: dict(row, config=None), "config must be a configuration selector, got None"),
+            (lambda row: [row], "is not a JSON object"),
         ],
         ids=["no-raw-text", "numeric-raw-text", "list-config", "numeric-config", "null-config", "not-an-object"],
     )
@@ -490,14 +503,18 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "spoil, message",
         [
-            (lambda row: dict(row, gold="maybe"), "'maybe' is not a valid Answer"),
-            (lambda row: dict(row, extracted=dict(row["extracted"], matched_span=[1])), "list index out of range"),
+            (lambda row: dict(row, gold="maybe"), "gold must be one of yes, no, got 'maybe'"),
+            (
+                lambda row: dict(row, extracted=dict(row["extracted"], matched_span=[1])),
+                "extracted.matched_span must be null or two byte offsets, start first, got [1]",
+            ),
             (lambda row: dict(row, backend=5), "backend must be a string, got 5"),
-            (lambda row: dict(row, instance_id=7), "instance_id must be a string, got 7"),
-            (_with_demo_count(True), "demo_count must be an integer, got True"),
+            (lambda row: dict(row, instance_id=7), "instance_id must be a non-empty string, got 7"),
+            (_with_demo_count(True), "config.demo_count must be a non-negative integer, got True"),
             (lambda row: dict(row, extracted=None), "extracted must be a JSON object, got None"),
             (lambda row: dict(row, correct=not row["correct"]), "correct must be "),
             (lambda row: dict(row, correct=int(row["correct"])), "correct must be "),
+            (_with_demo_count(-1), "config.demo_count must be a non-negative integer, got -1"),
         ],
         ids=[
             "unknown-gold",
@@ -508,6 +525,7 @@ class TestPipeline:
             "null-extracted",
             "flipped-correct",
             "numeric-correct",
+            "negative-demo-count",
         ],
     )
     def test_report_refuses_a_malformed_prediction_row(self, built, capsys, spoil, message):
@@ -522,13 +540,20 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "spoil, message",
         [
-            (lambda row: dict(row, config=dict(row["config"], strategy="bogus")), "'bogus' is not a valid Strategy"),
+            (
+                lambda row: dict(row, config=dict(row["config"], strategy="bogus")),
+                "config.strategy must be one of zero, few, cot, got 'bogus'",
+            ),
             (lambda row: dict(row, token_count="5"), "token_count must be a non-negative integer, got '5'"),
             (lambda row: dict(row, token_count=5.9), "token_count must be a non-negative integer, got 5.9"),
             (lambda row: dict(row, token_count=True), "token_count must be a non-negative integer, got True"),
-            (_with_demo_count(3.9), "demo_count must be an integer, got 3.9"),
-            (_with_demo_count("3"), "demo_count must be an integer, got '3'"),
-            (_with_demo_count(True), "demo_count must be an integer, got True"),
+            (_with_demo_count(3.9), "config.demo_count must be a non-negative integer, got 3.9"),
+            (_with_demo_count("3"), "config.demo_count must be a non-negative integer, got '3'"),
+            (_with_demo_count(True), "config.demo_count must be a non-negative integer, got True"),
+            (_with_demo_count(-1), "config.demo_count must be a non-negative integer, got -1"),
+            (lambda row: dict(row, tokenizer="chars"), "tokenizer must be 'simple', got 'chars'"),
+            (lambda row: dict(row, prompt_text=None), "prompt_text must be a string, got None"),
+            (lambda row: dict(row, instance_id=5), "instance_id must be a non-empty string, got 5"),
         ],
         ids=[
             "unknown-strategy",
@@ -538,6 +563,10 @@ class TestPipeline:
             "float-demo-count",
             "string-demo-count",
             "bool-demo-count",
+            "negative-demo-count",
+            "other-tokenizer",
+            "null-prompt-text",
+            "numeric-instance-id",
         ],
     )
     def test_cost_refuses_a_malformed_prompt_row(self, built, capsys, spoil, message):
@@ -623,7 +652,7 @@ class TestPipeline:
         "entry, message",
         [
             ({"model_name": "m"}, "missing 'kind'"),
-            ({"kind": "bogus"}, "unknown kind 'bogus'"),
+            ({"kind": "bogus"}, "kind must be one of http_chat, mock, oracle, got 'bogus'"),
             ({"kind": "oracle", "context_limit": 0}, "context_limit must be positive"),
             (5, "must map backend names to JSON objects"),
             ({"kind": "oracle", "context_limit": "abc"}, "context_limit must be an integer"),

@@ -67,7 +67,7 @@ class TestScore:
         rng = Random(4)
         predictions = [
             make_prediction(
-                f"i{i}",
+                f"i{i:02d}",
                 category=rng.choice(list(QuestionCategory)),
                 predicted=rng.choice([ExtractedLabel.YES, ExtractedLabel.NO]),
             )
@@ -90,7 +90,11 @@ class TestScore:
     def test_duplicate_found_in_any_order(self):
         predictions = [make_prediction("a"), make_prediction("b"), make_prediction("a")]
         with pytest.raises(ScoringError, match="duplicate"):
-            score(predictions)
+            score(sorted(predictions, key=lambda p: p.identity))
+
+    def test_collection_out_of_order_refused(self):
+        with pytest.raises(ScoringError, match="out of"):
+            score([make_prediction("b"), make_prediction("a")])
 
     def test_iterator_out_of_order_refused(self):
         with pytest.raises(ScoringError, match="out of"):
@@ -119,10 +123,10 @@ class TestScore:
                             predicted=rng.choice(list(ExtractedLabel)))
             for i in range(40)
         ]
-        report_a = score(predictions)
+        report_a = score(sorted(predictions, key=lambda p: p.identity))
         shuffled = list(predictions)
         rng.shuffle(shuffled)
-        report_b = score(shuffled)
+        report_b = score(sorted(shuffled, key=lambda p: p.identity))
         assert {k: (v.n, v.correct) for k, v in report_a.cells.items()} == {
             k: (v.n, v.correct) for k, v in report_b.cells.items()
         }
@@ -148,7 +152,7 @@ class TestScore:
     def test_correct_count_recoverable_from_accuracy(self):
         rng = Random(2)
         predictions = [
-            make_prediction(f"i{i}", predicted=rng.choice([ExtractedLabel.YES, ExtractedLabel.NO]))
+            make_prediction(f"i{i:02d}", predicted=rng.choice([ExtractedLabel.YES, ExtractedLabel.NO]))
             for i in range(37)
         ]
         cell = next(iter(score(predictions).cells.values()))
@@ -164,7 +168,7 @@ def full_grid_predictions():
             for _ in range(2):
                 predictions.append(
                     make_prediction(
-                        f"i{index}",
+                        f"i{index:03d}",
                         config=config.selector,
                         category=category,
                         predicted=rng.choice([ExtractedLabel.YES, ExtractedLabel.NO]),

@@ -32,7 +32,16 @@ from eventqa.promptkit import (
     select_demonstrations,
     split_sentences,
 )
-from eventqa.vocab import DEFAULT_DEMO_COUNT, Modality, PromptConfig, PromptError, Strategy, all_configs, parse_selector
+from eventqa.vocab import (
+    DEFAULT_DEMO_COUNT,
+    PROMPT_ROW,
+    Modality,
+    PromptConfig,
+    PromptError,
+    Strategy,
+    all_configs,
+    parse_selector,
+)
 
 # Section presence by configuration: text iff modality uses the passage,
 # graph iff it uses the graph, examples iff the strategy carries demos.
@@ -180,7 +189,7 @@ class TestAssembly:
         row = json.loads(json.dumps(record.to_dict()))
         assert row["prompt_text"] == record.prompt_text
         assert row["token_count"] == record.token_count
-        assert PromptConfig.from_dict(row["config"]) == record.config
+        assert PROMPT_ROW.read(row).config == record.config
         assert {name: tuple(span) for name, span in row["sections"].items()} == record.sections
         assert row["tokenizer"] == promptkit.TOKENIZER == "simple"
         assert list(row) == [*PromptRecord._fields, "tokenizer"]  # the record holds exactly what it writes

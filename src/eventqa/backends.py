@@ -47,8 +47,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_API_KEY_ENV = "TAGEQA_API_KEY"
 
-# Named context-limit defaults for the three model classes.
-CONTEXT_LIMITS = {"t5": 1024, "qwen": 2048, "gpt": 16384}
+DEFAULT_CONTEXT_LIMIT = 16384
 
 
 class BackendError(EventQAError):
@@ -102,7 +101,7 @@ _SPEC_VALUES = Reader(
 _SPEC_DEFAULTS = {
     "model_name": "",
     "endpoint": "",
-    "context_limit": CONTEXT_LIMITS["gpt"],
+    "context_limit": DEFAULT_CONTEXT_LIMIT,
     "max_concurrency": 4,
     "retry_policy": RetryPolicy(),
     "api_key_env": DEFAULT_API_KEY_ENV,
@@ -124,6 +123,9 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
             raise BackendError(f"backend {spec.name!r}: retry_policy.max_attempts must be at least 1")
         if not 0 <= spec.retry_policy.base_backoff < math.inf:  # also rejects NaN
             raise BackendError(f"backend {spec.name!r}: retry_policy.base_backoff must be finite and non-negative")
+        # requests refuses any other URL on every attempt, so each prompt would wait out every back-off.
+        if spec.kind is BackendKind.HTTP_CHAT and not spec.endpoint.lower().startswith(("http://", "https://")):
+            raise BackendError(f"backend {spec.name!r}: endpoint must be an http(s):// URL, got {spec.endpoint!r}")
         return spec
 
     @classmethod
@@ -156,12 +158,6 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
         if not isinstance(fixtures, dict) or not all(isinstance(text, str) for text in fixtures.values()):
             raise MockFixtureError(f"{where}: {self.fixtures_path} must map prompt hashes to reply strings")
         return fixtures
-
-
-class CompletionRequest(NamedTuple):
-    prompt_text: str
-    max_output_tokens: int
-    prompt_tokens: int | None = None  # None means count here
 
 
 class CompletionResponse(NamedTuple):
@@ -327,7 +323,7 @@ def _read_chat_payload(payload, prompt_tokens: int) -> tuple[str, int, int]:
     return raw_text, counts.get("prompt_tokens", prompt_tokens), counts["completion_tokens"]
 
 
-def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens: int) -> CompletionResponse:
+def _http_complete(spec: BackendSpec, prompt_text: str, prompt_tokens: int, max_output_tokens: int) -> CompletionResponse:
     import requests  # here, not at module top, so stages that make no HTTP request do not load it
 
     url = spec.endpoint if spec.endpoint.endswith("/chat/completions") else spec.endpoint.rstrip("/") + "/chat/completions"
@@ -337,9 +333,9 @@ def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens:
         headers["Authorization"] = f"Bearer {api_key}"
     body = {
         "model": spec.model_name,
-        "messages": [{"role": "user", "content": request.prompt_text}],
+        "messages": [{"role": "user", "content": prompt_text}],
         "temperature": 0.0,  # greedy decoding, not configurable
-        "max_tokens": request.max_output_tokens,
+        "max_tokens": max_output_tokens,
     }
 
     started = time.monotonic()
@@ -383,26 +379,22 @@ def _http_complete(spec: BackendSpec, request: CompletionRequest, prompt_tokens:
     raise BackendError(f"{spec.name}: request failed after {policy.max_attempts} attempts ({last_error})")
 
 
-def complete(spec: BackendSpec, request: CompletionRequest) -> CompletionResponse:
-    """Run one completion against a backend.
+def complete(spec: BackendSpec, prompt_text: str, prompt_tokens: int, max_output_tokens: int) -> CompletionResponse:
+    """Run one completion of a prompt of ``prompt_tokens`` tokens against a backend.
 
     Deterministic backends (mock, oracle) report zero latency so manifests
-    stay byte-stable across runs. The prompt is counted only when the
-    request carries no ``prompt_tokens``.
+    stay byte-stable across runs.
     """
-    prompt_tokens = request.prompt_tokens
-    if prompt_tokens is None:
-        prompt_tokens = count_tokens(request.prompt_text)
     if prompt_tokens > spec.context_limit:
         raise ContextOverflowError(
             f"prompt of {prompt_tokens} tokens exceeds {spec.name} context limit {spec.context_limit}"
         )
 
     if spec.kind is BackendKind.HTTP_CHAT:
-        return _http_complete(spec, request, prompt_tokens)
+        return _http_complete(spec, prompt_text, prompt_tokens, max_output_tokens)
 
     if spec.kind is BackendKind.MOCK:
-        key = prompt_fingerprint(request.prompt_text)
+        key = prompt_fingerprint(prompt_text)
         fixtures = spec.fixtures
         if key not in fixtures:
             raise MockFixtureError(f"no mock fixture for prompt hash {key}")
@@ -416,7 +408,7 @@ def complete(spec: BackendSpec, request: CompletionRequest) -> CompletionRespons
             backend=spec.name,
         )
 
-    raw_text, flags = _oracle_reply(request.prompt_text)
+    raw_text, flags = _oracle_reply(prompt_text)
     return CompletionResponse(
         raw_text=raw_text,
         input_tokens=prompt_tokens,
@@ -547,12 +539,7 @@ def run_batch(
         manifest.write_ndjson(manifest_path, header, [])
 
     def _run_one(prompt) -> dict:
-        request = CompletionRequest(
-            prompt_text=prompt.prompt_text,
-            max_output_tokens=output_budget(prompt.config.strategy),
-            prompt_tokens=prompt.token_count,
-        )
-        record = complete(spec, request).to_dict()
+        record = complete(spec, prompt.prompt_text, prompt.token_count, output_budget(prompt.config.strategy)).to_dict()
         record["instance_id"], record["config"] = _key(prompt)
         return record
 

@@ -242,7 +242,7 @@ def cmd_run(args) -> int:
         },
         "prompts_hash": prompts_header["config_hash"],
     }
-    header = manifest.make_header("run", args.seed, config_payload)
+    header = manifest.make_header("run", 0, config_payload)
 
     try:
         result = backends.run_batch(spec, prompt_rows, out / RESPONSES_FILE, header)
@@ -273,7 +273,7 @@ def cmd_score(args) -> int:
         raise CliError(f"cannot read dataset {args.dataset}: {exc.strerror or exc}") from None
 
     config_payload = {"stage": "score", "responses_hash": responses_header["config_hash"]}
-    header = manifest.make_header("score", args.seed, config_payload)
+    header = manifest.make_header("score", 0, config_payload)
 
     # A successful run leaves its responses in prediction order, so each
     # prediction is written and scored as it is made. Responses in any other
@@ -314,7 +314,7 @@ def cmd_report(args) -> int:
     report = evalkit.score(manifest.read_rows(evalkit.PREDICTION_ROW, rows, out / PREDICTIONS_FILE))
 
     config_payload = {"stage": "report", "predictions_hash": predictions_header["config_hash"]}
-    header = manifest.make_header("report", args.seed, config_payload)
+    header = manifest.make_header("report", 0, config_payload)
     evalkit.emit_report(report, evalkit.ReportFormat.JSON, out / "report.json", header)
     evalkit.emit_report(report, evalkit.ReportFormat.CSV, out / "report.csv", header)
     evalkit.emit_plot_data(report, evalkit.PlotGrouping.BY_STRATEGY, out / "plot_by_strategy.csv", header)
@@ -366,7 +366,7 @@ def cmd_cost(args) -> int:
         )
 
     config_payload = {"stage": "cost", "prompts_hash": prompts_header["config_hash"], "model": args.model}
-    header = manifest.make_header("cost", args.seed, config_payload)
+    header = manifest.make_header("cost", 0, config_payload)
     payload = {manifest.HEADER_KEY: header, "estimate": estimate.to_dict(), "pricing_label": pricing.label}
     (out / "cost.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"projected cost for {args.model}: ${estimate.display_cost} -> {out / 'cost.json'}")
@@ -405,18 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--backends-config", help="JSON file mapping backend names to specs")
     p_run.add_argument("--fixtures", help="mock fixtures file (prompt hash -> response text)")
     p_run.add_argument("--max-concurrency", type=int)
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=cmd_run)
 
     p_score = sub.add_parser("score", help="extract answers and score against gold labels")
     _add_dataset_flags(p_score)
     p_score.add_argument("--out", required=True)
-    p_score.add_argument("--seed", type=int, default=0)
     p_score.set_defaults(func=cmd_score)
 
     p_report = sub.add_parser("report", help="emit accuracy reports and plot data")
     p_report.add_argument("--out", required=True)
-    p_report.add_argument("--seed", type=int, default=0)
     p_report.set_defaults(func=cmd_report)
 
     p_cost = sub.add_parser("cost", help="project API spend for the built prompts")
@@ -424,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--model", required=True)
     p_cost.add_argument("--pricing", help="pricing config file (defaults to the bundled table)")
     p_cost.add_argument("--expected-output-tokens", type=int)
-    p_cost.add_argument("--seed", type=int, default=0)
     p_cost.set_defaults(func=cmd_cost)
 
     return parser

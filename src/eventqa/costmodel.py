@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import EventQAError
+from .manifest import ManifestError, Reader
 
 MILLION = Decimal(1_000_000)
 CENT = Decimal("0.01")
@@ -66,23 +67,28 @@ class CostEstimate(NamedTuple):
         }
 
 
-def _price(value, where: str) -> Decimal:
-    """``value`` as an exact decimal; ``CostError`` unless it is a finite, non-negative number."""
+def _price(value) -> Decimal:
+    """``value`` as an exact decimal; ``ValueError`` unless it is a finite, non-negative number."""
     try:
-        price = None if isinstance(value, bool) else Decimal(str(value))
-    except ArithmeticError:  # decimal.InvalidOperation: not a number
-        price = None
-    if price is None or not price.is_finite() or price < 0:
-        raise CostError(f"{where} must be a non-negative decimal, got {value!r}")
+        price = Decimal(str(value))
+    except ArithmeticError:  # decimal.InvalidOperation, which is no ValueError: not a number
+        raise ValueError(value) from None
+    if not price.is_finite() or price < 0:
+        raise ValueError(value)
     return price
+
+
+# A price is a JSON string or number (never a bool), read as an exact decimal.
+_PRICE = ((str, int, float), "a non-negative decimal", _price)
+_MODEL_PRICING = Reader(ModelPricing, {"input_per_million": _PRICE, "output_per_million": _PRICE})
 
 
 def load_pricing(path: str | Path) -> PricingTable:
     """Load a pricing config file: {"label": ..., "models": {name: {input_per_million, output_per_million}}}.
 
     Prices are read as strings so they stay exact decimals. A file that
-    cannot be read, is not JSON, has no "models" object or holds a price
-    that is not a non-negative decimal raises ``CostError``.
+    cannot be read, is not JSON, has no "models" object or holds a model
+    entry that ``_MODEL_PRICING`` refuses raises ``CostError``.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -94,13 +100,10 @@ def load_pricing(path: str | Path) -> PricingTable:
         raise CostError(f"pricing file {path} has no \"models\" object")
     entries = {}
     for name, prices in raw["models"].items():
-        where = f"pricing file {path}: model {name!r}"
-        if not isinstance(prices, dict):
-            raise CostError(f"{where} is not a JSON object")
-        entries[name] = ModelPricing(
-            input_per_million=_price(prices.get("input_per_million"), f"{where}: input_per_million"),
-            output_per_million=_price(prices.get("output_per_million"), f"{where}: output_per_million"),
-        )
+        try:
+            entries[name] = _MODEL_PRICING.read(prices)
+        except ManifestError as exc:
+            raise CostError(f"pricing file {path}: model {name!r}: {exc}") from None
     return PricingTable(label=str(raw.get("label", "")), entries=entries)
 
 

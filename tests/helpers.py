@@ -116,6 +116,71 @@ def random_graph(rng: Random, max_nodes: int = 8, max_edges: int = 12, acyclic: 
     return graph
 
 
+def has_cycle_through(edges: list[CausalEdge], edge: CausalEdge) -> bool:
+    def dfs(current: str, goal: str, visited: set[str]) -> bool:
+        if current == goal:
+            return True
+        visited.add(current)
+        for e in edges:
+            if e.source == current and e.target not in visited:
+                if dfs(e.target, goal, visited):
+                    return True
+        return False
+
+    return dfs(edge.target, edge.source, set())
+
+
+def feedback_removed_reference(graph: CausalGraph) -> list[int]:
+    """Replay the removal rule with recursive DFS instead of the iterative walk."""
+    remaining = list(enumerate(graph.edges))
+    removed: list[int] = []
+    while True:
+        current = [edge for _, edge in remaining]
+        cyclic = [i for i, edge in remaining if has_cycle_through(current, edge)]
+        if not cyclic:
+            return sorted(removed)
+        victim = max(cyclic)
+        remaining = [(i, edge) for i, edge in remaining if i != victim]
+        removed.append(victim)
+
+
+def order_reference(graph: CausalGraph) -> list[str]:
+    """Node ids by Kahn's algorithm over the edges ``feedback_removed_reference`` keeps, ties to input order.
+
+    Each step places the earliest node in input order whose retained
+    predecessors are all placed.
+    """
+    removed = set(feedback_removed_reference(graph))
+    retained = [edge for i, edge in enumerate(graph.edges) if i not in removed]
+    ordering: list[str] = []
+    while len(ordering) < len(graph.nodes):
+        ready = [
+            node.id
+            for node in graph.nodes
+            if node.id not in ordering
+            and all(edge.source in ordering for edge in retained if edge.target == node.id)
+        ]
+        assert ready, "the retained edges form a cycle"
+        ordering.append(ready[0])
+    return ordering
+
+
+def verbalized_order_reference(graph: CausalGraph) -> tuple[tuple[CausalEdge, ...], tuple[CausalEdge, ...]]:
+    """The ``edge_order`` and ``cycle_report`` that ``verbalize_graph`` must give.
+
+    The retained edges sorted by (their source's ``order_reference``
+    position, input index), then the set-aside edges in input order, which
+    are also the cycle report.
+    """
+    removed = feedback_removed_reference(graph)
+    position = {node_id: i for i, node_id in enumerate(order_reference(graph))}
+    retained = sorted(
+        (i for i in range(len(graph.edges)) if i not in removed), key=lambda i: (position[graph.edges[i].source], i)
+    )
+    cycle_report = tuple(graph.edges[i] for i in removed)
+    return tuple(graph.edges[i] for i in retained) + cycle_report, cycle_report
+
+
 _PASSAGE_CLAUSES = (
     "The council met at dawn",
     "A storm closed the harbor",

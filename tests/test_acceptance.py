@@ -25,7 +25,6 @@ from eventqa import manifest
 from eventqa.backends import (
     BackendKind,
     BackendSpec,
-    CompletionRequest,
     complete,
     prompt_fingerprint,
     run_batch,
@@ -34,8 +33,8 @@ from eventqa.cli import main as cli_main
 from eventqa.corpus import Answer, DatasetSplit, QuestionCategory, stratified_sample
 from eventqa.costmodel import estimate_cost, project_run_cost
 from eventqa.extract import ExtractedLabel, ExtractionMethod, extract_answer
-from eventqa.graphcore import graph_from_sentences, topological_order, verbalize_graph
-from eventqa.promptkit import assemble_prompt, select_demonstrations
+from eventqa.graphcore import graph_from_sentences, verbalize_graph
+from eventqa.promptkit import DemoPool, assemble_prompt, select_demonstrations
 from eventqa.vocab import PROMPT_ROW, Modality, PromptConfig, Strategy, all_configs
 from test_costmodel import (
     GPT35_FEW,
@@ -47,7 +46,6 @@ from test_costmodel import (
 from test_graphcore import (
     assert_valid_topology,
     closure_reachable,
-    feedback_removed_reference,
     occurred_reference,
 )
 
@@ -137,7 +135,7 @@ def test_criterion_02_component_matrix(rally_instance):
         ("cot", "graph"): (False, True, True),
         ("cot", "tag"): (True, True, True),
     }
-    pool = list(helpers.synthetic_split(8, seed=23, id_prefix="pool").instances)
+    pool = DemoPool(helpers.synthetic_split(8, seed=23, id_prefix="pool").instances)
     verbalized = verbalize_graph(rally_instance.graph)
     checks = 0
     for config in all_configs():
@@ -238,7 +236,7 @@ def test_criterion_04_oracle_ground_truth(rally_instance, worked_demos):
     for question, answer in expected.items():
         instance = rally_instance._replace(question=question)
         record = assemble_prompt(instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], verbalized)
-        response = complete(spec, CompletionRequest(prompt_text=record.prompt_text, max_output_tokens=8))
+        response = complete(spec, record.prompt_text, record.token_count, 8)
         assert response.raw_text == answer
 
     from eventqa.graphcore import QueryKind, StructuredQuery, oracle_answer
@@ -276,23 +274,17 @@ def test_criterion_05_verbalization_round_trip():
         expected = Counter((labels[e.source].label, e.relation, labels[e.target].label) for e in graph.edges)
         assert Counter((e.source, e.relation, e.target) for e in rebuilt.edges) == expected
         assert verbalized.cycle_report == ()
-        ordering, removed = topological_order(graph)
-        assert removed == []
-        assert_valid_topology(graph, ordering, removed)
-        position = {node_id: i for i, node_id in enumerate(ordering)}
-        source_positions = [position[e.source] for e in verbalized.edge_order]
-        assert source_positions == sorted(source_positions)
+        assert_valid_topology(graph, helpers.order_reference(graph), [])
+        assert (verbalized.edge_order, verbalized.cycle_report) == helpers.verbalized_order_reference(graph)
         acyclic_checked += 1
     assert acyclic_checked == 1000
 
     cyclic_checked = 0
     while cyclic_checked < 200:
         graph = helpers.random_graph(rng, max_nodes=6, max_edges=10)
-        reference_removed = feedback_removed_reference(graph)
-        _, removed = topological_order(graph)
-        assert len(removed) == len(reference_removed)
-        assert [graph.edges[i] for i in reference_removed] == removed
-        if reference_removed:
+        verbalized = verbalize_graph(graph)
+        assert (verbalized.edge_order, verbalized.cycle_report) == helpers.verbalized_order_reference(graph)
+        if verbalized.cycle_report:
             cyclic_checked += 1
     _report(5, "round-trip on 1000 acyclic graphs; feedback counts match on 200 cyclic", started, 10.0)
 
@@ -300,7 +292,7 @@ def test_criterion_05_verbalization_round_trip():
 def test_criterion_06_token_length_ordering(synthetic_split):
     started = time.monotonic()
     assert len(synthetic_split.instances) >= 100
-    pool = list(helpers.synthetic_split(10, seed=8, id_prefix="pool").instances)
+    pool = DemoPool(helpers.synthetic_split(10, seed=8, id_prefix="pool").instances)
     means: dict[tuple[Strategy, Modality], float] = {}
     for config in all_configs():
         counts = []

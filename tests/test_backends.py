@@ -20,7 +20,6 @@ from eventqa.backends import (
     BackendError,
     BackendKind,
     BackendSpec,
-    CompletionRequest,
     ContextOverflowError,
     MockFixtureError,
     RetryPolicy,
@@ -33,7 +32,7 @@ from eventqa.cli import main
 from eventqa.corpus import Answer
 from eventqa.graphcore import verbalize_graph
 from eventqa.manifest import ManifestError, make_header, read_ndjson, write_ndjson
-from eventqa.promptkit import assemble_prompt, count_tokens, select_demonstrations
+from eventqa.promptkit import DemoPool, assemble_prompt, count_tokens, select_demonstrations
 from eventqa.vocab import Modality, PromptConfig, Strategy, parse_selector
 
 DATA = Path(__file__).parent / "data"
@@ -85,7 +84,7 @@ def build_prompts(count=10, configs=("zero-graph",), pool=None):
     for instance in split.instances:
         for selector in configs:
             config = parse_selector(selector)
-            demos = select_demonstrations(pool or [], config, seed=3, exclude_ids={instance.instance_id})
+            demos = select_demonstrations(pool or DemoPool(), config, seed=3, exclude_ids={instance.instance_id})
             verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
             records.append(assemble_prompt(instance, config, demos, verbalized))
     return records
@@ -103,7 +102,7 @@ class TestMockBackend:
         path = tmp_path / "fixtures.json"
         path.write_text(json.dumps(fixtures))
         spec = BackendSpec(name="mock", kind=BackendKind.MOCK, fixtures_path=str(path))
-        response = complete(spec, CompletionRequest(prompt_text=prompt, max_output_tokens=8))
+        response = complete(spec, prompt, count_tokens(prompt), 8)
         assert response.raw_text == "Therefore, the final answer is: no"
         assert response.attempt_count == 1
         assert response.latency == 0.0
@@ -113,7 +112,7 @@ class TestMockBackend:
         path.write_text("{}")
         spec = BackendSpec(name="mock", kind=BackendKind.MOCK, fixtures_path=str(path))
         with pytest.raises(MockFixtureError):
-            complete(spec, CompletionRequest(prompt_text="anything", max_output_tokens=8))
+            complete(spec, "anything", 1, 8)
 
 
 # The regular expressions the oracle used to find a prompt's graph and
@@ -148,7 +147,7 @@ class TestOracleBackend:
         for question, expected in expectations.items():
             instance = rally_instance._replace(question=question)
             record = assemble_prompt(instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], verbalized)
-            response = complete(spec, CompletionRequest(prompt_text=record.prompt_text, max_output_tokens=8))
+            response = complete(spec, record.prompt_text, record.token_count, 8)
             assert response.raw_text == expected
             assert response.flags == ()
 
@@ -156,14 +155,14 @@ class TestOracleBackend:
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
         verbalized = verbalize_graph(rally_instance.graph)
         record = assemble_prompt(rally_instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], verbalized)
-        response = complete(spec, CompletionRequest(prompt_text=record.prompt_text, max_output_tokens=8))
+        response = complete(spec, record.prompt_text, record.token_count, 8)
         assert response.raw_text == "no"
         assert "unparsed" in response.flags
 
     def test_text_only_prompt_flagged_no_graph(self, rally_instance):
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
         record = assemble_prompt(rally_instance, PromptConfig(Strategy.ZERO, Modality.TEXT), [], None)
-        response = complete(spec, CompletionRequest(prompt_text=record.prompt_text, max_output_tokens=8))
+        response = complete(spec, record.prompt_text, record.token_count, 8)
         assert response.raw_text == "no"
         assert "no_graph" in response.flags
 
@@ -204,17 +203,17 @@ class TestOracleBackend:
     def test_context_overflow_rejected(self):
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE, context_limit=4)
         with pytest.raises(ContextOverflowError):
-            complete(spec, CompletionRequest(prompt_text="one two three four five", max_output_tokens=8))
+            complete(spec, "one two three four five", 5, 8)
 
     def test_given_prompt_tokens_replace_counting(self, monkeypatch):
         counted = []
         monkeypatch.setattr(backends_module, "count_tokens", lambda text: counted.append(text) or 1)
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE, context_limit=10)
         prompt = "one two three"
-        response = complete(spec, CompletionRequest(prompt_text=prompt, max_output_tokens=8, prompt_tokens=7))
+        response = complete(spec, prompt, 7, 8)
         assert response.input_tokens == 7
         with pytest.raises(ContextOverflowError, match="prompt of 11 tokens"):
-            complete(spec, CompletionRequest(prompt_text=prompt, max_output_tokens=8, prompt_tokens=11))
+            complete(spec, prompt, 11, 8)
         assert prompt not in counted
 
     def test_repeated_graph_sections_parse_once_and_answer_alike(self, rally_instance, worked_demos, monkeypatch):
@@ -231,14 +230,14 @@ class TestOracleBackend:
         verbalized = verbalize_graph(rally_instance.graph)
         instance = rally_instance._replace(question=worked_demos[1].question)
         record = assemble_prompt(instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], verbalized)
-        request = CompletionRequest(prompt_text=record.prompt_text, max_output_tokens=8)
-        replies = {(r.raw_text, r.flags) for r in (complete(spec, request) for _ in range(3))}
+        request = record.prompt_text, record.token_count, 8
+        replies = {(r.raw_text, r.flags) for r in (complete(spec, *request) for _ in range(3))}
         assert replies == {("yes", ())}
         assert len(parses) == 1
 
         malformed = record.prompt_text.replace(verbalized.sentences[0], "this is not an edge sentence", 1)
-        request = CompletionRequest(prompt_text=malformed, max_output_tokens=8)
-        replies = {(r.raw_text, r.flags) for r in (complete(spec, request) for _ in range(3))}
+        request = malformed, count_tokens(malformed), 8
+        replies = {(r.raw_text, r.flags) for r in (complete(spec, *request) for _ in range(3))}
         assert replies == {("no", ("unparsed",))}
         assert len(parses) == 4  # a parse error is raised afresh on every repeat, never cached
 
@@ -262,7 +261,7 @@ class TestHttpBackend:
             (200, {"Content-Type": "application/json"}, chat_payload("yes", {"prompt_tokens": 5, "completion_tokens": 1})),
         ]
         with stub_server(script) as (endpoint, seen):
-            response = complete(self._spec(endpoint), CompletionRequest(prompt_text="Did it?", max_output_tokens=8))
+            response = complete(self._spec(endpoint), "Did it?", 3, 8)
         assert response.attempt_count == 3
         assert response.raw_text == "yes"
         assert response.input_tokens == 5
@@ -271,15 +270,13 @@ class TestHttpBackend:
     def test_given_prompt_tokens_stand_in_for_missing_usage(self):
         script = [(200, {}, chat_payload("no"))]
         with stub_server(script) as (endpoint, _):
-            response = complete(
-                self._spec(endpoint), CompletionRequest(prompt_text="Did it?", max_output_tokens=8, prompt_tokens=42)
-            )
+            response = complete(self._spec(endpoint), "Did it?", 42, 8)
         assert response.input_tokens == 42
 
     def test_sends_single_user_message_greedy(self):
         script = [(200, {}, chat_payload("no"))]
         with stub_server(script) as (endpoint, seen):
-            complete(self._spec(endpoint), CompletionRequest(prompt_text="Did it?", max_output_tokens=8))
+            complete(self._spec(endpoint), "Did it?", 3, 8)
         body = seen[0]
         assert body["messages"] == [{"role": "user", "content": "Did it?"}]
         assert body["temperature"] == 0.0
@@ -291,14 +288,14 @@ class TestHttpBackend:
         with stub_server(script) as (endpoint, _):
             spec = self._spec(endpoint, retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.01))
             with pytest.raises(BackendError, match="after 3 attempts"):
-                complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
+                complete(spec, "x", 1, 8)
 
     def test_non_json_body_is_retried_then_typed_error(self):
         script = [(200, {"Content-Type": "text/html"}, "<html>gateway</html>")] * 3
         with stub_server(script) as (endpoint, seen):
             spec = self._spec(endpoint, retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.01))
             with pytest.raises(BackendError, match="not JSON"):
-                complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
+                complete(spec, "x", 1, 8)
             assert len(seen) == 3
 
     def test_unusable_retry_after_falls_back_to_backoff(self):
@@ -306,7 +303,7 @@ class TestHttpBackend:
         script.append((200, {}, chat_payload("yes")))
         with stub_server(script) as (endpoint, _):
             spec = self._spec(endpoint, retry_policy=RetryPolicy(max_attempts=4, base_backoff=0.01))
-            response = complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
+            response = complete(spec, "x", 1, 8)
         assert response.attempt_count == 4
         assert response.raw_text == "yes"
 
@@ -317,7 +314,7 @@ class TestHttpBackend:
         script = [(status, {"Retry-After": "86400"}, ""), (200, {}, chat_payload("yes"))]
         with stub_server(script) as (endpoint, _):
             spec = self._spec(endpoint, retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.01))
-            response = complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
+            response = complete(spec, "x", 1, 8)
         assert response.raw_text == "yes"
         assert slept == [backends_module.MAX_RETRY_WAIT]
 
@@ -327,7 +324,7 @@ class TestHttpBackend:
         script = [(503, {"Retry-After": "0.25"}, ""), (500, {"Retry-After": "0.25"}, ""), (200, {}, chat_payload("no"))]
         with stub_server(script) as (endpoint, _):
             spec = self._spec(endpoint, retry_policy=RetryPolicy(max_attempts=3, base_backoff=0.01))
-            response = complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
+            response = complete(spec, "x", 1, 8)
         assert response.attempt_count == 3
         # 503 waits as asked; a 500's Retry-After is ignored for the doubled backoff.
         assert slept == [0.25, 0.02]
@@ -367,8 +364,7 @@ class TestHttpBackend:
             (200, {}, chat_payload("counted here", {"prompt_tokens": 5})),
         ]
         with stub_server(script) as (endpoint, _):
-            request = CompletionRequest(prompt_text="x", max_output_tokens=8, prompt_tokens=1)
-            replies = [complete(self._spec(endpoint), request) for _ in script]
+            replies = [complete(self._spec(endpoint), "x", 1, 8) for _ in script]
         assert [reply.output_tokens for reply in replies] == [9, 2]
         assert counted == ["counted here"]
 
@@ -376,7 +372,7 @@ class TestHttpBackend:
         script = [(400, {}, "bad request")]
         with stub_server(script) as (endpoint, seen):
             with pytest.raises(BackendError, match="HTTP 400"):
-                complete(self._spec(endpoint), CompletionRequest(prompt_text="x", max_output_tokens=8))
+                complete(self._spec(endpoint), "x", 1, 8)
             assert len(seen) == 1
 
     def test_api_key_header_from_environment(self, monkeypatch):
@@ -400,7 +396,7 @@ class TestHttpBackend:
         thread.start()
         try:
             spec = self._spec(f"http://127.0.0.1:{server.server_port}/v1")
-            complete(spec, CompletionRequest(prompt_text="x", max_output_tokens=8))
+            complete(spec, "x", 1, 8)
         finally:
             server.shutdown()
             server.server_close()
@@ -464,9 +460,9 @@ class TestRunBatch:
         requested = []
         original = backends_module.complete
 
-        def counting_complete(spec, request):
-            requested.append(request.prompt_text)
-            return original(spec, request)
+        def counting_complete(spec, prompt_text, *args):
+            requested.append(prompt_text)
+            return original(spec, prompt_text, *args)
 
         monkeypatch.setattr(backends_module, "complete", counting_complete)
         result = run_batch(self._oracle_spec(), rows(prompts), path, header)
@@ -487,10 +483,10 @@ class TestRunBatch:
         failing = {prompts[2].prompt_text, prompts[4].prompt_text}
         original = backends_module.complete
 
-        def flaky_complete(spec, request):
-            if request.prompt_text in failing:
+        def flaky_complete(spec, prompt_text, *args):
+            if prompt_text in failing:
                 raise BackendError("boom")
-            return original(spec, request)
+            return original(spec, prompt_text, *args)
 
         monkeypatch.setattr(backends_module, "complete", flaky_complete)
         result = run_batch(self._oracle_spec(), rows(prompts), tmp_path / "r.ndjson", self._header())
@@ -524,7 +520,7 @@ class TestRunBatch:
         ids=["empty", "duplicate", "adjacent-duplicate", "oversized"],
     )
     def test_refused_batch_sends_and_writes_nothing(self, tmp_path, monkeypatch, batch, error):
-        def no_request(spec, request):
+        def no_request(*args):
             raise AssertionError("a refused batch must send nothing")
 
         monkeypatch.setattr(backends_module, "complete", no_request)
@@ -562,7 +558,7 @@ class TestRunBatch:
         ],
     )
     def test_malformed_row_refuses_the_batch(self, tmp_path, monkeypatch, spoil, message):
-        def no_request(spec, request):
+        def no_request(*args):
             raise AssertionError("a refused batch must send nothing")
 
         monkeypatch.setattr(backends_module, "complete", no_request)
@@ -631,7 +627,7 @@ class TestRunBatch:
         ids=["missing", "not-json", "not-an-object", "non-string-reply"],
     )
     def test_unusable_fixtures_refuse_the_batch(self, tmp_path, monkeypatch, fixtures, message):
-        def no_request(spec, request):
+        def no_request(*args):
             raise AssertionError("a refused batch must send nothing")
 
         monkeypatch.setattr(backends_module, "complete", no_request)

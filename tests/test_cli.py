@@ -474,7 +474,7 @@ class TestPipeline:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         spoiled = path.read_bytes()
         sent = []
-        monkeypatch.setattr(backends, "complete", lambda spec, request: sent.append(request))
+        monkeypatch.setattr(backends, "complete", lambda *args: sent.append(args))
         assert run_cli("run", "--out", built, "--backend", "oracle") == 2
         assert f"{path} row {number} is malformed" in capsys.readouterr().err
         assert not sent
@@ -660,6 +660,11 @@ class TestPipeline:
             ({"kind": "oracle", "retry_policy": "fast"}, "retry_policy must be a JSON object"),
             ({"kind": "oracle", "retry_policy": {"max_attempts": True}}, "max_attempts must be an integer"),
             ({"kind": "oracle", "retry_policy": {"base_backoff": -1}}, "base_backoff must be finite and non-negative"),
+            ({"kind": "http_chat", "retry_policy": {"max_attempts": 1}}, "endpoint must be an http(s):// URL, got ''"),
+            (
+                {"kind": "http_chat", "endpoint": "localhost:8000/v1", "retry_policy": {"max_attempts": 1}},
+                "endpoint must be an http(s):// URL, got 'localhost:8000/v1'",
+            ),
         ],
         ids=[
             "no-kind",
@@ -671,6 +676,8 @@ class TestPipeline:
             "string-retry-policy",
             "bool-max-attempts",
             "negative-backoff",
+            "no-endpoint",
+            "schemeless-endpoint",
         ],
     )
     def test_run_bad_backend_entry_exits_2(self, built, tmp_path, capsys, entry, message):
@@ -681,6 +688,7 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert message in err
         assert "'x'" in err
+        assert not (built / "responses.ndjson").exists()
 
     @pytest.mark.parametrize(
         "content, message", [(None, "cannot read"), ("{not json", "not valid JSON")], ids=["missing", "not-json"]
@@ -723,9 +731,10 @@ class TestPipeline:
             ('{"label": "x"}', 'has no "models" object'),
             ('{"models": {"m": {"input_per_million": "abc", "output_per_million": "1"}}}', "input_per_million must"),
             ('{"models": {"m": {"input_per_million": "1", "output_per_million": -2}}}', "output_per_million must"),
-            ('{"models": {"m": {"output_per_million": "1"}}}', "input_per_million must"),
+            ('{"models": {"m": {"output_per_million": "1"}}}', "no field 'input_per_million'"),
+            ('{"models": {"m": ["1", "2"]}}', "model 'm': is not a JSON object"),
         ],
-        ids=["missing", "not-json", "no-models", "string-price", "negative-price", "missing-price"],
+        ids=["missing", "not-json", "no-models", "string-price", "negative-price", "missing-price", "not-an-object"],
     )
     def test_bad_pricing_file_exits_2(self, built, tmp_path, capsys, content, message):
         pricing = tmp_path / "pricing.json"

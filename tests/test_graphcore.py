@@ -20,7 +20,6 @@ from eventqa.graphcore import (
     occurred_set,
     oracle_answer,
     parse_sentence,
-    topological_order,
     verbalize_edge,
     verbalize_graph,
 )
@@ -71,34 +70,6 @@ def occurred_reference(graph: CausalGraph) -> set[str]:
     raise AssertionError("reference fixpoint failed to stabilize")
 
 
-def _has_cycle_through(edges: list[CausalEdge], edge: CausalEdge) -> bool:
-    def dfs(current: str, goal: str, visited: set[str]) -> bool:
-        if current == goal:
-            return True
-        visited.add(current)
-        for e in edges:
-            if e.source == current and e.target not in visited:
-                if dfs(e.target, goal, visited):
-                    return True
-        return False
-
-    return dfs(edge.target, edge.source, set())
-
-
-def feedback_removed_reference(graph: CausalGraph) -> list[int]:
-    """Replay the removal rule with recursive DFS instead of the iterative walk."""
-    remaining = list(enumerate(graph.edges))
-    removed: list[int] = []
-    while True:
-        current = [edge for _, edge in remaining]
-        cyclic = [i for i, edge in remaining if _has_cycle_through(current, edge)]
-        if not cyclic:
-            return sorted(removed)
-        victim = max(cyclic)
-        remaining = [(i, edge) for i, edge in remaining if i != victim]
-        removed.append(victim)
-
-
 def assert_valid_topology(graph: CausalGraph, ordering: list[str], removed: list[CausalEdge]) -> None:
     assert sorted(ordering) == sorted(n.id for n in graph.nodes)
     position = {node_id: i for i, node_id in enumerate(ordering)}
@@ -126,6 +97,8 @@ dense_multigraphs = graphs(max_nodes=20, max_edges=45)
 
 
 class TestTopologicalOrder:
+    """``verbalize_graph`` emits edges by their source's topological position; see ``helpers.order_reference``."""
+
     def test_three_node_chain(self):
         graph = CausalGraph(
             "chain",
@@ -133,14 +106,13 @@ class TestTopologicalOrder:
             (EventNode("music", "music"), EventNode("draw", "draws many people"), EventNode("gather", "gather")),
             (CausalEdge("music", "draw", Relation.ENABLES), CausalEdge("draw", "gather", Relation.ENABLES)),
         )
-        ordering, removed = topological_order(graph)
-        assert ordering == ["music", "draw", "gather"]
-        assert removed == []
+        assert helpers.order_reference(graph) == ["music", "draw", "gather"]
+        verbalized = verbalize_graph(graph)
+        assert verbalized.edge_order == graph.edges
+        assert verbalized.cycle_report == ()
 
     def test_empty_graph(self):
-        ordering, removed = topological_order(CausalGraph("empty", GraphKind.INSTANCE, (), ()))
-        assert ordering == []
-        assert removed == []
+        assert verbalize_graph(CausalGraph("empty", GraphKind.INSTANCE, (), ())) == ((), (), ())
 
     def test_two_cycle_removes_later_edge(self):
         graph = CausalGraph(
@@ -153,25 +125,25 @@ class TestTopologicalOrder:
         # deterministic rule must be what picks one.
         for drop in (0, 1):
             kept = graph.edges[1 - drop]
-            assert not _has_cycle_through([kept], kept)
-        ordering, removed = topological_order(graph)
-        assert removed == [graph.edges[1]]
-        assert ordering == ["a", "b"]
+            assert not helpers.has_cycle_through([kept], kept)
+        verbalized = verbalize_graph(graph)
+        assert verbalized.cycle_report == (graph.edges[1],)
+        assert verbalized.edge_order == graph.edges
+        assert helpers.order_reference(graph) == ["a", "b"]
 
     def test_figure1_order_matches_expected(self, rally_graph):
-        ordering, removed = topological_order(rally_graph)
-        assert removed == []
-        assert_valid_topology(rally_graph, ordering, removed)
-        assert ordering[0] == "riot_police_deployed"
+        verbalized = verbalize_graph(rally_graph)
+        assert verbalized.cycle_report == ()
+        assert verbalized.edge_order[0].source == "riot_police_deployed"
+        assert_valid_topology(rally_graph, helpers.order_reference(rally_graph), [])
+        assert (verbalized.edge_order, verbalized.cycle_report) == helpers.verbalized_order_reference(rally_graph)
 
     @settings(max_examples=300, deadline=None)
     @given(graph=st.one_of(graphs(), dense_multigraphs))
     def test_ordering_always_valid_and_removals_match_reference(self, graph):
-        ordering, removed = topological_order(graph)
-        assert_valid_topology(graph, ordering, removed)
-        reference = [graph.edges[i] for i in feedback_removed_reference(graph)]
-        assert reference == removed
-        assert verbalize_graph(graph).cycle_report == tuple(reference)
+        verbalized = verbalize_graph(graph)
+        assert_valid_topology(graph, helpers.order_reference(graph), list(verbalized.cycle_report))
+        assert (verbalized.edge_order, verbalized.cycle_report) == helpers.verbalized_order_reference(graph)
 
     def test_large_cyclic_graph_verbalizes_quickly(self):
         rng = Random(160)
@@ -188,8 +160,7 @@ class TestTopologicalOrder:
     @settings(max_examples=100, deadline=None)
     @given(graph=graphs(acyclic=True))
     def test_acyclic_graphs_lose_nothing(self, graph):
-        _, removed = topological_order(graph)
-        assert removed == []
+        assert verbalize_graph(graph).cycle_report == ()
 
 
 class TestVerbalization:

@@ -59,7 +59,7 @@ COMPONENT_MATRIX = {
 
 
 def _build(instance, config, pool=None, seed=0, budget=None):
-    demos = select_demonstrations(pool or [], config, seed=seed, exclude_ids={instance.instance_id})
+    demos = select_demonstrations(pool or DemoPool(), config, seed=seed, exclude_ids={instance.instance_id})
     verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
     return assemble_prompt(instance, config, demos, verbalized, budget=budget)
 
@@ -72,7 +72,7 @@ def _section(record, name):
 
 @pytest.fixture
 def demo_pool():
-    return list(helpers.synthetic_split(12, seed=41, id_prefix="pool").instances)
+    return DemoPool(helpers.synthetic_split(12, seed=41, id_prefix="pool").instances)
 
 
 class TestPromptConfig:
@@ -262,7 +262,7 @@ class TestTruncation:
 
 class TestDemonstrationSelection:
     def test_pool_of_exactly_three_returned_in_stable_order(self, demo_pool):
-        pool = demo_pool[:3]
+        pool = DemoPool(demo_pool[:3])
         config = PromptConfig(Strategy.FEW, Modality.TEXT)
         demos = select_demonstrations(pool, config, seed=1)
         assert [d.question for d in demos] == [i.question for i in pool]
@@ -284,7 +284,7 @@ class TestDemonstrationSelection:
             assert labels == {Answer.YES, Answer.NO}
 
     def test_single_label_pool_warns(self, demo_pool, caplog):
-        all_yes = [i._replace(gold_answer=Answer.YES) for i in demo_pool[:3]]
+        all_yes = DemoPool([i._replace(gold_answer=Answer.YES) for i in demo_pool[:3]])
         with caplog.at_level("WARNING"):
             demos = select_demonstrations(all_yes, PromptConfig(Strategy.FEW, Modality.TEXT), seed=0)
         assert len(demos) == 3
@@ -299,7 +299,7 @@ class TestDemonstrationSelection:
 
     def test_insufficient_pool_fails(self, demo_pool):
         with pytest.raises(InsufficientPoolError):
-            select_demonstrations(demo_pool[:2], PromptConfig(Strategy.FEW, Modality.TEXT), seed=0)
+            select_demonstrations(DemoPool(demo_pool[:2]), PromptConfig(Strategy.FEW, Modality.TEXT), seed=0)
 
     def test_cot_demos_carry_canonical_traces(self, demo_pool):
         config = PromptConfig(Strategy.COT, Modality.GRAPH)
@@ -383,7 +383,7 @@ class TestLengthOrdering:
     @given(seed=st.integers(0, 1000))
     def test_strategy_ordering_per_instance_sample(self, seed):
         split = helpers.synthetic_split(6, seed=seed)
-        pool = list(helpers.synthetic_split(8, seed=seed + 1, id_prefix="pool").instances)
+        pool = DemoPool(helpers.synthetic_split(8, seed=seed + 1, id_prefix="pool").instances)
         for modality in Modality:
             means = {}
             for strategy in Strategy:

@@ -29,6 +29,7 @@ from enum import Enum
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
+from urllib.parse import urlsplit
 
 from . import EventQAError, manifest
 from .graphcore import (
@@ -124,8 +125,15 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
         if not 0 <= spec.retry_policy.base_backoff < math.inf:  # also rejects NaN
             raise BackendError(f"backend {spec.name!r}: retry_policy.base_backoff must be finite and non-negative")
         # requests refuses any other URL on every attempt, so each prompt would wait out every back-off.
-        if spec.kind is BackendKind.HTTP_CHAT and not spec.endpoint.lower().startswith(("http://", "https://")):
-            raise BackendError(f"backend {spec.name!r}: endpoint must be an http(s):// URL, got {spec.endpoint!r}")
+        if spec.kind is BackendKind.HTTP_CHAT:
+            if not spec.endpoint.lower().startswith(("http://", "https://")):
+                raise BackendError(f"backend {spec.name!r}: endpoint must be an http(s):// URL, got {spec.endpoint!r}")
+            try:
+                host = urlsplit(spec.endpoint).hostname
+            except ValueError:  # an unclosed IPv6 bracket
+                host = None
+            if not host:
+                raise BackendError(f"backend {spec.name!r}: endpoint names no host, got {spec.endpoint!r}")
         return spec
 
     @classmethod

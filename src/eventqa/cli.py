@@ -56,10 +56,13 @@ _HASH_CHUNK = 1 << 20
 def _file_sha(path: str | Path) -> str:
     """The file's SHA-256 prefix, hashed a chunk at a time rather than read whole."""
     digest = manifest.sha256()
-    with open(path, "rb") as handle:
-        while chunk := handle.read(_HASH_CHUNK):
-            digest.update(chunk)
-            del chunk  # freed before the next read, so one chunk is held at a time
+    try:
+        with open(path, "rb") as handle:
+            while chunk := handle.read(_HASH_CHUNK):
+                digest.update(chunk)
+                del chunk  # freed before the next read, so one chunk is held at a time
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
     return digest.hexdigest()[:16]
 
 
@@ -102,7 +105,7 @@ def _load_split(args) -> tuple[corpus.DatasetSplit, tuple[corpus.RejectedRecord,
             size = int(args.split)
         except ValueError:
             raise CliError(f"--split must be 'full', 'small', or an integer, got {args.split!r}") from None
-        split = corpus.stratified_sample(split, size, seed=args.seed, name=f"custom-{size}")
+        split = corpus.stratified_sample(split, size, seed=args.seed)
     if not split.instances:
         raise CliError(f"--split {args.split} keeps no instance of {args.dataset}")
     return split, result.rejections
@@ -170,7 +173,10 @@ def cmd_build(args) -> int:
                 yield record.to_dict()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
     manifest.write_ndjson(out / PROMPTS_FILE, header, records())
     # Written only once the prompts are, so a failed build leaves the
     # previous build's rejection log in place.
@@ -278,7 +284,7 @@ def cmd_score(args) -> int:
     # A successful run leaves its responses in prediction order, so each
     # prediction is written and scored as it is made. Responses in any other
     # order are sorted on disk once written, and scored from the sorted file.
-    scorer = evalkit.Scorer()
+    report = evalkit.AccuracyReport()
     in_order = True
 
     def predictions():
@@ -291,11 +297,10 @@ def cmd_score(args) -> int:
                 )
             # instance_id, config and backend come first in both records.
             prediction = evalkit.PredictionRecord(*response[:3], extract.extract_answer(response.raw_text), *label)
-            in_order = in_order and scorer.add(prediction)
+            in_order = in_order and report.add(prediction)
             yield prediction.to_dict()
 
     manifest.write_ndjson(out / PREDICTIONS_FILE, header, predictions())
-    report = scorer.report
     if not in_order:
         manifest.sort_ndjson(out / PREDICTIONS_FILE, lambda row: evalkit.PREDICTION_ROW.read(row).identity)
         _, rows = manifest.read_ndjson(out / PREDICTIONS_FILE)
@@ -315,12 +320,8 @@ def cmd_report(args) -> int:
 
     config_payload = {"stage": "report", "predictions_hash": predictions_header["config_hash"]}
     header = manifest.make_header("report", 0, config_payload)
-    evalkit.emit_report(report, evalkit.ReportFormat.JSON, out / "report.json", header)
-    evalkit.emit_report(report, evalkit.ReportFormat.CSV, out / "report.csv", header)
-    evalkit.emit_plot_data(report, evalkit.PlotGrouping.BY_STRATEGY, out / "plot_by_strategy.csv", header)
-    evalkit.emit_plot_data(report, evalkit.PlotGrouping.BY_MODALITY, out / "plot_by_modality.csv", header)
-    for name in ("report.json", "report.csv", "plot_by_strategy.csv", "plot_by_modality.csv"):
-        print(f"wrote {out / name}")
+    for path in evalkit.emit_report(report, out, header) + evalkit.emit_plot_data(report, out, header):
+        print(f"wrote {path}")
     return 0
 
 

@@ -132,7 +132,6 @@ class QAInstance(NamedTuple):
 
 
 class DatasetSplit(NamedTuple):
-    name: str
     instances: tuple[QAInstance, ...]
 
 
@@ -261,15 +260,19 @@ def load_dataset(
     can rely on the type invariants without re-checking.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"dataset file not found: {path}")
-    schema = merge_schema(schema)
+    try:
+        # Bytes that are not UTF-8 become lone surrogates, which validation rejects.
+        handle = open(path, encoding="utf-8", errors="surrogateescape")
+    except FileNotFoundError:
+        raise CorpusError(f"dataset file not found: {path}") from None
+    except OSError as exc:
+        raise CorpusError(f"cannot read dataset file {path}: {exc.strerror or exc}") from None
 
     instances: list[QAInstance] = []
     rejections: list[RejectedRecord] = []
     seen_ids: set[str] = set()
-    # Bytes that are not UTF-8 become lone surrogates, which validation rejects.
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with handle:
+        schema = merge_schema(schema)
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -291,7 +294,7 @@ def load_dataset(
             seen_ids.add(instance.instance_id)
             instances.append(instance)
 
-    return LoadResult(split=DatasetSplit(name=FULL, instances=tuple(instances)), rejections=tuple(rejections))
+    return LoadResult(split=DatasetSplit(tuple(instances)), rejections=tuple(rejections))
 
 
 def _allocate_quotas(sizes: list[int], total: int) -> list[int]:
@@ -323,13 +326,7 @@ def _allocate_quotas(sizes: list[int], total: int) -> list[int]:
     return counts
 
 
-def stratified_sample(
-    split: DatasetSplit,
-    size: int,
-    seed: int,
-    *,
-    name: str = SMALL,
-) -> DatasetSplit:
+def stratified_sample(split: DatasetSplit, size: int, seed: int) -> DatasetSplit:
     """Draw a proportional stratified sample of exactly ``size`` instances.
 
     Per-stratum quotas use floor-proportional allocation with largest
@@ -361,4 +358,4 @@ def stratified_sample(
             chosen.update(rng.sample(members, count))
 
     instances = tuple(split.instances[i] for i in sorted(chosen))
-    return DatasetSplit(name=name, instances=instances)
+    return DatasetSplit(instances)

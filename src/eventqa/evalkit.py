@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -23,16 +22,6 @@ from .vocab import ALL_CATEGORIES, CONFIG, INSTANCE_ID, Answer, Modality, Prompt
 
 class ScoringError(EventQAError):
     pass
-
-
-class ReportFormat(str, Enum):
-    JSON = "json"
-    CSV = "csv"
-
-
-class PlotGrouping(str, Enum):
-    BY_MODALITY = "by_modality"
-    BY_STRATEGY = "by_strategy"
 
 
 class PredictionRecord(NamedTuple):
@@ -128,22 +117,15 @@ ClusterKey = tuple[str, Strategy, Modality, QuestionCategory]
 
 
 class AccuracyReport:
-    """Cells per (backend, strategy, modality), and per category within each."""
+    """Cells per (backend, strategy, modality), and per category within each.
+
+    Predictions are folded in (``add``) in ascending identity order, where a
+    duplicate repeats the previous identity, so nothing is kept per prediction.
+    """
 
     def __init__(self) -> None:
         self.cells: dict[ConfigKey, CellStats] = {}
         self.cluster_cells: dict[ClusterKey, CellStats] = {}
-
-
-class Scorer:
-    """Folds predictions into an ``AccuracyReport`` as they arrive in ascending identity order.
-
-    In that order a duplicate is a repeat of the previous identity, so
-    nothing is kept per prediction.
-    """
-
-    def __init__(self) -> None:
-        self.report = AccuracyReport()
         self._last: tuple = ()
 
     def add(self, record: PredictionRecord) -> bool:
@@ -155,39 +137,32 @@ class Scorer:
             return False
         self._last = identity
         config_key = (record.backend, record.config.strategy, record.config.modality)
-        cluster_key = config_key + (record.category,)
-        self.report.cells.setdefault(config_key, CellStats()).add(record)
-        self.report.cluster_cells.setdefault(cluster_key, CellStats()).add(record)
+        self.cells.setdefault(config_key, CellStats()).add(record)
+        self.cluster_cells.setdefault(config_key + (record.category,), CellStats()).add(record)
         return True
 
 
 def score(predictions: Iterable[PredictionRecord]) -> AccuracyReport:
     """Aggregate predictions, in ascending identity order, into per-configuration and per-category cells.
 
-    They are folded in one pass (see ``Scorer``). Predictions in any other
-    order are refused, since only a sort of all of them could find their
-    duplicates.
+    They are folded in one pass (see ``AccuracyReport.add``). Predictions in
+    any other order are refused, since only a sort of all of them could find
+    their duplicates.
     """
-    scorer = Scorer()
+    report = AccuracyReport()
     for record in predictions:
-        if not scorer.add(record):
+        if not report.add(record):
             raise ScoringError(f"predictions out of (instance_id, config, backend) order at {record.identity}")
-    return scorer.report
+    return report
 
 
 _STRATEGY_ORDER = {s: i for i, s in enumerate(Strategy)}
 _MODALITY_ORDER = {m: i for i, m in enumerate(Modality)}
 
 
-def _sorted_config_keys(report: AccuracyReport) -> list[ConfigKey]:
-    return sorted(report.cells, key=lambda k: (k[0], _STRATEGY_ORDER[k[1]], _MODALITY_ORDER[k[2]]))
-
-
-def _sorted_cluster_keys(report: AccuracyReport) -> list[ClusterKey]:
-    return sorted(
-        report.cluster_cells,
-        key=lambda k: (k[0], _STRATEGY_ORDER[k[1]], _MODALITY_ORDER[k[2]], k[3].value),
-    )
+def _cell_order(key: ConfigKey | ClusterKey) -> tuple:
+    """Backend, strategy and modality in declaration order, then the category (str enums compare by value)."""
+    return (key[0], _STRATEGY_ORDER[key[1]], _MODALITY_ORDER[key[2]], *key[3:])
 
 
 def _cell_row(key: Sequence, stats: CellStats, category: str = "") -> dict:
@@ -202,80 +177,61 @@ def _cell_row(key: Sequence, stats: CellStats, category: str = "") -> dict:
     }
 
 
-def emit_report(report: AccuracyReport, format: ReportFormat, path: str | Path, header: dict | None = None) -> None:
-    """Write the accuracy report as JSON or CSV, deterministically."""
+def emit_report(report: AccuracyReport, out: str | Path, header: dict) -> list[Path]:
+    """Write ``report.json`` and ``report.csv`` into ``out``, deterministically, and return their paths."""
     if not report.cells:
         raise ScoringError("cannot emit an empty report")
-    path = Path(path)
-    config_rows = [_cell_row(key, report.cells[key]) for key in _sorted_config_keys(report)]
-    cluster_rows = [
-        _cell_row(key, report.cluster_cells[key], category=key[3].value) for key in _sorted_cluster_keys(report)
-    ]
+    out = Path(out)
+    config_rows = [_cell_row(key, report.cells[key]) for key in sorted(report.cells, key=_cell_order)]
+    cluster_keys = sorted(report.cluster_cells, key=_cell_order)
+    cluster_rows = [_cell_row(key, report.cluster_cells[key], category=key[3].value) for key in cluster_keys]
 
-    if format is ReportFormat.JSON:
-        payload: dict = {}
-        if header is not None:
-            payload[HEADER_KEY] = header
-        payload["cells"] = config_rows
-        payload["cluster_cells"] = cluster_rows
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return
-
-    columns = ["backend", "strategy", "modality", "category", "n", "accuracy", "unparseable_rate"]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        if header is not None:
-            handle.write(csv_header_line(header) + "\n")
-        writer = csv.DictWriter(handle, fieldnames=columns)
+    json_path, csv_path = out / "report.json", out / "report.csv"
+    payload = {HEADER_KEY: header, "cells": config_rows, "cluster_cells": cluster_rows}
+    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(csv_header_line(header) + "\n")
+        writer = csv.DictWriter(handle, fieldnames=list(config_rows[0]))
         writer.writeheader()
-        for row in config_rows + cluster_rows:
-            writer.writerow(row)
+        writer.writerows(config_rows + cluster_rows)
+    return [json_path, csv_path]
 
 
-def emit_plot_data(
-    report: AccuracyReport,
-    grouping: PlotGrouping,
-    path: str | Path,
-    header: dict | None = None,
-) -> None:
-    """Write per-category bar-chart data in long CSV form.
+def emit_plot_data(report: AccuracyReport, out: str | Path, header: dict) -> list[Path]:
+    """Write per-category bar-chart data in long CSV form; return the paths.
 
-    Every category appears for every (backend, group, series) combination
-    present in the report; empty cells get n=0 and a blank accuracy so the
-    full 13-row shape is stable for plotting.
+    ``plot_by_strategy.csv`` groups by modality with one series per
+    strategy, and ``plot_by_modality.csv`` the other way round. Every
+    category appears for every (backend, group, series) combination present
+    in the report; empty cells get n=0 and a blank accuracy so the full
+    13-row shape is stable for plotting.
     """
     if not report.cluster_cells:
         raise ScoringError("report has no per-category cells")
-    path = Path(path)
 
     backends = sorted({key[0] for key in report.cluster_cells})
     strategies = sorted({key[1] for key in report.cluster_cells}, key=_STRATEGY_ORDER.__getitem__)
     modalities = sorted({key[2] for key in report.cluster_cells}, key=_MODALITY_ORDER.__getitem__)
     categories = sorted(ALL_CATEGORIES, key=lambda c: c.value)
 
-    if grouping is PlotGrouping.BY_STRATEGY:
-        groups, series_values = modalities, strategies
-        group_name, series_name = "modality", "strategy"
-    else:
-        groups, series_values = strategies, modalities
-        group_name, series_name = "strategy", "modality"
-
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        if header is not None:
+    axes = {"strategy": strategies, "modality": modalities}
+    paths = []
+    for series_name, group_name in (("strategy", "modality"), ("modality", "strategy")):
+        path = Path(out) / f"plot_by_{series_name}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(csv_header_line(header) + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(["backend", group_name, "category", series_name, "n", "accuracy"])
-        for backend in backends:
-            for group in groups:
-                for category in categories:
-                    for series in series_values:
-                        if grouping is PlotGrouping.BY_STRATEGY:
-                            key = (backend, series, group, category)
-                        else:
-                            key = (backend, group, series, category)
-                        stats = report.cluster_cells.get(key)
-                        n = stats.n if stats else 0
-                        accuracy = stats.accuracy if stats and stats.n else ""
-                        writer.writerow([backend, group.value, category.value, series.value, n, accuracy])
+            writer = csv.writer(handle)
+            writer.writerow(["backend", group_name, "category", series_name, "n", "accuracy"])
+            for backend in backends:
+                for group in axes[group_name]:
+                    for category in categories:
+                        for series in axes[series_name]:
+                            strategy, modality = (series, group) if series_name == "strategy" else (group, series)
+                            stats = report.cluster_cells.get((backend, strategy, modality, category)) or CellStats()
+                            accuracy = stats.accuracy if stats.n else ""
+                            writer.writerow([backend, group.value, category.value, series.value, stats.n, accuracy])
+        paths.append(path)
+    return paths
 
 
 def format_accuracy_table(report: AccuracyReport) -> str:

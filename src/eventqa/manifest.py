@@ -121,10 +121,13 @@ def _scan(path: Path, tolerate_partial: bool) -> Iterator[tuple[int, int, Any]]:
 
 def _open_scan(path: Path, tolerate_partial: bool = False) -> tuple[dict, int, Iterator[tuple[int, int, Any]]]:
     """(header, end of the header line, the scan positioned after it)."""
-    if not path.exists():
-        raise ManifestError(f"missing manifest: {path}")
     scan = _scan(path, tolerate_partial)
-    first = next(scan, None)
+    try:
+        first = next(scan, None)  # opens the file
+    except FileNotFoundError:
+        raise ManifestError(f"missing manifest: {path}") from None
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc.strerror or exc}") from None
     if first is None:
         raise ManifestError(f"{path}: missing provenance header")
     _, header_end, header = first

@@ -230,10 +230,9 @@ def synthetic_instance(index: int, rng: Random, *, id_prefix: str = "syn") -> QA
     return instance
 
 
-def synthetic_split(count: int, seed: int, *, id_prefix: str = "syn", name: str = "synthetic") -> DatasetSplit:
+def synthetic_split(count: int, seed: int, *, id_prefix: str = "syn") -> DatasetSplit:
     rng = Random(seed)
-    instances = tuple(synthetic_instance(i, rng, id_prefix=id_prefix) for i in range(count))
-    return DatasetSplit(name=name, instances=instances)
+    return DatasetSplit(tuple(synthetic_instance(i, rng, id_prefix=id_prefix) for i in range(count)))
 
 
 def instance_to_record(instance: QAInstance) -> dict:

@@ -332,7 +332,7 @@ def test_criterion_08_sampler_quotas():
             index += 1
     ids = [f"pop-{i:05d}" for i in range(len(instances))]
     instances = [inst._replace(instance_id=new_id) for inst, new_id in zip(instances, ids)]
-    population = DatasetSplit("population", tuple(instances))
+    population = DatasetSplit(tuple(instances))
     assert len(population.instances) == 3666
 
     sample = stratified_sample(population, 1024, seed=42)

@@ -347,6 +347,20 @@ def _unknown_backend_kind(tmp_path) -> list:
     return ["run", "--backend", "x", "--backends-config", config]
 
 
+def _build_with(tmp_path, *, dataset=DATASET, demo_pool=POOL, out=None) -> list:
+    return ["build", "--dataset", dataset, "--demo-pool", demo_pool, "--out", out or tmp_path / "built"]
+
+
+def _directory(path: Path) -> Path:
+    path.mkdir(parents=True)
+    return path
+
+
+def _out_is_a_file(tmp_path) -> list:
+    (tmp_path / "out-file").write_text("")
+    return _build_with(tmp_path, out=tmp_path / "out-file")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -356,8 +370,34 @@ def _unknown_backend_kind(tmp_path) -> list:
         (_malformed_dataset, "malformed.ndjson:14:"),
         (lambda tmp_path: ["score", "--dataset", tmp_path / "absent.ndjson"], "cannot read dataset"),
         (lambda tmp_path: ["score", "--dataset", DATASET, "--schema", tmp_path / "absent.json"], "cannot read schema"),
+        (
+            lambda tmp_path: _build_with(tmp_path, demo_pool=tmp_path / "absent-pool.ndjson"),
+            "absent-pool.ndjson: No such file or directory",
+        ),
+        (
+            lambda tmp_path: _build_with(tmp_path, demo_pool=_directory(tmp_path / "pool-dir")),
+            "pool-dir: Is a directory",
+        ),
+        (lambda tmp_path: _build_with(tmp_path, dataset=_directory(tmp_path / "data-dir")), "data-dir: Is a directory"),
+        (
+            lambda tmp_path: ["report", "--out", _directory(tmp_path / "out" / "predictions.ndjson").parent],
+            "predictions.ndjson: Is a directory",
+        ),
+        (_out_is_a_file, "out-file: File exists"),
     ],
-    ids=["ManifestError", "BackendError", "CostError", "CorpusError", "score-dataset", "score-schema"],
+    ids=[
+        "ManifestError",
+        "BackendError",
+        "CostError",
+        "CorpusError",
+        "score-dataset",
+        "score-schema",
+        "build-absent-demo-pool",
+        "build-demo-pool-directory",
+        "build-dataset-directory",
+        "report-predictions-directory",
+        "build-out-is-a-file",
+    ],
 )
 def test_lazily_loaded_layer_error_exits_2(pipeline_dir, tmp_path, argv, message):
     argv = argv(tmp_path)
@@ -665,6 +705,10 @@ class TestPipeline:
                 {"kind": "http_chat", "endpoint": "localhost:8000/v1", "retry_policy": {"max_attempts": 1}},
                 "endpoint must be an http(s):// URL, got 'localhost:8000/v1'",
             ),
+            (
+                {"kind": "http_chat", "endpoint": "http:///v1", "retry_policy": {"max_attempts": 1}},
+                "endpoint names no host, got 'http:///v1'",
+            ),
         ],
         ids=[
             "no-kind",
@@ -678,6 +722,7 @@ class TestPipeline:
             "negative-backoff",
             "no-endpoint",
             "schemeless-endpoint",
+            "hostless-endpoint",
         ],
     )
     def test_run_bad_backend_entry_exits_2(self, built, tmp_path, capsys, entry, message):

@@ -198,7 +198,7 @@ class TestStratifiedSample:
             )
             for index in range(100)
         ]
-        sample = stratified_sample(DatasetSplit("t", tuple(instances)), 10, seed=7)
+        sample = stratified_sample(DatasetSplit(tuple(instances)), 10, seed=7)
         counts = Counter(i.category for i in sample.instances)
         assert counts[QuestionCategory.CAUSAL] == 5
         assert counts[QuestionCategory.PAST] == 5

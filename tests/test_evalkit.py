@@ -9,9 +9,7 @@ import pytest
 from eventqa.corpus import Answer, QuestionCategory
 from eventqa.evalkit import (
     AccuracyReport,
-    PlotGrouping,
     PredictionRecord,
-    ReportFormat,
     ScoringError,
     emit_plot_data,
     emit_report,
@@ -19,6 +17,7 @@ from eventqa.evalkit import (
     score,
 )
 from eventqa.extract import ExtractedAnswer, ExtractedLabel, ExtractionMethod
+from eventqa.manifest import HEADER_KEY, csv_header_line
 from eventqa.vocab import all_configs, parse_selector
 
 
@@ -178,12 +177,21 @@ def full_grid_predictions():
     return predictions
 
 
+HEADER = {"seed": 1, "stage": "report"}
+
+
+def read_csv(path) -> list[dict]:
+    """The rows of an emitted CSV, read past its ``# {header}`` line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == csv_header_line(HEADER)
+    return list(csv.DictReader(lines[1:]))
+
+
 class TestEmission:
     def test_csv_row_counts_for_full_grid(self, tmp_path):
         report = score(full_grid_predictions())
-        path = tmp_path / "report.csv"
-        emit_report(report, ReportFormat.CSV, path)
-        rows = list(csv.DictReader(path.read_text().splitlines()))
+        emit_report(report, tmp_path, HEADER)
+        rows = read_csv(tmp_path / "report.csv")
         config_rows = [r for r in rows if r["category"] == ""]
         cluster_rows = [r for r in rows if r["category"]]
         assert len(config_rows) == 9
@@ -191,44 +199,40 @@ class TestEmission:
 
     def test_single_cell_report(self, tmp_path):
         report = score([make_prediction("a")])
-        path = tmp_path / "report.csv"
-        emit_report(report, ReportFormat.CSV, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "backend,strategy,modality,category,n,accuracy,unparseable_rate"
-        assert len(lines) == 3  # header + config row + one cluster row
+        assert emit_report(report, tmp_path, HEADER) == [tmp_path / "report.json", tmp_path / "report.csv"]
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines[1] == "backend,strategy,modality,category,n,accuracy,unparseable_rate"
+        assert len(lines) == 4  # provenance + column names + config row + one cluster row
 
     def test_reemission_is_byte_identical(self, tmp_path):
         report = score(full_grid_predictions())
-        for fmt, name in ((ReportFormat.CSV, "r.csv"), (ReportFormat.JSON, "r.json")):
-            emit_report(report, fmt, tmp_path / name, header={"seed": 1})
-            first = (tmp_path / name).read_bytes()
-            emit_report(report, fmt, tmp_path / name, header={"seed": 1})
-            assert (tmp_path / name).read_bytes() == first
+        paths = emit_report(report, tmp_path, HEADER) + emit_plot_data(report, tmp_path, HEADER)
+        first = {path: path.read_bytes() for path in paths}
+        assert emit_report(report, tmp_path, HEADER) + emit_plot_data(report, tmp_path, HEADER) == paths
+        assert {path: path.read_bytes() for path in paths} == first
 
     def test_json_mirrors_csv_content(self, tmp_path):
         report = score(full_grid_predictions())
-        emit_report(report, ReportFormat.JSON, tmp_path / "r.json")
-        emit_report(report, ReportFormat.CSV, tmp_path / "r.csv")
-        payload = json.loads((tmp_path / "r.json").read_text())
-        csv_rows = list(csv.DictReader((tmp_path / "r.csv").read_text().splitlines()))
+        emit_report(report, tmp_path, HEADER)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload[HEADER_KEY] == HEADER
         assert len(payload["cells"]) == 9
         assert len(payload["cluster_cells"]) == 117
-        first_json = payload["cells"][0]
-        first_csv = csv_rows[0]
-        assert first_csv["backend"] == first_json["backend"]
-        assert float(first_csv["accuracy"]) == first_json["accuracy"]
+        rows = payload["cells"] + payload["cluster_cells"]
+        assert [{key: str(value) for key, value in row.items()} for row in rows] == read_csv(tmp_path / "report.csv")
 
     def test_empty_report_rejected(self, tmp_path):
         with pytest.raises(ScoringError):
-            emit_report(AccuracyReport(), ReportFormat.CSV, tmp_path / "r.csv")
+            emit_report(AccuracyReport(), tmp_path, HEADER)
+        assert list(tmp_path.iterdir()) == []
 
     def test_plot_data_shape_13_by_3(self, tmp_path):
         # TAG cells only, grouped by strategy: 13 categories x 3 strategies.
         predictions = [p for p in full_grid_predictions() if p.config.modality.value == "tag"]
         report = score(predictions)
-        path = tmp_path / "plot.csv"
-        emit_plot_data(report, PlotGrouping.BY_STRATEGY, path)
-        rows = list(csv.DictReader(path.read_text().splitlines()))
+        paths = emit_plot_data(report, tmp_path, HEADER)
+        assert paths == [tmp_path / "plot_by_strategy.csv", tmp_path / "plot_by_modality.csv"]
+        rows = read_csv(paths[0])
         assert len(rows) == 13 * 3
         assert sorted({row["category"] for row in rows}) == sorted(c.value for c in QuestionCategory)
 
@@ -237,23 +241,39 @@ class TestEmission:
             make_prediction("a", config="cot-tag", category=QuestionCategory.CAUSAL),
         ]
         report = score(predictions)
-        path = tmp_path / "plot.csv"
-        emit_plot_data(report, PlotGrouping.BY_STRATEGY, path)
-        rows = list(csv.DictReader(path.read_text().splitlines()))
-        missing = [row for row in rows if row["category"] == "unknown"]
-        assert missing and all(row["n"] == "0" and row["accuracy"] == "" for row in missing)
+        for path in emit_plot_data(report, tmp_path, HEADER):
+            rows = read_csv(path)
+            missing = [row for row in rows if row["category"] == "unknown"]
+            assert missing and all(row["n"] == "0" and row["accuracy"] == "" for row in missing)
 
     def test_plot_categories_alphabetical(self, tmp_path):
         report = score(full_grid_predictions())
-        path = tmp_path / "plot.csv"
-        emit_plot_data(report, PlotGrouping.BY_STRATEGY, path)
-        rows = list(csv.DictReader(path.read_text().splitlines()))
+        emit_plot_data(report, tmp_path, HEADER)
+        rows = read_csv(tmp_path / "plot_by_strategy.csv")
         tag_zero = [row["category"] for row in rows if row["modality"] == "tag" and row["strategy"] == "zero"]
         assert tag_zero == sorted(tag_zero)
 
+    def test_plot_by_modality_swaps_group_and_series(self, tmp_path):
+        report = score(full_grid_predictions())
+        emit_plot_data(report, tmp_path, HEADER)
+        by_strategy = read_csv(tmp_path / "plot_by_strategy.csv")
+        by_modality = read_csv(tmp_path / "plot_by_modality.csv")
+        assert list(by_strategy[0]) == ["backend", "modality", "category", "strategy", "n", "accuracy"]
+        assert list(by_modality[0]) == ["backend", "strategy", "category", "modality", "n", "accuracy"]
+        assert len(by_modality) == 9 * 13
+        # Keyed by column name, the rows of one file are the rows of the other.
+        assert sorted(sorted(row.items()) for row in by_modality) == sorted(sorted(row.items()) for row in by_strategy)
+        # Within a backend, groups are the outer loop and series the inner one, both in declaration order.
+        assert [(row["strategy"], row["modality"]) for row in by_modality[:3]] == [
+            ("zero", "text"), ("zero", "graph"), ("zero", "tag")
+        ]
+        assert [(row["modality"], row["strategy"]) for row in by_strategy[:3]] == [
+            ("text", "zero"), ("text", "few"), ("text", "cot")
+        ]
+
     def test_plot_requires_cluster_cells(self, tmp_path):
         with pytest.raises(ScoringError):
-            emit_plot_data(AccuracyReport(), PlotGrouping.BY_STRATEGY, tmp_path / "p.csv")
+            emit_plot_data(AccuracyReport(), tmp_path, HEADER)
 
     def test_accuracy_table_has_nine_numbers(self):
         report = score(full_grid_predictions())

@@ -41,7 +41,7 @@ from .graphcore import (
     oracle_answer,
 )
 from .manifest import INTEGER, NUMBER, STRING, Reader, one_of
-from .promptkit import count_tokens
+from .promptkit import SECTION_ANSWER, SECTION_GRAPH, SECTION_HEADERS, SECTION_QUESTION, count_tokens
 from .vocab import COUNT, PROMPT_ROW, RESPONSE_ROW, Answer, output_budget
 
 logger = logging.getLogger(__name__)
@@ -177,17 +177,6 @@ class CompletionResponse(NamedTuple):
     backend: str
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "raw_text": self.raw_text,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "latency": self.latency,
-            "attempt_count": self.attempt_count,
-            "backend": self.backend,
-            "flags": list(self.flags),
-        }
-
 
 def prompt_fingerprint(prompt_text: str) -> str:
     """Content hash used to key mock fixtures."""
@@ -279,12 +268,17 @@ def _section_reply(section: str, question: str) -> tuple[str, tuple[str, ...]]:
     return answer.value, ()
 
 
+_GRAPH_HEADER = SECTION_HEADERS[SECTION_GRAPH] + "\n"
+_QUESTION_HEADER = SECTION_HEADERS[SECTION_QUESTION] + "\n"
+_ANSWER_HEADER = "\n" + SECTION_HEADERS[SECTION_ANSWER]
+
+
 def _oracle_reply(prompt_text: str) -> tuple[str, tuple[str, ...]]:
     # A graph section ends at a blank line, or at the prompt's last newline.
-    graph_section = _section(prompt_text + "\n", "### Graph ###\n", "\n\n")
+    graph_section = _section(prompt_text + "\n", _GRAPH_HEADER, "\n\n")
     if graph_section is None:
         return Answer.NO.value, ("no_graph",)
-    question = _section(prompt_text, "### Question ###\n", "\n### Answer ###")
+    question = _section(prompt_text, _QUESTION_HEADER, _ANSWER_HEADER)
     if question is None:
         return Answer.NO.value, ("unparsed",)
     try:
@@ -406,25 +400,11 @@ def complete(spec: BackendSpec, prompt_text: str, prompt_tokens: int, max_output
         fixtures = spec.fixtures
         if key not in fixtures:
             raise MockFixtureError(f"no mock fixture for prompt hash {key}")
-        raw_text = fixtures[key]
-        return CompletionResponse(
-            raw_text=raw_text,
-            input_tokens=prompt_tokens,
-            output_tokens=count_tokens(raw_text),
-            latency=0.0,
-            attempt_count=1,
-            backend=spec.name,
-        )
-
-    raw_text, flags = _oracle_reply(prompt_text)
+        raw_text, flags = fixtures[key], ()
+    else:
+        raw_text, flags = _oracle_reply(prompt_text)
     return CompletionResponse(
-        raw_text=raw_text,
-        input_tokens=prompt_tokens,
-        output_tokens=count_tokens(raw_text),
-        latency=0.0,
-        attempt_count=1,
-        backend=spec.name,
-        flags=flags,
+        raw_text, prompt_tokens, count_tokens(raw_text), latency=0.0, attempt_count=1, backend=spec.name, flags=flags
     )
 
 
@@ -547,7 +527,7 @@ def run_batch(
         manifest.write_ndjson(manifest_path, header, [])
 
     def _run_one(prompt) -> dict:
-        record = complete(spec, prompt.prompt_text, prompt.token_count, output_budget(prompt.config.strategy)).to_dict()
+        record = complete(spec, prompt.prompt_text, prompt.token_count, output_budget(prompt.config.strategy))._asdict()
         record["instance_id"], record["config"] = _key(prompt)
         return record
 

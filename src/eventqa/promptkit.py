@@ -1,20 +1,18 @@
 """Prompt assembly for the nine strategy/modality configurations.
 
-A prompt is a sequence of headed sections rendered from a plain-text
-skeleton template (``templates/skeleton.txt``) and a per-modality
-instruction table (``templates/instructions.json``). Which sections appear
-is fixed by the configuration matrix: the passage for text and text+graph
-prompts, the verbalized graph for graph and text+graph prompts, worked
-examples whenever demonstrations are in play. Both template files can be
-edited or swapped out without touching code, under one bordering rule:
-each placeholder of the skeleton has whitespace or a block edge on both
-sides. A skeleton with a placeholder glued to any other character is
-refused when it is compiled. The rule is what lets a prompt's token count
-be summed from the counts of its parts.
+A prompt is a fixed sequence of headed sections, spelled once in
+``SECTION_HEADERS``: instruction, passage, graph, examples, question, with
+the answer header directly under the question as the completion cue. Which
+sections appear is fixed by the configuration matrix: the passage for text
+and text+graph prompts, the verbalized graph for graph and text+graph
+prompts, worked examples whenever demonstrations are in play. The
+instruction wording is the one editable file,
+``templates/instructions.json``. Headers meet parts only at whitespace, so
+a prompt's token count is the counts of its parts plus one header count
+per present section.
 
 All rendering is byte-deterministic: straight ASCII double quotes, one
-blank line between sections, a single trailing newline, and the answer
-header directly under the question as the completion cue.
+blank line between sections, a single trailing newline.
 """
 
 from __future__ import annotations
@@ -41,6 +39,13 @@ SECTION_GRAPH = "Graph"
 SECTION_EXAMPLES = "Examples"
 SECTION_QUESTION = "Question"
 SECTION_ANSWER = "Answer"
+
+# Every section's header. The oracle backend finds a
+# prompt's graph and question through these, so they are spelled only here.
+SECTION_HEADERS = {
+    name: f"### {name} ###"
+    for name in (SECTION_INSTRUCTION, SECTION_TEXT, SECTION_GRAPH, SECTION_EXAMPLES, SECTION_QUESTION, SECTION_ANSWER)
+}
 
 
 class PromptAssemblyError(PromptError):
@@ -99,85 +104,12 @@ def count_tokens(text: str) -> int:
     return _simple_count(text)
 
 
-# --- templates ----------------------------------------------------------------
-
-_PLACEHOLDER_SECTIONS = {
-    "instruction": SECTION_INSTRUCTION,
-    "text": SECTION_TEXT,
-    "graph": SECTION_GRAPH,
-    "examples": SECTION_EXAMPLES,
-    "question": SECTION_QUESTION,
-}
-
-_PLACEHOLDER_RE = re.compile(r"\{(instruction|text|graph|examples|question)\}")
-
-
-class _Block(NamedTuple):
-    """One skeleton block, compiled once: a format string over its placeholders."""
-
-    format: str
-    names: tuple[str, ...]  # placeholder names in order of appearance
-    section: str  # the section of the first placeholder
-    literal_tokens: int  # tokens of the literal text
-
-
-def _compile_block(block: str) -> _Block:
-    pieces = _PLACEHOLDER_RE.split(block)  # literal, name, literal, ..., name, literal
-    literals, names = pieces[::2], tuple(pieces[1::2])
-    if not names:
-        raise PromptError(f"template block without placeholder: {block!r}")
-    escaped = [literal.replace("{", "{{").replace("}", "}}") for literal in literals]
-    last = len(names) - 1
-    for i, (before, after) in enumerate(zip(literals, literals[1:])):
-        opens = before[-1:].isspace() or (i == 0 and not before)
-        closes = after[:1].isspace() or (i == last and not after)
-        if not (opens and closes):
-            raise PromptError(f"template placeholder {{{names[i]}}} touches a non-space character: {block!r}")
-    return _Block(
-        format=escaped[0] + "".join(f"{{{name}}}{literal}" for name, literal in zip(names, escaped[1:])),
-        names=names,
-        section=_PLACEHOLDER_SECTIONS[names[0]],
-        literal_tokens=sum(map(_simple_count, literals)),
-    )
-
-
-class PromptTemplate:
-    """Skeleton plus instruction wordings, loaded from editable files.
-
-    The skeleton is compiled once, and a placeholder without whitespace or
-    a block edge on both sides is refused. Because a token never spans
-    whitespace, the count of a prompt is then the sum of the counts of its
-    parts.
-    """
-
-    def __init__(self, skeleton: str, instructions: dict[str, dict[str, str]]):
-        self.blocks = tuple(
-            _compile_block(block) for block in re.split(r"\n{2,}", skeleton.strip("\n")) if block.strip()
-        )
-        self.instructions = instructions
-
-    def instruction_for(self, modality: Modality, with_examples: bool) -> str:
-        table = self.instructions[modality.value]
-        return table["with_examples" if with_examples else "zero"]
-
-    def _count_from_sections(self, section_tokens: dict[str, int | None]) -> int:
-        """Tokens of a prompt whose sections have these counts (None: section absent)."""
-        total = 0
-        for block in self.blocks:
-            counts = [section_tokens[name] for name in block.names]
-            if None not in counts:
-                total += block.literal_tokens + sum(counts)
-        return total
-
-
 @lru_cache(maxsize=None)
-def default_template() -> PromptTemplate:
-    """The shipped template, loaded once."""
+def default_template() -> dict[str, dict[str, str]]:
+    """The instruction wordings by modality, ``zero`` and ``with_examples``, loaded once; the layout is fixed."""
     # Read beside this module, not through ``importlib.resources``, which
     # on 3.12+ imports ``inspect`` and ``tempfile`` (~20 ms) at start-up.
-    root = Path(__file__).with_name("templates")
-    skeleton = (root / "skeleton.txt").read_text(encoding="utf-8")
-    return PromptTemplate(skeleton, json.loads((root / "instructions.json").read_text(encoding="utf-8")))
+    return json.loads(Path(__file__).with_name("templates").joinpath("instructions.json").read_text(encoding="utf-8"))
 
 
 # --- assembly -----------------------------------------------------------------
@@ -228,36 +160,26 @@ def _utf8_len(text: str) -> int:
     return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
-def _render(parts: PromptParts, template: PromptTemplate) -> tuple[str, dict[str, tuple[int, int]]]:
-    values = {
-        "instruction": parts.instruction,
-        "text": " ".join(parts.passage_sentences) if parts.passage_sentences is not None else None,
-        "graph": "\n".join(parts.graph_sentences) if parts.graph_sentences is not None else None,
-        "examples": "\n".join(demo._text for demo in parts.demos) if parts.demos else None,
-        "question": parts.question,
-    }
-
-    rendered_blocks: list[str] = []
-    sections: dict[str, tuple[int, int]] = {}
-    offset = 0  # in UTF-8 bytes
-    for block in template.blocks:
-        if any(values[name] is None for name in block.names):
-            continue
-        text = block.format.format_map(values)
-        if rendered_blocks:
-            offset += 2  # the separating blank line
-        size = _utf8_len(text)
-        if "question" in block.names:
-            # The question block also carries the trailing answer header.
-            answer_header_at = _utf8_len(text[: text.rindex("\n### Answer ###")])
-            sections[SECTION_QUESTION] = (offset, offset + answer_header_at)
-            sections[SECTION_ANSWER] = (offset + answer_header_at + 1, offset + size)
-        else:
-            sections[block.section] = (offset, offset + size)
-        rendered_blocks.append(text)
-        offset += size
-
-    return "\n\n".join(rendered_blocks) + "\n", sections
+def _render(parts: PromptParts) -> tuple[str, dict[str, tuple[int, int]]]:
+    bodies = (
+        (SECTION_INSTRUCTION, parts.instruction),
+        (SECTION_TEXT, None if parts.passage_sentences is None else " ".join(parts.passage_sentences)),
+        (SECTION_GRAPH, None if parts.graph_sentences is None else "\n".join(parts.graph_sentences)),
+        (SECTION_EXAMPLES, "\n".join(demo._text for demo in parts.demos) if parts.demos else None),
+        (SECTION_QUESTION, parts.question),
+    )
+    chunks, sections, offset = [], {}, 0  # offset in UTF-8 bytes
+    for name, body in bodies:
+        if body is not None:
+            chunk = f"{SECTION_HEADERS[name]}\n{body}"
+            size = _utf8_len(chunk)
+            sections[name] = (offset, offset + size)
+            chunks.append(chunk)
+            offset += size + 2  # and the blank line after it
+    # The answer header follows the question after a single newline.
+    answer = SECTION_HEADERS[SECTION_ANSWER]
+    sections[SECTION_ANSWER] = (offset - 1, offset - 1 + _utf8_len(answer))
+    return "\n\n".join(chunks) + f"\n{answer}\n", sections
 
 
 # How many passages keep their sentences, and how many passages, graphs,
@@ -300,22 +222,26 @@ def _cut(parts: PromptParts, lengths: _Lengths) -> PromptParts:
     )
 
 
-def _composed_counter(parts: PromptParts, template: PromptTemplate) -> Callable[[_Lengths], int]:
-    """Token count of any cut of ``parts``, summed from per-part counts."""
-    fixed = {"instruction": _part_counts((parts.instruction,))[0], "question": _part_counts((parts.question,))[0]}
+_HEADER_TOKENS = {name: _simple_count(header) for name, header in SECTION_HEADERS.items()}
+
+
+def _composed_counter(parts: PromptParts) -> Callable[[_Lengths], int]:
+    """Token count of any cut of ``parts``: its parts plus one header count per present section."""
+    fixed = _part_counts((parts.instruction,))[0] + _part_counts((parts.question,))[0]
+    fixed += _HEADER_TOKENS[SECTION_INSTRUCTION] + _HEADER_TOKENS[SECTION_QUESTION] + _HEADER_TOKENS[SECTION_ANSWER]
     text, graph = _prefix_sums(parts.passage_sentences), _prefix_sums(parts.graph_sentences)
     demos = list(accumulate((demo._simple_tokens for demo in parts.demos), initial=0))
 
     def count(lengths: _Lengths) -> int:
         n_text, n_demos, n_graph = lengths
-        return template._count_from_sections(
-            {
-                **fixed,
-                "text": None if n_text is None else text[n_text],
-                "examples": demos[n_demos] if n_demos else None,
-                "graph": None if n_graph is None else graph[n_graph],
-            }
-        )
+        total = fixed
+        if n_text is not None:
+            total += _HEADER_TOKENS[SECTION_TEXT] + text[n_text]
+        if n_demos:
+            total += _HEADER_TOKENS[SECTION_EXAMPLES] + demos[n_demos]
+        if n_graph is not None:
+            total += _HEADER_TOKENS[SECTION_GRAPH] + graph[n_graph]
+        return total
 
     return count
 
@@ -342,7 +268,6 @@ def assemble_prompt(
     verbalized: VerbalizedGraph | None = None,
     *,
     budget: int | None = None,
-    template: PromptTemplate | None = None,
 ) -> PromptRecord:
     """Build the prompt for one instance under one configuration, within ``budget`` tokens if one is given.
 
@@ -357,7 +282,6 @@ def assemble_prompt(
     than prose. Each cut is counted from per-part counts, so the walk is
     linear, and the prompt is rendered once, after the cut.
     """
-    template = template or default_template()
     if config.includes_graph and verbalized is None:
         raise PromptAssemblyError(f"{config.selector} requires a verbalized graph")
     if not config.includes_graph and verbalized is not None:
@@ -371,13 +295,13 @@ def assemble_prompt(
             )
 
     parts = PromptParts(
-        instruction=template.instruction_for(config.modality, config.includes_examples),
+        instruction=default_template()[config.modality.value]["with_examples" if config.includes_examples else "zero"],
         question=instance.question,
         passage_sentences=_passage_sentences(instance.passage) if config.includes_text else None,
         graph_sentences=tuple(verbalized.sentences) if config.includes_graph else None,
         demos=tuple(demos),
     )
-    count = _composed_counter(parts, template)
+    count = _composed_counter(parts)
     lengths = _lengths(parts)
     token_count = count(lengths)
     truncated = budget is not None and token_count > budget
@@ -392,7 +316,7 @@ def assemble_prompt(
             # Reached when a passage or graph with no sentences keeps its header.
             raise BudgetError(f"budget {budget} cannot be met")
         parts = _cut(parts, lengths)
-    prompt_text, sections = _render(parts, template)
+    prompt_text, sections = _render(parts)
     return PromptRecord(
         instance_id=instance.instance_id,
         config=config,

@@ -341,9 +341,29 @@ def select_demonstrations_reference(
 
 
 # Prompt rendering, assembly and truncation as they were before the
-# skeleton was compiled once and counts were composed from parts, kept as
-# the reference that promptkit must match record for record. The template
-# must be passed explicitly.
+# layout was fixed in code and counts were composed from parts, kept as the
+# reference that promptkit must match record for record. The reference
+# parses ``REFERENCE_SKELETON``, the skeleton template promptkit once
+# shipped, and renders it with a regular expression. The template must be
+# passed explicitly.
+
+REFERENCE_SKELETON = """\
+### Instruction ###
+{instruction}
+
+### Text ###
+{text}
+
+### Graph ###
+{graph}
+
+### Examples ###
+{examples}
+
+### Question ###
+{question}
+### Answer ###
+"""
 
 _PLACEHOLDER_SECTIONS = {
     "instruction": SECTION_INSTRUCTION,
@@ -357,10 +377,10 @@ _PLACEHOLDER_RE = re.compile(r"\{(instruction|text|graph|examples|question)\}")
 
 
 class ReferenceTemplate:
-    """Skeleton plus instruction wordings, parsed as promptkit.PromptTemplate did."""
+    """``REFERENCE_SKELETON`` plus instruction wordings, parsed as the skeleton template engine did."""
 
-    def __init__(self, skeleton: str, instructions: dict[str, dict[str, str]]):
-        self.blocks = [block for block in re.split(r"\n{2,}", skeleton.strip("\n")) if block.strip()]
+    def __init__(self, instructions: dict[str, dict[str, str]]):
+        self.blocks = [block for block in re.split(r"\n{2,}", REFERENCE_SKELETON.strip("\n")) if block.strip()]
         self.instructions = instructions
         for block in self.blocks:
             if not _PLACEHOLDER_RE.search(block):

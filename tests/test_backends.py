@@ -33,7 +33,7 @@ from eventqa.corpus import Answer
 from eventqa.graphcore import verbalize_graph
 from eventqa.manifest import ManifestError, make_header, read_ndjson, write_ndjson
 from eventqa.promptkit import DemoPool, assemble_prompt, count_tokens, select_demonstrations
-from eventqa.vocab import Modality, PromptConfig, Strategy, parse_selector
+from eventqa.vocab import Modality, PromptConfig, Strategy, all_configs, parse_selector
 
 DATA = Path(__file__).parent / "data"
 
@@ -141,15 +141,26 @@ SECTION_FRAGMENTS = [
 
 class TestOracleBackend:
     def test_answers_appendix_demo_questions(self, rally_instance, worked_demos):
+        """Every layout: graph and tag prompts are answered without a flag, text prompts get ``no_graph``."""
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
         verbalized = verbalize_graph(rally_instance.graph)
+        pool = DemoPool(helpers.synthetic_split(12, seed=41, id_prefix="pool").instances)
         expectations = {worked_demos[0].question: "no", worked_demos[1].question: "yes"}
         for question, expected in expectations.items():
             instance = rally_instance._replace(question=question)
-            record = assemble_prompt(instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], verbalized)
-            response = complete(spec, record.prompt_text, record.token_count, 8)
-            assert response.raw_text == expected
-            assert response.flags == ()
+            records = []
+            for config in all_configs():
+                demos = select_demonstrations(pool, config, seed=3)
+                records.append(assemble_prompt(instance, config, demos, verbalized if config.includes_graph else None))
+            cot_tag = records[-1]
+            assert cot_tag.config == PromptConfig(Strategy.COT, Modality.TAG)
+            demos = select_demonstrations(pool, cot_tag.config, seed=3)
+            truncated = assemble_prompt(instance, cot_tag.config, demos, verbalized, budget=cot_tag.token_count - 1)
+            assert truncated.truncation_applied
+            for record in [*records, truncated]:
+                response = complete(spec, record.prompt_text, record.token_count, 8)
+                reply = (expected, ()) if record.config.includes_graph else ("no", ("no_graph",))
+                assert (response.raw_text, response.flags) == reply, record.config.selector
 
     def test_off_grammar_question_flagged_unparsed(self, rally_instance):
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import functools
 import json
 import time
-from importlib import resources
 from random import Random
 
 import pytest
@@ -234,13 +234,12 @@ class TestTruncation:
     def test_truncation_never_raises_count(self, rally_instance, demo_pool):
         config = PromptConfig(Strategy.COT, Modality.TAG)
         record = _build(rally_instance, config, demo_pool)
-        _, reference_template = _TEMPLATES[0]
         demos = select_demonstrations(demo_pool, config, seed=0, exclude_ids={rally_instance.instance_id})
         parts = helpers.prompt_parts_reference(
-            rally_instance, config, demos, verbalize_graph(rally_instance.graph), template=reference_template
+            rally_instance, config, demos, verbalize_graph(rally_instance.graph), template=_REFERENCE_TEMPLATE
         )
         skeleton = parts._replace(passage_sentences=None, graph_sentences=None, demos=())
-        floor = count_tokens(helpers.render_reference(skeleton, reference_template)[0])
+        floor = count_tokens(helpers.render_reference(skeleton, _REFERENCE_TEMPLATE)[0])
         for budget in range(record.token_count, floor, -7):
             truncated = _build(rally_instance, config, demo_pool, budget=budget)
             assert truncated.token_count <= budget
@@ -393,18 +392,7 @@ class TestLengthOrdering:
             assert means[Strategy.ZERO] < means[Strategy.FEW] < means[Strategy.COT]
 
 
-# A skeleton with placeholders glued to a word character and to punctuation,
-# which is refused, and one whose placeholders touch only whitespace, which
-# the composed counts are checked on besides the shipped one; it has two
-# placeholders in one block, a repeated placeholder and literal braces.
-GLUED_SKELETON = (
-    "### Instruction ###\n{instruction}\n\n### Text ###\nPassage:{text}\n\n### Graph ###\n{graph}end\n\n"
-    "### Examples ###\n{examples}\n\n### Question ###\n{question}\n### Answer ###\n"
-)
-BORDERED_SKELETON = (
-    "Do this: {instruction}\n\nNote {braces} stay. {text} and {graph}\n\n{examples}\n\n"
-    "Q: {question}\nAgain: {question}\n### Answer ###"
-)
+# Sentences the composed counts are checked on: ASCII, non-ASCII and no final punctuation.
 _SENTENCES = (
     "The council met at dawn.",
     "A storm closed the harbor!",
@@ -415,17 +403,8 @@ _SENTENCES = (
 )
 
 
-def _templates():
-    """(template, reference template) pairs: the shipped skeleton, then ``BORDERED_SKELETON``."""
-    shipped = (resources.files("eventqa") / "templates" / "skeleton.txt").read_text(encoding="utf-8")
-    instructions = promptkit.default_template().instructions
-    return [
-        (promptkit.PromptTemplate(skeleton, instructions), helpers.ReferenceTemplate(skeleton, instructions))
-        for skeleton in (shipped, BORDERED_SKELETON)
-    ]
-
-
-_TEMPLATES = _templates()
+_REFERENCE_TEMPLATE = helpers.ReferenceTemplate(promptkit.default_template())
+_assemble_reference = functools.partial(helpers.assemble_prompt_reference, template=_REFERENCE_TEMPLATE)
 
 
 @st.composite
@@ -455,56 +434,44 @@ def _prompt_case(draw):
         )
         for _ in range(config.demo_count)
     ]
-    template, reference_template = draw(st.sampled_from(_TEMPLATES))
-    return instance, config, demos, template, reference_template
+    return instance, config, demos
 
 
-def _record_or_error(assemble, instance, config, demos, verbalized, budget, template):
+def _record_or_error(assemble, instance, config, demos, verbalized, budget):
     try:
-        result = assemble(instance, config, demos, verbalized, budget=budget, template=template)
+        result = assemble(instance, config, demos, verbalized, budget=budget)
     except BudgetError as exc:
         return BudgetError, str(exc)
     return result.to_dict()
 
 
 class TestComposedCounts:
-    def test_glued_skeleton_is_refused(self):
-        instructions = promptkit.default_template().instructions
-        with pytest.raises(PromptError, match=r"placeholder \{text\} touches a non-space character"):
-            promptkit.PromptTemplate(GLUED_SKELETON, instructions)
-        for glued in ("x{question}\n### Answer ###", "{question}.\n### Answer ###", "{text}{graph}"):
-            with pytest.raises(PromptError, match="touches a non-space character"):
-                promptkit.PromptTemplate(glued, instructions)
-
     @settings(max_examples=400, deadline=None)
     @given(case=_prompt_case(), data=st.data())
     def test_records_match_reference(self, case, data):
-        instance, config, demos, template, reference_template = case
+        instance, config, demos = case
         verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
-        expected = helpers.assemble_prompt_reference(instance, config, demos, verbalized, template=reference_template)
-        record = assemble_prompt(instance, config, demos, verbalized, template=template)
+        expected = _assemble_reference(instance, config, demos, verbalized)
+        record = assemble_prompt(instance, config, demos, verbalized)
         assert record.to_dict() == expected.to_dict()
 
         budget = data.draw(st.integers(0, expected.token_count + 2), label="budget")
         case = instance, config, demos, verbalized, budget
-        assert _record_or_error(assemble_prompt, *case, template) == _record_or_error(
-            helpers.assemble_prompt_reference, *case, reference_template
-        )
+        assert _record_or_error(assemble_prompt, *case) == _record_or_error(_assemble_reference, *case)
 
     def test_empty_graph_keeps_its_header_and_misses_the_budget_like_reference(self, rally_instance):
-        template, reference_template = _TEMPLATES[0]
         edgeless = rally_instance.graph._replace(edges=())
         config = PromptConfig(Strategy.ZERO, Modality.GRAPH)
         parts = helpers.prompt_parts_reference(
-            rally_instance, config, (), verbalize_graph(edgeless), template=reference_template
+            rally_instance, config, (), verbalize_graph(edgeless), template=_REFERENCE_TEMPLATE
         )
         assert parts.graph_sentences == ()
         skeleton = parts._replace(graph_sentences=None)
-        budget = count_tokens(helpers.render_reference(skeleton, reference_template)[0])
+        budget = count_tokens(helpers.render_reference(skeleton, _REFERENCE_TEMPLATE)[0])
         case = rally_instance, config, (), verbalize_graph(edgeless), budget
-        outcome = _record_or_error(assemble_prompt, *case, template)
+        outcome = _record_or_error(assemble_prompt, *case)
         assert outcome == (BudgetError, f"budget {budget} cannot be met")
-        assert outcome == _record_or_error(helpers.assemble_prompt_reference, *case, reference_template)
+        assert outcome == _record_or_error(_assemble_reference, *case)
 
     def test_simple_counts_are_composed_without_a_full_count(self, rally_instance, demo_pool, monkeypatch):
         counted = []

@@ -16,7 +16,6 @@ API keys come from the environment variable named in the backend spec
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import math
 import os
@@ -74,18 +73,11 @@ class RetryPolicy(NamedTuple):
     base_backoff: float = 0.5
 
 
-def _check_keys(cls: type, raw: dict, where: str) -> None:
-    unknown = sorted(set(raw) - set(cls._fields))
-    if unknown:
-        raise BackendError(f"{where}: unknown config keys {', '.join(unknown)}")
-
-
-# The JSON type of each config value; a spec reads as the dict of the values present.
-_RETRY_VALUES = Reader(RetryPolicy, {"max_attempts": INTEGER, "base_backoff": NUMBER})
+# The JSON type of each config value; an entry reads as the dict of the values present, and names no other key.
+_RETRY_VALUES = Reader(RetryPolicy, {"max_attempts": INTEGER, "base_backoff": NUMBER}, closed=True)
 _SPEC_VALUES = Reader(
     dict,
     {
-        "name": STRING,
         "kind": one_of(BackendKind),
         "model_name": STRING,
         "endpoint": STRING,
@@ -96,6 +88,7 @@ _SPEC_VALUES = Reader(
         "request_timeout": NUMBER,
         "fixtures_path": ((str, type(None)), "a string or null", None),
     },
+    closed=True,
 )
 
 
@@ -137,34 +130,24 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
         return spec
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "BackendSpec":
-        """Build a spec from a config entry; unknown keys and mistyped values are rejected."""
-        where = f"backend {raw.get('name')!r}"
-        _check_keys(cls, raw, where)
-        if isinstance(raw.get("retry_policy"), dict):
-            _check_keys(RetryPolicy, raw["retry_policy"], f"retry_policy of {where}")
+    def from_dict(cls, name: str, raw) -> "BackendSpec":
+        """The spec of backend ``name`` from its config entry; unknown keys and mistyped values are rejected."""
         try:
             values = _SPEC_VALUES.read(raw, required=False)
         except manifest.ManifestError as exc:
-            raise BackendError(f"{where}: {exc}") from None
+            raise BackendError(f"backend {name!r}: {exc}") from None
         if "kind" not in values:
-            raise BackendError(f"{where}: missing 'kind'")
-        return cls(**values)
+            raise BackendError(f"backend {name!r}: missing 'kind'")
+        return cls(name, **values)
 
     @functools.cached_property
     def fixtures(self) -> dict[str, str]:
         """Mock replies by prompt hash, read once; a missing or malformed file raises ``MockFixtureError``."""
-        where = f"mock backend {self.name!r}"
         if not self.fixtures_path:
-            raise MockFixtureError(f"{where} has no fixtures file")
-        try:
-            fixtures = json.loads(Path(self.fixtures_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise MockFixtureError(f"{where}: cannot read {self.fixtures_path}: {exc.strerror or exc}") from None
-        except ValueError as exc:
-            raise MockFixtureError(f"{where}: {self.fixtures_path} is not valid JSON: {exc}") from None
-        if not isinstance(fixtures, dict) or not all(isinstance(text, str) for text in fixtures.values()):
-            raise MockFixtureError(f"{where}: {self.fixtures_path} must map prompt hashes to reply strings")
+            raise MockFixtureError(f"mock backend {self.name!r} has no fixtures file")
+        fixtures = manifest.read_config(self.fixtures_path, "fixtures file", MockFixtureError)
+        if not all(isinstance(text, str) for text in fixtures.values()):
+            raise MockFixtureError(f"fixtures file {self.fixtures_path} must map prompt hashes to reply strings")
         return fixtures
 
 

@@ -87,7 +87,7 @@ def _parse_configs(raw: str) -> list[vocab.PromptConfig]:
 def _load(args, path: str) -> corpus.LoadResult:
     from . import corpus
 
-    schema = corpus.load_schema(args.schema) if args.schema else None
+    schema = vocab.load_schema(args.schema) if args.schema else None
     return corpus.load_dataset(path, schema, strict=args.strict, graph_kind=vocab.GraphKind(args.graph_kind))
 
 
@@ -196,25 +196,15 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _read_backends_config(path: str, backend: str) -> dict[str, dict]:
-    where = f"backends config {path} (for backend {backend!r})"
-    try:
-        table = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CliError(f"cannot read {where}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise CliError(f"{where} is not valid JSON: {exc}") from None
-    if not isinstance(table, dict) or not isinstance(table.get(backend, {}), dict):
-        raise CliError(f"{where} must map backend names to JSON objects")
-    return table
-
-
 def _resolve_backend(args) -> backends.BackendSpec:
     from . import backends
 
-    table = _read_backends_config(args.backends_config, args.backend) if args.backends_config else {}
+    table = manifest.read_config(args.backends_config, "backends config", CliError) if args.backends_config else {}
     if args.backend in table:
-        spec = backends.BackendSpec.from_dict({"name": args.backend, **table[args.backend]})
+        try:
+            spec = backends.BackendSpec.from_dict(args.backend, table[args.backend])
+        except backends.BackendError as exc:
+            raise CliError(f"backends config {args.backends_config}: {exc}") from None
     elif args.backend == "oracle":
         spec = backends.BackendSpec(name="oracle", kind=backends.BackendKind.ORACLE)
     elif args.backend == "mock" and args.fixtures:
@@ -268,11 +258,7 @@ def cmd_score(args) -> int:
 
     out = Path(args.out)
     responses_header, response_rows = manifest.read_ndjson(out / RESPONSES_FILE)
-    schema = vocab.DEFAULT_SCHEMA
-    if args.schema:
-        from . import corpus
-
-        schema = corpus.load_schema(args.schema)
+    schema = vocab.load_schema(args.schema) if args.schema else vocab.DEFAULT_SCHEMA
     try:
         labels = vocab.read_labels(args.dataset, schema)
     except OSError as exc:

@@ -3,8 +3,9 @@
 On-disk format is newline-delimited JSON, one QA instance per line. Each
 record carries a passage, a yes/no question, a gold answer, a question
 category, and zero or more causal graphs (instance and/or schema). Field
-names can be remapped through a schema descriptor so foreign dumps load
-without code changes; see ``DEFAULT_SCHEMA`` for the canonical names.
+names can be remapped through a schema descriptor (``vocab.load_schema``)
+so foreign dumps load without code changes; see ``DEFAULT_SCHEMA`` for the
+canonical names.
 """
 
 from __future__ import annotations
@@ -16,22 +17,13 @@ from pathlib import Path
 from random import Random
 from typing import NamedTuple, Sequence
 
-from . import EventQAError
-from .vocab import DEFAULT_SCHEMA, Answer, GraphKind, QuestionCategory, read_label
+from .vocab import DEFAULT_SCHEMA, Answer, CorpusError, DatasetFormatError, GraphKind, QuestionCategory, read_label
 
 logger = logging.getLogger(__name__)
 
 FULL = "full"
 SMALL = "small"
 SMALL_SIZE = 1024
-
-
-class CorpusError(EventQAError):
-    """Base class for dataset-level failures."""
-
-
-class DatasetFormatError(CorpusError):
-    """Raised in strict mode when a record cannot be parsed or validated."""
 
 
 class SamplingError(CorpusError):
@@ -145,46 +137,6 @@ class LoadResult(NamedTuple):
     rejections: tuple[RejectedRecord, ...]
 
 
-def load_schema(path: str | Path) -> dict:
-    """Read a schema descriptor file and merge it over the defaults; a bad file raises ``DatasetFormatError``."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            overrides = json.load(handle)
-    except OSError as exc:
-        raise DatasetFormatError(f"cannot read schema file {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise DatasetFormatError(f"schema file {path} is not valid JSON: {exc}") from None
-    if not isinstance(overrides, dict):
-        raise DatasetFormatError(f"schema file {path} is not a JSON object")
-    try:
-        return merge_schema(overrides)
-    except DatasetFormatError as exc:
-        raise DatasetFormatError(f"schema file {path}: {exc}") from None
-
-
-def merge_schema(overrides: dict | None) -> dict:
-    schema = {key: (dict(value) if isinstance(value, dict) else value) for key, value in DEFAULT_SCHEMA.items()}
-    if overrides:
-        for key, value in overrides.items():
-            if key not in schema:
-                raise DatasetFormatError(f"unknown schema key {key!r}")
-            if isinstance(schema[key], dict):
-                if not isinstance(value, dict):
-                    raise DatasetFormatError(f"schema key {key!r} must be a JSON object")
-                for field_key, name in value.items():
-                    _check_field_name(name, f"{key}.{field_key}")
-                schema[key].update(value)
-            else:
-                _check_field_name(value, key)
-                schema[key] = value
-    return schema
-
-
-def _check_field_name(name, key: str) -> None:
-    if not isinstance(name, str):
-        raise DatasetFormatError(f"the field name of schema key {key!r} must be a string, got {name!r}")
-
-
 def _json_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} is not a JSON object")
@@ -252,7 +204,10 @@ def load_dataset(
     strict: bool = False,
     graph_kind: GraphKind = GraphKind.INSTANCE,
 ) -> LoadResult:
-    """Load a newline-delimited JSON dataset file.
+    """Load a newline-delimited JSON dataset file whose field names are those of a complete ``schema``.
+
+    ``None`` stands for ``DEFAULT_SCHEMA``; ``vocab.load_schema`` reads a
+    schema file into a complete one.
 
     Malformed records are skipped and reported in the rejection log; with
     ``strict=True`` the first bad record aborts the load instead. Every
@@ -268,11 +223,11 @@ def load_dataset(
     except OSError as exc:
         raise CorpusError(f"cannot read dataset file {path}: {exc.strerror or exc}") from None
 
+    schema = schema or DEFAULT_SCHEMA
     instances: list[QAInstance] = []
     rejections: list[RejectedRecord] = []
     seen_ids: set[str] = set()
     with handle:
-        schema = merge_schema(schema)
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

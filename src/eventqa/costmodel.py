@@ -8,14 +8,13 @@ at display time, the exact value is kept.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import NamedTuple
 
 from . import EventQAError
-from .manifest import ManifestError, Reader
+from .manifest import STRING, ManifestError, Reader, read_config
 
 MILLION = Decimal(1_000_000)
 CENT = Decimal("0.01")
@@ -80,23 +79,24 @@ def _price(value) -> Decimal:
 
 # A price is a JSON string or number (never a bool), read as an exact decimal.
 _PRICE = ((str, int, float), "a non-negative decimal", _price)
-_MODEL_PRICING = Reader(ModelPricing, {"input_per_million": _PRICE, "output_per_million": _PRICE})
+_MODEL_PRICING = Reader(ModelPricing, {"input_per_million": _PRICE, "output_per_million": _PRICE}, closed=True)
+# A pricing file holds no key but these; the entries of "models" are read one by one through ``_MODEL_PRICING``.
+_PRICING_FILE = Reader(dict, {"label": STRING, "models": ((dict,), "a JSON object", None)}, closed=True)
 
 
 def load_pricing(path: str | Path) -> PricingTable:
     """Load a pricing config file: {"label": ..., "models": {name: {input_per_million, output_per_million}}}.
 
     Prices are read as strings so they stay exact decimals. A file that
-    cannot be read, is not JSON, has no "models" object or holds a model
-    entry that ``_MODEL_PRICING`` refuses raises ``CostError``.
+    ``manifest.read_config`` or ``_PRICING_FILE`` refuses, that has no
+    "models" object, or that holds a model entry that ``_MODEL_PRICING``
+    refuses raises ``CostError``.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CostError(f"cannot read pricing file {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise CostError(f"pricing file {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict) or not isinstance(raw.get("models"), dict):
+        raw = _PRICING_FILE.read(read_config(path, "pricing file", CostError), required=False)
+    except ManifestError as exc:
+        raise CostError(f"pricing file {path}: {exc}") from None
+    if "models" not in raw:
         raise CostError(f"pricing file {path} has no \"models\" object")
     entries = {}
     for name, prices in raw["models"].items():
@@ -104,7 +104,7 @@ def load_pricing(path: str | Path) -> PricingTable:
             entries[name] = _MODEL_PRICING.read(prices)
         except ManifestError as exc:
             raise CostError(f"pricing file {path}: model {name!r}: {exc}") from None
-    return PricingTable(label=str(raw.get("label", "")), entries=entries)
+    return PricingTable(label=raw.get("label", ""), entries=entries)
 
 
 def estimate_cost(input_tokens: int, output_tokens: int, model_name: str, pricing: PricingTable) -> CostEstimate:

@@ -220,10 +220,14 @@ def one_of(enum: type) -> tuple:
 
 
 class Reader(NamedTuple):
-    """Reads a JSON object as ``make(**values)``, with one value per field of the row table ``fields``."""
+    """Reads a JSON object as ``make(**values)``, with one value per field of the row table ``fields``.
+
+    An open reader skips a key that is not in ``fields``; a ``closed`` one, as for a config file, refuses it.
+    """
 
     make: Callable
     fields: dict[str, tuple]
+    closed: bool = False
 
     def read(self, value, required: bool = True, prefix: str = ""):
         """The record of ``value``; ``ManifestError`` names the first field (``prefix`` + name) that does not fit.
@@ -232,6 +236,10 @@ class Reader(NamedTuple):
         """
         if type(value) is not dict:
             raise ManifestError("is not a JSON object")
+        if self.closed:
+            for name in value:
+                if name not in self.fields:
+                    raise ManifestError(f"unknown key {prefix + name!r}")
         values = {}
         for name, (types, described, parse) in self.fields.items():
             if name not in value:
@@ -263,3 +271,17 @@ def read_rows(reader: Reader, rows: Iterable, path: str | Path) -> Iterator:
         except ManifestError as exc:
             raise ManifestError(f"{path} row {number} is malformed: {exc}") from None
         yield record
+
+
+def read_config(path: str | Path, what: str, error: type[Exception]) -> dict:
+    """The JSON object in the config file at ``path``; if there is none, ``error`` names the file as ``what path``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            value = json.load(handle)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+    if type(value) is not dict:
+        raise error(f"{what} {path} is not a JSON object")
+    return value

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import EventQAError
-from .manifest import STRING, Reader, one_of
+from .manifest import STRING, ManifestError, Reader, one_of, read_config
 
 
 class Answer(str, Enum):
@@ -57,6 +57,40 @@ DEFAULT_SCHEMA: dict = {
     "node_fields": {"id": "id", "label": "label"},
     "edge_fields": {"source": "source", "target": "target", "relation": "relation"},
 }
+
+
+def _over(defaults: dict) -> Callable[..., dict]:
+    """A ``make`` that merges the keys a schema file gives over ``defaults``."""
+    return lambda **given: {**defaults, **given}
+
+
+def _names(defaults: dict) -> tuple:
+    return (dict,), "a JSON object", Reader(_over(defaults), dict.fromkeys(defaults, STRING), closed=True)
+
+
+# A schema file: any subset of ``DEFAULT_SCHEMA``'s keys, each mapped to a string, nested tables likewise.
+SCHEMA = Reader(
+    _over(DEFAULT_SCHEMA),
+    {key: _names(value) if type(value) is dict else STRING for key, value in DEFAULT_SCHEMA.items()},
+    closed=True,
+)
+
+
+class CorpusError(EventQAError):
+    """Base class for dataset-level failures."""
+
+
+class DatasetFormatError(CorpusError):
+    """Raised for a schema file ``SCHEMA`` refuses, and in strict mode for a record that does not parse or validate."""
+
+
+def load_schema(path: str | Path) -> dict:
+    """The schema a descriptor file gives, merged over the defaults; a bad file raises ``DatasetFormatError``."""
+    try:
+        return SCHEMA.read(read_config(path, "schema file", DatasetFormatError), required=False)
+    except ManifestError as exc:
+        raise DatasetFormatError(f"schema file {path}: {exc}") from None
+
 
 Label = tuple[Answer, QuestionCategory]
 

@@ -629,7 +629,7 @@ class TestRunBatch:
         [
             (lambda prompts: None, "cannot read"),
             (lambda prompts: "{not json", "not valid JSON"),
-            (lambda prompts: "[]", "must map prompt hashes to reply strings"),
+            (lambda prompts: "[]", "is not a JSON object"),
             (
                 lambda prompts: json.dumps({prompt_fingerprint(p.prompt_text): 5 for p in prompts}),
                 "must map prompt hashes to reply strings",

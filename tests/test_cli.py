@@ -84,16 +84,19 @@ class TestBuild:
         [
             (None, "cannot read schema file"),
             ("{not json", "is not valid JSON"),
+            ("[" * 100_000 + "]" * 100_000, "is not valid JSON"),
             ("[]", "is not a JSON object"),
-            ('{"graph_fields": "g"}', "'graph_fields' must be a JSON object"),
-            ('{"node_fields": 5}', "'node_fields' must be a JSON object"),
-            ('{"edge_fields": ["source"]}', "'edge_fields' must be a JSON object"),
-            ('{"instance_id": 5}', "field name of schema key 'instance_id' must be a string"),
-            ('{"graph_fields": {"nodes": 5}}', "field name of schema key 'graph_fields.nodes' must be a string"),
+            ('{"graph_fields": "g"}', "graph_fields must be a JSON object, got 'g'"),
+            ('{"node_fields": 5}', "node_fields must be a JSON object, got 5"),
+            ('{"edge_fields": ["source"]}', "edge_fields must be a JSON object, got ['source']"),
+            ('{"instance_id": 5}', "instance_id must be a string, got 5"),
+            ('{"graph_fields": {"nodes": 5}}', "graph_fields.nodes must be a string, got 5"),
+            ('{"instance": "id"}', "unknown key 'instance'"),
+            ('{"node_fields": {"lable": "text"}}', "unknown key 'node_fields.lable'"),
         ],
         ids=[
-            "missing", "not-json", "not-an-object", "string-graph-fields", "number-node-fields", "list-edge-fields",
-            "number-field-name", "number-nested-field-name",
+            "missing", "not-json", "nested-too-deep", "not-an-object", "string-graph-fields", "number-node-fields",
+            "list-edge-fields", "number-field-name", "number-nested-field-name", "unknown-key", "unknown-nested-key",
         ],
     )
     def test_bad_schema_file_exits_2(self, tmp_path, capsys, content, message):
@@ -278,11 +281,15 @@ def pipeline_dir(tmp_path_factory) -> Path:
     return out
 
 
-@pytest.mark.parametrize("stage", list(STAGE_MODULES))
-def test_each_stage_loads_only_its_layers(pipeline_dir, tmp_path, stage):
-    out = tmp_path / "out"
-    shutil.copytree(pipeline_dir, out)
-    result = _python("-X", "importtime", "-m", "eventqa.cli", stage, "--out", out, *STAGE_ARGS[stage])
+@pytest.mark.parametrize("case", [*STAGE_MODULES, "score-schema"])
+def test_each_stage_loads_only_its_layers(pipeline_dir, tmp_path, case):
+    stage, _, schema = case.partition("-")
+    argv = [stage, "--out", tmp_path / "out", *STAGE_ARGS[stage]]
+    if schema:  # a schema file is read by ``vocab``, so it adds no module
+        argv += ["--schema", tmp_path / "schema.json"]
+        (tmp_path / "schema.json").write_text('{"answer": "answer"}', encoding="utf-8")
+    shutil.copytree(pipeline_dir, tmp_path / "out")
+    result = _python("-X", "importtime", "-m", "eventqa.cli", *argv)
     assert result.returncode == 0, result.stderr
     # "import time: <self us> | <cumulative us> | <indented module name>"; the
     # cli itself runs as __main__, so it must not show up as eventqa.cli.
@@ -297,7 +304,7 @@ def test_each_stage_loads_only_its_layers(pipeline_dir, tmp_path, stage):
 
 
 def test_score_with_a_schema_reads_remapped_labels(pipeline_dir, tmp_path):
-    """``score --schema`` in a fresh interpreter, where it alone loads ``corpus``, scores as the default run does."""
+    """``score --schema`` in a fresh interpreter, where ``vocab`` reads the schema, scores as the default run does."""
     renamed = {"instance_id": "uid", "answer": "label", "category": "cluster", "graphs": "structures"}
     dataset = tmp_path / "remapped.ndjson"
     with open(dataset, "w", encoding="utf-8") as handle:
@@ -694,7 +701,7 @@ class TestPipeline:
             ({"model_name": "m"}, "missing 'kind'"),
             ({"kind": "bogus"}, "kind must be one of http_chat, mock, oracle, got 'bogus'"),
             ({"kind": "oracle", "context_limit": 0}, "context_limit must be positive"),
-            (5, "must map backend names to JSON objects"),
+            (5, "backend 'x': is not a JSON object"),
             ({"kind": "oracle", "context_limit": "abc"}, "context_limit must be an integer"),
             ({"kind": "oracle", "max_concurrency": 2.5}, "max_concurrency must be an integer"),
             ({"kind": "oracle", "retry_policy": "fast"}, "retry_policy must be a JSON object"),
@@ -732,7 +739,7 @@ class TestPipeline:
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err
-        assert "'x'" in err
+        assert f"backends config {config}: backend 'x': " in err
         assert not (built / "responses.ndjson").exists()
 
     @pytest.mark.parametrize(
@@ -746,7 +753,15 @@ class TestPipeline:
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err
-        assert "'x'" in err
+        assert str(config) in err
+
+    def test_run_refuses_a_backend_entry_that_renames_its_backend(self, built, tmp_path, capsys):
+        config = tmp_path / "backends.json"
+        config.write_text(json.dumps({"x": {"kind": "oracle", "name": "y"}}))
+        rc = run_cli("run", "--out", built, "--backend", "x", "--backends-config", config)
+        assert rc == 2
+        assert "backend 'x': unknown key 'name'" in capsys.readouterr().err
+        assert not (built / "responses.ndjson").exists()
 
     def test_run_rejects_zero_max_concurrency(self, built, capsys):
         rc = run_cli("run", "--out", built, "--backend", "oracle", "--max-concurrency", 0)
@@ -778,8 +793,17 @@ class TestPipeline:
             ('{"models": {"m": {"input_per_million": "1", "output_per_million": -2}}}', "output_per_million must"),
             ('{"models": {"m": {"output_per_million": "1"}}}', "no field 'input_per_million'"),
             ('{"models": {"m": ["1", "2"]}}', "model 'm': is not a JSON object"),
+            ('{"label": null, "models": {"m": {"input_per_million": 1, "output_per_million": 1}}}', "label must be"),
+            (
+                '{"models": {"m": {"input_per_million": 1, "output_per_million": 1, "inptu": 9}}}',
+                "model 'm': unknown key 'inptu'",
+            ),
+            ('{"modles": {}}', "unknown key 'modles'"),
         ],
-        ids=["missing", "not-json", "no-models", "string-price", "negative-price", "missing-price", "not-an-object"],
+        ids=[
+            "missing", "not-json", "no-models", "string-price", "negative-price", "missing-price", "not-an-object",
+            "null-label", "unknown-model-key", "unknown-key",
+        ],
     )
     def test_bad_pricing_file_exits_2(self, built, tmp_path, capsys, content, message):
         pricing = tmp_path / "pricing.json"

@@ -17,11 +17,9 @@ from eventqa.corpus import (
     SamplingError,
     _allocate_quotas,
     load_dataset,
-    load_schema,
-    merge_schema,
     stratified_sample,
 )
-from eventqa.vocab import Answer, read_label, read_labels
+from eventqa.vocab import DEFAULT_SCHEMA, SCHEMA, Answer, load_schema, read_label, read_labels
 
 
 def _write(path, records):
@@ -149,16 +147,18 @@ class TestLoadDataset:
     @pytest.mark.parametrize(
         "overrides, key",
         [
-            ({"instance_id": 5}, "'instance_id'"),
-            ({"passage": None}, "'passage'"),
-            ({"graph_fields": {"nodes": 5}}, "'graph_fields.nodes'"),
-            ({"edge_fields": {"source": ["from"]}}, "'edge_fields.source'"),
+            ({"instance_id": 5}, "instance_id"),
+            ({"passage": None}, "passage"),
+            ({"graph_fields": {"nodes": 5}}, "graph_fields.nodes"),
+            ({"edge_fields": {"source": ["from"]}}, "edge_fields.source"),
         ],
         ids=["number", "null", "nested-number", "nested-list"],
     )
-    def test_schema_field_names_must_be_strings(self, overrides, key):
-        with pytest.raises(DatasetFormatError, match=f"field name of schema key {key} must be a string"):
-            merge_schema(overrides)
+    def test_schema_field_names_must_be_strings(self, tmp_path, overrides, key):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(overrides), encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=f"schema file .*: {key} must be a string"):
+            load_schema(path)
 
     def test_schema_graph_selection_prefers_requested_kind(self, tmp_path):
         from eventqa.corpus import GraphKind
@@ -270,6 +270,7 @@ _REMAPPED = {
     "node_fields": {"id": "key"},
     "edge_fields": {"relation": "rel", "source": "from"},
 }
+_REMAPPED_SCHEMA = SCHEMA.read(_REMAPPED, required=False)
 
 
 def _anything_or(*strategies):
@@ -319,25 +320,24 @@ def _near_records(schema):
 
 @st.composite
 def _dataset_lines(draw):
-    """(schema overrides or None, dataset lines): JSON of any shape, near-records, and text that is not JSON."""
-    overrides = draw(st.sampled_from([None, _REMAPPED]))
-    schema = merge_schema(overrides)
+    """(schema, dataset lines): JSON of any shape, near-records, and text that is not JSON."""
+    schema = draw(st.sampled_from([DEFAULT_SCHEMA, _REMAPPED_SCHEMA]))
     line = st.one_of(
         _near_records(schema).map(json.dumps),
         _JSON.map(json.dumps),
         st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=20),
     )
-    return overrides, draw(st.lists(line, min_size=1, max_size=6))
+    return schema, draw(st.lists(line, min_size=1, max_size=6))
 
 
 class TestLoadDatasetFuzz:
     @settings(max_examples=200, deadline=None)
     @given(case=_dataset_lines())
     def test_every_line_becomes_an_instance_or_a_rejection(self, tmp_path_factory, case):
-        overrides, lines = case
+        schema, lines = case
         path = tmp_path_factory.mktemp("fuzz") / "data.ndjson"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        result = load_dataset(path, overrides)
+        result = load_dataset(path, schema)
         assert len(result.split.instances) + len(result.rejections) == sum(1 for line in lines if line.strip())
         # Whatever loads can be written out: instances into prompts, rejections into their log.
         for instance in result.split.instances:
@@ -346,7 +346,7 @@ class TestLoadDatasetFuzz:
         for rejection in result.rejections:
             (rejection.instance_id + rejection.reason).encode("utf-8")
         try:
-            strict = load_dataset(path, overrides, strict=True)
+            strict = load_dataset(path, schema, strict=True)
         except DatasetFormatError:
             assert result.rejections
         else:
@@ -392,8 +392,7 @@ def _in_schema(record: dict, schema: dict) -> dict:
 @st.composite
 def _labelled_lines(draw):
     """``_dataset_lines`` with well-formed records mixed in, so repeated ids also reach instances that load."""
-    overrides, lines = draw(_dataset_lines())
-    schema = merge_schema(overrides)
+    schema, lines = draw(_dataset_lines())
     valid = st.builds(
         lambda instance_id, answer, category: json.dumps(
             _in_schema(_record(instance_id, answer=answer, category=category), schema)
@@ -402,17 +401,16 @@ def _labelled_lines(draw):
         st.sampled_from(["yes", "NO"]),
         st.sampled_from(["causal", "Past", ""]),
     )
-    return overrides, draw(st.permutations(lines + draw(st.lists(valid, max_size=4))))
+    return schema, draw(st.permutations(lines + draw(st.lists(valid, max_size=4))))
 
 
 class TestReadLabels:
     @settings(max_examples=200, deadline=None)
     @given(case=_labelled_lines())
     def test_labels_agree_with_the_full_load(self, tmp_path_factory, case):
-        overrides, lines = case
+        schema, lines = case
         path = tmp_path_factory.mktemp("labels") / "data.ndjson"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        schema = merge_schema(overrides)
         # Every label each id is given by a record whose JSON, answer and category parse.
         given_labels: dict = {}
         for line in lines:
@@ -427,7 +425,7 @@ class TestReadLabels:
         assert {instance_id for instance_id, label in labels.items() if label is None} == {
             instance_id for instance_id, given in given_labels.items() if len(given) > 1
         }
-        for instance in load_dataset(path, overrides).split.instances:
+        for instance in load_dataset(path, schema).split.instances:
             if len(given_labels[instance.instance_id]) == 1:
                 assert labels[instance.instance_id] == (instance.gold_answer, instance.category)
 

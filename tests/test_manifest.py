@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eventqa.manifest import (
+    INTEGER,
     ManifestError,
+    Reader,
     make_header,
     read_ndjson,
     resume_ndjson,
@@ -133,3 +135,15 @@ def test_sha256_matches_hashlib(data, cuts):
     for start, end in zip(bounds, bounds[1:]):
         pieces.update(data[start:end])
     assert pieces.digest() == expected.digest()
+
+
+def test_a_closed_reader_names_an_unknown_key_with_its_prefix():
+    inner = Reader(dict, {"count": INTEGER}, closed=True)
+    outer = Reader(dict, {"inner": ((dict,), "a JSON object", inner)}, closed=True)
+    with pytest.raises(ManifestError, match=r"^unknown key 'inner\.cont'$"):
+        outer.read({"inner": {"count": 1, "cont": 2}})
+    with pytest.raises(ManifestError, match=r"^unknown key 'extra'$"):
+        outer.read({"inner": {"count": 1}, "extra": 1})
+    # An open reader skips a key it does not read.
+    assert Reader(dict, {"count": INTEGER}).read({"count": 1, "extra": 2}) == {"count": 1}
+

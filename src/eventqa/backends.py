@@ -16,6 +16,7 @@ API keys come from the environment variable named in the backend spec
 from __future__ import annotations
 
 import functools
+import json
 import logging
 import math
 import os
@@ -104,6 +105,31 @@ _SPEC_DEFAULTS = {
 }
 
 
+def _endpoint_problem(endpoint: str) -> str | None:
+    """Why no POST to ``endpoint`` could succeed, or None; such an endpoint would fail every attempt of every prompt."""
+    # urlopen would also open file:, ftp: and data: URLs.
+    if not endpoint.lower().startswith(("http://", "https://")):
+        return "must be an http(s):// URL"
+    # http.client sends the URL as it is given, and refuses whitespace, control characters and non-ASCII.
+    if not re.fullmatch(r"[!-~]+", endpoint):
+        return "must be printable ASCII without spaces"
+    try:
+        parts = urlsplit(endpoint)
+        parts.port  # raises on a port that is not a number in 0-65535
+    except ValueError as exc:  # that, or an unclosed IPv6 bracket
+        return f"does not parse ({exc})"
+    if parts.username is not None:  # urllib would take user:password@ for part of the host name
+        return "must not carry a user name or password"
+    if not parts.hostname:
+        return "names no host"
+    return None
+
+
+# JSON can escape a lone surrogate ("\ud800"), but UTF-8 cannot encode one, so no manifest could hold it.
+# Compiled by ``re`` on first use: its character set costs 128 KB resident, which an oracle run need not pay.
+_LONE_SURROGATE = "[\ud800-\udfff]"
+
+
 class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], defaults=_SPEC_DEFAULTS.values())):
     """A backend's name and ``BackendKind``, then the settings in ``_SPEC_DEFAULTS``, checked when it is made."""
 
@@ -117,16 +143,10 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
             raise BackendError(f"backend {spec.name!r}: retry_policy.max_attempts must be at least 1")
         if not 0 <= spec.retry_policy.base_backoff < math.inf:  # also rejects NaN
             raise BackendError(f"backend {spec.name!r}: retry_policy.base_backoff must be finite and non-negative")
-        # requests refuses any other URL on every attempt, so each prompt would wait out every back-off.
         if spec.kind is BackendKind.HTTP_CHAT:
-            if not spec.endpoint.lower().startswith(("http://", "https://")):
-                raise BackendError(f"backend {spec.name!r}: endpoint must be an http(s):// URL, got {spec.endpoint!r}")
-            try:
-                host = urlsplit(spec.endpoint).hostname
-            except ValueError:  # an unclosed IPv6 bracket
-                host = None
-            if not host:
-                raise BackendError(f"backend {spec.name!r}: endpoint names no host, got {spec.endpoint!r}")
+            problem = _endpoint_problem(spec.endpoint)
+            if problem:
+                raise BackendError(f"backend {spec.name!r}: endpoint {problem}, got {spec.endpoint!r}")
         return spec
 
     @classmethod
@@ -146,8 +166,10 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
         if not self.fixtures_path:
             raise MockFixtureError(f"mock backend {self.name!r} has no fixtures file")
         fixtures = manifest.read_config(self.fixtures_path, "fixtures file", MockFixtureError)
-        if not all(isinstance(text, str) for text in fixtures.values()):
-            raise MockFixtureError(f"fixtures file {self.fixtures_path} must map prompt hashes to reply strings")
+        if not all(isinstance(text, str) and not re.search(_LONE_SURROGATE, text) for text in fixtures.values()):
+            raise MockFixtureError(
+                f"fixtures file {self.fixtures_path} must map prompt hashes to reply strings that UTF-8 can encode"
+            )
         return fixtures
 
 
@@ -299,6 +321,8 @@ def _read_chat_payload(payload, prompt_tokens: int) -> tuple[str, int, int]:
     raw_text = "" if content is None else content
     if not isinstance(raw_text, str):
         raise ValueError(f"content is not a string: {content!r}")
+    if re.search(_LONE_SURROGATE, raw_text):
+        raise ValueError("content holds a lone surrogate")
     try:
         counts = _USAGE.read(usage, required=False)
     except manifest.ManifestError as exc:
@@ -309,7 +333,9 @@ def _read_chat_payload(payload, prompt_tokens: int) -> tuple[str, int, int]:
 
 
 def _http_complete(spec: BackendSpec, prompt_text: str, prompt_tokens: int, max_output_tokens: int) -> CompletionResponse:
-    import requests  # here, not at module top, so stages that make no HTTP request do not load it
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen  # here, not at module top: it loads ssl, ~6 MB resident
 
     url = spec.endpoint if spec.endpoint.endswith("/chat/completions") else spec.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -331,22 +357,29 @@ def _http_complete(spec: BackendSpec, prompt_text: str, prompt_tokens: int, max_
             time.sleep(min(delay, MAX_RETRY_WAIT))  # the wait the previous attempt settled on
         delay = policy.base_backoff * 2 ** (attempt - 1)
         try:
-            response = requests.post(url, headers=headers, json=body, timeout=spec.request_timeout)
-        except requests.RequestException as exc:
+            try:  # a new Request each time, since sending one through a proxy rewrites it
+                response = urlopen(Request(url, json.dumps(body).encode(), headers), timeout=spec.request_timeout)
+            except HTTPError as error:  # a status outside 2xx, with its headers and body
+                response = error
+            with response:
+                status, retry_after, reply = response.status, response.headers.get("Retry-After"), response.read()
+        except (OSError, HTTPException) as exc:
             last_error = str(exc)
             continue
+        except ValueError:  # http.client refuses a header value with CR, LF or a character outside Latin-1
+            raise BackendError(f"{spec.name}: the API key in {spec.api_key_env} cannot go in an HTTP header") from None
 
-        if response.status_code == 429 or response.status_code >= 500:
-            last_error = f"HTTP {response.status_code}"
-            if response.status_code in (429, 503):  # the two that may carry Retry-After (RFC 9110 §10.2.3)
-                delay = _retry_after(response.headers.get("Retry-After"), delay)
+        if status == 429 or status >= 500:
+            last_error = f"HTTP {status}"
+            if status in (429, 503):  # the two that may carry Retry-After (RFC 9110 §10.2.3)
+                delay = _retry_after(retry_after, delay)
             continue
-        if response.status_code != 200:
-            raise BackendError(f"{spec.name}: HTTP {response.status_code}: {response.text[:500]}")
+        if status != 200:
+            raise BackendError(f"{spec.name}: HTTP {status}: {reply.decode('utf-8', 'replace')[:500]}")
 
         try:
-            payload = response.json()
-        except ValueError:
+            payload = json.loads(reply)
+        except (ValueError, RecursionError):  # RecursionError: nested too deep to decode
             last_error = "response body is not JSON"
             continue
         try:

@@ -200,11 +200,12 @@ def _resolve_backend(args) -> backends.BackendSpec:
     from . import backends
 
     table = manifest.read_config(args.backends_config, "backends config", CliError) if args.backends_config else {}
-    if args.backend in table:
-        try:
-            spec = backends.BackendSpec.from_dict(args.backend, table[args.backend])
-        except backends.BackendError as exc:
-            raise CliError(f"backends config {args.backends_config}: {exc}") from None
+    try:  # every entry, so a spoiled one is refused even when unselected; no mock's fixtures file is opened here
+        specs = {name: backends.BackendSpec.from_dict(name, entry) for name, entry in table.items()}
+    except backends.BackendError as exc:
+        raise CliError(f"backends config {args.backends_config}: {exc}") from None
+    if args.backend in specs:
+        spec = specs[args.backend]
     elif args.backend == "oracle":
         spec = backends.BackendSpec(name="oracle", kind=backends.BackendKind.ORACLE)
     elif args.backend == "mock" and args.fixtures:

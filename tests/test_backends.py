@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -39,6 +42,20 @@ DATA = Path(__file__).parent / "data"
 
 
 @contextmanager
+def serving(handler):
+    """The port of a local HTTP server that runs ``handler`` until the block ends."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_port
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@contextmanager
 def stub_server(script):
     """A chat-completions stub that plays back (status, headers, body) triples."""
     responses = deque(script)
@@ -60,15 +77,8 @@ def stub_server(script):
         def log_message(self, *args):
             pass
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}/v1", requests_seen
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join()
+    with serving(Handler) as port:
+        yield f"http://127.0.0.1:{port}/v1", requests_seen
 
 
 def chat_payload(content, usage=None):
@@ -347,8 +357,9 @@ class TestHttpBackend:
             chat_payload("yes", {"prompt_tokens": "abc"}),
             chat_payload("yes", {"prompt_tokens": None}),
             json.dumps({"choices": [{"message": {"content": "yes"}}], "usage": ["x"]}),
+            chat_payload("yes \ud800"),  # escaped in the JSON; no manifest line could hold it
         ],
-        ids=["numeric-content", "string-prompt-tokens", "null-prompt-tokens", "usage-list"],
+        ids=["numeric-content", "string-prompt-tokens", "null-prompt-tokens", "usage-list", "lone-surrogate-content"],
     )
     def test_malformed_payload_fails_only_its_prompt(self, tmp_path, payload):
         script = [(200, {}, payload), (200, {}, chat_payload("no"))]
@@ -414,10 +425,115 @@ class TestHttpBackend:
             thread.join()
         assert captured["auth"] == "Bearer sekrit"
 
+    def test_body_nested_too_deep_is_retried_as_not_json(self, tmp_path):
+        script = [(200, {}, "[" * 200_000)] * 2 + [(200, {}, chat_payload("no"))]
+        prompts = build_prompts(2)
+        with stub_server(script) as (endpoint, seen):
+            spec = self._spec(endpoint, max_concurrency=1, retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.01))
+            result = run_batch(spec, rows(prompts), tmp_path / "r.ndjson", make_header("run", 0, {}))
+        assert len(seen) == 3
+        assert result.completed == 1
+        [failure] = result.failures
+        assert failure.instance_id == prompts[0].instance_id
+        assert "after 2 attempts (response body is not JSON)" in failure.error
+
+    @pytest.mark.parametrize("key", ["abc\r", "ключ"], ids=["carriage-return", "outside-latin-1"])
+    def test_api_key_that_cannot_go_in_a_header_fails_at_once_unprinted(self, key, monkeypatch):
+        monkeypatch.setenv("TAGEQA_API_KEY", key)
+        slept = []
+        monkeypatch.setattr(backends_module.time, "sleep", slept.append)
+        with stub_server([(200, {}, chat_payload("no"))]) as (endpoint, seen):
+            with pytest.raises(BackendError) as raised:
+                complete(self._spec(endpoint), "x", 1, 8)
+        assert "TAGEQA_API_KEY" in str(raised.value)
+        assert key.strip() not in str(raised.value)
+        assert seen == [] and slept == []
+
     def test_output_budgets_by_strategy(self):
         assert output_budget(Strategy.ZERO) == 8
         assert output_budget(Strategy.FEW) == 8
         assert output_budget(Strategy.COT) == 256
+
+
+# One completion in a fresh interpreter, since urllib reads the proxy variables once per process. It resolves
+# no host name but 127.0.0.1, so a request that bypassed the proxy fails instead of reaching the network.
+_COMPLETE_ONCE = """
+import socket, sys
+resolve = socket.getaddrinfo
+def local_only(host, *args, **kwargs):
+    if host != "127.0.0.1":
+        raise socket.gaierror(f"no lookup of {host!r} here")
+    return resolve(host, *args, **kwargs)
+socket.getaddrinfo = local_only
+from eventqa.backends import BackendError, BackendKind, BackendSpec, RetryPolicy, complete
+spec = BackendSpec("stub", BackendKind.HTTP_CHAT, endpoint=sys.argv[1], retry_policy=RetryPolicy(1, 0.0))
+try:
+    print(complete(spec, "Did it?", 3, 8).raw_text)
+except BackendError as exc:
+    print(f"error: {exc}")
+"""
+
+
+class TestProxy:
+    """``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY`` route an ``http_chat`` request as they route any other."""
+
+    @contextmanager
+    def _proxy(self):
+        """A forward proxy that records (method, target) and answers each POST itself; it opens no tunnel."""
+        seen = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                seen.append((self.command, self.path))
+                self.rfile.read(int(self.headers["Content-Length"]))
+                payload = chat_payload("proxied").encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def do_CONNECT(self):
+                seen.append((self.command, self.path))
+                self.send_error(502)
+
+            def log_message(self, *args):
+                pass
+
+        with serving(Handler) as port:
+            yield f"http://127.0.0.1:{port}", seen
+
+    def _complete(self, endpoint, **proxy_env):
+        """The reply (or ``error: ...``) of one completion against ``endpoint`` under exactly ``proxy_env``."""
+        env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+        env["PYTHONPATH"] = str(Path(backends_module.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", _COMPLETE_ONCE, endpoint],
+            env={**env, **proxy_env},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.strip()
+
+    def test_http_goes_through_the_proxy(self):
+        with self._proxy() as (proxy, seen):
+            reply = self._complete("http://example.invalid/v1", HTTP_PROXY=proxy)
+        assert reply == "proxied"
+        assert seen == [("POST", "http://example.invalid/v1/chat/completions")]
+
+    def test_no_proxy_reaches_the_endpoint_directly(self):
+        with self._proxy() as (proxy, proxied), stub_server([(200, {}, chat_payload("direct"))]) as (endpoint, seen):
+            reply = self._complete(endpoint, HTTP_PROXY=proxy, NO_PROXY="127.0.0.1")
+        assert reply == "direct"
+        assert len(seen) == 1
+        assert proxied == []
+
+    def test_https_asks_the_proxy_for_a_tunnel(self):
+        with self._proxy() as (proxy, seen):
+            reply = self._complete("https://example.invalid/v1", HTTPS_PROXY=proxy)
+        assert reply.startswith("error: stub: request failed after 1 attempts")
+        assert seen == [("CONNECT", "example.invalid:443")]
 
 
 class TestRunBatch:
@@ -634,8 +750,12 @@ class TestRunBatch:
                 lambda prompts: json.dumps({prompt_fingerprint(p.prompt_text): 5 for p in prompts}),
                 "must map prompt hashes to reply strings",
             ),
+            (
+                lambda prompts: json.dumps({prompt_fingerprint(p.prompt_text): "yes \ud800" for p in prompts}),
+                "reply strings that UTF-8 can encode",
+            ),
         ],
-        ids=["missing", "not-json", "not-an-object", "non-string-reply"],
+        ids=["missing", "not-json", "not-an-object", "non-string-reply", "lone-surrogate-reply"],
     )
     def test_unusable_fixtures_refuse_the_batch(self, tmp_path, monkeypatch, fixtures, message):
         def no_request(*args):

@@ -301,6 +301,8 @@ def test_each_stage_loads_only_its_layers(pipeline_dir, tmp_path, case):
     assert "_hashlib" not in imported
     # Records are named tuples: building dataclasses cost every stage ~25 ms of start-up.
     assert not {"dataclasses", "inspect"} & imported
+    # Only an http_chat request loads the HTTP stack; ssl alone costs ~6 MB resident.
+    assert not {"urllib.request", "http.client", "ssl"} & imported
 
 
 def test_score_with_a_schema_reads_remapped_labels(pipeline_dir, tmp_path):
@@ -716,6 +718,22 @@ class TestPipeline:
                 {"kind": "http_chat", "endpoint": "http:///v1", "retry_policy": {"max_attempts": 1}},
                 "endpoint names no host, got 'http:///v1'",
             ),
+            (
+                {"kind": "http_chat", "endpoint": "http://127.0.0.1:99999/v1", "retry_policy": {"max_attempts": 1}},
+                "endpoint does not parse (Port out of range 0-65535), got 'http://127.0.0.1:99999/v1'",
+            ),
+            (
+                {"kind": "http_chat", "endpoint": "http://127.0.0.1:abc/v1", "retry_policy": {"max_attempts": 1}},
+                "endpoint does not parse (Port could not be cast to integer value as 'abc'), got",
+            ),
+            (
+                {"kind": "http_chat", "endpoint": "http://127.0.0.1/my v1", "retry_policy": {"max_attempts": 1}},
+                "endpoint must be printable ASCII without spaces, got 'http://127.0.0.1/my v1'",
+            ),
+            (
+                {"kind": "http_chat", "endpoint": "http://me:pw@127.0.0.1/v1", "retry_policy": {"max_attempts": 1}},
+                "endpoint must not carry a user name or password",
+            ),
         ],
         ids=[
             "no-kind",
@@ -730,6 +748,10 @@ class TestPipeline:
             "no-endpoint",
             "schemeless-endpoint",
             "hostless-endpoint",
+            "port-out-of-range",
+            "non-numeric-port",
+            "space-in-endpoint",
+            "user-in-endpoint",
         ],
     )
     def test_run_bad_backend_entry_exits_2(self, built, tmp_path, capsys, entry, message):
@@ -762,6 +784,20 @@ class TestPipeline:
         assert rc == 2
         assert "backend 'x': unknown key 'name'" in capsys.readouterr().err
         assert not (built / "responses.ndjson").exists()
+
+    def test_run_refuses_a_spoiled_entry_it_did_not_select(self, built, tmp_path, capsys):
+        config = tmp_path / "backends.json"
+        config.write_text(json.dumps({"x": {"kind": "oracle"}, "y": {"kidn": "oracle"}}))
+        rc = run_cli("run", "--out", built, "--backend", "x", "--backends-config", config)
+        assert rc == 2
+        assert f"backends config {config}: backend 'y': unknown key 'kidn'" in capsys.readouterr().err
+        assert not (built / "responses.ndjson").exists()
+
+    def test_run_opens_only_the_selected_mocks_fixtures(self, built, tmp_path):
+        config = tmp_path / "backends.json"
+        mock = {"kind": "mock", "fixtures_path": str(tmp_path / "absent.json")}
+        config.write_text(json.dumps({"x": {"kind": "oracle"}, "m": mock}))
+        assert run_cli("run", "--out", built, "--backend", "x", "--backends-config", config) == 0
 
     def test_run_rejects_zero_max_concurrency(self, built, capsys):
         rc = run_cli("run", "--out", built, "--backend", "oracle", "--max-concurrency", 0)

@@ -125,11 +125,6 @@ def _endpoint_problem(endpoint: str) -> str | None:
     return None
 
 
-# JSON can escape a lone surrogate ("\ud800"), but UTF-8 cannot encode one, so no manifest could hold it.
-# Compiled by ``re`` on first use: its character set costs 128 KB resident, which an oracle run need not pay.
-_LONE_SURROGATE = "[\ud800-\udfff]"
-
-
 class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], defaults=_SPEC_DEFAULTS.values())):
     """A backend's name and ``BackendKind``, then the settings in ``_SPEC_DEFAULTS``, checked when it is made."""
 
@@ -166,7 +161,7 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
         if not self.fixtures_path:
             raise MockFixtureError(f"mock backend {self.name!r} has no fixtures file")
         fixtures = manifest.read_config(self.fixtures_path, "fixtures file", MockFixtureError)
-        if not all(isinstance(text, str) and not re.search(_LONE_SURROGATE, text) for text in fixtures.values()):
+        if not all(isinstance(text, str) and manifest.encodes_utf8(text) for text in fixtures.values()):
             raise MockFixtureError(
                 f"fixtures file {self.fixtures_path} must map prompt hashes to reply strings that UTF-8 can encode"
             )
@@ -321,7 +316,7 @@ def _read_chat_payload(payload, prompt_tokens: int) -> tuple[str, int, int]:
     raw_text = "" if content is None else content
     if not isinstance(raw_text, str):
         raise ValueError(f"content is not a string: {content!r}")
-    if re.search(_LONE_SURROGATE, raw_text):
+    if not manifest.encodes_utf8(raw_text):
         raise ValueError("content holds a lone surrogate")
     try:
         counts = _USAGE.read(usage, required=False)
@@ -400,14 +395,11 @@ def _http_complete(spec: BackendSpec, prompt_text: str, prompt_tokens: int, max_
 def complete(spec: BackendSpec, prompt_text: str, prompt_tokens: int, max_output_tokens: int) -> CompletionResponse:
     """Run one completion of a prompt of ``prompt_tokens`` tokens against a backend.
 
-    Deterministic backends (mock, oracle) report zero latency so manifests
-    stay byte-stable across runs.
+    ``run_batch`` refuses a batch with a prompt over the backend's context
+    limit before any call, so no prompt is checked here. Deterministic
+    backends (mock, oracle) report zero latency so manifests stay
+    byte-stable across runs.
     """
-    if prompt_tokens > spec.context_limit:
-        raise ContextOverflowError(
-            f"prompt of {prompt_tokens} tokens exceeds {spec.name} context limit {spec.context_limit}"
-        )
-
     if spec.kind is BackendKind.HTTP_CHAT:
         return _http_complete(spec, prompt_text, prompt_tokens, max_output_tokens)
 

@@ -17,6 +17,7 @@ from pathlib import Path
 from random import Random
 from typing import NamedTuple, Sequence
 
+from .manifest import encodes_utf8
 from .vocab import DEFAULT_SCHEMA, Answer, CorpusError, DatasetFormatError, GraphKind, QuestionCategory, read_label
 
 logger = logging.getLogger(__name__)
@@ -37,11 +38,8 @@ class Relation(str, Enum):
 
 def _check_unicode(text: str, what: str) -> None:
     """Reject text that cannot be written as UTF-8: lone surrogates, from "\\ud800" escapes or undecodable bytes."""
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(f"{what} holds a lone surrogate or bytes that are not UTF-8") from None
+    if not encodes_utf8(text):
+        raise ValueError(f"{what} holds a lone surrogate or bytes that are not UTF-8")
 
 
 def _printable(text: str) -> str:

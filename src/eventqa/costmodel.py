@@ -8,7 +8,6 @@ at display time, the exact value is kept.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import NamedTuple
@@ -24,15 +23,11 @@ class CostError(EventQAError):
     pass
 
 
-class ModelPricing(namedtuple("ModelPricing", "input_per_million output_per_million")):
-    """Decimal prices per million input and output tokens."""
+class ModelPricing(NamedTuple):
+    """Decimal prices per million input and output tokens; ``load_pricing`` refuses a negative one."""
 
-    __slots__ = ()
-
-    def __new__(cls, input_per_million: Decimal, output_per_million: Decimal) -> "ModelPricing":
-        if input_per_million < 0 or output_per_million < 0:
-            raise ValueError("prices must be non-negative")
-        return super().__new__(cls, input_per_million, output_per_million)
+    input_per_million: Decimal
+    output_per_million: Decimal
 
 
 class PricingTable(NamedTuple):
@@ -135,8 +130,7 @@ def project_run_cost(
 
     ``input_tokens`` is the sum of the per-prompt counts of ``prompts``
     prompts; every prompt is assumed to produce ``expected_output_tokens``
-    of output.
+    of output. ``cli.cmd_cost`` refuses a manifest without prompts before
+    it projects one.
     """
-    if prompts == 0:
-        raise CostError("cannot project cost of an empty prompt list")
     return estimate_cost(input_tokens, prompts * expected_output_tokens, model_name, pricing)

@@ -204,11 +204,9 @@ def emit_plot_data(report: AccuracyReport, out: str | Path, header: dict) -> lis
     strategy, and ``plot_by_modality.csv`` the other way round. Every
     category appears for every (backend, group, series) combination present
     in the report; empty cells get n=0 and a blank accuracy so the full
-    13-row shape is stable for plotting.
+    13-row shape is stable for plotting. ``emit_report``, which runs first,
+    refuses an empty report.
     """
-    if not report.cluster_cells:
-        raise ScoringError("report has no per-category cells")
-
     backends = sorted({key[0] for key in report.cluster_cells})
     strategies = sorted({key[1] for key in report.cluster_cells}, key=_STRATEGY_ORDER.__getitem__)
     modalities = sorted({key[2] for key in report.cluster_cells}, key=_MODALITY_ORDER.__getitem__)

@@ -24,10 +24,6 @@ from .corpus import CausalEdge, CausalGraph, EventNode, Relation
 from .vocab import Answer, GraphKind
 
 
-class GraphQueryError(Exception):
-    """Raised when a structured query references an unknown event id."""
-
-
 class VerbalizationParseError(Exception):
     """Raised when a line does not match the edge-sentence grammar."""
 
@@ -117,11 +113,8 @@ def _order(graph: CausalGraph) -> tuple[list[str], list[int]]:
 
 
 def verbalize_edge(edge: CausalEdge, nodes: dict[str, EventNode]) -> str:
-    """Render one edge into its fixed-format sentence."""
-    try:
-        source, target = nodes[edge.source], nodes[edge.target]
-    except KeyError as exc:
-        raise GraphQueryError(f"edge endpoint {exc.args[0]!r} not in node table") from None
+    """Render one edge into its fixed-format sentence; ``nodes`` holds both endpoints, as in a validated graph."""
+    source, target = nodes[edge.source], nodes[edge.target]
     verb = "enables" if edge.relation is Relation.ENABLES else "blocks"
     return f'The event "{source.label}" {verb} the event "{target.label}".'
 
@@ -208,17 +201,12 @@ def oracle_answer(graph: CausalGraph, query: StructuredQuery) -> Answer:
 
     CAUSES follows enables-chains (reflexively); DIRECT_BLOCKS tests for a
     single blocking edge, with no transitivity; OCCURRED runs the blocking
-    fixpoint of ``occurred_set``.
+    fixpoint of ``occurred_set``. The query's ids come from ``graph``:
+    ``backends.parse_oracle_question`` resolves each one to a node of the
+    graph it then queries, so none is looked up here.
     """
-    known = {node.id for node in graph.nodes}
-    if query.subject not in known:
-        raise GraphQueryError(f"unknown event id {query.subject!r}")
     if query.kind is QueryKind.OCCURRED:
-        if query.object is not None:
-            raise GraphQueryError("occurrence queries take a single event")
         return Answer.YES if query.subject in occurred_set(graph) else Answer.NO
-    if query.object not in known:
-        raise GraphQueryError(f"unknown event id {query.object!r}")
     if query.kind is QueryKind.CAUSES:
         hit = _enables_reachable(graph, query.subject, query.object)
     else:

@@ -208,7 +208,29 @@ def csv_header_line(header: dict) -> str:
 # with ``ValueError``, ``LookupError`` or an ``EventQAError``. Messages
 # number the rows of a manifest from 1 after the header.
 
-STRING = ((str,), "a string", None)
+
+def encodes_utf8(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: not if it holds a lone surrogate, such as JSON's ``"\\ud800"`` escape."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def kept(test: Callable) -> Callable:
+    """A parser that keeps each value ``test`` passes and refuses any other."""
+    def parse(value):
+        if not test(value):
+            raise ValueError(value)
+        return value
+    return parse
+
+
+# A string is text that UTF-8 can encode, so every file written from a record can hold it.
+STRING = ((str,), "a string", kept(encodes_utf8))
 INTEGER = ((int,), "an integer", None)
 NUMBER = ((int, float), "a number", None)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import EventQAError
-from .manifest import STRING, ManifestError, Reader, one_of, read_config
+from .manifest import STRING, ManifestError, Reader, encodes_utf8, kept, one_of, read_config
 
 
 class Answer(str, Enum):
@@ -225,17 +225,8 @@ def all_configs() -> tuple[PromptConfig, ...]:
 TOKENIZER = "simple"
 
 
-def _kept(test: Callable) -> Callable:
-    """A parser that keeps each value ``test`` passes and refuses any other."""
-    def parse(value):
-        if not test(value):
-            raise ValueError(value)
-        return value
-    return parse
-
-
-INSTANCE_ID = ((str,), "a non-empty string", _kept(bool))
-COUNT = ((int,), "a non-negative integer", _kept((0).__le__))
+INSTANCE_ID = ((str,), "a non-empty string", kept(lambda text: text != "" and encodes_utf8(text)))
+COUNT = ((int,), "a non-negative integer", kept((0).__le__))
 # A configuration of a prompt or prediction row, built once per value and shared (safe, as a config is frozen).
 _CONFIG_FIELDS = {"strategy": one_of(Strategy), "modality": one_of(Modality), "demo_count": COUNT}
 CONFIG = ((dict,), "a JSON object", Reader(lru_cache(maxsize=64)(PromptConfig), _CONFIG_FIELDS))

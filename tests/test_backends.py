@@ -221,20 +221,13 @@ class TestOracleBackend:
         assert pairs
         assert len(calls) == len(pairs)
 
-    def test_context_overflow_rejected(self):
-        spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE, context_limit=4)
-        with pytest.raises(ContextOverflowError):
-            complete(spec, "one two three four five", 5, 8)
-
     def test_given_prompt_tokens_replace_counting(self, monkeypatch):
         counted = []
         monkeypatch.setattr(backends_module, "count_tokens", lambda text: counted.append(text) or 1)
-        spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE, context_limit=10)
+        spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
         prompt = "one two three"
         response = complete(spec, prompt, 7, 8)
         assert response.input_tokens == 7
-        with pytest.raises(ContextOverflowError, match="prompt of 11 tokens"):
-            complete(spec, prompt, 11, 8)
         assert prompt not in counted
 
     def test_repeated_graph_sections_parse_once_and_answer_alike(self, rally_instance, worked_demos, monkeypatch):
@@ -677,11 +670,12 @@ class TestRunBatch:
                 lambda row: dict(row, config=dict(row["config"], demo_count=-1)),
                 "config.demo_count must be a non-negative integer, got -1",
             ),
+            (lambda row: dict(row, prompt_text=row["prompt_text"] + "\ud800"), "prompt_text must be a string, got '"),
         ],
         ids=[
             "not-an-object", "no-token-count", "no-tokenizer", "numeric-id", "empty-id", "selector-config",
             "unknown-strategy", "zero-shot-demos", "null-demo-count", "negative-count", "bool-count",
-            "string-count", "null-prompt", "list-tokenizer", "negative-demo-count",
+            "string-count", "null-prompt", "list-tokenizer", "negative-demo-count", "lone-surrogate-prompt",
         ],
     )
     def test_malformed_row_refuses_the_batch(self, tmp_path, monkeypatch, spoil, message):
@@ -694,6 +688,18 @@ class TestRunBatch:
         path = tmp_path / "r.ndjson"
         with pytest.raises(ManifestError, match=re.escape(f"prompt batch row 2 is malformed: {message}")):
             run_batch(self._oracle_spec(), batch, path, self._header())
+        assert not path.exists()
+
+    def test_stored_token_count_is_checked_against_the_context_limit(self, tmp_path):
+        # Every text counts more than 10 tokens; only the row that stores a count over the limit is refused.
+        batch = [dict(row, token_count=1) for row in rows(build_prompts(3))]
+        assert all(count_tokens(row["prompt_text"]) > 10 for row in batch)
+        batch[1]["token_count"] = 11
+        spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE, context_limit=10)
+        path = tmp_path / "r.ndjson"
+        message = "1 prompts exceed the 10-token context limit of oracle (largest: 11)"
+        with pytest.raises(ContextOverflowError, match=re.escape(message)):
+            run_batch(spec, batch, path, self._header())
         assert not path.exists()
 
     def test_an_iterator_of_prompts_is_refused(self, tmp_path):

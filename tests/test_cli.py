@@ -339,9 +339,8 @@ def test_layer_errors_share_the_base_main_catches(error):
     assert issubclass(error, eventqa.EventQAError)
 
 
-@pytest.mark.parametrize("error", [graphcore.GraphQueryError, graphcore.VerbalizationParseError])
-def test_graph_errors_stay_outside_the_base(error):
-    assert not issubclass(error, eventqa.EventQAError)
+def test_graph_errors_stay_outside_the_base():
+    assert not issubclass(graphcore.VerbalizationParseError, eventqa.EventQAError)
 
 
 def _malformed_dataset(tmp_path) -> list:
@@ -538,8 +537,13 @@ class TestPipeline:
             (lambda row: dict(row, config=5), "config must be a configuration selector, got 5"),
             (lambda row: dict(row, config=None), "config must be a configuration selector, got None"),
             (lambda row: [row], "is not a JSON object"),
+            (lambda row: dict(row, raw_text="\ud800 yes"), "raw_text must be a string, got '\\ud800 yes'"),
+            (lambda row: dict(row, backend="oracle\ud800"), "backend must be a string, got 'oracle\\ud800'"),
         ],
-        ids=["no-raw-text", "numeric-raw-text", "list-config", "numeric-config", "null-config", "not-an-object"],
+        ids=[
+            "no-raw-text", "numeric-raw-text", "list-config", "numeric-config", "null-config", "not-an-object",
+            "lone-surrogate-raw-text", "lone-surrogate-backend",
+        ],
     )
     def test_score_refuses_a_malformed_response_row(self, built, capsys, spoil, message):
         assert run_cli("run", "--out", built, "--backend", "oracle") == 0
@@ -564,6 +568,7 @@ class TestPipeline:
             (lambda row: dict(row, correct=not row["correct"]), "correct must be "),
             (lambda row: dict(row, correct=int(row["correct"])), "correct must be "),
             (_with_demo_count(-1), "config.demo_count must be a non-negative integer, got -1"),
+            (lambda row: dict(row, backend="oracle\ud800"), "backend must be a string, got 'oracle\\ud800'"),
         ],
         ids=[
             "unknown-gold",
@@ -575,6 +580,7 @@ class TestPipeline:
             "flipped-correct",
             "numeric-correct",
             "negative-demo-count",
+            "lone-surrogate-backend",
         ],
     )
     def test_report_refuses_a_malformed_prediction_row(self, built, capsys, spoil, message):
@@ -817,6 +823,17 @@ class TestPipeline:
         rc = run_cli("run", "--out", built, "--backend", "mock", "--fixtures", tmp_path / "missing.json")
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
+        assert not (built / "responses.ndjson").exists()
+
+    def test_mock_run_refuses_a_prompt_text_utf8_cannot_encode(self, built, tmp_path, capsys):
+        # JSON can escape a lone surrogate, which no prompt hash or manifest line can encode.
+        _spoil_row(built / "prompts.ndjson", 2, lambda row: dict(row, prompt_text=row["prompt_text"] + "\ud800"))
+        fixtures_path = tmp_path / "fixtures.json"
+        fixtures_path.write_text("{}")
+        assert run_cli("run", "--out", built, "--backend", "mock", "--fixtures", fixtures_path) == 2
+        err = capsys.readouterr().err
+        assert f"{built / 'prompts.ndjson'} row 2 is malformed: prompt_text must be a string, got " in err
+        assert err.endswith("\\ud800'\n")
         assert not (built / "responses.ndjson").exists()
 
     @pytest.mark.parametrize(

@@ -88,6 +88,8 @@ def _cases():
                     name = "dropped" if value is DROPPED else json.dumps(value, separators=(",", ":"))
                     yield pytest.param(stage, (*owner, key), value, id=f"{stage}-{'.'.join((*owner, key))}-{name}")
             yield pytest.param(stage, (*owner, UNKNOWN), 1, id=f"{stage}-{'.'.join((*owner, UNKNOWN))}")
+    # JSON can escape a lone surrogate, which UTF-8 cannot encode.
+    yield pytest.param("run", ("x", "model_name"), "gpt\ud800", id="run-x.model_name-lone-surrogate")
 
 
 def _stage(stage: str, out: Path, config: Path) -> tuple[int, str]:

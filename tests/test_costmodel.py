@@ -109,10 +109,6 @@ class TestProjection:
         assert without.output_tokens == 0
         assert without.total_cost < with_output.total_cost
 
-    def test_empty_prompt_list_rejected(self, solved_pricing):
-        with pytest.raises(CostError):
-            project_run_cost(0, 0, 10, "gpt-4o", solved_pricing)
-
 
 class TestPricingConfig:
     def test_load_pricing_file(self, tmp_path):
@@ -131,10 +127,6 @@ class TestPricingConfig:
 
         table = load_pricing(_default_pricing_path())
         assert "gpt-3.5-turbo" in table.entries
-
-    def test_negative_price_rejected(self):
-        with pytest.raises(ValueError):
-            ModelPricing(Decimal("-1"), Decimal("0"))
 
     def test_display_rounds_to_cents(self):
         estimate = CostEstimate("m", 1, 1, Decimal("4.93456"))

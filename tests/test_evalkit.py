@@ -271,10 +271,6 @@ class TestEmission:
             ("text", "zero"), ("text", "few"), ("text", "cot")
         ]
 
-    def test_plot_requires_cluster_cells(self, tmp_path):
-        with pytest.raises(ScoringError):
-            emit_plot_data(AccuracyReport(), tmp_path, HEADER)
-
     def test_accuracy_table_has_nine_numbers(self):
         report = score(full_grid_predictions())
         table = format_accuracy_table(report)

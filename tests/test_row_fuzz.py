@@ -2,7 +2,8 @@
 
 One row of a valid manifest from the sample data is spoiled: one field, or
 one field of its ``config`` or ``extracted`` object, is set to a value of
-each other JSON type or dropped, or the whole row becomes a non-object.
+each other JSON type or dropped (a string also to itself plus an escaped
+lone surrogate), or the whole row becomes a non-object.
 Each stage that reads that manifest then runs in-process. It must exit 0
 and write the same bytes as on the valid manifest, or exit 2 with an error
 naming the row and write nothing; a traceback fails the test.
@@ -84,7 +85,10 @@ def spoilers(draw, rows: list) -> tuple[int, object]:
     target = spoiled
     for name in owners:
         target = target[name]
-    value = draw(st.sampled_from([DROPPED, *(v for v in JSON_VALUES if type(v) is not type(target[field]))]))
+    values = [DROPPED, *(v for v in JSON_VALUES if type(v) is not type(target[field]))]
+    if isinstance(target[field], str):
+        values.append(target[field] + "\ud800")  # a lone surrogate, which JSON can escape and UTF-8 cannot encode
+    value = draw(st.sampled_from(values))
     if value is DROPPED:
         del target[field]
     else:

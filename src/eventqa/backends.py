@@ -40,7 +40,7 @@ from .graphcore import (
     graph_from_sentences,
     oracle_answer,
 )
-from .manifest import INTEGER, NUMBER, STRING, Reader, one_of
+from .manifest import INTEGER, NUMBER, STRING, Reader, encodes_utf8, kept, one_of
 from .promptkit import SECTION_ANSWER, SECTION_GRAPH, SECTION_HEADERS, SECTION_QUESTION, count_tokens
 from .vocab import COUNT, PROMPT_ROW, RESPONSE_ROW, Answer, output_budget
 
@@ -87,7 +87,7 @@ _SPEC_VALUES = Reader(
         "retry_policy": ((dict,), "a JSON object", _RETRY_VALUES),
         "api_key_env": STRING,
         "request_timeout": NUMBER,
-        "fixtures_path": ((str, type(None)), "a string or null", None),
+        "fixtures_path": ((str, type(None)), "a string or null", kept(lambda path: path is None or encodes_utf8(path))),
     },
     closed=True,
 )
@@ -161,7 +161,7 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
         if not self.fixtures_path:
             raise MockFixtureError(f"mock backend {self.name!r} has no fixtures file")
         fixtures = manifest.read_config(self.fixtures_path, "fixtures file", MockFixtureError)
-        if not all(isinstance(text, str) and manifest.encodes_utf8(text) for text in fixtures.values()):
+        if not all(isinstance(text, str) and encodes_utf8(text) for text in fixtures.values()):
             raise MockFixtureError(
                 f"fixtures file {self.fixtures_path} must map prompt hashes to reply strings that UTF-8 can encode"
             )
@@ -185,10 +185,15 @@ def prompt_fingerprint(prompt_text: str) -> str:
 
 # --- oracle question grammar ---------------------------------------------------
 
-_Q_CAUSE = re.compile(r'^Did "(.+?)" cause "(.+?)"\?$')
-_Q_BLOCK = re.compile(r'^Did "(.+?)" block "(.+?)"\?$')
-_Q_AFTER = re.compile(r'^Did "(.+?)" happen after "(.+?)"\?$')
-_Q_OCCUR = re.compile(r'^Did "(.+?)" (?:happen|occur)\?$')
+# Each question form: its pattern, the query it asks of the labels it
+# quotes, and whether they are asked in reverse with the answer negated.
+# Forms are tried in order; the first that matches decides.
+_QUESTION_FORMS = (
+    (re.compile(r'^Did "(.+?)" cause "(.+?)"\?$'), QueryKind.CAUSES, False),
+    (re.compile(r'^Did "(.+?)" block "(.+?)"\?$'), QueryKind.DIRECT_BLOCKS, False),
+    (re.compile(r'^Did "(.+?)" happen after "(.+?)"\?$'), QueryKind.DIRECT_BLOCKS, True),
+    (re.compile(r'^Did "(.+?)" (?:happen|occur)\?$'), QueryKind.OCCURRED, False),
+)
 
 
 def _section(text: str, header: str, end: str) -> str | None:
@@ -220,24 +225,13 @@ def parse_oracle_question(question: str, graph: CausalGraph) -> tuple[Structured
     "Did X happen after Y?" asks whether X went ahead despite Y, so it maps
     to a direct-blocking test of Y against X with the answer negated.
     """
-    for pattern, builder in (
-        (_Q_CAUSE, lambda a, b: (StructuredQuery(QueryKind.CAUSES, a, b), False)),
-        (_Q_BLOCK, lambda a, b: (StructuredQuery(QueryKind.DIRECT_BLOCKS, a, b), False)),
-        (_Q_AFTER, lambda a, b: (StructuredQuery(QueryKind.DIRECT_BLOCKS, b, a), True)),
-    ):
+    for pattern, kind, reverse in _QUESTION_FORMS:
         match = pattern.match(question)
         if match:
-            subject = _resolve_label(match.group(1), graph)
-            obj = _resolve_label(match.group(2), graph)
-            if subject is None or obj is None:
+            labels = [_resolve_label(span, graph) for span in match.groups()]
+            if None in labels:
                 return None
-            return builder(subject, obj)
-    match = _Q_OCCUR.match(question)
-    if match:
-        subject = _resolve_label(match.group(1), graph)
-        if subject is None:
-            return None
-        return StructuredQuery(QueryKind.OCCURRED, subject), False
+            return StructuredQuery(kind, *(labels[::-1] if reverse else labels)), reverse
     return None
 
 
@@ -316,7 +310,7 @@ def _read_chat_payload(payload, prompt_tokens: int) -> tuple[str, int, int]:
     raw_text = "" if content is None else content
     if not isinstance(raw_text, str):
         raise ValueError(f"content is not a string: {content!r}")
-    if not manifest.encodes_utf8(raw_text):
+    if not encodes_utf8(raw_text):
         raise ValueError("content holds a lone surrogate")
     try:
         counts = _USAGE.read(usage, required=False)

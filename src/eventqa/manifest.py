@@ -241,6 +241,12 @@ def one_of(enum: type) -> tuple:
     return (str,), "one of " + ", ".join(members), members.__getitem__
 
 
+def _shown(value) -> str:
+    """The repr of a refused value or key, cut to its first 80 and last 40 characters if over 200: one short line."""
+    text = repr(value)
+    return text if len(text) <= 200 else f"{text[:80]}...{text[-40:]}"
+
+
 class Reader(NamedTuple):
     """Reads a JSON object as ``make(**values)``, with one value per field of the row table ``fields``.
 
@@ -261,7 +267,7 @@ class Reader(NamedTuple):
         if self.closed:
             for name in value:
                 if name not in self.fields:
-                    raise ManifestError(f"unknown key {prefix + name!r}")
+                    raise ManifestError(f"unknown key {_shown(prefix + name)}")
         values = {}
         for name, (types, described, parse) in self.fields.items():
             if name not in value:
@@ -278,7 +284,7 @@ class Reader(NamedTuple):
                     continue
                 except (ValueError, LookupError, EventQAError):
                     pass
-            raise ManifestError(f"{prefix}{name} must be {described}, got {field!r}")
+            raise ManifestError(f"{prefix}{name} must be {described}, got {_shown(field)}")
         try:
             return self.make(**values)
         except ValueError as exc:

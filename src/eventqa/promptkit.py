@@ -22,10 +22,9 @@ import logging
 import re
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from pathlib import Path
 from random import Random
-from typing import Callable, Collection, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .corpus import QAInstance
 from .graphcore import VerbalizedGraph, verbalize_graph
@@ -122,20 +121,6 @@ def split_sentences(text: str) -> tuple[str, ...]:
     return tuple(part for part in _SENTENCE_SPLIT_RE.split(text.strip()) if part)
 
 
-class PromptParts(NamedTuple):
-    """The structured ingredients a prompt is rendered from.
-
-    ``assemble_prompt`` builds them once, cuts them to the budget on counts
-    alone, and renders the kept parts; the record holds only the result.
-    """
-
-    instruction: str
-    question: str
-    passage_sentences: tuple[str, ...] | None
-    graph_sentences: tuple[str, ...] | None
-    demos: tuple[Demonstration, ...]
-
-
 class PromptRecord(NamedTuple):
     instance_id: str
     config: PromptConfig
@@ -160,26 +145,20 @@ def _utf8_len(text: str) -> int:
     return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
-def _render(parts: PromptParts) -> tuple[str, dict[str, tuple[int, int]]]:
-    bodies = (
-        (SECTION_INSTRUCTION, parts.instruction),
-        (SECTION_TEXT, None if parts.passage_sentences is None else " ".join(parts.passage_sentences)),
-        (SECTION_GRAPH, None if parts.graph_sentences is None else "\n".join(parts.graph_sentences)),
-        (SECTION_EXAMPLES, "\n".join(demo._text for demo in parts.demos) if parts.demos else None),
-        (SECTION_QUESTION, parts.question),
-    )
-    chunks, sections, offset = [], {}, 0  # offset in UTF-8 bytes
-    for name, body in bodies:
-        if body is not None:
+def _render(sections: dict[str, tuple[str, ...] | None]) -> tuple[str, dict[str, tuple[int, int]]]:
+    chunks, spans, offset = [], {}, 0  # offset in UTF-8 bytes
+    for name, parts in sections.items():
+        if parts is not None:
+            body = (" " if name == SECTION_TEXT else "\n").join(parts)
             chunk = f"{SECTION_HEADERS[name]}\n{body}"
             size = _utf8_len(chunk)
-            sections[name] = (offset, offset + size)
+            spans[name] = (offset, offset + size)
             chunks.append(chunk)
             offset += size + 2  # and the blank line after it
     # The answer header follows the question after a single newline.
     answer = SECTION_HEADERS[SECTION_ANSWER]
-    sections[SECTION_ANSWER] = (offset - 1, offset - 1 + _utf8_len(answer))
-    return "\n\n".join(chunks) + f"\n{answer}\n", sections
+    spans[SECTION_ANSWER] = (offset - 1, offset - 1 + _utf8_len(answer))
+    return "\n\n".join(chunks) + f"\n{answer}\n", spans
 
 
 # How many passages keep their sentences, and how many passages, graphs,
@@ -199,66 +178,10 @@ def _part_counts(part: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(map(_simple_count, part))
 
 
-def _prefix_sums(sentences: tuple[str, ...] | None) -> list[int] | None:
-    return None if sentences is None else list(accumulate(_part_counts(sentences), initial=0))
-
-
-# A cut of a prompt's parts: how many passage sentences, demonstrations and
-# graph sentences it keeps, None for a section it drops entirely.
-_Lengths = tuple[int | None, int, int | None]
-
-
-def _lengths(parts: PromptParts) -> _Lengths:
-    passage, graph = parts.passage_sentences, parts.graph_sentences
-    return (None if passage is None else len(passage), len(parts.demos), None if graph is None else len(graph))
-
-
-def _cut(parts: PromptParts, lengths: _Lengths) -> PromptParts:
-    n_text, n_demos, n_graph = lengths
-    return parts._replace(
-        passage_sentences=None if n_text is None else parts.passage_sentences[:n_text],
-        demos=parts.demos[:n_demos],
-        graph_sentences=None if n_graph is None else parts.graph_sentences[:n_graph],
-    )
-
-
 _HEADER_TOKENS = {name: _simple_count(header) for name, header in SECTION_HEADERS.items()}
 
-
-def _composed_counter(parts: PromptParts) -> Callable[[_Lengths], int]:
-    """Token count of any cut of ``parts``: its parts plus one header count per present section."""
-    fixed = _part_counts((parts.instruction,))[0] + _part_counts((parts.question,))[0]
-    fixed += _HEADER_TOKENS[SECTION_INSTRUCTION] + _HEADER_TOKENS[SECTION_QUESTION] + _HEADER_TOKENS[SECTION_ANSWER]
-    text, graph = _prefix_sums(parts.passage_sentences), _prefix_sums(parts.graph_sentences)
-    demos = list(accumulate((demo._simple_tokens for demo in parts.demos), initial=0))
-
-    def count(lengths: _Lengths) -> int:
-        n_text, n_demos, n_graph = lengths
-        total = fixed
-        if n_text is not None:
-            total += _HEADER_TOKENS[SECTION_TEXT] + text[n_text]
-        if n_demos:
-            total += _HEADER_TOKENS[SECTION_EXAMPLES] + demos[n_demos]
-        if n_graph is not None:
-            total += _HEADER_TOKENS[SECTION_GRAPH] + graph[n_graph]
-        return total
-
-    return count
-
-
-def _trim_sequence(lengths: _Lengths):
-    """The cuts after ``lengths`` in trim order, each one sentence or demonstration shorter than the last."""
-    n_text, n_demos, n_graph = lengths
-    while True:
-        if n_text:
-            n_text = n_text - 1 or None
-        elif n_demos:
-            n_demos -= 1
-        elif n_graph:
-            n_graph = n_graph - 1 or None
-        else:
-            return
-        yield n_text, n_demos, n_graph
+# The sections an over-budget prompt is cut from, in the order they are cut.
+_CUT_ORDER = (SECTION_TEXT, SECTION_EXAMPLES, SECTION_GRAPH)
 
 
 def assemble_prompt(
@@ -275,12 +198,19 @@ def assemble_prompt(
     the graph; demonstrations must match the configured count and modality.
     Assembly is pure: identical inputs give byte-identical prompt text.
 
+    The prompt is held as a dict from section name to its parts, in
+    ``SECTION_HEADERS`` order, None for a section the configuration leaves
+    out: passage sentences, graph sentences, demonstrations, and the
+    instruction and question as one part each. Its token count is the
+    counts of its parts plus one header count per present section.
+
     A prompt over the budget is cut without touching instruction or
-    question. Trim priority: passage sentences from the end, then
-    demonstrations last first, then graph sentences from the end. The graph
-    is only touched once the passage is gone, so structure survives longer
-    than prose. Each cut is counted from per-part counts, so the walk is
-    linear, and the prompt is rendered once, after the cut.
+    question, in one walk over the passage, then the examples, then the
+    graph. Each section drops parts from its end until the prompt fits, and
+    dropping its last part drops its header too, so the graph is only
+    touched once the passage and the examples are gone: structure survives
+    longer than prose. The walk subtracts per-part counts, so it is linear,
+    and the prompt is rendered once, after the cut.
     """
     if config.includes_graph and verbalized is None:
         raise PromptAssemblyError(f"{config.selector} requires a verbalized graph")
@@ -294,36 +224,46 @@ def assemble_prompt(
                 f"demonstration modality {demo.source_modality.value} does not match {config.selector}"
             )
 
-    parts = PromptParts(
-        instruction=default_template()[config.modality.value]["with_examples" if config.includes_examples else "zero"],
-        question=instance.question,
-        passage_sentences=_passage_sentences(instance.passage) if config.includes_text else None,
-        graph_sentences=tuple(verbalized.sentences) if config.includes_graph else None,
-        demos=tuple(demos),
-    )
-    count = _composed_counter(parts)
-    lengths = _lengths(parts)
-    token_count = count(lengths)
+    instruction = default_template()[config.modality.value]["with_examples" if config.includes_examples else "zero"]
+    sections = {
+        SECTION_INSTRUCTION: (instruction,),
+        SECTION_TEXT: _passage_sentences(instance.passage) if config.includes_text else None,
+        SECTION_GRAPH: tuple(verbalized.sentences) if config.includes_graph else None,
+        SECTION_EXAMPLES: tuple(demo._text for demo in demos) or None,
+        SECTION_QUESTION: (instance.question,),
+    }
+    # Each prompt draws its own demonstrations, so they are counted on the
+    # object: in the LRU they would miss and evict the passage counts.
+    counts = {
+        name: tuple(demo._simple_tokens for demo in demos) if name == SECTION_EXAMPLES else _part_counts(parts)
+        for name, parts in sections.items()
+        if parts is not None
+    }
+    sizes = {name: _HEADER_TOKENS[name] + sum(part_counts) for name, part_counts in counts.items()}
+    token_count = _HEADER_TOKENS[SECTION_ANSWER] + sum(sizes.values())
     truncated = budget is not None and token_count > budget
     if truncated:
-        if count((None, 0, None)) > budget:
+        if token_count - sum(sizes.get(name, 0) for name in _CUT_ORDER) > budget:
             raise BudgetError(f"budget {budget} is below the prompt skeleton size")
-        for lengths in _trim_sequence(lengths):
-            token_count = count(lengths)
-            if token_count <= budget:
-                break
-        else:
+        for name in _CUT_ORDER:
+            parts = sections[name]
+            kept = len(parts or ())
+            while token_count > budget and kept:
+                kept -= 1
+                token_count -= counts[name][kept] + (0 if kept else _HEADER_TOKENS[name])
+            if parts:
+                sections[name] = parts[:kept] or None
+        if token_count > budget:
             # Reached when a passage or graph with no sentences keeps its header.
             raise BudgetError(f"budget {budget} cannot be met")
-        parts = _cut(parts, lengths)
-    prompt_text, sections = _render(parts)
+    prompt_text, spans = _render(sections)
     return PromptRecord(
         instance_id=instance.instance_id,
         config=config,
         prompt_text=prompt_text,
         token_count=token_count,
         truncation_applied=truncated,
-        sections=sections,
+        sections=spans,
     )
 
 

@@ -6,7 +6,7 @@ import logging
 import re
 from fractions import Fraction
 from random import Random
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from eventqa.corpus import (
     Answer,
@@ -36,7 +36,6 @@ from eventqa.promptkit import (
     PromptAssemblyError,
     PromptConfig,
     PromptError,
-    PromptParts,
     PromptRecord,
     _trace_for,
     count_tokens,
@@ -338,6 +337,20 @@ def select_demonstrations_reference(
             )
         )
     return demos
+
+
+class PromptParts(NamedTuple):
+    """The structured ingredients a prompt is rendered from.
+
+    ``assemble_prompt`` builds them once, cuts them to the budget on counts
+    alone, and renders the kept parts; the record holds only the result.
+    """
+
+    instruction: str
+    question: str
+    passage_sentences: tuple[str, ...] | None
+    graph_sentences: tuple[str, ...] | None
+    demos: tuple[Demonstration, ...]
 
 
 # Prompt rendering, assembly and truncation as they were before the

@@ -28,12 +28,13 @@ from eventqa.backends import (
     RetryPolicy,
     complete,
     output_budget,
+    parse_oracle_question,
     prompt_fingerprint,
     run_batch,
 )
 from eventqa.cli import main
 from eventqa.corpus import Answer
-from eventqa.graphcore import verbalize_graph
+from eventqa.graphcore import QueryKind, StructuredQuery, verbalize_graph
 from eventqa.manifest import ManifestError, make_header, read_ndjson, write_ndjson
 from eventqa.promptkit import DemoPool, assemble_prompt, count_tokens, select_demonstrations
 from eventqa.vocab import Modality, PromptConfig, Strategy, all_configs, parse_selector
@@ -147,6 +148,37 @@ SECTION_FRAGMENTS = [
     "### Graph ###\n", "### Graph ###", "### Question ###\n", "\n### Answer ###", "### Answer ###",
     "\n", "\n\n", " ", "#", "x",
 ]
+
+
+RIOT, RALLY, MUSIC, CROWD = "riot police deployed", "protest rally", "music", "draws many people to festival"
+
+
+@pytest.mark.parametrize(
+    "question, parsed",
+    [
+        (f'Did "{MUSIC}" cause "{CROWD}"?', (StructuredQuery(QueryKind.CAUSES, MUSIC, CROWD), False)),
+        (f'Did "{RIOT}" block "{RALLY}"?', (StructuredQuery(QueryKind.DIRECT_BLOCKS, RIOT, RALLY), False)),
+        # "Did X happen after Y?" asks whether Y blocked X, with the answer negated.
+        (f'Did "{RALLY}" happen after "{RIOT}"?', (StructuredQuery(QueryKind.DIRECT_BLOCKS, RIOT, RALLY), True)),
+        ('Did "dancing" occur?', (StructuredQuery(QueryKind.OCCURRED, "dancing"), False)),
+        ('Did "speeches" happen?', (StructuredQuery(QueryKind.OCCURRED, "speeches"), False)),
+        # An exact label wins over the longer label it prefixes.
+        (
+            'Did "political opposition" cause "political opposition called rally"?',
+            (StructuredQuery(QueryKind.CAUSES, "political opposition", "political opposition called rally"), False),
+        ),
+        ('Did "riot" block "protest"?', (StructuredQuery(QueryKind.DIRECT_BLOCKS, RIOT, RALLY), False)),  # prefixes
+        ('Did "many people" occur?', (StructuredQuery(QueryKind.OCCURRED, CROWD), False)),  # contained
+        ('Did "political" cause "protest rally"?', None),  # prefixes two labels
+        ('Did "rally" occur?', None),  # contained in two labels
+        ('Did "weather" occur?', None),
+        (f'Did "weather" happen after "{MUSIC}"?', None),  # one of two labels unknown
+        ('Did "gathered" happen while the organizers made a statement?', None),
+        (f'Why did "{MUSIC}" cause "{CROWD}"?', None),
+    ],
+)
+def test_oracle_question_grammar(question, parsed):
+    assert parse_oracle_question(question, helpers.rally_graph()) == parsed
 
 
 class TestOracleBackend:

@@ -791,6 +791,16 @@ class TestPipeline:
         assert "backend 'x': unknown key 'name'" in capsys.readouterr().err
         assert not (built / "responses.ndjson").exists()
 
+    def test_run_cuts_a_long_unknown_key_to_its_ends(self, built, tmp_path, capsys):
+        config = tmp_path / "backends.json"
+        config.write_text(json.dumps({"x": {"kind": "oracle", "k" * 50_000 + "end": 1}}))
+        rc = run_cli("run", "--out", built, "--backend", "x", "--backends-config", config)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"backends config {config}: backend 'x': unknown key '{'k' * 79}...{'k' * 36}end'\n" in err
+        assert len(err) < len(str(config)) + 200
+        assert not (built / "responses.ndjson").exists()
+
     def test_run_refuses_a_spoiled_entry_it_did_not_select(self, built, tmp_path, capsys):
         config = tmp_path / "backends.json"
         config.write_text(json.dumps({"x": {"kind": "oracle"}, "y": {"kidn": "oracle"}}))
@@ -804,6 +814,18 @@ class TestPipeline:
         mock = {"kind": "mock", "fixtures_path": str(tmp_path / "absent.json")}
         config.write_text(json.dumps({"x": {"kind": "oracle"}, "m": mock}))
         assert run_cli("run", "--out", built, "--backend", "x", "--backends-config", config) == 0
+
+    def test_run_refuses_a_fixtures_path_utf8_cannot_encode(self, built, tmp_path, capsys):
+        # Refused as the config is read, not reported later as a fixtures file that is not valid JSON.
+        config = tmp_path / "backends.json"
+        config.write_text(json.dumps({"x": {"kind": "mock", "fixtures_path": "f\ud800.json"}}))
+        rc = run_cli("run", "--out", built, "--backend", "x", "--backends-config", config)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "backend 'x': fixtures_path must be a string or null, got 'f\\ud800.json'" in err
+        assert str(config) in err
+        assert "not valid JSON" not in err
+        assert not (built / "responses.ndjson").exists()
 
     def test_run_rejects_zero_max_concurrency(self, built, capsys):
         rc = run_cli("run", "--out", built, "--backend", "oracle", "--max-concurrency", 0)
@@ -827,13 +849,16 @@ class TestPipeline:
 
     def test_mock_run_refuses_a_prompt_text_utf8_cannot_encode(self, built, tmp_path, capsys):
         # JSON can escape a lone surrogate, which no prompt hash or manifest line can encode.
-        _spoil_row(built / "prompts.ndjson", 2, lambda row: dict(row, prompt_text=row["prompt_text"] + "\ud800"))
+        tail = " word" * 10_000 + "\ud800"
+        _spoil_row(built / "prompts.ndjson", 2, lambda row: dict(row, prompt_text=row["prompt_text"] + tail))
         fixtures_path = tmp_path / "fixtures.json"
         fixtures_path.write_text("{}")
         assert run_cli("run", "--out", built, "--backend", "mock", "--fixtures", fixtures_path) == 2
         err = capsys.readouterr().err
-        assert f"{built / 'prompts.ndjson'} row 2 is malformed: prompt_text must be a string, got " in err
+        refusal = f"{built / 'prompts.ndjson'} row 2 is malformed: prompt_text must be a string, got "
+        assert refusal in err
         assert err.endswith("\\ud800'\n")
+        assert len(err) < len(refusal) + 200  # the 50 KB prompt is cut to its ends
         assert not (built / "responses.ndjson").exists()
 
     @pytest.mark.parametrize(

@@ -90,6 +90,7 @@ def _cases():
             yield pytest.param(stage, (*owner, UNKNOWN), 1, id=f"{stage}-{'.'.join((*owner, UNKNOWN))}")
     # JSON can escape a lone surrogate, which UTF-8 cannot encode.
     yield pytest.param("run", ("x", "model_name"), "gpt\ud800", id="run-x.model_name-lone-surrogate")
+    yield pytest.param("run", ("x", "fixtures_path"), "f\ud800.json", id="run-x.fixtures_path-lone-surrogate")
 
 
 def _stage(stage: str, out: Path, config: Path) -> tuple[int, str]:

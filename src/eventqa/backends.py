@@ -40,7 +40,7 @@ from .graphcore import (
     graph_from_sentences,
     oracle_answer,
 )
-from .manifest import INTEGER, NUMBER, STRING, Reader, encodes_utf8, kept, one_of
+from .manifest import INTEGER, NUMBER, STRING, Reader, _shown, encodes_utf8, kept, one_of
 from .promptkit import SECTION_ANSWER, SECTION_GRAPH, SECTION_HEADERS, SECTION_QUESTION, count_tokens
 from .vocab import COUNT, PROMPT_ROW, RESPONSE_ROW, Answer, output_budget
 
@@ -131,18 +131,18 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
     def __new__(cls, *args, **kwargs) -> "BackendSpec":
         spec = super().__new__(cls, *args, **kwargs)
         if spec.context_limit <= 0:
-            raise BackendError(f"backend {spec.name!r}: context_limit must be positive")
-        if spec.max_concurrency < 1:
-            raise BackendError(f"backend {spec.name!r}: max_concurrency must be at least 1")
-        if spec.retry_policy.max_attempts < 1:
-            raise BackendError(f"backend {spec.name!r}: retry_policy.max_attempts must be at least 1")
-        if not 0 <= spec.retry_policy.base_backoff < math.inf:  # also rejects NaN
-            raise BackendError(f"backend {spec.name!r}: retry_policy.base_backoff must be finite and non-negative")
-        if spec.kind is BackendKind.HTTP_CHAT:
-            problem = _endpoint_problem(spec.endpoint)
-            if problem:
-                raise BackendError(f"backend {spec.name!r}: endpoint {problem}, got {spec.endpoint!r}")
-        return spec
+            problem = "context_limit must be positive"
+        elif spec.max_concurrency < 1:
+            problem = "max_concurrency must be at least 1"
+        elif spec.retry_policy.max_attempts < 1:
+            problem = "retry_policy.max_attempts must be at least 1"
+        elif not 0 <= spec.retry_policy.base_backoff < math.inf:  # also rejects NaN
+            problem = "retry_policy.base_backoff must be finite and non-negative"
+        elif spec.kind is BackendKind.HTTP_CHAT and (endpoint := _endpoint_problem(spec.endpoint)):
+            problem = f"endpoint {endpoint}, got {_shown(spec.endpoint)}"
+        else:
+            return spec
+        raise BackendError(f"backend {_shown(spec.name)}: {problem}")
 
     @classmethod
     def from_dict(cls, name: str, raw) -> "BackendSpec":
@@ -150,16 +150,16 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
         try:
             values = _SPEC_VALUES.read(raw, required=False)
         except manifest.ManifestError as exc:
-            raise BackendError(f"backend {name!r}: {exc}") from None
+            raise BackendError(f"backend {_shown(name)}: {exc}") from None
         if "kind" not in values:
-            raise BackendError(f"backend {name!r}: missing 'kind'")
+            raise BackendError(f"backend {_shown(name)}: missing 'kind'")
         return cls(name, **values)
 
     @functools.cached_property
     def fixtures(self) -> dict[str, str]:
         """Mock replies by prompt hash, read once; a missing or malformed file raises ``MockFixtureError``."""
         if not self.fixtures_path:
-            raise MockFixtureError(f"mock backend {self.name!r} has no fixtures file")
+            raise MockFixtureError(f"mock backend {_shown(self.name)} has no fixtures file")
         fixtures = manifest.read_config(self.fixtures_path, "fixtures file", MockFixtureError)
         if not all(isinstance(text, str) and encodes_utf8(text) for text in fixtures.values()):
             raise MockFixtureError(
@@ -309,7 +309,7 @@ def _read_chat_payload(payload, prompt_tokens: int) -> tuple[str, int, int]:
         raise ValueError("no choices[0].message.content") from None
     raw_text = "" if content is None else content
     if not isinstance(raw_text, str):
-        raise ValueError(f"content is not a string: {content!r}")
+        raise ValueError(f"content is not a string: {_shown(content)}")
     if not encodes_utf8(raw_text):
         raise ValueError("content holds a lone surrogate")
     try:

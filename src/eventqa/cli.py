@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from . import EventQAError, manifest, vocab
 
 if TYPE_CHECKING:
-    from . import backends, corpus
+    from . import backends
 
 PROMPTS_FILE = "prompts.ndjson"
 RESPONSES_FILE = "responses.ndjson"
@@ -84,38 +84,47 @@ def _parse_configs(raw: str) -> list[vocab.PromptConfig]:
     return configs
 
 
-def _load(args, path: str) -> corpus.LoadResult:
-    from . import corpus
+def cmd_build(args) -> int:
+    from collections import deque
+    from itertools import chain
 
-    schema = vocab.load_schema(args.schema) if args.schema else None
-    return corpus.load_dataset(path, schema, strict=args.strict, graph_kind=vocab.GraphKind(args.graph_kind))
+    from . import corpus, graphcore, promptkit
 
-
-def _load_split(args) -> tuple[corpus.DatasetSplit, tuple[corpus.RejectedRecord, ...]]:
-    from . import corpus
-
-    result = _load(args, args.dataset)
-    split = result.split
-    if not split.instances:
-        raise CliError(f"no instance of {args.dataset} survived loading ({len(result.rejections)} records rejected)")
+    configs = _parse_configs(args.configs)
+    size = None  # the whole split
     if args.split == corpus.SMALL:
-        split = corpus.stratified_sample(split, corpus.SMALL_SIZE, seed=args.seed)
+        size = corpus.SMALL_SIZE
     elif args.split != corpus.FULL:
         try:
             size = int(args.split)
         except ValueError:
             raise CliError(f"--split must be 'full', 'small', or an integer, got {args.split!r}") from None
-        split = corpus.stratified_sample(split, size, seed=args.seed)
-    if not split.instances:
-        raise CliError(f"--split {args.split} keeps no instance of {args.dataset}")
-    return split, result.rejections
+    schema = vocab.load_schema(args.schema) if args.schema else None
+    graph_kind = vocab.GraphKind(args.graph_kind)
+    rejections: list[corpus.RejectedRecord] = []
 
+    def survivors(first_pass: bool = True):
+        """The dataset's instances, streamed in file order; a first pass logs its rejections and keeps them."""
+        read = corpus.read_dataset(args.dataset, schema, strict=args.strict, graph_kind=graph_kind, warn=first_pass)
+        for record in read:
+            if type(record) is not corpus.RejectedRecord:
+                yield record
+            elif first_pass:
+                rejections.append(record)
 
-def cmd_build(args) -> int:
-    from . import graphcore, promptkit
-
-    configs = _parse_configs(args.configs)
-    split, rejections = _load_split(args)
+    # The dataset is streamed: only its instance ids are held, in the
+    # reader, to reject duplicates. A sample is drawn from the survivors'
+    # categories, read in a first pass, and kept by position in a second.
+    instances = survivors()
+    first = next(instances, None)
+    if first is None:
+        raise CliError(f"no instance of {args.dataset} survived loading ({len(rejections)} records rejected)")
+    instances = chain([first], instances)
+    if size is not None:
+        kept = set(corpus.sample_positions([instance.category for instance in instances], size, seed=args.seed))
+        if not kept:
+            raise CliError(f"--split {args.split} keeps no instance of {args.dataset}")
+        instances = (instance for position, instance in enumerate(survivors(first_pass=False)) if position in kept)
 
     config_payload = {
         "stage": "build",
@@ -134,20 +143,30 @@ def cmd_build(args) -> int:
     pool = promptkit.DemoPool()
     if any(config.demo_count > 0 for config in configs):
         if not args.demo_pool:
+            deque(instances, maxlen=0)  # read to the end, so a malformed dataset is reported first
             raise CliError("--demo-pool is required for few-shot and chain-of-thought configurations")
-        pool = promptkit.DemoPool(_load(args, args.demo_pool).split.instances)
-        overlap = pool.ids & {i.instance_id for i in split.instances}
-        if overlap:
-            raise CliError(f"demo pool is contaminated by evaluation instances: {sorted(overlap)[:5]}")
+        pool = promptkit.DemoPool(
+            corpus.load_dataset(args.demo_pool, schema, strict=args.strict, graph_kind=graph_kind).split.instances
+        )
 
-    # Visiting instances by id and configurations by selector makes the
-    # records in manifest order, so each is written as soon as it is made.
+    # Configurations are visited by selector, so the records of instances
+    # read in ascending id order are in manifest order and each is written
+    # as soon as it is made; any other order is sorted on disk once written.
+    by_selector = sorted(configs, key=lambda c: c.selector)
     tallies: dict[str, list[int]] = {}  # selector -> [prompts, tokens, truncated prompts]
+    count, last_id, in_order = 0, "", True  # instance ids are never empty
 
     def records():
-        for instance in sorted(split.instances, key=lambda i: i.instance_id):
+        nonlocal count, last_id, in_order
+        for instance in instances:
+            if instance.instance_id in pool.ids:
+                overlap = sorted(i.instance_id for i in chain([instance], instances) if i.instance_id in pool.ids)
+                raise CliError(f"demo pool is contaminated by evaluation instances: {overlap[:5]}")
+            count += 1
+            in_order = in_order and last_id < instance.instance_id
+            last_id = instance.instance_id
             verbalized = graphcore.verbalize_graph(instance.graph) if instance.graph is not None else None
-            for config in sorted(configs, key=lambda c: c.selector):
+            for config in by_selector:
                 if config.includes_graph and verbalized is None:
                     raise CliError(f"instance {instance.instance_id!r} has no graph but {config.selector} needs one")
                 try:
@@ -178,6 +197,8 @@ def cmd_build(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
     manifest.write_ndjson(out / PROMPTS_FILE, header, records())
+    if not in_order:
+        manifest.sort_ndjson(out / PROMPTS_FILE, lambda row: row["instance_id"])  # stable: selectors stay in order
     # Written only once the prompts are, so a failed build leaves the
     # previous build's rejection log in place.
     manifest.write_ndjson(
@@ -187,7 +208,7 @@ def cmd_build(args) -> int:
     )
 
     built = sum(n for n, _, _ in tallies.values())
-    print(f"built {built} prompts for {len(split.instances)} instances -> {out / PROMPTS_FILE}")
+    print(f"built {built} prompts for {count} instances -> {out / PROMPTS_FILE}")
     for selector in sorted(tallies):
         n, tokens, truncated = tallies[selector]
         print(f"  {selector:10s} n={n:5d} mean_tokens={tokens / n:8.1f} truncated={truncated:5d}")

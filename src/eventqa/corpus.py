@@ -15,7 +15,7 @@ import logging
 from enum import Enum
 from pathlib import Path
 from random import Random
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .manifest import encodes_utf8
 from .vocab import DEFAULT_SCHEMA, Answer, CorpusError, DatasetFormatError, GraphKind, QuestionCategory, read_label
@@ -195,22 +195,28 @@ def _parse_instance(raw: dict, schema: dict, graph_kind: GraphKind) -> QAInstanc
     return instance
 
 
-def load_dataset(
+def read_dataset(
     path: str | Path,
     schema: dict | None = None,
     *,
     strict: bool = False,
     graph_kind: GraphKind = GraphKind.INSTANCE,
-) -> LoadResult:
-    """Load a newline-delimited JSON dataset file whose field names are those of a complete ``schema``.
+    warn: bool = True,
+) -> Iterator[QAInstance | RejectedRecord]:
+    """Yield a newline-delimited JSON dataset's instances and rejections in file order, one record at a time.
 
-    ``None`` stands for ``DEFAULT_SCHEMA``; ``vocab.load_schema`` reads a
-    schema file into a complete one.
+    Field names are those of a complete ``schema``; ``None`` stands for
+    ``DEFAULT_SCHEMA``, and ``vocab.load_schema`` reads a schema file into
+    a complete one.
 
-    Malformed records are skipped and reported in the rejection log; with
-    ``strict=True`` the first bad record aborts the load instead. Every
-    returned instance was validated as it was parsed, so downstream code
-    can rely on the type invariants without re-checking.
+    A malformed record, or a later record with an id already yielded, is
+    logged (unless ``warn`` is false, as on a second pass over a file) and
+    yielded as a ``RejectedRecord``; with ``strict=True`` the first such
+    record raises ``DatasetFormatError`` instead. Every yielded
+    instance was validated as it was parsed, so downstream code can rely on
+    the type invariants without re-checking. Only the ids seen so far are
+    held. The file is opened on the first ``next`` and closed when the
+    stream is exhausted or closed.
     """
     path = Path(path)
     try:
@@ -222,8 +228,6 @@ def load_dataset(
         raise CorpusError(f"cannot read dataset file {path}: {exc.strerror or exc}") from None
 
     schema = schema or DEFAULT_SCHEMA
-    instances: list[QAInstance] = []
-    rejections: list[RejectedRecord] = []
     seen_ids: set[str] = set()
     with handle:
         for line_no, line in enumerate(handle, start=1):
@@ -241,13 +245,26 @@ def load_dataset(
                 reason = str(exc) or exc.__class__.__name__
                 if strict:
                     raise DatasetFormatError(f"{path}:{line_no}: {reason}") from exc
-                logger.warning("skipping record at %s:%d: %s", path, line_no, reason)
-                rejections.append(RejectedRecord(instance_id=_printable(instance_id), reason=reason))
+                if warn:
+                    logger.warning("skipping record at %s:%d: %s", path, line_no, reason)
+                yield RejectedRecord(instance_id=_printable(instance_id), reason=reason)
                 continue
             seen_ids.add(instance.instance_id)
-            instances.append(instance)
+            yield instance
 
-    return LoadResult(split=DatasetSplit(tuple(instances)), rejections=tuple(rejections))
+
+def load_dataset(
+    path: str | Path,
+    schema: dict | None = None,
+    *,
+    strict: bool = False,
+    graph_kind: GraphKind = GraphKind.INSTANCE,
+) -> LoadResult:
+    """All that ``read_dataset`` yields for these arguments, the instances split from the rejections."""
+    records: dict[type, list] = {QAInstance: [], RejectedRecord: []}
+    for record in read_dataset(path, schema, strict=strict, graph_kind=graph_kind):
+        records[type(record)].append(record)
+    return LoadResult(split=DatasetSplit(tuple(records[QAInstance])), rejections=tuple(records[RejectedRecord]))
 
 
 def _allocate_quotas(sizes: list[int], total: int) -> list[int]:
@@ -279,24 +296,23 @@ def _allocate_quotas(sizes: list[int], total: int) -> list[int]:
     return counts
 
 
-def stratified_sample(split: DatasetSplit, size: int, seed: int) -> DatasetSplit:
-    """Draw a proportional stratified sample of exactly ``size`` instances.
+def sample_positions(categories: Sequence[QuestionCategory], size: int, seed: int) -> list[int]:
+    """The ascending positions of a proportional stratified sample of exactly ``size`` of ``categories``.
 
-    Per-stratum quotas use floor-proportional allocation with largest
-    remainder correction, so each stratum count is within one of its exact
-    proportional share. Selection is driven solely by ``seed``; the output
-    preserves the original split order, so sampling the whole population
-    returns it unchanged. Strata are the question categories present in
-    the split.
+    ``categories`` holds each instance's question category, in split order;
+    the strata are the categories present. Per-stratum quotas use
+    floor-proportional allocation with largest remainder correction, so
+    each stratum count is within one of its exact proportional share.
+    Selection is driven solely by ``seed``.
     """
-    if size > len(split.instances):
-        raise SamplingError(f"requested {size} instances from a split of {len(split.instances)}")
+    if size > len(categories):
+        raise SamplingError(f"requested {size} instances from a split of {len(categories)}")
     if size < 0:
         raise SamplingError("sample size must be non-negative")
 
     strata: dict[QuestionCategory, list[int]] = {}
-    for index, instance in enumerate(split.instances):
-        strata.setdefault(instance.category, []).append(index)
+    for index, category in enumerate(categories):
+        strata.setdefault(category, []).append(index)
 
     keys = list(strata)
     counts = _allocate_quotas([len(strata[k]) for k in keys], size)
@@ -309,6 +325,13 @@ def stratified_sample(split: DatasetSplit, size: int, seed: int) -> DatasetSplit
             chosen.update(members)
         else:
             chosen.update(rng.sample(members, count))
+    return sorted(chosen)
 
-    instances = tuple(split.instances[i] for i in sorted(chosen))
-    return DatasetSplit(instances)
+
+def stratified_sample(split: DatasetSplit, size: int, seed: int) -> DatasetSplit:
+    """The instances of ``split`` at ``sample_positions`` of their categories, in split order.
+
+    Sampling the whole population returns the split unchanged.
+    """
+    positions = sample_positions([instance.category for instance in split.instances], size, seed)
+    return DatasetSplit(tuple(split.instances[i] for i in positions))

@@ -300,6 +300,7 @@ class DemoPool(tuple):
         pool.no_positions = tuple(i for i, instance in enumerate(pool) if instance.gold_answer is Answer.NO)
         pool._demos = {}
         pool._traces = {}
+        pool._warned = False  # that a draw found a single label
         return pool
 
     def demonstration(self, position: int, modality: Modality, with_trace: bool) -> Demonstration:
@@ -333,7 +334,8 @@ def select_demonstrations(
 
     The instance under evaluation is excluded via ``exclude_ids``. When the
     pool carries both labels, the selection always includes at least one yes
-    and one no; a single-label pool is used as-is with a warning.
+    and one no; a single-label pool is used as-is, with a warning on the
+    first such draw from ``pool``.
     """
     if config.demo_count == 0:
         return []
@@ -360,7 +362,8 @@ def select_demonstrations(
                 index += index >= position
             picked.add(index)
     else:
-        if not yes_positions or not no_positions:
+        if not (yes_positions and no_positions) and not pool._warned:
+            pool._warned = True  # once per pool, not once per prompt
             logger.warning(
                 "demonstration pool is label-imbalanced: %d yes / %d no",
                 len(yes_positions),

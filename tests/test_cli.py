@@ -72,6 +72,17 @@ class TestBuild:
         assert rc == 2
         assert "contaminated" in capsys.readouterr().err
 
+    def test_contaminated_demo_pool_names_five_shared_ids_and_writes_nothing(self, tmp_path, capsys):
+        lines = Path(DATASET).read_text(encoding="utf-8").splitlines(keepends=True)
+        dataset = tmp_path / "descending.ndjson"
+        dataset.write_text("".join(reversed(lines)), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = run_cli("build", "--dataset", dataset, "--demo-pool", DATASET, "--out", out, "--configs", "few-text")
+        assert rc == 2
+        shared = sorted(json.loads(line)["instance_id"] for line in lines)[:5]
+        assert f"error: demo pool is contaminated by evaluation instances: {shared}\n" in capsys.readouterr().err
+        assert not (out / "prompts.ndjson").exists() and not (out / "rejections.ndjson").exists()
+
     def test_repeated_configuration_refused(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = run_cli("build", "--dataset", DATASET, "--out", out, "--configs", "zero-graph,zero-graphs")
@@ -143,6 +154,42 @@ class TestBuild:
         assert rc == 0
         _, records = manifest.read_ndjson(out / "prompts.ndjson")
         assert len(list(records)) == 5
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sampled_build_keeps_the_reference_sample(self, tmp_path, seed):
+        out = tmp_path / "out"
+        argv = ["--configs", "zero-text", "--split", 5, "--seed", seed]
+        assert run_cli("build", "--dataset", DATASET, "--out", out, *argv) == 0
+        _, records = manifest.read_ndjson(out / "prompts.ndjson")
+        reference = corpus.stratified_sample(corpus.load_dataset(DATASET).split, 5, seed)
+        assert [row["instance_id"] for row in records] == sorted(i.instance_id for i in reference.instances)
+
+    def test_sampled_build_logs_and_keeps_each_rejection_once(self, tmp_path, caplog):
+        dataset = tmp_path / "mixed.ndjson"
+        dataset.write_text(Path(DATASET).read_text(encoding="utf-8") + '{"instance_id": "bad"}\n', encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING"):
+            assert run_cli("build", "--dataset", dataset, "--out", out, "--configs", "zero-text", "--split", 5) == 0
+        assert sum("skipping record" in message for message in caplog.messages) == 1
+        _, rejections = manifest.read_ndjson(out / "rejections.ndjson")
+        assert [row["instance_id"] for row in rejections] == ["bad"]
+
+    def test_unsorted_dataset_builds_the_sorted_records(self, tmp_path):
+        lines = Path(DATASET).read_text(encoding="utf-8").splitlines(keepends=True)
+        reversed_dataset = tmp_path / "reversed.ndjson"
+        bad = ['{"instance_id": "z-bad"}\n', '{"instance_id": "a-bad"}\n']
+        reversed_dataset.write_text("".join([bad[0], *reversed(lines), bad[1]]), encoding="utf-8")
+        argv = ["--demo-pool", POOL, "--seed", 3]
+        assert run_cli("build", "--dataset", DATASET, "--out", tmp_path / "sorted", *argv) == 0
+        assert run_cli("build", "--dataset", reversed_dataset, "--out", tmp_path / "reversed", *argv) == 0
+        built = {
+            name: (tmp_path / name / "prompts.ndjson").read_text(encoding="utf-8").splitlines(keepends=True)
+            for name in ("sorted", "reversed")
+        }
+        assert built["sorted"][0] != built["reversed"][0]  # the header names each dataset's hash
+        assert built["sorted"][1:] == built["reversed"][1:]
+        _, rejections = manifest.read_ndjson(tmp_path / "reversed" / "rejections.ndjson")
+        assert [row["instance_id"] for row in rejections] == ["z-bad", "a-bad"]  # file order
 
     def test_context_limit_truncates(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -768,6 +815,35 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert message in err
         assert f"backends config {config}: backend 'x': " in err
+        assert not (built / "responses.ndjson").exists()
+
+    @pytest.mark.parametrize(
+        "name, entry, message",
+        [
+            (
+                "x",
+                {"kind": "http_chat", "endpoint": "ftp://" + "a" * 50_000},
+                f"backend 'x': endpoint must be an http(s):// URL, got 'ftp://{'a' * 73}...{'a' * 39}'\n",
+            ),
+            ("n" * 50_000, {"kind": "bogus"}, f"backend '{'n' * 79}...{'n' * 39}': kind must be one of "),
+            ("n" * 50_000, {}, f"backend '{'n' * 79}...{'n' * 39}': missing 'kind'\n"),
+            (
+                "n" * 50_000,
+                {"kind": "oracle", "context_limit": 0},
+                f"backend '{'n' * 79}...{'n' * 39}': context_limit must be positive\n",
+            ),
+            ("n" * 50_000, {"kind": "mock"}, f"mock backend '{'n' * 79}...{'n' * 39}' has no fixtures file\n"),
+        ],
+        ids=["long-endpoint", "long-name", "long-name-no-kind", "long-name-zero-context-limit", "long-name-mock"],
+    )
+    def test_run_cuts_a_long_entry_name_or_endpoint_to_its_ends(self, built, tmp_path, capsys, name, entry, message):
+        config = tmp_path / "backends.json"
+        config.write_text(json.dumps({name: entry}))
+        rc = run_cli("run", "--out", built, "--backend", name, "--backends-config", config)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err) < len(str(config)) + 300
         assert not (built / "responses.ndjson").exists()
 
     @pytest.mark.parametrize(

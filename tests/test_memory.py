@@ -1,6 +1,6 @@
-"""Peak memory of the streamed stages does not grow with the manifest.
+"""Peak memory of the streamed stages does not grow with their input.
 
-Each check runs a stage on a generated manifest of short records under
+Each check runs a stage on a generated manifest or dataset under
 ``tracemalloc``, which counts only what is allocated while it runs.
 """
 
@@ -168,6 +168,40 @@ def test_score_peak_does_not_grow_with_graphs(tmp_path):
     main([str(part) for part in argv[0]])  # warm: fill the interpreter's caches
     peaks = {count: _peak_bytes(argv[count]) for count in argv}
     assert peaks[1] < 1.2 * peaks[0], peaks
+
+
+def test_build_peak_is_far_below_the_dataset(tmp_path):
+    """``build`` streams its dataset: it holds the instance ids, not the parsed instances and their graphs.
+
+    The peak is about 1.1 MB, most of it the 1 MiB chunk the dataset is
+    hashed in, against a 7 MB dataset; holding every parsed instance costs
+    about twice the file's size.
+    """
+    dataset = tmp_path / "dataset.ndjson"
+    with open(dataset, "w", encoding="utf-8") as handle:
+        for k in range(5_000):
+            graph = {
+                "graph_id": f"g{k}",
+                "kind": "instance",
+                "nodes": [{"id": f"n{j}", "label": f"event number {j} of instance {k}"} for j in range(8)],
+                "edges": [{"source": f"n{j}", "target": f"n{j + 1}", "relation": "enables"} for j in range(7)],
+            }
+            record = {
+                "instance_id": f"i{k:06d}",
+                "passage": "The rally went ahead after the storm passed. " * 8,
+                "question": "Did event number 1 enable event number 2?",
+                "answer": "yes" if k % 2 else "no",
+                "category": "causal",
+                "graphs": [graph],
+            }
+            handle.write(json.dumps(record) + "\n")
+    argv = ["build", "--dataset", dataset, "--out", tmp_path / "out", "--configs", "zero-graph"]
+    main([str(part) for part in argv + ["--split", "10"]])  # warm: fill the interpreter's caches
+    peak = _peak_bytes(argv)
+    size = dataset.stat().st_size
+    assert peak < size / 4, (peak, size)
+    _, prompts = manifest.read_ndjson(tmp_path / "out" / PROMPTS_FILE)
+    assert sum(1 for _ in prompts) == 5_000
 
 
 def test_file_hash_reads_in_chunks(tmp_path):

@@ -289,6 +289,16 @@ class TestDemonstrationSelection:
         assert len(demos) == 3
         assert any("imbalanced" in message for message in caplog.messages)
 
+    def test_single_label_pool_warns_once_per_pool(self, demo_pool, caplog):
+        instances = [i._replace(gold_answer=Answer.YES) for i in demo_pool[:4]]
+        all_yes, again = DemoPool(instances), DemoPool(instances)
+        with caplog.at_level("WARNING"):
+            for seed in range(50):
+                for config in (PromptConfig(Strategy.FEW, Modality.TEXT), PromptConfig(Strategy.COT, Modality.GRAPH)):
+                    select_demonstrations(all_yes, config, seed=seed, exclude_ids={instances[seed % 4].instance_id})
+            select_demonstrations(again, PromptConfig(Strategy.FEW, Modality.TEXT), seed=0)
+        assert sum("imbalanced" in message for message in caplog.messages) == 2
+
     def test_exclusion_removes_eval_instance(self, demo_pool):
         config = PromptConfig(Strategy.FEW, Modality.TEXT)
         excluded = demo_pool[0].instance_id

@@ -28,6 +28,7 @@ from contextlib import closing
 from enum import Enum
 from itertools import islice
 from pathlib import Path
+from threading import TIMEOUT_MAX
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
@@ -41,8 +42,18 @@ from .graphcore import (
     oracle_answer,
 )
 from .manifest import INTEGER, NUMBER, STRING, Reader, _shown, encodes_utf8, kept, one_of
-from .promptkit import SECTION_ANSWER, SECTION_GRAPH, SECTION_HEADERS, SECTION_QUESTION, count_tokens
-from .vocab import COUNT, PROMPT_ROW, RESPONSE_ROW, Answer, output_budget
+from .vocab import (
+    COUNT,
+    PROMPT_ROW,
+    RESPONSE_ROW,
+    SECTION_ANSWER,
+    SECTION_GRAPH,
+    SECTION_HEADERS,
+    SECTION_QUESTION,
+    Answer,
+    count_tokens,
+    output_budget,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -138,6 +149,8 @@ class BackendSpec(namedtuple("BackendSpec", ["name", "kind", *_SPEC_DEFAULTS], d
             problem = "retry_policy.max_attempts must be at least 1"
         elif not 0 <= spec.retry_policy.base_backoff < math.inf:  # also rejects NaN
             problem = "retry_policy.base_backoff must be finite and non-negative"
+        elif not 0 < spec.request_timeout <= TIMEOUT_MAX:  # also rejects NaN; longer waits overflow the socket's clock
+            problem = f"request_timeout must be positive and at most {TIMEOUT_MAX:.0f} seconds"
         elif spec.kind is BackendKind.HTTP_CHAT and (endpoint := _endpoint_problem(spec.endpoint)):
             problem = f"endpoint {endpoint}, got {_shown(spec.endpoint)}"
         else:

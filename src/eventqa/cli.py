@@ -50,7 +50,7 @@ def __getattr__(name: str):
     return verbalize_graph
 
 
-_HASH_CHUNK = 1 << 20
+_HASH_CHUNK = 1 << 16
 
 
 def _file_sha(path: str | Path) -> str:
@@ -145,9 +145,8 @@ def cmd_build(args) -> int:
         if not args.demo_pool:
             deque(instances, maxlen=0)  # read to the end, so a malformed dataset is reported first
             raise CliError("--demo-pool is required for few-shot and chain-of-thought configurations")
-        pool = promptkit.DemoPool(
-            corpus.load_dataset(args.demo_pool, schema, strict=args.strict, graph_kind=graph_kind).split.instances
-        )
+        read = corpus.read_dataset(args.demo_pool, schema, strict=args.strict, graph_kind=graph_kind)
+        pool = promptkit.DemoPool(record for record in read if type(record) is not corpus.RejectedRecord)
 
     # Configurations are visited by selector, so the records of instances
     # read in ascending id order are in manifest order and each is written
@@ -170,12 +169,8 @@ def cmd_build(args) -> int:
                 if config.includes_graph and verbalized is None:
                     raise CliError(f"instance {instance.instance_id!r} has no graph but {config.selector} needs one")
                 try:
-                    demos = promptkit.select_demonstrations(
-                        pool,
-                        config,
-                        seed=_derived_seed(args.seed, instance.instance_id, config.selector),
-                        exclude_ids={instance.instance_id},
-                    )
+                    seed = _derived_seed(args.seed, instance.instance_id, config.selector)
+                    demos = promptkit.select_demonstrations(pool, config, seed)
                     record = promptkit.assemble_prompt(
                         instance,
                         config,

@@ -121,18 +121,9 @@ class QAInstance(NamedTuple):
             self.graph.validate()
 
 
-class DatasetSplit(NamedTuple):
-    instances: tuple[QAInstance, ...]
-
-
 class RejectedRecord(NamedTuple):
     instance_id: str
     reason: str
-
-
-class LoadResult(NamedTuple):
-    split: DatasetSplit
-    rejections: tuple[RejectedRecord, ...]
 
 
 def _json_object(value, what: str) -> dict:
@@ -253,20 +244,6 @@ def read_dataset(
             yield instance
 
 
-def load_dataset(
-    path: str | Path,
-    schema: dict | None = None,
-    *,
-    strict: bool = False,
-    graph_kind: GraphKind = GraphKind.INSTANCE,
-) -> LoadResult:
-    """All that ``read_dataset`` yields for these arguments, the instances split from the rejections."""
-    records: dict[type, list] = {QAInstance: [], RejectedRecord: []}
-    for record in read_dataset(path, schema, strict=strict, graph_kind=graph_kind):
-        records[type(record)].append(record)
-    return LoadResult(split=DatasetSplit(tuple(records[QAInstance])), rejections=tuple(records[RejectedRecord]))
-
-
 def _allocate_quotas(sizes: list[int], total: int) -> list[int]:
     """Floor-proportional allocation with largest-remainder correction.
 
@@ -326,12 +303,3 @@ def sample_positions(categories: Sequence[QuestionCategory], size: int, seed: in
         else:
             chosen.update(rng.sample(members, count))
     return sorted(chosen)
-
-
-def stratified_sample(split: DatasetSplit, size: int, seed: int) -> DatasetSplit:
-    """The instances of ``split`` at ``sample_positions`` of their categories, in split order.
-
-    Sampling the whole population returns the split unchanged.
-    """
-    positions = sample_positions([instance.category for instance in split.instances], size, seed)
-    return DatasetSplit(tuple(split.instances[i] for i in positions))

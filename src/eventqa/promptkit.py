@@ -1,15 +1,15 @@
 """Prompt assembly for the nine strategy/modality configurations.
 
 A prompt is a fixed sequence of headed sections, spelled once in
-``SECTION_HEADERS``: instruction, passage, graph, examples, question, with
-the answer header directly under the question as the completion cue. Which
-sections appear is fixed by the configuration matrix: the passage for text
-and text+graph prompts, the verbalized graph for graph and text+graph
-prompts, worked examples whenever demonstrations are in play. The
-instruction wording is the one editable file,
+``vocab.SECTION_HEADERS``: instruction, passage, graph, examples,
+question, with the answer header directly under the question as the
+completion cue. Which sections appear is fixed by the configuration
+matrix: the passage for text and text+graph prompts, the verbalized graph
+for graph and text+graph prompts, worked examples whenever demonstrations
+are in play. The instruction wording is the one editable file,
 ``templates/instructions.json``. Headers meet parts only at whitespace, so
-a prompt's token count is the counts of its parts plus one header count
-per present section.
+a prompt's ``vocab.count_tokens`` is the counts of its parts plus one
+header count per present section.
 
 All rendering is byte-deterministic: straight ASCII double quotes, one
 blank line between sections, a single trailing newline.
@@ -24,27 +24,27 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from pathlib import Path
 from random import Random
-from typing import Collection, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import QAInstance
 from .graphcore import VerbalizedGraph, verbalize_graph
-from .vocab import TOKENIZER, Answer, Modality, PromptConfig, PromptError
+from .vocab import (
+    SECTION_ANSWER,
+    SECTION_EXAMPLES,
+    SECTION_GRAPH,
+    SECTION_HEADERS,
+    SECTION_INSTRUCTION,
+    SECTION_QUESTION,
+    SECTION_TEXT,
+    TOKENIZER,
+    Answer,
+    Modality,
+    PromptConfig,
+    PromptError,
+    count_tokens,
+)
 
 logger = logging.getLogger(__name__)
-
-SECTION_INSTRUCTION = "Instruction"
-SECTION_TEXT = "Text"
-SECTION_GRAPH = "Graph"
-SECTION_EXAMPLES = "Examples"
-SECTION_QUESTION = "Question"
-SECTION_ANSWER = "Answer"
-
-# Every section's header. The oracle backend finds a
-# prompt's graph and question through these, so they are spelled only here.
-SECTION_HEADERS = {
-    name: f"### {name} ###"
-    for name in (SECTION_INSTRUCTION, SECTION_TEXT, SECTION_GRAPH, SECTION_EXAMPLES, SECTION_QUESTION, SECTION_ANSWER)
-}
 
 
 class PromptAssemblyError(PromptError):
@@ -81,26 +81,7 @@ class Demonstration(namedtuple("Demonstration", "question answer source_modality
 
     @cached_property
     def _simple_tokens(self) -> int:
-        return _simple_count(self._text)
-
-
-# --- token counting ------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
-
-
-# Kept apart from ``count_tokens``, which the benchmark traces: each per-part count would be a traced call.
-def _simple_count(text: str) -> int:
-    return len(_TOKEN_RE.findall(text))
-
-
-def count_tokens(text: str) -> int:
-    """Count tokens: runs of word characters and each remaining non-space character, one apiece.
-
-    It is a proxy: orderings between prompts are meaningful under it,
-    absolute counts are not a model's.
-    """
-    return _simple_count(text)
+        return count_tokens(self._text)
 
 
 @lru_cache(maxsize=None)
@@ -175,10 +156,10 @@ def _passage_sentences(passage: str) -> tuple[str, ...]:
 
 @lru_cache(maxsize=PART_COUNT_CACHE_SIZE)
 def _part_counts(part: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple(map(_simple_count, part))
+    return tuple(map(count_tokens, part))
 
 
-_HEADER_TOKENS = {name: _simple_count(header) for name, header in SECTION_HEADERS.items()}
+_HEADER_TOKENS = {name: count_tokens(header) for name, header in SECTION_HEADERS.items()}
 
 # The sections an over-budget prompt is cut from, in the order they are cut.
 _CUT_ORDER = (SECTION_TEXT, SECTION_EXAMPLES, SECTION_GRAPH)
@@ -324,31 +305,22 @@ class DemoPool(tuple):
         return trace
 
 
-def select_demonstrations(
-    pool: DemoPool,
-    config: PromptConfig,
-    seed: int,
-    exclude_ids: Collection[str] = (),
-) -> list[Demonstration]:
+def select_demonstrations(pool: DemoPool, config: PromptConfig, seed: int) -> list[Demonstration]:
     """Pick in-context demonstrations for a configuration, seeded.
 
-    The instance under evaluation is excluded via ``exclude_ids``. When the
-    pool carries both labels, the selection always includes at least one yes
-    and one no; a single-label pool is used as-is, with a warning on the
-    first such draw from ``pool``.
+    Every instance of ``pool`` is eligible: ``build`` refuses a pool that
+    shares an id with the dataset before it draws. When the pool carries
+    both labels, the selection always includes at least one yes and one
+    no; a single-label pool is used as-is, with a warning on the first such
+    draw from ``pool``.
     """
     if config.demo_count == 0:
         return []
-    eligible = pool
-    if not pool.ids.isdisjoint(exclude_ids):
-        eligible = DemoPool([instance for instance in pool if instance.instance_id not in exclude_ids])
-    if len(eligible) < config.demo_count:
-        raise InsufficientPoolError(
-            f"need {config.demo_count} demonstrations, pool has {len(eligible)} eligible instances"
-        )
+    if len(pool) < config.demo_count:
+        raise InsufficientPoolError(f"need {config.demo_count} demonstrations, pool has {len(pool)} eligible instances")
 
     rng = Random(seed)
-    yes_positions, no_positions = eligible.yes_positions, eligible.no_positions
+    yes_positions, no_positions = pool.yes_positions, pool.no_positions
 
     if yes_positions and no_positions and config.demo_count >= 2:
         first = sorted({rng.choice(yes_positions), rng.choice(no_positions)})
@@ -357,7 +329,7 @@ def select_demonstrations(
         # below it, in ascending order. ``sample`` makes the same draws for a
         # range as for a list of the same length.
         picked = set(first)
-        for index in rng.sample(range(len(eligible) - len(first)), config.demo_count - 2):
+        for index in rng.sample(range(len(pool) - len(first)), config.demo_count - 2):
             for position in first:
                 index += index >= position
             picked.add(index)
@@ -369,9 +341,9 @@ def select_demonstrations(
                 len(yes_positions),
                 len(no_positions),
             )
-        picked = set(rng.sample(range(len(eligible)), config.demo_count))
+        picked = set(rng.sample(range(len(pool)), config.demo_count))
 
     return [
-        eligible.demonstration(position, config.modality, config.include_reasoning_traces)
+        pool.demonstration(position, config.modality, config.include_reasoning_traces)
         for position in sorted(picked)  # stable pool order
     ]

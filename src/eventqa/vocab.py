@@ -1,8 +1,12 @@
-"""Labels, categories, configurations and row tables that every stage shares; it imports only ``manifest``."""
+"""Labels, categories, configurations, prompt sections, the token counter and row tables that every stage shares.
+
+It imports only ``manifest``.
+"""
 
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -115,7 +119,7 @@ def read_labels(path: str | Path, schema: dict = DEFAULT_SCHEMA) -> dict[str, La
     """instance_id -> ``read_label`` of each dataset record, in one pass that parses no graph.
 
     A record that is no JSON object, or whose label does not parse, gives none. An id that two records label
-    differently maps to None, as only ``corpus.load_dataset``, which parses graphs, can tell which one it keeps.
+    differently maps to None, as only ``corpus.read_dataset``, which parses graphs, can tell which one it keeps.
     """
     labels: dict[str, Label | None] = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -223,6 +227,32 @@ def all_configs() -> tuple[PromptConfig, ...]:
 
 # The name manifests record for the one token counter.
 TOKENIZER = "simple"
+
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+def count_tokens(text: str) -> int:
+    """Count tokens: runs of word characters and each remaining non-space character, one apiece.
+
+    It is a proxy: orderings between prompts are meaningful under it,
+    absolute counts are not a model's.
+    """
+    return len(_TOKEN_RE.findall(text))
+
+
+SECTION_INSTRUCTION = "Instruction"
+SECTION_TEXT = "Text"
+SECTION_GRAPH = "Graph"
+SECTION_EXAMPLES = "Examples"
+SECTION_QUESTION = "Question"
+SECTION_ANSWER = "Answer"
+
+# Every section's header. The oracle backend finds a
+# prompt's graph and question through these, so they are spelled only here.
+SECTION_HEADERS = {
+    name: f"### {name} ###"
+    for name in (SECTION_INSTRUCTION, SECTION_TEXT, SECTION_GRAPH, SECTION_EXAMPLES, SECTION_QUESTION, SECTION_ANSWER)
+}
 
 
 INSTANCE_ID = ((str,), "a non-empty string", kept(lambda text: text != "" and encodes_utf8(text)))

@@ -6,29 +6,23 @@ import logging
 import re
 from fractions import Fraction
 from random import Random
-from typing import Collection, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from eventqa.corpus import (
     Answer,
     CausalEdge,
     CausalGraph,
-    DatasetSplit,
     EventNode,
     GraphKind,
     QAInstance,
     QuestionCategory,
     Relation,
     SamplingError,
+    sample_positions,
 )
 from eventqa.extract import UNPARSEABLE, ExtractedAnswer, ExtractedLabel, ExtractionMethod, _byte_span
 from eventqa.graphcore import VerbalizedGraph
 from eventqa.promptkit import (
-    SECTION_ANSWER,
-    SECTION_EXAMPLES,
-    SECTION_GRAPH,
-    SECTION_INSTRUCTION,
-    SECTION_QUESTION,
-    SECTION_TEXT,
     BudgetError,
     Demonstration,
     InsufficientPoolError,
@@ -38,8 +32,16 @@ from eventqa.promptkit import (
     PromptError,
     PromptRecord,
     _trace_for,
-    count_tokens,
     split_sentences,
+)
+from eventqa.vocab import (
+    SECTION_ANSWER,
+    SECTION_EXAMPLES,
+    SECTION_GRAPH,
+    SECTION_INSTRUCTION,
+    SECTION_QUESTION,
+    SECTION_TEXT,
+    count_tokens,
 )
 
 logger = logging.getLogger(__name__)
@@ -229,9 +231,9 @@ def synthetic_instance(index: int, rng: Random, *, id_prefix: str = "syn") -> QA
     return instance
 
 
-def synthetic_split(count: int, seed: int, *, id_prefix: str = "syn") -> DatasetSplit:
+def synthetic_split(count: int, seed: int, *, id_prefix: str = "syn") -> tuple[QAInstance, ...]:
     rng = Random(seed)
-    return DatasetSplit(tuple(synthetic_instance(i, rng, id_prefix=id_prefix) for i in range(count)))
+    return tuple(synthetic_instance(i, rng, id_prefix=id_prefix) for i in range(count))
 
 
 def instance_to_record(instance: QAInstance) -> dict:
@@ -266,6 +268,12 @@ def write_dataset(path, instances) -> None:
             handle.write(json.dumps(instance_to_record(instance)) + "\n")
 
 
+# The sample a sampled build keeps: the instances at ``sample_positions`` of their categories, in split order.
+def stratified_sample(instances: Sequence[QAInstance], size: int, seed: int) -> tuple[QAInstance, ...]:
+    positions = sample_positions([instance.category for instance in instances], size, seed)
+    return tuple(instances[i] for i in positions)
+
+
 # The quota allocation as it was before it moved to integer division, kept as
 # the reference that corpus._allocate_quotas must match.
 def allocate_quotas_reference(sizes: list[int], total: int) -> list[int]:
@@ -292,29 +300,27 @@ def select_demonstrations_reference(
     pool: Sequence[QAInstance],
     config: PromptConfig,
     seed: int,
-    exclude_ids: Collection[str] = (),
 ) -> list[Demonstration]:
     """Pick in-context demonstrations for a configuration, seeded.
 
-    The instance under evaluation is excluded via ``exclude_ids``. When the
-    pool carries both labels, the selection always includes at least one yes
-    and one no; a single-label pool is used as-is with a warning.
+    When the pool carries both labels, the selection always includes at
+    least one yes and one no; a single-label pool is used as-is with a
+    warning.
     """
     if config.demo_count == 0:
         return []
-    eligible = [instance for instance in pool if instance.instance_id not in exclude_ids]
-    if len(eligible) < config.demo_count:
+    if len(pool) < config.demo_count:
         raise InsufficientPoolError(
-            f"need {config.demo_count} demonstrations, pool has {len(eligible)} eligible instances"
+            f"need {config.demo_count} demonstrations, pool has {len(pool)} eligible instances"
         )
 
     rng = Random(seed)
-    yes_positions = [i for i, instance in enumerate(eligible) if instance.gold_answer is Answer.YES]
-    no_positions = [i for i, instance in enumerate(eligible) if instance.gold_answer is Answer.NO]
+    yes_positions = [i for i, instance in enumerate(pool) if instance.gold_answer is Answer.YES]
+    no_positions = [i for i, instance in enumerate(pool) if instance.gold_answer is Answer.NO]
 
     if yes_positions and no_positions and config.demo_count >= 2:
         picked = {rng.choice(yes_positions), rng.choice(no_positions)}
-        rest = [i for i in range(len(eligible)) if i not in picked]
+        rest = [i for i in range(len(pool)) if i not in picked]
         picked.update(rng.sample(rest, config.demo_count - 2))
     else:
         if not yes_positions or not no_positions:
@@ -323,11 +329,11 @@ def select_demonstrations_reference(
                 len(yes_positions),
                 len(no_positions),
             )
-        picked = set(rng.sample(range(len(eligible)), config.demo_count))
+        picked = set(rng.sample(range(len(pool)), config.demo_count))
 
     demos = []
     for position in sorted(picked):  # stable pool order
-        instance = eligible[position]
+        instance = pool[position]
         demos.append(
             Demonstration(
                 question=instance.question,

@@ -30,7 +30,7 @@ from eventqa.backends import (
     run_batch,
 )
 from eventqa.cli import main as cli_main
-from eventqa.corpus import Answer, DatasetSplit, QuestionCategory, stratified_sample
+from eventqa.corpus import Answer, QuestionCategory
 from eventqa.costmodel import estimate_cost, project_run_cost
 from eventqa.extract import ExtractedLabel, ExtractionMethod, extract_answer
 from eventqa.graphcore import graph_from_sentences, verbalize_graph
@@ -135,7 +135,7 @@ def test_criterion_02_component_matrix(rally_instance):
         ("cot", "graph"): (False, True, True),
         ("cot", "tag"): (True, True, True),
     }
-    pool = DemoPool(helpers.synthetic_split(8, seed=23, id_prefix="pool").instances)
+    pool = DemoPool(helpers.synthetic_split(8, seed=23, id_prefix="pool"))
     verbalized = verbalize_graph(rally_instance.graph)
     checks = 0
     for config in all_configs():
@@ -291,13 +291,13 @@ def test_criterion_05_verbalization_round_trip():
 
 def test_criterion_06_token_length_ordering(synthetic_split):
     started = time.monotonic()
-    assert len(synthetic_split.instances) >= 100
-    pool = DemoPool(helpers.synthetic_split(10, seed=8, id_prefix="pool").instances)
+    assert len(synthetic_split) >= 100
+    pool = DemoPool(helpers.synthetic_split(10, seed=8, id_prefix="pool"))
     means: dict[tuple[Strategy, Modality], float] = {}
     for config in all_configs():
         counts = []
-        for instance in synthetic_split.instances:
-            demos = select_demonstrations(pool, config, seed=4, exclude_ids={instance.instance_id})
+        for instance in synthetic_split:
+            demos = select_demonstrations(pool, config, seed=4)
             verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
             counts.append(assemble_prompt(instance, config, demos, verbalized).token_count)
         means[(config.strategy, config.modality)] = sum(counts) / len(counts)
@@ -332,18 +332,18 @@ def test_criterion_08_sampler_quotas():
             index += 1
     ids = [f"pop-{i:05d}" for i in range(len(instances))]
     instances = [inst._replace(instance_id=new_id) for inst, new_id in zip(instances, ids)]
-    population = DatasetSplit(tuple(instances))
-    assert len(population.instances) == 3666
+    population = tuple(instances)
+    assert len(population) == 3666
 
-    sample = stratified_sample(population, 1024, seed=42)
-    again = stratified_sample(population, 1024, seed=42)
+    sample = helpers.stratified_sample(population, 1024, seed=42)
+    again = helpers.stratified_sample(population, 1024, seed=42)
     assert sample == again
-    assert len(sample.instances) == 1024
+    assert len(sample) == 1024
 
-    counts = Counter(i.category for i in sample.instances)
-    pop_counts = Counter(i.category for i in population.instances)
+    counts = Counter(i.category for i in sample)
+    pop_counts = Counter(i.category for i in population)
     for category in QuestionCategory:
-        quota = Fraction(1024 * pop_counts[category], len(population.instances))
+        quota = Fraction(1024 * pop_counts[category], len(population))
         assert abs(Fraction(counts[category]) - quota) <= 1, category
     _report(8, "1024-sample quotas within +/-1 of proportional, deterministic", started, 5.0)
 
@@ -434,7 +434,7 @@ def test_criterion_10_replay_fixture_scores_to_precommitted_table(tmp_path):
     dataset_path = tmp_path / "replay_dataset.ndjson"
     helpers.write_dataset(dataset_path, instances)
     pool_path = tmp_path / "replay_pool.ndjson"
-    helpers.write_dataset(pool_path, helpers.synthetic_split(8, seed=9001, id_prefix="rpool").instances)
+    helpers.write_dataset(pool_path, helpers.synthetic_split(8, seed=9001, id_prefix="rpool"))
 
     out = tmp_path / "out"
     assert cli_main(

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import helpers
 from eventqa import backends as backends_module
-from eventqa import promptkit
 from eventqa.backends import (
     BackendError,
     BackendKind,
@@ -36,8 +35,8 @@ from eventqa.cli import main
 from eventqa.corpus import Answer
 from eventqa.graphcore import QueryKind, StructuredQuery, verbalize_graph
 from eventqa.manifest import ManifestError, make_header, read_ndjson, write_ndjson
-from eventqa.promptkit import DemoPool, assemble_prompt, count_tokens, select_demonstrations
-from eventqa.vocab import Modality, PromptConfig, Strategy, all_configs, parse_selector
+from eventqa.promptkit import DemoPool, assemble_prompt, select_demonstrations
+from eventqa.vocab import Modality, PromptConfig, Strategy, all_configs, count_tokens, parse_selector
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,10 +91,10 @@ def chat_payload(content, usage=None):
 def build_prompts(count=10, configs=("zero-graph",), pool=None):
     split = helpers.synthetic_split(count, seed=17)
     records = []
-    for instance in split.instances:
+    for instance in split:
         for selector in configs:
             config = parse_selector(selector)
-            demos = select_demonstrations(pool or DemoPool(), config, seed=3, exclude_ids={instance.instance_id})
+            demos = select_demonstrations(pool or DemoPool(), config, seed=3)
             verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
             records.append(assemble_prompt(instance, config, demos, verbalized))
     return records
@@ -186,7 +185,7 @@ class TestOracleBackend:
         """Every layout: graph and tag prompts are answered without a flag, text prompts get ``no_graph``."""
         spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
         verbalized = verbalize_graph(rally_instance.graph)
-        pool = DemoPool(helpers.synthetic_split(12, seed=41, id_prefix="pool").instances)
+        pool = DemoPool(helpers.synthetic_split(12, seed=41, id_prefix="pool"))
         expectations = {worked_demos[0].question: "no", worked_demos[1].question: "yes"}
         for question, expected in expectations.items():
             instance = rally_instance._replace(question=question)
@@ -844,7 +843,6 @@ class TestRunStageTokenCounts:
             counted.append(text)
             return count_tokens(text)
 
-        monkeypatch.setattr(promptkit, "count_tokens", recording_count)
         monkeypatch.setattr(backends_module, "count_tokens", recording_count)
         assert self._run(out, "--backend", "oracle") == 0
         assert not {p["prompt_text"] for p in prompts} & set(counted)

@@ -37,7 +37,7 @@ def built(tmp_path):
 class TestBuild:
     def test_three_instances_all_configs_gives_27_records(self, tmp_path):
         dataset = tmp_path / "three.ndjson"
-        helpers.write_dataset(dataset, helpers.synthetic_split(3, seed=1).instances)
+        helpers.write_dataset(dataset, helpers.synthetic_split(3, seed=1))
         out = tmp_path / "out"
         rc = run_cli("build", "--dataset", dataset, "--demo-pool", POOL, "--out", out)
         assert rc == 0
@@ -139,7 +139,7 @@ class TestBuild:
 
     def test_rejection_log_written(self, tmp_path):
         dataset = tmp_path / "mixed.ndjson"
-        good = helpers.instance_to_record(helpers.synthetic_split(1, seed=2).instances[0])
+        good = helpers.instance_to_record(helpers.synthetic_split(1, seed=2)[0])
         bad = dict(good, instance_id="bad", answer="maybe")
         dataset.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         out = tmp_path / "out"
@@ -161,8 +161,9 @@ class TestBuild:
         argv = ["--configs", "zero-text", "--split", 5, "--seed", seed]
         assert run_cli("build", "--dataset", DATASET, "--out", out, *argv) == 0
         _, records = manifest.read_ndjson(out / "prompts.ndjson")
-        reference = corpus.stratified_sample(corpus.load_dataset(DATASET).split, 5, seed)
-        assert [row["instance_id"] for row in records] == sorted(i.instance_id for i in reference.instances)
+        population = [record for record in corpus.read_dataset(DATASET) if type(record) is corpus.QAInstance]
+        reference = helpers.stratified_sample(population, 5, seed)
+        assert [row["instance_id"] for row in records] == sorted(i.instance_id for i in reference)
 
     def test_sampled_build_logs_and_keeps_each_rejection_once(self, tmp_path, caplog):
         dataset = tmp_path / "mixed.ndjson"
@@ -205,7 +206,7 @@ class TestBuild:
         assert summary.endswith(f" truncated={truncated:5d}")
 
     def test_failed_build_leaves_no_prompts_file(self, tmp_path):
-        instances = helpers.synthetic_split(3, seed=1).instances
+        instances = helpers.synthetic_split(3, seed=1)
         dataset = tmp_path / "data.ndjson"
         helpers.write_dataset(dataset, [instances[0], instances[1]._replace(graph=None), instances[2]])
         out = tmp_path / "out"
@@ -213,7 +214,7 @@ class TestBuild:
         assert list(out.iterdir()) == []
 
     def test_failed_rebuild_keeps_the_previous_rejection_log(self, tmp_path, capsys):
-        instances = helpers.synthetic_split(3, seed=1).instances
+        instances = helpers.synthetic_split(3, seed=1)
         records = [helpers.instance_to_record(instance) for instance in instances]
         dataset = tmp_path / "data.ndjson"
         dataset.write_text("".join(json.dumps(r) + "\n" for r in [records[0], dict(records[1], answer="maybe")]))
@@ -262,12 +263,11 @@ class TestBuild:
 
 # --- start-up: each stage imports only the layers it runs -----------------------
 
-# What every stage loads; only build and run parse datasets, verbalize graphs and assemble prompts.
+# What every stage loads; build and run add the graph layers, and only build assembles prompts.
 CORE_MODULES = {"eventqa", "eventqa.vocab", "eventqa.manifest"}
-PROMPT_MODULES = CORE_MODULES | {"eventqa.corpus", "eventqa.graphcore", "eventqa.promptkit"}
 STAGE_MODULES = {
-    "build": PROMPT_MODULES,
-    "run": PROMPT_MODULES | {"eventqa.backends"},
+    "build": CORE_MODULES | {"eventqa.corpus", "eventqa.graphcore", "eventqa.promptkit"},
+    "run": CORE_MODULES | {"eventqa.corpus", "eventqa.graphcore", "eventqa.backends"},
     "score": CORE_MODULES | {"eventqa.evalkit", "eventqa.extract"},
     "report": CORE_MODULES | {"eventqa.evalkit", "eventqa.extract"},
     "cost": CORE_MODULES | {"eventqa.costmodel"},
@@ -787,6 +787,18 @@ class TestPipeline:
                 {"kind": "http_chat", "endpoint": "http://me:pw@127.0.0.1/v1", "retry_policy": {"max_attempts": 1}},
                 "endpoint must not carry a user name or password",
             ),
+            *(
+                (
+                    {
+                        "kind": "http_chat",
+                        "endpoint": "http://127.0.0.1:9/v1",
+                        "request_timeout": timeout,
+                        "retry_policy": {"max_attempts": 1},
+                    },
+                    "request_timeout must be positive and at most ",
+                )
+                for timeout in (1e300, float("inf"), -1, float("nan"), 0)
+            ),
         ],
         ids=[
             "no-kind",
@@ -805,6 +817,11 @@ class TestPipeline:
             "non-numeric-port",
             "space-in-endpoint",
             "user-in-endpoint",
+            "huge-timeout",
+            "infinite-timeout",
+            "negative-timeout",
+            "nan-timeout",
+            "zero-timeout",
         ],
     )
     def test_run_bad_backend_entry_exits_2(self, built, tmp_path, capsys, entry, message):
@@ -814,6 +831,7 @@ class TestPipeline:
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
         assert f"backends config {config}: backend 'x': " in err
         assert not (built / "responses.ndjson").exists()
 

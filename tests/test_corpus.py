@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 import helpers
 from eventqa.corpus import (
     DatasetFormatError,
-    DatasetSplit,
+    QAInstance,
     QuestionCategory,
+    RejectedRecord,
     SamplingError,
     _allocate_quotas,
-    load_dataset,
-    stratified_sample,
+    read_dataset,
 )
 from eventqa.vocab import DEFAULT_SCHEMA, SCHEMA, Answer, load_schema, read_label, read_labels
 
@@ -33,6 +33,12 @@ def _record(instance_id="a", **overrides):
     base["instance_id"] = instance_id
     base.update(overrides)
     return base
+
+
+def _load(path, schema=None, **options) -> tuple[list[QAInstance], list[RejectedRecord]]:
+    """The instances and the rejections that ``read_dataset`` yields for ``path``, collected apart."""
+    records = list(read_dataset(path, schema, **options))
+    return [r for r in records if type(r) is QAInstance], [r for r in records if type(r) is RejectedRecord]
 
 
 def _int_id_graph():
@@ -52,17 +58,17 @@ class TestLoadDataset:
     def test_well_formed_records_all_load(self, tmp_path):
         path = tmp_path / "data.ndjson"
         _write(path, [_record("a"), _record("b"), _record("c")])
-        result = load_dataset(path)
-        assert [i.instance_id for i in result.split.instances] == ["a", "b", "c"]
-        assert result.rejections == ()
+        instances, rejections = _load(path)
+        assert [i.instance_id for i in instances] == ["a", "b", "c"]
+        assert rejections == []
 
     def test_edges_share_the_id_strings_of_their_nodes(self, tmp_path):
         """An edge holds its endpoints' own id objects, not second copies from the JSON decoder."""
         path = tmp_path / "data.ndjson"
         _write(path, [_record(f"i{k}") for k in range(5)] + [_record("int-ids", graphs=[_int_id_graph()])])
-        result = load_dataset(path)
-        assert len(result.split.instances) == 6
-        for instance in result.split.instances:
+        instances, _ = _load(path)
+        assert len(instances) == 6
+        for instance in instances:
             nodes = {node.id: node for node in instance.graph.nodes}
             assert instance.graph.edges
             for edge in instance.graph.edges:
@@ -74,54 +80,54 @@ class TestLoadDataset:
         bad["graphs"][0]["edges"].append({"source": "e0", "target": "ghost", "relation": "enables"})
         path = tmp_path / "data.ndjson"
         _write(path, [_record("ok"), bad])
-        result = load_dataset(path)
-        assert [i.instance_id for i in result.split.instances] == ["ok"]
-        assert len(result.rejections) == 1
-        assert result.rejections[0].instance_id == "bad"
-        assert "dangling edge endpoint" in result.rejections[0].reason
+        instances, rejections = _load(path)
+        assert [i.instance_id for i in instances] == ["ok"]
+        assert len(rejections) == 1
+        assert rejections[0].instance_id == "bad"
+        assert "dangling edge endpoint" in rejections[0].reason
 
     def test_strict_mode_aborts_on_first_bad_record(self, tmp_path):
         path = tmp_path / "data.ndjson"
         _write(path, [_record("ok"), _record("bad", answer="maybe")])
         with pytest.raises(DatasetFormatError):
-            load_dataset(path, strict=True)
+            _load(path, strict=True)
 
     def test_unparseable_line_skipped_and_logged(self, tmp_path):
         path = tmp_path / "data.ndjson"
         path.write_text(json.dumps(_record("ok")) + "\n" + "{not json\n", encoding="utf-8")
-        result = load_dataset(path)
-        assert len(result.split.instances) == 1
-        assert len(result.rejections) == 1
+        instances, rejections = _load(path)
+        assert len(instances) == 1
+        assert len(rejections) == 1
 
     def test_duplicate_instance_id_rejected(self, tmp_path):
         path = tmp_path / "data.ndjson"
         _write(path, [_record("dup"), _record("dup")])
-        result = load_dataset(path)
-        assert len(result.split.instances) == 1
-        assert "duplicate" in result.rejections[0].reason
+        instances, rejections = _load(path)
+        assert len(instances) == 1
+        assert "duplicate" in rejections[0].reason
 
     def test_missing_category_maps_to_unknown(self, tmp_path):
         record = _record("a")
         del record["category"]
         path = tmp_path / "data.ndjson"
         _write(path, [record])
-        result = load_dataset(path)
-        assert result.split.instances[0].category is QuestionCategory.UNKNOWN
+        instances, _ = _load(path)
+        assert instances[0].category is QuestionCategory.UNKNOWN
 
     def test_unrecognized_category_rejected(self, tmp_path):
         path = tmp_path / "data.ndjson"
         _write(path, [_record("a", category="rhetorical")])
-        result = load_dataset(path)
-        assert not result.split.instances
-        assert "category" in result.rejections[0].reason
+        instances, rejections = _load(path)
+        assert not instances
+        assert "category" in rejections[0].reason
 
     def test_label_with_quote_rejected(self, tmp_path):
         record = _record("a")
         record["graphs"][0]["nodes"][0]["label"] = 'said "stop"'
         path = tmp_path / "data.ndjson"
         _write(path, [record])
-        result = load_dataset(path)
-        assert not result.split.instances
+        instances, _ = _load(path)
+        assert not instances
 
     def test_schema_descriptor_renames_fields(self, tmp_path):
         record = _record("a")
@@ -140,9 +146,9 @@ class TestLoadDataset:
             json.dumps({"instance_id": "id", "passage": "text", "question": "q", "answer": "label"}),
             encoding="utf-8",
         )
-        result = load_dataset(data_path, load_schema(schema_path))
-        assert result.split.instances[0].instance_id == "a"
-        assert result.split.instances[0].passage == record["passage"]
+        instances, _ = _load(data_path, load_schema(schema_path))
+        assert instances[0].instance_id == "a"
+        assert instances[0].passage == record["passage"]
 
     @pytest.mark.parametrize(
         "overrides, key",
@@ -170,8 +176,8 @@ class TestLoadDataset:
         record["graphs"] = [record["graphs"][0], schema_graph]
         path = tmp_path / "data.ndjson"
         _write(path, [record])
-        by_default = load_dataset(path).split.instances[0]
-        by_schema = load_dataset(path, graph_kind=GraphKind.SCHEMA).split.instances[0]
+        by_default = _load(path)[0][0]
+        by_schema = _load(path, graph_kind=GraphKind.SCHEMA)[0][0]
         assert by_default.graph.kind is GraphKind.INSTANCE
         assert by_schema.graph.graph_id == "the-schema"
 
@@ -198,36 +204,36 @@ class TestStratifiedSample:
             )
             for index in range(100)
         ]
-        sample = stratified_sample(DatasetSplit(tuple(instances)), 10, seed=7)
-        counts = Counter(i.category for i in sample.instances)
+        sample = helpers.stratified_sample(instances, 10, seed=7)
+        counts = Counter(i.category for i in sample)
         assert counts[QuestionCategory.CAUSAL] == 5
         assert counts[QuestionCategory.PAST] == 5
 
     def test_size_equal_to_population_returns_whole_split_in_order(self, synthetic_split):
-        sample = stratified_sample(synthetic_split, len(synthetic_split.instances), seed=3)
-        assert sample.instances == synthetic_split.instances
+        sample = helpers.stratified_sample(synthetic_split, len(synthetic_split), seed=3)
+        assert sample == synthetic_split
 
     def test_deterministic_for_fixed_seed(self, synthetic_split):
-        first = stratified_sample(synthetic_split, 40, seed=11)
-        second = stratified_sample(synthetic_split, 40, seed=11)
+        first = helpers.stratified_sample(synthetic_split, 40, seed=11)
+        second = helpers.stratified_sample(synthetic_split, 40, seed=11)
         assert first == second
-        different = stratified_sample(synthetic_split, 40, seed=12)
+        different = helpers.stratified_sample(synthetic_split, 40, seed=12)
         assert first != different  # overwhelmingly likely for this population
 
     def test_oversized_request_fails(self, synthetic_split):
         with pytest.raises(SamplingError):
-            stratified_sample(synthetic_split, len(synthetic_split.instances) + 1, seed=1)
+            helpers.stratified_sample(synthetic_split, len(synthetic_split) + 1, seed=1)
 
     @settings(max_examples=40)
     @given(size=st.integers(1, 130), seed=st.integers(0, 10))
     def test_quotas_within_one_of_proportional(self, size, seed):
         split = helpers.synthetic_split(130, seed=7)
-        sample = stratified_sample(split, size, seed=seed)
-        assert len(sample.instances) == size
-        population = Counter(i.category for i in split.instances)
-        counts = Counter(i.category for i in sample.instances)
+        sample = helpers.stratified_sample(split, size, seed=seed)
+        assert len(sample) == size
+        population = Counter(i.category for i in split)
+        counts = Counter(i.category for i in sample)
         for category, members in population.items():
-            exact = Fraction(size * members, len(split.instances))
+            exact = Fraction(size * members, len(split))
             assert abs(Fraction(counts[category]) - exact) <= 1
 
     @settings(max_examples=300)
@@ -245,8 +251,8 @@ class TestStratifiedSample:
             ), (sizes, total)
 
     def test_sample_ids_are_a_subset_in_stable_order(self, synthetic_split):
-        sample = stratified_sample(synthetic_split, 25, seed=2)
-        positions = [synthetic_split.instances.index(i) for i in sample.instances]
+        sample = helpers.stratified_sample(synthetic_split, 25, seed=2)
+        positions = [synthetic_split.index(i) for i in sample]
         assert positions == sorted(positions)
 
 
@@ -337,18 +343,18 @@ class TestLoadDatasetFuzz:
         schema, lines = case
         path = tmp_path_factory.mktemp("fuzz") / "data.ndjson"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        result = load_dataset(path, schema)
-        assert len(result.split.instances) + len(result.rejections) == sum(1 for line in lines if line.strip())
+        instances, rejections = result = _load(path, schema)
+        assert len(instances) + len(rejections) == sum(1 for line in lines if line.strip())
         # Whatever loads can be written out: instances into prompts, rejections into their log.
-        for instance in result.split.instances:
+        for instance in instances:
             labels = [node.label for node in instance.graph.nodes] if instance.graph else []
             "".join([instance.instance_id, instance.passage, instance.question, *labels]).encode("utf-8")
-        for rejection in result.rejections:
+        for rejection in rejections:
             (rejection.instance_id + rejection.reason).encode("utf-8")
         try:
-            strict = load_dataset(path, schema, strict=True)
+            strict = _load(path, schema, strict=True)
         except DatasetFormatError:
-            assert result.rejections
+            assert rejections
         else:
             assert strict == result
 
@@ -365,9 +371,8 @@ class TestLoadDatasetFuzz:
     def test_hostile_line_is_rejected(self, tmp_path, line):
         path = tmp_path / "data.ndjson"
         path.write_bytes(b"\n".join([json.dumps(_record("a")).encode(), line, json.dumps(_record("b")).encode()]) + b"\n")
-        result = load_dataset(path)
-        assert [instance.instance_id for instance in result.split.instances] == ["a", "b"]
-        [rejection] = result.rejections
+        instances, [rejection] = _load(path)
+        assert [instance.instance_id for instance in instances] == ["a", "b"]
         (rejection.instance_id + rejection.reason).encode("utf-8")
 
 
@@ -425,7 +430,7 @@ class TestReadLabels:
         assert {instance_id for instance_id, label in labels.items() if label is None} == {
             instance_id for instance_id, given in given_labels.items() if len(given) > 1
         }
-        for instance in load_dataset(path, schema).split.instances:
+        for instance in _load(path, schema)[0]:
             if len(given_labels[instance.instance_id]) == 1:
                 assert labels[instance.instance_id] == (instance.gold_answer, instance.category)
 

@@ -66,13 +66,13 @@ def _long_passage(instance, rng: Random):
 def _corpus():
     rng = Random(606)
     instances = []
-    for index, instance in enumerate(helpers.synthetic_split(200, seed=606, id_prefix="dig").instances):
+    for index, instance in enumerate(helpers.synthetic_split(200, seed=606, id_prefix="dig")):
         if index % 25 == 3:
             instance = _non_ascii(instance)
         elif index % 6 == 1:
             instance = _long_passage(instance, rng)
         instances.append(instance)
-    pool = list(helpers.synthetic_split(12, seed=607, id_prefix="pool").instances)
+    pool = list(helpers.synthetic_split(12, seed=607, id_prefix="pool"))
     pool[4] = _non_ascii(pool[4])
     return instances, pool
 

@@ -14,12 +14,6 @@ from eventqa import promptkit
 from eventqa.corpus import Answer
 from eventqa.graphcore import verbalize_graph
 from eventqa.promptkit import (
-    SECTION_ANSWER,
-    SECTION_EXAMPLES,
-    SECTION_GRAPH,
-    SECTION_INSTRUCTION,
-    SECTION_QUESTION,
-    SECTION_TEXT,
     BudgetError,
     Demonstration,
     DemoPool,
@@ -28,18 +22,24 @@ from eventqa.promptkit import (
     PromptRecord,
     assemble_prompt,
     canonical_answer_sentence,
-    count_tokens,
     select_demonstrations,
     split_sentences,
 )
 from eventqa.vocab import (
     DEFAULT_DEMO_COUNT,
     PROMPT_ROW,
+    SECTION_ANSWER,
+    SECTION_EXAMPLES,
+    SECTION_GRAPH,
+    SECTION_INSTRUCTION,
+    SECTION_QUESTION,
+    SECTION_TEXT,
     Modality,
     PromptConfig,
     PromptError,
     Strategy,
     all_configs,
+    count_tokens,
     parse_selector,
 )
 
@@ -59,7 +59,7 @@ COMPONENT_MATRIX = {
 
 
 def _build(instance, config, pool=None, seed=0, budget=None):
-    demos = select_demonstrations(pool or DemoPool(), config, seed=seed, exclude_ids={instance.instance_id})
+    demos = select_demonstrations(pool or DemoPool(), config, seed=seed)
     verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
     return assemble_prompt(instance, config, demos, verbalized, budget=budget)
 
@@ -72,7 +72,7 @@ def _section(record, name):
 
 @pytest.fixture
 def demo_pool():
-    return DemoPool(helpers.synthetic_split(12, seed=41, id_prefix="pool").instances)
+    return DemoPool(helpers.synthetic_split(12, seed=41, id_prefix="pool"))
 
 
 class TestPromptConfig:
@@ -176,7 +176,7 @@ class TestAssembly:
 
     def test_tag_counts_dominate_single_modalities(self, demo_pool, synthetic_split):
         for strategy in Strategy:
-            for instance in synthetic_split.instances[:10]:
+            for instance in synthetic_split[:10]:
                 counts = {}
                 for modality in Modality:
                     config = PromptConfig(strategy, modality)
@@ -234,7 +234,7 @@ class TestTruncation:
     def test_truncation_never_raises_count(self, rally_instance, demo_pool):
         config = PromptConfig(Strategy.COT, Modality.TAG)
         record = _build(rally_instance, config, demo_pool)
-        demos = select_demonstrations(demo_pool, config, seed=0, exclude_ids={rally_instance.instance_id})
+        demos = select_demonstrations(demo_pool, config, seed=0)
         parts = helpers.prompt_parts_reference(
             rally_instance, config, demos, verbalize_graph(rally_instance.graph), template=_REFERENCE_TEMPLATE
         )
@@ -295,16 +295,9 @@ class TestDemonstrationSelection:
         with caplog.at_level("WARNING"):
             for seed in range(50):
                 for config in (PromptConfig(Strategy.FEW, Modality.TEXT), PromptConfig(Strategy.COT, Modality.GRAPH)):
-                    select_demonstrations(all_yes, config, seed=seed, exclude_ids={instances[seed % 4].instance_id})
+                    select_demonstrations(all_yes, config, seed=seed)
             select_demonstrations(again, PromptConfig(Strategy.FEW, Modality.TEXT), seed=0)
         assert sum("imbalanced" in message for message in caplog.messages) == 2
-
-    def test_exclusion_removes_eval_instance(self, demo_pool):
-        config = PromptConfig(Strategy.FEW, Modality.TEXT)
-        excluded = demo_pool[0].instance_id
-        for seed in range(6):
-            demos = select_demonstrations(demo_pool, config, seed=seed, exclude_ids={excluded})
-            assert demo_pool[0].question not in [d.question for d in demos]
 
     def test_insufficient_pool_fails(self, demo_pool):
         with pytest.raises(InsufficientPoolError):
@@ -338,19 +331,17 @@ def _pool_and_calls(draw):
         )
     )
     with_graph = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    instances = helpers.synthetic_split(size, seed=draw(st.integers(0, 1000)), id_prefix="pool").instances
+    instances = helpers.synthetic_split(size, seed=draw(st.integers(0, 1000)), id_prefix="pool")
     pool = [
         instance._replace(gold_answer=label, graph=instance.graph if graph else None)
         for instance, label, graph in zip(instances, labels, with_graph)
     ]
-    ids = [instance.instance_id for instance in pool]
     demo_counts = st.builds(
         PromptConfig, st.sampled_from([Strategy.FEW, Strategy.COT]), st.sampled_from(Modality), st.integers(1, 12)
     )
-    exclude = st.sets(st.sampled_from(ids + ["eval-0001", "eval-0002"]) if ids else st.just("eval-0001"), max_size=3)
     calls = draw(
         st.lists(
-            st.tuples(st.one_of(st.sampled_from(all_configs()), demo_counts), st.integers(0, 2**64 - 1), exclude),
+            st.tuples(st.one_of(st.sampled_from(all_configs()), demo_counts), st.integers(0, 2**64 - 1)),
             min_size=1,
             max_size=8,
         )
@@ -371,9 +362,9 @@ class TestDemoPool:
     def test_reused_pool_matches_reference(self, case):
         pool, calls = case
         prepared = DemoPool(pool)
-        for config, seed, exclude_ids in calls:
-            expected = _outcome(helpers.select_demonstrations_reference, pool, config, seed, exclude_ids)
-            assert _outcome(select_demonstrations, prepared, config, seed, exclude_ids) == expected
+        for config, seed in calls:
+            expected = _outcome(helpers.select_demonstrations_reference, pool, config, seed)
+            assert _outcome(select_demonstrations, prepared, config, seed) == expected
 
     def test_each_demo_rendered_once(self, demo_pool, monkeypatch):
         traced = []
@@ -381,7 +372,7 @@ class TestDemoPool:
         prepared = DemoPool(demo_pool)
         config = PromptConfig(Strategy.COT, Modality.GRAPH)
         first = select_demonstrations(prepared, config, seed=5)
-        again = select_demonstrations(prepared, config, seed=5, exclude_ids={"eval-0001"})
+        again = select_demonstrations(prepared, config, seed=5)
         assert again == first
         assert all(a is b for a, b in zip(first, again))
         assert len(traced) == DEFAULT_DEMO_COUNT
@@ -392,12 +383,12 @@ class TestLengthOrdering:
     @given(seed=st.integers(0, 1000))
     def test_strategy_ordering_per_instance_sample(self, seed):
         split = helpers.synthetic_split(6, seed=seed)
-        pool = DemoPool(helpers.synthetic_split(8, seed=seed + 1, id_prefix="pool").instances)
+        pool = DemoPool(helpers.synthetic_split(8, seed=seed + 1, id_prefix="pool"))
         for modality in Modality:
             means = {}
             for strategy in Strategy:
                 config = PromptConfig(strategy, modality)
-                counts = [_build(i, config, pool).token_count for i in split.instances]
+                counts = [_build(i, config, pool).token_count for i in split]
                 means[strategy] = sum(counts) / len(counts)
             assert means[Strategy.ZERO] < means[Strategy.FEW] < means[Strategy.COT]
 
@@ -485,8 +476,8 @@ class TestComposedCounts:
 
     def test_simple_counts_are_composed_without_a_full_count(self, rally_instance, demo_pool, monkeypatch):
         counted = []
-        original = promptkit._simple_count
-        monkeypatch.setattr(promptkit, "_simple_count", lambda text: counted.append(text) or original(text))
+        original = promptkit.count_tokens
+        monkeypatch.setattr(promptkit, "count_tokens", lambda text: counted.append(text) or original(text))
         promptkit._part_counts.cache_clear()
         config = PromptConfig(Strategy.COT, Modality.TAG)
         record = _build(rally_instance, config, demo_pool)

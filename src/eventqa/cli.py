@@ -164,20 +164,14 @@ def cmd_build(args) -> int:
             count += 1
             in_order = in_order and last_id < instance.instance_id
             last_id = instance.instance_id
-            verbalized = graphcore.verbalize_graph(instance.graph) if instance.graph is not None else None
+            graph = graphcore.verbalize_graph(instance.graph) if instance.graph is not None else None
             for config in by_selector:
-                if config.includes_graph and verbalized is None:
+                if config.includes_graph and graph is None:
                     raise CliError(f"instance {instance.instance_id!r} has no graph but {config.selector} needs one")
                 try:
                     seed = _derived_seed(args.seed, instance.instance_id, config.selector)
                     demos = promptkit.select_demonstrations(pool, config, seed)
-                    record = promptkit.assemble_prompt(
-                        instance,
-                        config,
-                        demos,
-                        verbalized if config.includes_graph else None,
-                        budget=args.context_limit,
-                    )
+                    record = promptkit.assemble_prompt(instance, config, demos, graph, budget=args.context_limit)
                 except promptkit.PromptError as exc:
                     raise CliError(f"building {config.selector} for instance {instance.instance_id!r}: {exc}") from exc
                 tally = tallies.setdefault(config.selector, [0, 0, 0])
@@ -309,8 +303,16 @@ def cmd_score(args) -> int:
         _, rows = manifest.read_ndjson(out / PREDICTIONS_FILE)
         report = evalkit.score(manifest.read_rows(evalkit.PREDICTION_ROW, rows, out / PREDICTIONS_FILE))
 
-    print(f"scored {sum(cell.n for cell in report.cells.values())} predictions -> {out / PREDICTIONS_FILE}")
+    scored = sum(cell.n for cell in report.cells.values())
+    print(f"scored {scored} predictions -> {out / PREDICTIONS_FILE}")
     print(evalkit.format_accuracy_table(report))
+    try:  # coverage of the build beside the responses: a partial run still scores, but says so
+        with open(out / PROMPTS_FILE, "rb") as handle:  # rows counted by newline, a chunk at a time, never decoded
+            newlines = sum(chunk.count(b"\n") for chunk in iter(lambda: handle.read(_HASH_CHUNK), b""))
+    except OSError:
+        print(f"coverage unknown: cannot read {out / PROMPTS_FILE}", file=sys.stderr)
+    else:
+        print(f"scored {scored} of {max(newlines - 1, 0)} prompts", file=sys.stderr)  # less the header line
     return 0
 
 

@@ -18,7 +18,16 @@ from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
 from .manifest import encodes_utf8
-from .vocab import DEFAULT_SCHEMA, Answer, CorpusError, DatasetFormatError, GraphKind, QuestionCategory, read_label
+from .vocab import (
+    DEFAULT_SCHEMA,
+    SECTION_HEADERS,
+    Answer,
+    CorpusError,
+    DatasetFormatError,
+    GraphKind,
+    QuestionCategory,
+    read_label,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -115,6 +124,11 @@ class QAInstance(NamedTuple):
             raise ValueError("empty question")
         for text, what in ((self.instance_id, "instance_id"), (self.passage, "passage"), (self.question, "question")):
             _check_unicode(text, what)
+        # The oracle finds a prompt's graph and question by their headers, so no passage or question may forge one.
+        for text, what in ((self.passage, "passage"), (self.question, "question")):
+            for header in SECTION_HEADERS.values():
+                if header in text:
+                    raise ValueError(f"{what} holds the section header {header!r}")
         if not isinstance(self.gold_answer, Answer):
             raise ValueError(f"gold answer must be yes or no, got {self.gold_answer!r}")
         if self.graph is not None:

@@ -10,6 +10,7 @@ ASCII double quotes. Sentences are emitted in topological order of their
 source nodes so causal flow reads forward; edges sharing a source stay
 contiguous in input order to keep references close together. Edges removed
 to break cycles are still verbalized, appended last in input order.
+``verbalize_graph`` returns the sentences, in that order, as a tuple.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ class StructuredQuery(NamedTuple):
     kind: QueryKind
     subject: str
     object: str | None = None
-
-
-class VerbalizedGraph(NamedTuple):
-    sentences: tuple[str, ...]
-    edge_order: tuple[CausalEdge, ...]
-    cycle_report: tuple[CausalEdge, ...]
 
 
 def _reaches(successors, start, goal) -> bool:
@@ -86,8 +81,15 @@ def _feedback_edge_indices(edges: list[tuple[int, int]], successors: list[list[i
     return removed[::-1]
 
 
-def _order(graph: CausalGraph) -> tuple[list[str], list[int]]:
-    """Node ids in topological order, and the input indices of set-aside edges."""
+def verbalize_edge(edge: CausalEdge, nodes: dict[str, EventNode]) -> str:
+    """Render one edge into its fixed-format sentence; ``nodes`` holds both endpoints, as in a validated graph."""
+    source, target = nodes[edge.source], nodes[edge.target]
+    verb = "enables" if edge.relation is Relation.ENABLES else "blocks"
+    return f'The event "{source.label}" {verb} the event "{target.label}".'
+
+
+def verbalize_graph(graph: CausalGraph) -> tuple[str, ...]:
+    """Serialize every edge into one sentence, topologically ordered by source, set-aside edges last."""
     index = {node.id: i for i, node in enumerate(graph.nodes)}
     edges = [(index[edge.source], index[edge.target]) for edge in graph.edges]
     successors: list[list[int]] = [[] for _ in graph.nodes]
@@ -101,38 +103,19 @@ def _order(graph: CausalGraph) -> tuple[list[str], list[int]]:
             in_degree[target] += 1
     # Ties are broken by input node order: the heap pops the lowest index.
     available = [i for i, degree in enumerate(in_degree) if degree == 0]
-    ordering: list[str] = []
+    rank: dict[int, int] = {}  # node index -> topological position
     while available:
         current = heapq.heappop(available)
-        ordering.append(graph.nodes[current].id)
+        rank[current] = len(rank)
         for nxt in successors[current]:
             in_degree[nxt] -= 1
             if in_degree[nxt] == 0:
                 heapq.heappush(available, nxt)
-    return ordering, removed
 
-
-def verbalize_edge(edge: CausalEdge, nodes: dict[str, EventNode]) -> str:
-    """Render one edge into its fixed-format sentence; ``nodes`` holds both endpoints, as in a validated graph."""
-    source, target = nodes[edge.source], nodes[edge.target]
-    verb = "enables" if edge.relation is Relation.ENABLES else "blocks"
-    return f'The event "{source.label}" {verb} the event "{target.label}".'
-
-
-def verbalize_graph(graph: CausalGraph) -> VerbalizedGraph:
-    """Serialize every edge into one sentence, topologically ordered by source."""
-    ordering, removed_indices = _order(graph)
-    position = {node_id: i for i, node_id in enumerate(ordering)}
-
-    set_aside = set(removed_indices)
-    retained = [i for i in range(len(graph.edges)) if i not in set_aside]
-    retained.sort(key=lambda i: (position[graph.edges[i].source], i))
-    emitted = tuple(graph.edges[i] for i in retained + removed_indices)
-
+    set_aside = set(removed)
+    retained = sorted((i for i in range(len(edges)) if i not in set_aside), key=lambda i: (rank[edges[i][0]], i))
     nodes = graph.node_table()
-    sentences = tuple(verbalize_edge(edge, nodes) for edge in emitted)
-    removed = tuple(graph.edges[i] for i in removed_indices)
-    return VerbalizedGraph(sentences=sentences, edge_order=emitted, cycle_report=removed)
+    return tuple(verbalize_edge(graph.edges[i], nodes) for i in retained + removed)
 
 
 _SENTENCE_RE = re.compile(r'^The event "(?P<source>.+?)" (?P<verb>enables|blocks) the event "(?P<target>.+?)"\.$')

@@ -27,7 +27,7 @@ from random import Random
 from typing import NamedTuple, Sequence
 
 from .corpus import QAInstance
-from .graphcore import VerbalizedGraph, verbalize_graph
+from .graphcore import verbalize_graph
 from .vocab import (
     SECTION_ANSWER,
     SECTION_EXAMPLES,
@@ -47,10 +47,6 @@ from .vocab import (
 logger = logging.getLogger(__name__)
 
 
-class PromptAssemblyError(PromptError):
-    pass
-
-
 class BudgetError(PromptError):
     pass
 
@@ -64,20 +60,19 @@ def canonical_answer_sentence(answer: Answer) -> str:
     return f"Therefore, the final answer is: {answer.value}"
 
 
-class Demonstration(namedtuple("Demonstration", "question answer source_modality reasoning_trace", defaults=[None])):
-    """A worked example: its question, its ``Answer``, the ``Modality`` it is shown in, and an optional trace."""
-
-    def rendered_answer(self) -> str:
-        # A trace stands in for the bare label; it already ends with the
-        # canonical answer sentence, which is what extraction keys on.
-        return self.reasoning_trace if self.reasoning_trace else self.answer.value
+class Demonstration(namedtuple("Demonstration", "question answer reasoning_trace", defaults=[None])):
+    """A worked example: its question, its ``Answer`` and an optional reasoning trace."""
 
     # Kept on the object, so a demonstration that a DemoPool hands to many
     # prompts is rendered and counted once.
     @cached_property
     def _text(self) -> str:
-        """The demonstration as it appears in the Examples section."""
-        return f"Question: {self.question}\nAnswer: {self.rendered_answer()}"
+        """The demonstration as it appears in the Examples section.
+
+        A trace stands in for the bare label; it already ends with the
+        canonical answer sentence, which is what extraction keys on.
+        """
+        return f"Question: {self.question}\nAnswer: {self.reasoning_trace or self.answer.value}"
 
     @cached_property
     def _simple_tokens(self) -> int:
@@ -169,14 +164,15 @@ def assemble_prompt(
     instance: QAInstance,
     config: PromptConfig,
     demos: Sequence[Demonstration] = (),
-    verbalized: VerbalizedGraph | None = None,
+    graph: tuple[str, ...] | None = None,
     *,
     budget: int | None = None,
 ) -> PromptRecord:
     """Build the prompt for one instance under one configuration, within ``budget`` tokens if one is given.
 
-    The verbalized graph must be supplied exactly when the modality includes
-    the graph; demonstrations must match the configured count and modality.
+    ``graph`` holds the instance's verbalized graph sentences; it is read
+    only when the modality includes the graph. ``demos`` are shown as
+    given: ``select_demonstrations`` draws the configured count.
     Assembly is pure: identical inputs give byte-identical prompt text.
 
     The prompt is held as a dict from section name to its parts, in
@@ -193,23 +189,11 @@ def assemble_prompt(
     longer than prose. The walk subtracts per-part counts, so it is linear,
     and the prompt is rendered once, after the cut.
     """
-    if config.includes_graph and verbalized is None:
-        raise PromptAssemblyError(f"{config.selector} requires a verbalized graph")
-    if not config.includes_graph and verbalized is not None:
-        raise PromptAssemblyError(f"{config.selector} does not take a graph")
-    if len(demos) != config.demo_count:
-        raise PromptAssemblyError(f"{config.selector} expects {config.demo_count} demonstrations, got {len(demos)}")
-    for demo in demos:
-        if demo.source_modality is not config.modality:
-            raise PromptAssemblyError(
-                f"demonstration modality {demo.source_modality.value} does not match {config.selector}"
-            )
-
     instruction = default_template()[config.modality.value]["with_examples" if config.includes_examples else "zero"]
     sections = {
         SECTION_INSTRUCTION: (instruction,),
         SECTION_TEXT: _passage_sentences(instance.passage) if config.includes_text else None,
-        SECTION_GRAPH: tuple(verbalized.sentences) if config.includes_graph else None,
+        SECTION_GRAPH: graph if config.includes_graph else None,
         SECTION_EXAMPLES: tuple(demo._text for demo in demos) or None,
         SECTION_QUESTION: (instance.question,),
     }
@@ -248,26 +232,23 @@ def assemble_prompt(
     )
 
 
-def _trace_for(instance: QAInstance, modality: Modality) -> str:
-    """Render a short worked rationale for a chain-of-thought demonstration."""
-    if modality in (Modality.GRAPH, Modality.TAG) and instance.graph is not None:
-        evidence = verbalize_graph(instance.graph).sentences[:2]
-    else:
-        evidence = split_sentences(instance.passage)[:2]
-    steps = " ".join(f"{i}. {sentence}" for i, sentence in enumerate(evidence, start=1))
-    prefix = f"Let's think step by step. {steps} " if steps else "Let's think step by step. "
-    return prefix + canonical_answer_sentence(instance.gold_answer)
+def _trace_for(instance: QAInstance, from_graph: bool) -> str:
+    """Render a short worked rationale for a chain-of-thought demonstration, from its graph or its passage."""
+    evidence = verbalize_graph(instance.graph)[:2] if from_graph else split_sentences(instance.passage)[:2]
+    steps = [f"{i}. {sentence}" for i, sentence in enumerate(evidence, start=1)]
+    return " ".join(["Let's think step by step.", *steps, canonical_answer_sentence(instance.gold_answer)])
 
 
 class DemoPool(tuple):
     """A demonstration pool prepared once and reused across prompts.
 
     Holds the pool's instances in order, their ids, and the positions of
-    the yes and the no instances. Each demonstration is rendered on first
-    use and kept, keyed by (position, modality, with trace). Its reasoning
-    trace is kept by (position, drawn from the graph), since the graph and
-    tag modalities draw the same evidence, so a pool graph is verbalized at
-    most once however many prompts draw it.
+    the yes and the no instances. A demonstration's text depends only on
+    its position, on whether it has a trace and, if so, on whether the
+    trace's evidence is the graph (graph and tag modalities, for an
+    instance with one). Each demonstration is built on first use and kept
+    under exactly that key, so modalities share it where its text is the
+    same, and a pool graph is verbalized at most once.
     """
 
     ids: frozenset[str]
@@ -280,29 +261,21 @@ class DemoPool(tuple):
         pool.yes_positions = tuple(i for i, instance in enumerate(pool) if instance.gold_answer is Answer.YES)
         pool.no_positions = tuple(i for i, instance in enumerate(pool) if instance.gold_answer is Answer.NO)
         pool._demos = {}
-        pool._traces = {}
         pool._warned = False  # that a draw found a single label
         return pool
 
     def demonstration(self, position: int, modality: Modality, with_trace: bool) -> Demonstration:
-        key = (position, modality, with_trace)
+        instance = self[position]
+        from_graph = with_trace and modality is not Modality.TEXT and instance.graph is not None
+        key = (position, with_trace, from_graph)
         demo = self._demos.get(key)
         if demo is None:
-            instance = self[position]
             demo = self._demos[key] = Demonstration(
                 question=instance.question,
                 answer=instance.gold_answer,
-                source_modality=modality,
-                reasoning_trace=self._trace(position, modality) if with_trace else None,
+                reasoning_trace=_trace_for(instance, from_graph) if with_trace else None,
             )
         return demo
-
-    def _trace(self, position: int, modality: Modality) -> str:
-        key = (position, modality is not Modality.TEXT)
-        trace = self._traces.get(key)
-        if trace is None:
-            trace = self._traces[key] = _trace_for(self[position], modality)
-        return trace
 
 
 def select_demonstrations(pool: DemoPool, config: PromptConfig, seed: int) -> list[Demonstration]:

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 import helpers
 from eventqa.corpus import Answer
-from eventqa.promptkit import Demonstration, Modality
+from eventqa.promptkit import Demonstration
 
 # A shared CI runner can be slow enough to trip the per-example deadline, and
 # a failure there should be reproducible from the log: the "ci" profile drops
@@ -30,16 +30,8 @@ def rally_instance():
 def worked_demos():
     """The two worked examples shipped in the graph chain-of-thought prompt."""
     return [
-        Demonstration(
-            question='Did "protest rally" happen after "riot police deployed"?',
-            answer=Answer.NO,
-            source_modality=Modality.GRAPH,
-        ),
-        Demonstration(
-            question='Did "music" cause "draws many people"?',
-            answer=Answer.YES,
-            source_modality=Modality.GRAPH,
-        ),
+        Demonstration(question='Did "protest rally" happen after "riot police deployed"?', answer=Answer.NO),
+        Demonstration(question='Did "music" cause "draws many people"?', answer=Answer.YES),
     ]
 
 

@@ -21,17 +21,16 @@ from eventqa.corpus import (
     sample_positions,
 )
 from eventqa.extract import UNPARSEABLE, ExtractedAnswer, ExtractedLabel, ExtractionMethod, _byte_span
-from eventqa.graphcore import VerbalizedGraph
+from eventqa.graphcore import verbalize_graph
 from eventqa.promptkit import (
     BudgetError,
     Demonstration,
     InsufficientPoolError,
     Modality,
-    PromptAssemblyError,
     PromptConfig,
     PromptError,
     PromptRecord,
-    _trace_for,
+    canonical_answer_sentence,
     split_sentences,
 )
 from eventqa.vocab import (
@@ -167,11 +166,11 @@ def order_reference(graph: CausalGraph) -> list[str]:
 
 
 def verbalized_order_reference(graph: CausalGraph) -> tuple[tuple[CausalEdge, ...], tuple[CausalEdge, ...]]:
-    """The ``edge_order`` and ``cycle_report`` that ``verbalize_graph`` must give.
+    """The edges in the order ``verbalize_graph`` must emit them, and those of them set aside to break cycles.
 
     The retained edges sorted by (their source's ``order_reference``
     position, input index), then the set-aside edges in input order, which
-    are also the cycle report.
+    are also the second value.
     """
     removed = feedback_removed_reference(graph)
     position = {node_id: i for i, node_id in enumerate(order_reference(graph))}
@@ -180,6 +179,12 @@ def verbalized_order_reference(graph: CausalGraph) -> tuple[tuple[CausalEdge, ..
     )
     cycle_report = tuple(graph.edges[i] for i in removed)
     return tuple(graph.edges[i] for i in retained) + cycle_report, cycle_report
+
+
+def render_edges(graph: CausalGraph, edges: Sequence[CausalEdge]) -> tuple[str, ...]:
+    """The grammar's sentence for each edge of ``graph`` in ``edges``, in that order."""
+    labels = {node.id: node.label for node in graph.nodes}
+    return tuple(f'The event "{labels[e.source]}" {e.relation.value} the event "{labels[e.target]}".' for e in edges)
 
 
 _PASSAGE_CLAUSES = (
@@ -294,6 +299,17 @@ def allocate_quotas_reference(sizes: list[int], total: int) -> list[int]:
     return counts
 
 
+def _trace_reference(instance: QAInstance, modality: Modality) -> str:
+    """A chain-of-thought demonstration's trace: two steps of graph evidence for graph and tag, else of passage."""
+    if modality in (Modality.GRAPH, Modality.TAG) and instance.graph is not None:
+        evidence = verbalize_graph(instance.graph)[:2]
+    else:
+        evidence = split_sentences(instance.passage)[:2]
+    steps = " ".join(f"{i}. {sentence}" for i, sentence in enumerate(evidence, start=1))
+    prefix = f"Let's think step by step. {steps} " if steps else "Let's think step by step. "
+    return prefix + canonical_answer_sentence(instance.gold_answer)
+
+
 # The selection as it was before DemoPool, kept as the reference that
 # select_demonstrations must match draw for draw.
 def select_demonstrations_reference(
@@ -334,14 +350,8 @@ def select_demonstrations_reference(
     demos = []
     for position in sorted(picked):  # stable pool order
         instance = pool[position]
-        demos.append(
-            Demonstration(
-                question=instance.question,
-                answer=instance.gold_answer,
-                source_modality=config.modality,
-                reasoning_trace=_trace_for(instance, config.modality) if config.include_reasoning_traces else None,
-            )
-        )
+        trace = _trace_reference(instance, config.modality) if config.include_reasoning_traces else None
+        demos.append(Demonstration(question=instance.question, answer=instance.gold_answer, reasoning_trace=trace))
     return demos
 
 
@@ -411,7 +421,7 @@ class ReferenceTemplate:
 
 
 def _render_demo(demo: Demonstration) -> str:
-    return f"Question: {demo.question}\nAnswer: {demo.rendered_answer()}"
+    return f"Question: {demo.question}\nAnswer: {demo.reasoning_trace or demo.answer.value}"
 
 
 def _byte_offset(text: str, char_offset: int) -> int:
@@ -460,32 +470,19 @@ def prompt_parts_reference(
     instance: QAInstance,
     config: PromptConfig,
     demos: Sequence[Demonstration] = (),
-    verbalized: VerbalizedGraph | None = None,
+    graph: tuple[str, ...] | None = None,
     *,
     template: ReferenceTemplate,
 ) -> PromptParts:
     """The parts of the full prompt for one instance under one configuration.
 
-    The verbalized graph must be supplied exactly when the modality includes
-    the graph; demonstrations must match the configured count and modality.
+    ``graph`` holds the verbalized graph sentences, read only when the modality includes the graph.
     """
-    if config.includes_graph and verbalized is None:
-        raise PromptAssemblyError(f"{config.selector} requires a verbalized graph")
-    if not config.includes_graph and verbalized is not None:
-        raise PromptAssemblyError(f"{config.selector} does not take a graph")
-    if len(demos) != config.demo_count:
-        raise PromptAssemblyError(f"{config.selector} expects {config.demo_count} demonstrations, got {len(demos)}")
-    for demo in demos:
-        if demo.source_modality is not config.modality:
-            raise PromptAssemblyError(
-                f"demonstration modality {demo.source_modality.value} does not match {config.selector}"
-            )
-
     return PromptParts(
         instruction=template.instruction_for(config.modality, config.includes_examples),
         question=instance.question,
         passage_sentences=split_sentences(instance.passage) if config.includes_text else None,
-        graph_sentences=tuple(verbalized.sentences) if config.includes_graph else None,
+        graph_sentences=graph if config.includes_graph else None,
         demos=tuple(demos),
     )
 
@@ -494,7 +491,7 @@ def assemble_prompt_reference(
     instance: QAInstance,
     config: PromptConfig,
     demos: Sequence[Demonstration] = (),
-    verbalized: VerbalizedGraph | None = None,
+    graph: tuple[str, ...] | None = None,
     *,
     budget: int | None = None,
     template: ReferenceTemplate,
@@ -503,7 +500,7 @@ def assemble_prompt_reference(
 
     Assembly is pure: identical inputs give byte-identical prompt text.
     """
-    parts = prompt_parts_reference(instance, config, demos, verbalized, template=template)
+    parts = prompt_parts_reference(instance, config, demos, graph, template=template)
     prompt_text, sections = render_reference(parts, template)
     record = PromptRecord(
         instance_id=instance.instance_id,

@@ -98,15 +98,14 @@ EXPECTED_TAG_COT_PROMPT = (
 
 def test_criterion_01_template_fidelity(rally_instance, worked_demos):
     started = time.monotonic()
-    verbalized = verbalize_graph(rally_instance.graph)
+    graph = verbalize_graph(rally_instance.graph)
 
     graph_cot = PromptConfig(Strategy.COT, Modality.GRAPH, demo_count=2)
-    record = assemble_prompt(rally_instance, graph_cot, worked_demos, verbalized)
+    record = assemble_prompt(rally_instance, graph_cot, worked_demos, graph)
     assert record.prompt_text == EXPECTED_GRAPH_COT_PROMPT
 
-    tag_demos = [d._replace(source_modality=Modality.TAG) for d in worked_demos]
     tag_cot = PromptConfig(Strategy.COT, Modality.TAG, demo_count=2)
-    tag_record = assemble_prompt(rally_instance, tag_cot, tag_demos, verbalized)
+    tag_record = assemble_prompt(rally_instance, tag_cot, worked_demos, graph)
     assert tag_record.prompt_text == EXPECTED_TAG_COT_PROMPT
 
     # Structure: the text section slots in after the instruction, all other
@@ -136,13 +135,11 @@ def test_criterion_02_component_matrix(rally_instance):
         ("cot", "tag"): (True, True, True),
     }
     pool = DemoPool(helpers.synthetic_split(8, seed=23, id_prefix="pool"))
-    verbalized = verbalize_graph(rally_instance.graph)
+    graph = verbalize_graph(rally_instance.graph)
     checks = 0
     for config in all_configs():
         demos = select_demonstrations(pool, config, seed=1)
-        record = assemble_prompt(
-            rally_instance, config, demos, verbalized if config.includes_graph else None
-        )
+        record = assemble_prompt(rally_instance, config, demos, graph)
         has = (
             "Text" in record.sections,
             "Graph" in record.sections,
@@ -231,11 +228,11 @@ def test_criterion_03_extraction_conformance():
 def test_criterion_04_oracle_ground_truth(rally_instance, worked_demos):
     started = time.monotonic()
     spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
-    verbalized = verbalize_graph(rally_instance.graph)
+    graph = verbalize_graph(rally_instance.graph)
     expected = {worked_demos[0].question: "no", worked_demos[1].question: "yes"}
     for question, answer in expected.items():
         instance = rally_instance._replace(question=question)
-        record = assemble_prompt(instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], verbalized)
+        record = assemble_prompt(instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], graph)
         response = complete(spec, record.prompt_text, record.token_count, 8)
         assert response.raw_text == answer
 
@@ -268,23 +265,24 @@ def test_criterion_05_verbalization_round_trip():
     acyclic_checked = 0
     for _ in range(1000):
         graph = helpers.random_graph(rng, max_nodes=8, acyclic=True)
-        verbalized = verbalize_graph(graph)
-        rebuilt = graph_from_sentences(list(verbalized.sentences))
+        sentences = verbalize_graph(graph)
+        rebuilt = graph_from_sentences(list(sentences))
         labels = graph.node_table()
         expected = Counter((labels[e.source].label, e.relation, labels[e.target].label) for e in graph.edges)
         assert Counter((e.source, e.relation, e.target) for e in rebuilt.edges) == expected
-        assert verbalized.cycle_report == ()
+        order, set_aside = helpers.verbalized_order_reference(graph)
+        assert set_aside == ()
         assert_valid_topology(graph, helpers.order_reference(graph), [])
-        assert (verbalized.edge_order, verbalized.cycle_report) == helpers.verbalized_order_reference(graph)
+        assert sentences == helpers.render_edges(graph, order)
         acyclic_checked += 1
     assert acyclic_checked == 1000
 
     cyclic_checked = 0
     while cyclic_checked < 200:
         graph = helpers.random_graph(rng, max_nodes=6, max_edges=10)
-        verbalized = verbalize_graph(graph)
-        assert (verbalized.edge_order, verbalized.cycle_report) == helpers.verbalized_order_reference(graph)
-        if verbalized.cycle_report:
+        order, set_aside = helpers.verbalized_order_reference(graph)
+        assert verbalize_graph(graph) == helpers.render_edges(graph, order)
+        if set_aside:
             cyclic_checked += 1
     _report(5, "round-trip on 1000 acyclic graphs; feedback counts match on 200 cyclic", started, 10.0)
 
@@ -298,8 +296,8 @@ def test_criterion_06_token_length_ordering(synthetic_split):
         counts = []
         for instance in synthetic_split:
             demos = select_demonstrations(pool, config, seed=4)
-            verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
-            counts.append(assemble_prompt(instance, config, demos, verbalized).token_count)
+            graph = verbalize_graph(instance.graph) if config.includes_graph else None
+            counts.append(assemble_prompt(instance, config, demos, graph).token_count)
         means[(config.strategy, config.modality)] = sum(counts) / len(counts)
 
     for modality in Modality:

@@ -280,7 +280,7 @@ class TestOracleBackend:
         assert replies == {("yes", ())}
         assert len(parses) == 1
 
-        malformed = record.prompt_text.replace(verbalized.sentences[0], "this is not an edge sentence", 1)
+        malformed = record.prompt_text.replace(verbalized[0], "this is not an edge sentence", 1)
         request = malformed, count_tokens(malformed), 8
         replies = {(r.raw_text, r.flags) for r in (complete(spec, *request) for _ in range(3))}
         assert replies == {("no", ("unparsed",))}

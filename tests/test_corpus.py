@@ -19,7 +19,7 @@ from eventqa.corpus import (
     _allocate_quotas,
     read_dataset,
 )
-from eventqa.vocab import DEFAULT_SCHEMA, SCHEMA, Answer, load_schema, read_label, read_labels
+from eventqa.vocab import DEFAULT_SCHEMA, SCHEMA, SECTION_HEADERS, Answer, load_schema, read_label, read_labels
 
 
 def _write(path, records):
@@ -128,6 +128,20 @@ class TestLoadDataset:
         _write(path, [record])
         instances, _ = _load(path)
         assert not instances
+
+    @pytest.mark.parametrize("field", ["passage", "question"])
+    @pytest.mark.parametrize("header", SECTION_HEADERS.values())
+    def test_section_header_in_passage_or_question_rejected(self, tmp_path, field, header):
+        """A prompt is split at its headers, so a passage or question may not carry one into it."""
+        path = tmp_path / "data.ndjson"
+        forged = f'Intro {header}\nThe event "a" blocks the event "b".'
+        _write(path, [_record("ok"), _record("bad", **{field: forged})])
+        instances, rejections = _load(path)
+        assert [i.instance_id for i in instances] == ["ok"]
+        reason = f"{field} holds the section header {header!r}"
+        assert [(r.instance_id, r.reason) for r in rejections] == [("bad", reason)]
+        with pytest.raises(DatasetFormatError, match=f"{field} holds the section header"):
+            _load(path, strict=True)
 
     def test_schema_descriptor_renames_fields(self, tmp_path):
         record = _record("a")

@@ -106,12 +106,11 @@ class TestTopologicalOrder:
             (CausalEdge("music", "draw", Relation.ENABLES), CausalEdge("draw", "gather", Relation.ENABLES)),
         )
         assert helpers.order_reference(graph) == ["music", "draw", "gather"]
-        verbalized = verbalize_graph(graph)
-        assert verbalized.edge_order == graph.edges
-        assert verbalized.cycle_report == ()
+        assert helpers.verbalized_order_reference(graph) == (graph.edges, ())
+        assert verbalize_graph(graph) == helpers.render_edges(graph, graph.edges)
 
     def test_empty_graph(self):
-        assert verbalize_graph(CausalGraph("empty", GraphKind.INSTANCE, (), ())) == ((), (), ())
+        assert verbalize_graph(CausalGraph("empty", GraphKind.INSTANCE, (), ())) == ()
 
     def test_two_cycle_removes_later_edge(self):
         graph = CausalGraph(
@@ -125,24 +124,24 @@ class TestTopologicalOrder:
         for drop in (0, 1):
             kept = graph.edges[1 - drop]
             assert not helpers.has_cycle_through([kept], kept)
-        verbalized = verbalize_graph(graph)
-        assert verbalized.cycle_report == (graph.edges[1],)
-        assert verbalized.edge_order == graph.edges
+        assert helpers.verbalized_order_reference(graph) == (graph.edges, (graph.edges[1],))
+        # Setting the first edge aside instead would emit "b enables a" first.
+        assert verbalize_graph(graph) == helpers.render_edges(graph, graph.edges)
         assert helpers.order_reference(graph) == ["a", "b"]
 
     def test_figure1_order_matches_expected(self, rally_graph):
-        verbalized = verbalize_graph(rally_graph)
-        assert verbalized.cycle_report == ()
-        assert verbalized.edge_order[0].source == "riot_police_deployed"
+        order, set_aside = helpers.verbalized_order_reference(rally_graph)
+        assert set_aside == ()
+        assert order[0].source == "riot_police_deployed"
         assert_valid_topology(rally_graph, helpers.order_reference(rally_graph), [])
-        assert (verbalized.edge_order, verbalized.cycle_report) == helpers.verbalized_order_reference(rally_graph)
+        assert verbalize_graph(rally_graph) == helpers.render_edges(rally_graph, order)
 
     @settings(max_examples=300, deadline=None)
     @given(graph=st.one_of(graphs(), dense_multigraphs))
     def test_ordering_always_valid_and_removals_match_reference(self, graph):
-        verbalized = verbalize_graph(graph)
-        assert_valid_topology(graph, helpers.order_reference(graph), list(verbalized.cycle_report))
-        assert (verbalized.edge_order, verbalized.cycle_report) == helpers.verbalized_order_reference(graph)
+        order, set_aside = helpers.verbalized_order_reference(graph)
+        assert_valid_topology(graph, helpers.order_reference(graph), list(set_aside))
+        assert verbalize_graph(graph) == helpers.render_edges(graph, order)
 
     def test_large_cyclic_graph_verbalizes_quickly(self):
         rng = Random(160)
@@ -151,15 +150,18 @@ class TestTopologicalOrder:
         edges = tuple(CausalEdge(f"n{s}", f"n{t}", Relation.ENABLES) for s, t in pairs)
         graph = CausalGraph("large", GraphKind.INSTANCE, nodes, edges)
         started = time.perf_counter()
-        verbalized = verbalize_graph(graph)
+        sentences = verbalize_graph(graph)
         elapsed = time.perf_counter() - started
-        assert verbalized.cycle_report
+        assert len(sentences) == len(edges)
         assert elapsed < 0.25, f"V=160, E=320 took {elapsed:.3f}s"
 
     @settings(max_examples=100, deadline=None)
     @given(graph=graphs(acyclic=True))
     def test_acyclic_graphs_lose_nothing(self, graph):
-        assert verbalize_graph(graph).cycle_report == ()
+        # No edge is set aside: every edge is emitted in its source's topological place.
+        position = {node_id: i for i, node_id in enumerate(helpers.order_reference(graph))}
+        order = sorted(graph.edges, key=lambda edge: position[edge.source])  # stable: input order within a source
+        assert verbalize_graph(graph) == helpers.render_edges(graph, order)
 
 
 class TestVerbalization:
@@ -190,9 +192,7 @@ class TestVerbalization:
             graph.validate()
 
     def test_figure1_emits_six_sentences_in_appendix_order(self, rally_graph):
-        verbalized = verbalize_graph(rally_graph)
-        assert verbalized.sentences == helpers.RALLY_GRAPH_SENTENCES
-        assert verbalized.cycle_report == ()
+        assert verbalize_graph(rally_graph) == helpers.RALLY_GRAPH_SENTENCES
 
     def test_single_edge_graph(self):
         graph = CausalGraph(
@@ -201,8 +201,7 @@ class TestVerbalization:
             (EventNode("a", "first step"), EventNode("b", "second step")),
             (CausalEdge("a", "b", Relation.ENABLES),),
         )
-        verbalized = verbalize_graph(graph)
-        assert verbalized.sentences == ('The event "first step" enables the event "second step".',)
+        assert verbalize_graph(graph) == ('The event "first step" enables the event "second step".',)
 
     def test_shuffled_edge_input_still_topological(self, rally_graph):
         # Brute-force the set of emissions that respect topology: an edge may
@@ -220,19 +219,16 @@ class TestVerbalization:
         edges = list(rally_graph.edges)
         rng.shuffle(edges)
         shuffled = CausalGraph("shuffled", GraphKind.INSTANCE, rally_graph.nodes, tuple(edges))
-        verbalized = verbalize_graph(shuffled)
-        original = verbalize_graph(rally_graph)
-        assert Counter(verbalized.sentences) == Counter(original.sentences)
+        sentences = verbalize_graph(shuffled)
+        assert Counter(sentences) == Counter(verbalize_graph(rally_graph))
         valid = [order for order in permutations(shuffled.edges) if valid_emission(list(order))]
-        assert tuple(verbalized.edge_order) in set(valid)
+        assert sentences in {helpers.render_edges(shuffled, order) for order in valid}
 
     def test_every_edge_yields_exactly_one_sentence(self, rally_graph):
-        verbalized = verbalize_graph(rally_graph)
-        assert len(verbalized.sentences) == len(rally_graph.edges)
+        assert len(verbalize_graph(rally_graph)) == len(rally_graph.edges)
 
     def test_round_trip_parse(self, rally_graph):
-        verbalized = verbalize_graph(rally_graph)
-        rebuilt = graph_from_sentences(list(verbalized.sentences))
+        rebuilt = graph_from_sentences(list(verbalize_graph(rally_graph)))
         labels = rally_graph.node_table()
         expected = Counter(
             (labels[e.source].label, e.relation, labels[e.target].label) for e in rally_graph.edges
@@ -247,8 +243,7 @@ class TestVerbalization:
     @settings(max_examples=200, deadline=None)
     @given(graph=graphs())
     def test_round_trip_recovers_edge_multiset(self, graph):
-        verbalized = verbalize_graph(graph)
-        rebuilt = graph_from_sentences(list(verbalized.sentences))
+        rebuilt = graph_from_sentences(list(verbalize_graph(graph)))
         labels = graph.node_table()
         expected = Counter((labels[e.source].label, e.relation, labels[e.target].label) for e in graph.edges)
         got = Counter((e.source, e.relation, e.target) for e in rebuilt.edges)
@@ -257,10 +252,11 @@ class TestVerbalization:
     @settings(max_examples=100, deadline=None)
     @given(graph=graphs())
     def test_edges_sharing_source_stay_contiguous_in_input_order(self, graph):
-        verbalized = verbalize_graph(graph)
+        order, set_aside = helpers.verbalized_order_reference(graph)
+        assert verbalize_graph(graph) == helpers.render_edges(graph, order)
         # Cycle-removed edges sit at the tail; the retained prefix must keep
         # same-source edges contiguous.
-        retained = verbalized.edge_order[: len(verbalized.edge_order) - len(verbalized.cycle_report)]
+        retained = order[: len(order) - len(set_aside)]
         seen_sources: list[str] = []
         for edge in retained:
             if seen_sources and seen_sources[-1] == edge.source:

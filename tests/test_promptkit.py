@@ -18,7 +18,6 @@ from eventqa.promptkit import (
     Demonstration,
     DemoPool,
     InsufficientPoolError,
-    PromptAssemblyError,
     PromptRecord,
     assemble_prompt,
     canonical_answer_sentence,
@@ -147,25 +146,6 @@ class TestAssembly:
         for name, (start, end) in record.sections.items():
             chunk = data[start:end].decode("utf-8")
             assert chunk.startswith(f"### {name} ###")
-
-    def test_graph_required_for_graph_modality(self, rally_instance):
-        with pytest.raises(PromptAssemblyError):
-            assemble_prompt(rally_instance, PromptConfig(Strategy.ZERO, Modality.GRAPH), [], None)
-
-    def test_graph_rejected_for_text_modality(self, rally_instance):
-        verbalized = verbalize_graph(rally_instance.graph)
-        with pytest.raises(PromptAssemblyError):
-            assemble_prompt(rally_instance, PromptConfig(Strategy.ZERO, Modality.TEXT), [], verbalized)
-
-    def test_demo_count_enforced(self, rally_instance, worked_demos):
-        config = PromptConfig(Strategy.COT, Modality.GRAPH)  # expects 3
-        with pytest.raises(PromptAssemblyError):
-            assemble_prompt(rally_instance, config, worked_demos, verbalize_graph(rally_instance.graph))
-
-    def test_demo_modality_enforced(self, rally_instance, worked_demos):
-        config = PromptConfig(Strategy.COT, Modality.TAG, demo_count=2)
-        with pytest.raises(PromptAssemblyError):
-            assemble_prompt(rally_instance, config, worked_demos, verbalize_graph(rally_instance.graph))
 
     def test_assembly_is_pure(self, rally_instance, demo_pool):
         config = PromptConfig(Strategy.COT, Modality.TAG)
@@ -368,7 +348,7 @@ class TestDemoPool:
 
     def test_each_demo_rendered_once(self, demo_pool, monkeypatch):
         traced = []
-        monkeypatch.setattr(promptkit, "_trace_for", lambda instance, modality: traced.append(instance) or "trace")
+        monkeypatch.setattr(promptkit, "_trace_for", lambda instance, from_graph: traced.append(instance) or "trace")
         prepared = DemoPool(demo_pool)
         config = PromptConfig(Strategy.COT, Modality.GRAPH)
         first = select_demonstrations(prepared, config, seed=5)
@@ -376,6 +356,24 @@ class TestDemoPool:
         assert again == first
         assert all(a is b for a, b in zip(first, again))
         assert len(traced) == DEFAULT_DEMO_COUNT
+
+
+    def test_modalities_share_each_distinct_demonstration(self, demo_pool):
+        graphless = DemoPool([demo_pool[0]._replace(graph=None)])
+        for position, instance in enumerate(demo_pool):
+            assert instance.graph is not None
+            few = demo_pool.demonstration(position, Modality.TEXT, False)
+            assert demo_pool.demonstration(position, Modality.TAG, False) is few
+            assert demo_pool.demonstration(position, Modality.GRAPH, False) is few
+            # A trace differs only by where its evidence comes from: the graph for graph and tag.
+            cot = demo_pool.demonstration(position, Modality.GRAPH, True)
+            assert demo_pool.demonstration(position, Modality.TAG, True) is cot
+            assert demo_pool.demonstration(position, Modality.TEXT, True) is not cot
+            assert demo_pool.demonstration(position, Modality.TEXT, True) != cot
+        # Without a graph every modality's trace draws on the passage, so it is one demonstration.
+        cot = graphless.demonstration(0, Modality.TEXT, True)
+        assert graphless.demonstration(0, Modality.GRAPH, True) is cot
+        assert graphless.demonstration(0, Modality.TAG, True) is cot
 
 
 class TestLengthOrdering:
@@ -430,7 +428,6 @@ def _prompt_case(draw):
         Demonstration(
             question=draw(sentence),
             answer=draw(st.sampled_from(Answer)),
-            source_modality=config.modality,
             reasoning_trace=draw(st.one_of(st.none(), sentence)) if config.include_reasoning_traces else None,
         )
         for _ in range(config.demo_count)

@@ -4,10 +4,11 @@ Three kinds. ``HTTP_CHAT`` speaks the OpenAI-compatible chat-completions
 dialect (one user message, greedy decoding) with exponential backoff on
 transient failures. ``MOCK`` replays scripted responses keyed by a content
 hash of the prompt, for fixtures and offline tests. ``ORACLE`` is the
-non-LLM baseline: it re-parses the verbalized graph out of the prompt,
-matches the question against a small fixed grammar, and answers by graph
-reasoning alone. Questions outside the grammar get the fixed answer "no"
-and an ``unparsed`` flag; they are never dropped.
+non-LLM baseline: it cuts the graph and question sections out of the
+prompt, rebuilds the graph from its sentences, and asks
+``graphcore.oracle_answer``, which answers from the graph alone. Questions
+outside that grammar get the fixed answer "no" and an ``unparsed`` flag;
+they are never dropped.
 
 API keys come from the environment variable named in the backend spec
 (default ``TAGEQA_API_KEY``) and are never written to manifests.
@@ -33,14 +34,7 @@ from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 from . import EventQAError, manifest
-from .graphcore import (
-    CausalGraph,
-    QueryKind,
-    StructuredQuery,
-    VerbalizationParseError,
-    graph_from_sentences,
-    oracle_answer,
-)
+from .graphcore import VerbalizationParseError, graph_from_sentences, oracle_answer
 from .manifest import INTEGER, NUMBER, STRING, Reader, _shown, encodes_utf8, kept, one_of
 from .vocab import (
     COUNT,
@@ -196,17 +190,7 @@ def prompt_fingerprint(prompt_text: str) -> str:
     return manifest.sha256(prompt_text.encode("utf-8")).hexdigest()
 
 
-# --- oracle question grammar ---------------------------------------------------
-
-# Each question form: its pattern, the query it asks of the labels it
-# quotes, and whether they are asked in reverse with the answer negated.
-# Forms are tried in order; the first that matches decides.
-_QUESTION_FORMS = (
-    (re.compile(r'^Did "(.+?)" cause "(.+?)"\?$'), QueryKind.CAUSES, False),
-    (re.compile(r'^Did "(.+?)" block "(.+?)"\?$'), QueryKind.DIRECT_BLOCKS, False),
-    (re.compile(r'^Did "(.+?)" happen after "(.+?)"\?$'), QueryKind.DIRECT_BLOCKS, True),
-    (re.compile(r'^Did "(.+?)" (?:happen|occur)\?$'), QueryKind.OCCURRED, False),
-)
+# --- oracle ----------------------------------------------------------------------
 
 
 def _section(text: str, header: str, end: str) -> str | None:
@@ -217,35 +201,6 @@ def _section(text: str, header: str, end: str) -> str | None:
     start += len(header)
     stop = text.find(end, start)
     return None if stop < 0 else text[start:stop]
-
-
-def _resolve_label(span: str, graph: CausalGraph) -> str | None:
-    labels = [node.label for node in graph.nodes]
-    if span in labels:
-        return span
-    prefixed = [label for label in labels if label.startswith(span)]
-    if len(prefixed) == 1:
-        return prefixed[0]
-    containing = [label for label in labels if span in label]
-    if len(containing) == 1:
-        return containing[0]
-    return None
-
-
-def parse_oracle_question(question: str, graph: CausalGraph) -> tuple[StructuredQuery, bool] | None:
-    """Map a grammar question to (query, negate). None means unparsed.
-
-    "Did X happen after Y?" asks whether X went ahead despite Y, so it maps
-    to a direct-blocking test of Y against X with the answer negated.
-    """
-    for pattern, kind, reverse in _QUESTION_FORMS:
-        match = pattern.match(question)
-        if match:
-            labels = [_resolve_label(span, graph) for span in match.groups()]
-            if None in labels:
-                return None
-            return StructuredQuery(kind, *(labels[::-1] if reverse else labels)), reverse
-    return None
 
 
 # Six of the nine configurations of an instance carry the same graph section
@@ -264,15 +219,8 @@ def _section_reply(section: str, question: str) -> tuple[str, tuple[str, ...]]:
     A section that does not parse raises ``VerbalizationParseError``,
     which ``lru_cache`` does not keep, so it is raised anew on every call.
     """
-    graph = graph_from_sentences(section.splitlines())
-    parsed = parse_oracle_question(question, graph)
-    if parsed is None:
-        return Answer.NO.value, ("unparsed",)
-    query, negate = parsed
-    answer = oracle_answer(graph, query)
-    if negate:
-        answer = Answer.NO if answer is Answer.YES else Answer.YES
-    return answer.value, ()
+    answer = oracle_answer(graph_from_sentences(section.splitlines()), question)
+    return (Answer.NO.value, ("unparsed",)) if answer is None else (answer.value, ())
 
 
 _GRAPH_HEADER = SECTION_HEADERS[SECTION_GRAPH] + "\n"

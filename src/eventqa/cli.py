@@ -152,6 +152,7 @@ def cmd_build(args) -> int:
     # read in ascending id order are in manifest order and each is written
     # as soon as it is made; any other order is sorted on disk once written.
     by_selector = sorted(configs, key=lambda c: c.selector)
+    shows_graph = any(config.includes_graph for config in configs)
     tallies: dict[str, list[int]] = {}  # selector -> [prompts, tokens, truncated prompts]
     count, last_id, in_order = 0, "", True  # instance ids are never empty
 
@@ -164,7 +165,7 @@ def cmd_build(args) -> int:
             count += 1
             in_order = in_order and last_id < instance.instance_id
             last_id = instance.instance_id
-            graph = graphcore.verbalize_graph(instance.graph) if instance.graph is not None else None
+            graph = graphcore.verbalize_graph(instance.graph) if shows_graph and instance.graph is not None else None
             for config in by_selector:
                 if config.includes_graph and graph is None:
                     raise CliError(f"instance {instance.instance_id!r} has no graph but {config.selector} needs one")
@@ -374,7 +375,8 @@ def cmd_cost(args) -> int:
     config_payload = {"stage": "cost", "prompts_hash": prompts_header["config_hash"], "model": args.model}
     header = manifest.make_header("cost", 0, config_payload)
     payload = {manifest.HEADER_KEY: header, "estimate": estimate.to_dict(), "pricing_label": pricing.label}
-    (out / "cost.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with manifest.writing(out / "cost.json"):
+        (out / "cost.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"projected cost for {args.model}: ${estimate.display_cost} -> {out / 'cost.json'}")
     return 0
 

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import EventQAError
 from .extract import ExtractedAnswer, ExtractedLabel, ExtractionMethod
-from .manifest import HEADER_KEY, STRING, Reader, csv_header_line, one_of
+from .manifest import HEADER_KEY, STRING, Reader, csv_header_line, one_of, writing
 from .vocab import ALL_CATEGORIES, CONFIG, INSTANCE_ID, Answer, Modality, PromptConfig, QuestionCategory, Strategy
 
 
@@ -188,8 +188,9 @@ def emit_report(report: AccuracyReport, out: str | Path, header: dict) -> list[P
 
     json_path, csv_path = out / "report.json", out / "report.csv"
     payload = {HEADER_KEY: header, "cells": config_rows, "cluster_cells": cluster_rows}
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+    with writing(json_path):
+        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with writing(csv_path), open(csv_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(csv_header_line(header) + "\n")
         writer = csv.DictWriter(handle, fieldnames=list(config_rows[0]))
         writer.writeheader()
@@ -216,7 +217,7 @@ def emit_plot_data(report: AccuracyReport, out: str | Path, header: dict) -> lis
     paths = []
     for series_name, group_name in (("strategy", "modality"), ("modality", "strategy")):
         path = Path(out) / f"plot_by_{series_name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with writing(path), open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(csv_header_line(header) + "\n")
             writer = csv.writer(handle)
             writer.writerow(["backend", group_name, "category", series_name, "n", "accuracy"])

@@ -1,4 +1,4 @@
-"""Causal-graph verbalization and deterministic causal queries.
+"""Causal-graph verbalization, and the causal queries the oracle asks of a graph.
 
 Verbalization grammar (fixed, documented for round-tripping):
 
@@ -11,6 +11,9 @@ source nodes so causal flow reads forward; edges sharing a source stay
 contiguous in input order to keep references close together. Edges removed
 to break cycles are still verbalized, appended last in input order.
 ``verbalize_graph`` returns the sentences, in that order, as a tuple.
+
+The oracle's questions are the forms of ``_QUESTION_FORMS``, each naming
+the query it asks; ``oracle_answer`` runs it on the events a question names.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from __future__ import annotations
 import heapq
 import re
 from collections import defaultdict
-from enum import Enum
-from typing import NamedTuple
+from typing import Callable
 
 from .corpus import CausalEdge, CausalGraph, EventNode, Relation
 from .vocab import Answer, GraphKind
@@ -27,18 +29,6 @@ from .vocab import Answer, GraphKind
 
 class VerbalizationParseError(Exception):
     """Raised when a line does not match the edge-sentence grammar."""
-
-
-class QueryKind(Enum):
-    CAUSES = "causes"
-    DIRECT_BLOCKS = "direct_blocks"
-    OCCURRED = "occurred"
-
-
-class StructuredQuery(NamedTuple):
-    kind: QueryKind
-    subject: str
-    object: str | None = None
 
 
 def _reaches(successors, start, goal) -> bool:
@@ -143,15 +133,6 @@ def graph_from_sentences(sentences: list[str]) -> CausalGraph:
     return CausalGraph(graph_id="parsed", kind=GraphKind.INSTANCE, nodes=tuple(nodes.values()), edges=tuple(edges))
 
 
-def _enables_reachable(graph: CausalGraph, start: str, goal: str) -> bool:
-    # Reflexive by convention: every event causes itself via the empty chain.
-    adjacency: defaultdict[str, list[str]] = defaultdict(list)
-    for edge in graph.edges:
-        if edge.relation is Relation.ENABLES:
-            adjacency[edge.source].append(edge.target)
-    return _reaches(adjacency, start, goal)
-
-
 def occurred_set(graph: CausalGraph) -> set[str]:
     """Events still standing after blocking is applied, as a fixpoint.
 
@@ -179,22 +160,68 @@ def occurred_set(graph: CausalGraph) -> set[str]:
     return state
 
 
-def oracle_answer(graph: CausalGraph, query: StructuredQuery) -> Answer:
-    """Answer a structured causal query from the graph alone.
+# --- the oracle's queries, on node ids, which are labels in a rebuilt graph -------
 
-    CAUSES follows enables-chains (reflexively); DIRECT_BLOCKS tests for a
-    single blocking edge, with no transitivity; OCCURRED runs the blocking
-    fixpoint of ``occurred_set``. The query's ids come from ``graph``:
-    ``backends.parse_oracle_question`` resolves each one to a node of the
-    graph it then queries, so none is looked up here.
-    """
-    if query.kind is QueryKind.OCCURRED:
-        return Answer.YES if query.subject in occurred_set(graph) else Answer.NO
-    if query.kind is QueryKind.CAUSES:
-        hit = _enables_reachable(graph, query.subject, query.object)
-    else:
-        hit = any(
-            edge.relation is Relation.BLOCKS and edge.source == query.subject and edge.target == query.object
-            for edge in graph.edges
-        )
-    return Answer.YES if hit else Answer.NO
+
+def causes(graph: CausalGraph, cause: str, effect: str) -> bool:
+    """Whether an enables-chain leads from ``cause`` to ``effect``; reflexive: every event causes itself."""
+    adjacency: defaultdict[str, list[str]] = defaultdict(list)
+    for edge in graph.edges:
+        if edge.relation is Relation.ENABLES:
+            adjacency[edge.source].append(edge.target)
+    return _reaches(adjacency, cause, effect)
+
+
+def blocks(graph: CausalGraph, blocker: str, blocked: str) -> bool:
+    """Whether a single blocks edge runs from ``blocker`` to ``blocked``; blocking is not transitive."""
+    return any(e.relation is Relation.BLOCKS and e.source == blocker and e.target == blocked for e in graph.edges)
+
+
+def happened_after(graph: CausalGraph, later: str, earlier: str) -> bool:
+    """Whether ``later`` went ahead despite ``earlier``: it did unless ``earlier`` blocks it directly."""
+    return not blocks(graph, earlier, later)
+
+
+def occurred(graph: CausalGraph, event: str) -> bool:
+    """Whether ``event`` still stands once blocking is applied (see ``occurred_set``)."""
+    return event in occurred_set(graph)
+
+
+# --- the oracle's questions ------------------------------------------------------
+
+# Each question form: its pattern, and the query it asks of the labels it quotes,
+# in the order quoted. Forms are tried in order; the first that matches decides.
+_QUESTION_FORMS = (
+    (re.compile(r'^Did "(.+?)" cause "(.+?)"\?$'), causes),
+    (re.compile(r'^Did "(.+?)" block "(.+?)"\?$'), blocks),
+    (re.compile(r'^Did "(.+?)" happen after "(.+?)"\?$'), happened_after),
+    (re.compile(r'^Did "(.+?)" (?:happen|occur)\?$'), occurred),
+)
+
+
+def _resolve_label(span: str, graph: CausalGraph) -> str | None:
+    """The label ``span`` names: the label it equals, else the one label it begins, else the one label holding it."""
+    for test in (str.__eq__, str.startswith, str.__contains__):
+        found = [node.label for node in graph.nodes if test(node.label, span)]
+        if len(found) == 1:
+            return found[0]
+    return None
+
+
+def parse_question(question: str, graph: CausalGraph) -> tuple[Callable[..., bool], tuple[str, ...]] | None:
+    """The (query, labels) a question asks, each quoted span resolved to one label of ``graph``; None if unparsed."""
+    for pattern, query in _QUESTION_FORMS:
+        match = pattern.match(question)
+        if match:
+            labels = tuple(_resolve_label(span, graph) for span in match.groups())
+            return None if None in labels else (query, labels)
+    return None
+
+
+def oracle_answer(graph: CausalGraph, question: str) -> Answer | None:
+    """Answer a grammar question from ``graph`` alone, a graph ``graph_from_sentences`` rebuilt; None if unparsed."""
+    parsed = parse_question(question, graph)
+    if parsed is None:
+        return None
+    query, labels = parsed
+    return Answer.YES if query(graph, *labels) else Answer.NO

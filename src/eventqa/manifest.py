@@ -64,14 +64,46 @@ def make_header(stage: str, seed: int | None, config: dict) -> dict:
     }
 
 
+def _unwritable(path: str | Path, exc: OSError) -> ManifestError:
+    return ManifestError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+@contextmanager
+def writing(path: str | Path):
+    """Raise an ``OSError`` of the block as ``ManifestError`` ``cannot write <path>: <reason>``.
+
+    For a block that writes ``path`` and reads nothing, so that no failed read is reported as a failed write.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+
+
 @contextmanager
 def _replacing(path: Path, mode: str):
-    """A handle on a sibling file that replaces ``path`` once the block succeeds; on failure ``path`` is untouched."""
+    """A ``write`` into a sibling file that replaces ``path`` once the block succeeds; on failure ``path`` is untouched.
+
+    Opening, writing, flushing and renaming that file fail as ``writing`` does; any other error of the block,
+    such as a failed read of what it writes, passes as it is.
+    """
     partial = path.with_name(path.name + ".part")
+
+    def write(data) -> None:
+        try:
+            handle.write(data)
+        except OSError as exc:
+            raise _unwritable(path, exc) from None
+
+    with writing(path):
+        handle = open(partial, mode, encoding=None if "b" in mode else "utf-8")
     try:
-        with open(partial, mode, encoding=None if "b" in mode else "utf-8") as handle:
-            yield handle
-        os.replace(partial, path)
+        with handle:
+            yield write
+            with writing(path):
+                handle.flush()
+        with writing(path):
+            os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
@@ -79,10 +111,10 @@ def _replacing(path: Path, mode: str):
 
 def write_ndjson(path: str | Path, header: dict, records: Iterable[dict]) -> None:
     """Write a manifest, one record at a time; the file appears only once every record is written."""
-    with _replacing(Path(path), "w") as handle:
-        handle.write(canonical_json({HEADER_KEY: header}) + "\n")
+    with _replacing(Path(path), "w") as write:
+        write(canonical_json({HEADER_KEY: header}) + "\n")
         for record in records:
-            handle.write(canonical_json(record) + "\n")
+            write(canonical_json(record) + "\n")
 
 
 def _scan(path: Path, tolerate_partial: bool) -> Iterator[tuple[int, int, Any]]:
@@ -188,12 +220,12 @@ def sort_ndjson(path: str | Path, key: Callable[[dict], Any]) -> None:
     _, header_end, scan = _open_scan(path)
     with closing(scan):
         spans = sorted((key(record), start, end) for start, end, record in scan)
-    with open(path, "rb") as source, _replacing(path, "wb") as sink:
-        sink.write(source.read(header_end))
+    with open(path, "rb") as source, _replacing(path, "wb") as write:
+        write(source.read(header_end))
         for _, start, end in spans:
             source.seek(start)
             line = source.read(end - start)
-            sink.write(line if line.endswith(b"\n") else line + b"\n")
+            write(line if line.endswith(b"\n") else line + b"\n")
 
 
 def csv_header_line(header: dict) -> str:

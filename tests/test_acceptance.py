@@ -33,7 +33,7 @@ from eventqa.cli import main as cli_main
 from eventqa.corpus import Answer, QuestionCategory
 from eventqa.costmodel import estimate_cost, project_run_cost
 from eventqa.extract import ExtractedLabel, ExtractionMethod, extract_answer
-from eventqa.graphcore import graph_from_sentences, verbalize_graph
+from eventqa.graphcore import blocks, causes, graph_from_sentences, occurred, verbalize_graph
 from eventqa.promptkit import DemoPool, assemble_prompt, select_demonstrations
 from eventqa.vocab import PROMPT_ROW, Modality, PromptConfig, Strategy, all_configs
 from test_costmodel import (
@@ -236,24 +236,19 @@ def test_criterion_04_oracle_ground_truth(rally_instance, worked_demos):
         response = complete(spec, record.prompt_text, record.token_count, 8)
         assert response.raw_text == answer
 
-    from eventqa.graphcore import QueryKind, StructuredQuery, oracle_answer
-
     rng = Random(2024)
     graphs_checked = 0
     for _ in range(1000):
         graph = helpers.random_graph(rng, max_nodes=8)
-        occurred = occurred_reference(graph)
+        occurred_ids = occurred_reference(graph)
         for a in graph.nodes:
-            got = oracle_answer(graph, StructuredQuery(QueryKind.OCCURRED, a.id))
-            assert (got is Answer.YES) == (a.id in occurred)
+            assert occurred(graph, a.id) == (a.id in occurred_ids)
             for b in graph.nodes:
-                causes = oracle_answer(graph, StructuredQuery(QueryKind.CAUSES, a.id, b.id))
-                assert (causes is Answer.YES) == closure_reachable(graph, a.id, b.id)
-                blocks = oracle_answer(graph, StructuredQuery(QueryKind.DIRECT_BLOCKS, a.id, b.id))
+                assert causes(graph, a.id, b.id) == closure_reachable(graph, a.id, b.id)
                 brute_blocks = any(
                     e.relation.value == "blocks" and e.source == a.id and e.target == b.id for e in graph.edges
                 )
-                assert (blocks is Answer.YES) == brute_blocks
+                assert blocks(graph, a.id, b.id) == brute_blocks
         graphs_checked += 1
     assert graphs_checked == 1000
     _report(4, "oracle matches brute force on 1000 random graphs and both demo answers", started, 10.0)

@@ -9,6 +9,7 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -27,16 +28,16 @@ from eventqa.backends import (
     RetryPolicy,
     complete,
     output_budget,
-    parse_oracle_question,
     prompt_fingerprint,
     run_batch,
 )
 from eventqa.cli import main
-from eventqa.corpus import Answer
-from eventqa.graphcore import QueryKind, StructuredQuery, verbalize_graph
+from eventqa.corpus import Answer, Relation
+from eventqa.graphcore import blocks, causes, happened_after, occurred, parse_question, verbalize_graph
 from eventqa.manifest import ManifestError, make_header, read_ndjson, write_ndjson
 from eventqa.promptkit import DemoPool, assemble_prompt, select_demonstrations
 from eventqa.vocab import Modality, PromptConfig, Strategy, all_configs, count_tokens, parse_selector
+from test_graphcore import closure_reachable, occurred_reference
 
 DATA = Path(__file__).parent / "data"
 
@@ -155,19 +156,19 @@ RIOT, RALLY, MUSIC, CROWD = "riot police deployed", "protest rally", "music", "d
 @pytest.mark.parametrize(
     "question, parsed",
     [
-        (f'Did "{MUSIC}" cause "{CROWD}"?', (StructuredQuery(QueryKind.CAUSES, MUSIC, CROWD), False)),
-        (f'Did "{RIOT}" block "{RALLY}"?', (StructuredQuery(QueryKind.DIRECT_BLOCKS, RIOT, RALLY), False)),
-        # "Did X happen after Y?" asks whether Y blocked X, with the answer negated.
-        (f'Did "{RALLY}" happen after "{RIOT}"?', (StructuredQuery(QueryKind.DIRECT_BLOCKS, RIOT, RALLY), True)),
-        ('Did "dancing" occur?', (StructuredQuery(QueryKind.OCCURRED, "dancing"), False)),
-        ('Did "speeches" happen?', (StructuredQuery(QueryKind.OCCURRED, "speeches"), False)),
+        (f'Did "{MUSIC}" cause "{CROWD}"?', (causes, (MUSIC, CROWD))),
+        (f'Did "{RIOT}" block "{RALLY}"?', (blocks, (RIOT, RALLY))),
+        # "Did X happen after Y?" asks whether X went ahead despite Y: whether Y did not block X.
+        (f'Did "{RALLY}" happen after "{RIOT}"?', (happened_after, (RALLY, RIOT))),
+        ('Did "dancing" occur?', (occurred, ("dancing",))),
+        ('Did "speeches" happen?', (occurred, ("speeches",))),
         # An exact label wins over the longer label it prefixes.
         (
             'Did "political opposition" cause "political opposition called rally"?',
-            (StructuredQuery(QueryKind.CAUSES, "political opposition", "political opposition called rally"), False),
+            (causes, ("political opposition", "political opposition called rally")),
         ),
-        ('Did "riot" block "protest"?', (StructuredQuery(QueryKind.DIRECT_BLOCKS, RIOT, RALLY), False)),  # prefixes
-        ('Did "many people" occur?', (StructuredQuery(QueryKind.OCCURRED, CROWD), False)),  # contained
+        ('Did "riot" block "protest"?', (blocks, (RIOT, RALLY))),  # prefixes
+        ('Did "many people" occur?', (occurred, (CROWD,))),  # contained
         ('Did "political" cause "protest rally"?', None),  # prefixes two labels
         ('Did "rally" occur?', None),  # contained in two labels
         ('Did "weather" occur?', None),
@@ -177,7 +178,7 @@ RIOT, RALLY, MUSIC, CROWD = "riot police deployed", "protest rally", "music", "d
     ],
 )
 def test_oracle_question_grammar(question, parsed):
-    assert parse_oracle_question(question, helpers.rally_graph()) == parsed
+    assert parse_question(question, helpers.rally_graph()) == parsed
 
 
 class TestOracleBackend:
@@ -232,9 +233,9 @@ class TestOracleBackend:
         calls = []
         original = backends_module.oracle_answer
 
-        def counting_answer(graph, query):
-            calls.append((graph, query))
-            return original(graph, query)
+        def counting_answer(graph, question):
+            calls.append((graph, question))
+            return original(graph, question)
 
         monkeypatch.setattr(backends_module, "oracle_answer", counting_answer)
         backends_module._section_reply.cache_clear()
@@ -243,11 +244,13 @@ class TestOracleBackend:
         _, prompts = read_ndjson(out / "prompts.ndjson")
         _, responses = read_ndjson(out / "responses.ndjson")
         assert len({(p["instance_id"], p["config"]["strategy"], p["config"]["modality"]) for p in prompts}) == 9 * 13
-        answered = {(r["instance_id"], r["config"]) for r in responses if not r["flags"]}
+        # Every prompt with a graph reaches oracle_answer, whether or not its question parses.
+        assert any(r["flags"] == ["unparsed"] for r in responses)
+        asked = {(r["instance_id"], r["config"]) for r in responses if "no_graph" not in r["flags"]}
         pairs = {
             reference_sections(p["prompt_text"])
             for p in prompts
-            if (p["instance_id"], f"{p['config']['strategy']}-{p['config']['modality']}") in answered
+            if (p["instance_id"], f"{p['config']['strategy']}-{p['config']['modality']}") in asked
         }
         assert pairs
         assert len(calls) == len(pairs)
@@ -260,6 +263,40 @@ class TestOracleBackend:
         response = complete(spec, prompt, 7, 8)
         assert response.input_tokens == 7
         assert prompt not in counted
+
+    def test_every_question_form_agrees_with_brute_force_on_the_original_graph(self, rally_instance):
+        """Through ``complete``: a question about events of the graph's edges gets the answer the original graph
+        gives by brute force; one naming an event in no edge, which its sentences never mention, is unparsed."""
+        spec = BackendSpec(name="oracle", kind=BackendKind.ORACLE)
+        config = PromptConfig(Strategy.ZERO, Modality.GRAPH)
+        rng = Random(28)
+        asked = 0
+        for _ in range(200):
+            graph = helpers.random_graph(rng)
+            verbalized = verbalize_graph(graph)
+            in_edges = {node_id for edge in graph.edges for node_id in (edge.source, edge.target)}
+            occurred_ids = occurred_reference(graph)
+
+            def direct_block(x, y):
+                return any(e.relation is Relation.BLOCKS and (e.source, e.target) == (x, y) for e in graph.edges)
+
+            truths = {}
+            for a, b in product(graph.nodes, repeat=2):
+                truths[f'Did "{a.label}" cause "{b.label}"?', a.id, b.id] = closure_reachable(graph, a.id, b.id)
+                truths[f'Did "{a.label}" block "{b.label}"?', a.id, b.id] = direct_block(a.id, b.id)
+                truths[f'Did "{a.label}" happen after "{b.label}"?', a.id, b.id] = not direct_block(b.id, a.id)
+            for a in graph.nodes:
+                truths[f'Did "{a.label}" occur?', a.id, a.id] = a.id in occurred_ids
+            for (question, a, b), truth in truths.items():
+                record = assemble_prompt(rally_instance._replace(question=question), config, [], verbalized)
+                response = complete(spec, record.prompt_text, record.token_count, 8)
+                if a in in_edges and b in in_edges:
+                    expected = ("yes" if truth else "no", ())
+                else:
+                    expected = ("no", ("unparsed",))
+                assert (response.raw_text, response.flags) == expected, (question, verbalized)
+                asked += 1
+        assert asked > 10_000
 
     def test_repeated_graph_sections_parse_once_and_answer_alike(self, rally_instance, worked_demos, monkeypatch):
         parses = []

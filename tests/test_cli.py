@@ -283,6 +283,21 @@ class TestBuild:
         for graph_id, count in calls.items():
             assert count == 1, graph_id
 
+    @pytest.mark.parametrize("configs, verbalized", [("zero-text", 0), ("few-text,cot-text", 0), ("zero-text,zero-tag", 13)])
+    def test_graphs_verbalized_only_for_configurations_that_show_them(self, tmp_path, monkeypatch, configs, verbalized):
+        calls = []
+        original = graphcore.verbalize_graph
+
+        def counting(graph):
+            calls.append(graph.graph_id)
+            return original(graph)
+
+        monkeypatch.setattr(promptkit, "verbalize_graph", counting)
+        monkeypatch.setattr(graphcore, "verbalize_graph", counting)
+        argv = ["build", "--dataset", DATASET, "--demo-pool", POOL, "--configs", configs, "--out", tmp_path / "out"]
+        assert run_cli(*argv) == 0
+        assert len(calls) == verbalized
+
     def test_each_passage_split_once(self, tmp_path, monkeypatch):
         calls = Counter()
         original = promptkit.split_sentences
@@ -499,6 +514,32 @@ def test_lazily_loaded_layer_error_exits_2(pipeline_dir, tmp_path, argv, message
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: ") and message in result.stderr, result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "stage, artifact",
+    [
+        ("build", "prompts.ndjson"),
+        ("build", "rejections.ndjson"),
+        ("score", "predictions.ndjson"),
+        ("report", "report.json"),
+        ("report", "report.csv"),
+        ("report", "plot_by_strategy.csv"),
+        ("report", "plot_by_modality.csv"),
+        ("cost", "cost.json"),
+    ],
+)
+def test_an_output_that_cannot_be_written_exits_2_naming_it(pipeline_dir, tmp_path, capsys, stage, artifact):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_dir, out)
+    (out / artifact).unlink()
+    (out / artifact).mkdir()  # a directory where the file goes
+    before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    assert run_cli(stage, "--out", out, *STAGE_ARGS[stage]) == 2  # an escaping exception would fail the test
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / artifact}: "), err
+    assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+    assert (out / artifact).is_dir()
 
 
 def _spoil_row(path, number, spoil):

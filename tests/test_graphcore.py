@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from eventqa.corpus import Answer, CausalEdge, CausalGraph, EventNode, GraphKind, Relation
+from eventqa.corpus import CausalEdge, CausalGraph, EventNode, GraphKind, Relation
 from eventqa.graphcore import (
-    QueryKind,
-    StructuredQuery,
     VerbalizationParseError,
+    blocks,
+    causes,
     graph_from_sentences,
+    occurred,
     occurred_set,
-    oracle_answer,
     parse_sentence,
     verbalize_edge,
     verbalize_graph,
@@ -267,20 +267,17 @@ class TestVerbalization:
 
 class TestOracle:
     def test_causes_via_enables_chain(self, rally_graph):
-        query = StructuredQuery(QueryKind.CAUSES, "music", "draws_many_people")
-        assert oracle_answer(rally_graph, query) is Answer.YES
+        assert causes(rally_graph, "music", "draws_many_people")
 
     def test_direct_blocks_demo_edge(self, rally_graph):
-        query = StructuredQuery(QueryKind.DIRECT_BLOCKS, "riot_police_deployed", "protest_rally")
-        assert oracle_answer(rally_graph, query) is Answer.YES
+        assert blocks(rally_graph, "riot_police_deployed", "protest_rally")
 
     def test_causes_is_reflexive(self, rally_graph):
         for node in rally_graph.nodes:
-            assert oracle_answer(rally_graph, StructuredQuery(QueryKind.CAUSES, node.id, node.id)) is Answer.YES
+            assert causes(rally_graph, node.id, node.id)
 
     def test_blocks_edge_does_not_count_as_causes(self, rally_graph):
-        query = StructuredQuery(QueryKind.CAUSES, "riot_police_deployed", "protest_rally")
-        assert oracle_answer(rally_graph, query) is Answer.NO
+        assert not causes(rally_graph, "riot_police_deployed", "protest_rally")
 
     def test_occurred_blocking_chain(self):
         # a blocks b, b blocks c: b falls to a, which revives c.
@@ -291,8 +288,8 @@ class TestOracle:
             (CausalEdge("a", "b", Relation.BLOCKS), CausalEdge("b", "c", Relation.BLOCKS)),
         )
         assert occurred_set(graph) == {"a", "c"}
-        assert oracle_answer(graph, StructuredQuery(QueryKind.OCCURRED, "b")) is Answer.NO
-        assert oracle_answer(graph, StructuredQuery(QueryKind.OCCURRED, "c")) is Answer.YES
+        assert not occurred(graph, "b")
+        assert occurred(graph, "c")
 
     def test_occurred_mutual_block_resolves_optimistically(self):
         graph = CausalGraph(
@@ -327,19 +324,15 @@ class TestOracle:
         )
         for a in graph.nodes:
             for b in graph.nodes:
-                before = oracle_answer(graph, StructuredQuery(QueryKind.CAUSES, a.id, b.id))
-                if before is Answer.YES:
-                    assert oracle_answer(extended, StructuredQuery(QueryKind.CAUSES, a.id, b.id)) is Answer.YES
+                if causes(graph, a.id, b.id):
+                    assert causes(extended, a.id, b.id)
 
     @settings(max_examples=200, deadline=None)
     @given(graph=graphs())
     def test_oracle_agrees_with_brute_force(self, graph):
         for a in graph.nodes:
             for b in graph.nodes:
-                expected = closure_reachable(graph, a.id, b.id)
-                got = oracle_answer(graph, StructuredQuery(QueryKind.CAUSES, a.id, b.id))
-                assert (got is Answer.YES) == expected
+                assert causes(graph, a.id, b.id) == closure_reachable(graph, a.id, b.id)
         expected_occurred = occurred_reference(graph)
         for node in graph.nodes:
-            got = oracle_answer(graph, StructuredQuery(QueryKind.OCCURRED, node.id))
-            assert (got is Answer.YES) == (node.id in expected_occurred)
+            assert occurred(graph, node.id) == (node.id in expected_occurred)

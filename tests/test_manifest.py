@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
+import io
+import os
 import random
+import re
 import warnings
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eventqa import manifest
 from eventqa.manifest import (
     INTEGER,
     ManifestError,
@@ -123,6 +128,38 @@ def test_a_failed_write_leaves_the_old_file(tmp_path):
         write_ndjson(path, HEADER, failing())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ndjson"]
+
+
+def test_a_path_that_cannot_be_written_is_named(tmp_path):
+    path = tmp_path / "m.ndjson"
+    path.mkdir()
+    with pytest.raises(ManifestError, match=f"^cannot write {re.escape(str(path))}: "):
+        write_ndjson(path, HEADER, _records(2))
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ndjson"]
+
+
+def test_a_failed_write_is_named(tmp_path, monkeypatch):
+    class FullDisk(io.StringIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(manifest, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    path = tmp_path / "m.ndjson"
+    with pytest.raises(ManifestError, match=f"^cannot write {re.escape(str(path))}: {os.strerror(errno.ENOSPC)}$"):
+        write_ndjson(path, HEADER, _records(2))
+
+
+def test_a_failed_read_of_the_records_is_not_a_failed_write(tmp_path):
+    path = tmp_path / "m.ndjson"
+
+    def unreadable():
+        yield from _records(1)
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    with pytest.raises(OSError) as caught:
+        write_ndjson(path, HEADER, unreadable())
+    assert type(caught.value) is OSError
+    assert list(tmp_path.iterdir()) == []
 
 
 @given(st.binary(max_size=1 << 12), st.lists(st.integers(min_value=0, max_value=1 << 12), max_size=8))

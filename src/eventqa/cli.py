@@ -375,8 +375,8 @@ def cmd_cost(args) -> int:
     config_payload = {"stage": "cost", "prompts_hash": prompts_header["config_hash"], "model": args.model}
     header = manifest.make_header("cost", 0, config_payload)
     payload = {manifest.HEADER_KEY: header, "estimate": estimate.to_dict(), "pricing_label": pricing.label}
-    with manifest.writing(out / "cost.json"):
-        (out / "cost.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with manifest._replacing(out / "cost.json", "w") as write:
+        write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"projected cost for {args.model}: ${estimate.display_cost} -> {out / 'cost.json'}")
     return 0
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import EventQAError
 from .extract import ExtractedAnswer, ExtractedLabel, ExtractionMethod
-from .manifest import HEADER_KEY, STRING, Reader, csv_header_line, one_of, writing
+from .manifest import HEADER_KEY, STRING, Reader, _replacing, csv_header_line, one_of
 from .vocab import ALL_CATEGORIES, CONFIG, INSTANCE_ID, Answer, Modality, PromptConfig, QuestionCategory, Strategy
 
 
@@ -51,7 +51,6 @@ class PredictionRecord(NamedTuple):
             "extracted": self.extracted.to_dict(),
             "gold": self.gold.value,
             "category": self.category.value,
-            "correct": self.correct,
         }
 
 
@@ -61,21 +60,13 @@ def _span(span: list | None) -> tuple[int, int] | None:
     return span and tuple(span)
 
 
-def _prediction(correct: bool, **fields) -> PredictionRecord:
-    record = PredictionRecord(**fields)
-    # Derived from the two labels and written for readers; a row that disagrees was edited.
-    if correct is not record.correct:
-        raise ValueError(f"correct must be {record.correct}, from extracted and gold, got {correct!r}")
-    return record
-
-
 _SPAN = ((list, type(None)), "null or two byte offsets, start first", _span)
 _EXTRACTED = Reader(
     ExtractedAnswer, {"answer": one_of(ExtractedLabel), "method": one_of(ExtractionMethod), "matched_span": _SPAN}
 )
 # A ``predictions.ndjson`` row, as ``report`` reads it.
 PREDICTION_ROW = Reader(
-    _prediction,
+    PredictionRecord,
     {
         "instance_id": INSTANCE_ID,
         "config": CONFIG,
@@ -83,7 +74,6 @@ PREDICTION_ROW = Reader(
         "extracted": ((dict,), "a JSON object", _EXTRACTED),
         "gold": one_of(Answer),
         "category": one_of(QuestionCategory),
-        "correct": ((bool,), "a boolean", None),
     },
 )
 
@@ -177,6 +167,12 @@ def _cell_row(key: Sequence, stats: CellStats, category: str = "") -> dict:
     }
 
 
+class _Sink(NamedTuple):
+    """What ``csv`` writes to: an object with a ``write``, here that of ``manifest._replacing``."""
+
+    write: Callable[[str], None]
+
+
 def emit_report(report: AccuracyReport, out: str | Path, header: dict) -> list[Path]:
     """Write ``report.json`` and ``report.csv`` into ``out``, deterministically, and return their paths."""
     if not report.cells:
@@ -188,11 +184,11 @@ def emit_report(report: AccuracyReport, out: str | Path, header: dict) -> list[P
 
     json_path, csv_path = out / "report.json", out / "report.csv"
     payload = {HEADER_KEY: header, "cells": config_rows, "cluster_cells": cluster_rows}
-    with writing(json_path):
-        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with writing(csv_path), open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(csv_header_line(header) + "\n")
-        writer = csv.DictWriter(handle, fieldnames=list(config_rows[0]))
+    with _replacing(json_path, "w") as write:
+        write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _replacing(csv_path, "w") as write:
+        write(csv_header_line(header) + "\n")
+        writer = csv.DictWriter(_Sink(write), fieldnames=list(config_rows[0]))
         writer.writeheader()
         writer.writerows(config_rows + cluster_rows)
     return [json_path, csv_path]
@@ -217,9 +213,9 @@ def emit_plot_data(report: AccuracyReport, out: str | Path, header: dict) -> lis
     paths = []
     for series_name, group_name in (("strategy", "modality"), ("modality", "strategy")):
         path = Path(out) / f"plot_by_{series_name}.csv"
-        with writing(path), open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(csv_header_line(header) + "\n")
-            writer = csv.writer(handle)
+        with _replacing(path, "w") as write:
+            write(csv_header_line(header) + "\n")
+            writer = csv.writer(_Sink(write))
             writer.writerow(["backend", group_name, "category", series_name, "n", "accuracy"])
             for backend in backends:
                 for group in axes[group_name]:

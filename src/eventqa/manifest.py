@@ -69,7 +69,7 @@ def _unwritable(path: str | Path, exc: OSError) -> ManifestError:
 
 
 @contextmanager
-def writing(path: str | Path):
+def _writing(path: str | Path):
     """Raise an ``OSError`` of the block as ``ManifestError`` ``cannot write <path>: <reason>``.
 
     For a block that writes ``path`` and reads nothing, so that no failed read is reported as a failed write.
@@ -84,7 +84,7 @@ def writing(path: str | Path):
 def _replacing(path: Path, mode: str):
     """A ``write`` into a sibling file that replaces ``path`` once the block succeeds; on failure ``path`` is untouched.
 
-    Opening, writing, flushing and renaming that file fail as ``writing`` does; any other error of the block,
+    Opening, writing, flushing and renaming that file fail as ``_writing`` does; any other error of the block,
     such as a failed read of what it writes, passes as it is.
     """
     partial = path.with_name(path.name + ".part")
@@ -95,14 +95,14 @@ def _replacing(path: Path, mode: str):
         except OSError as exc:
             raise _unwritable(path, exc) from None
 
-    with writing(path):
+    with _writing(path):
         handle = open(partial, mode, encoding=None if "b" in mode else "utf-8")
     try:
         with handle:
             yield write
-            with writing(path):
+            with _writing(path):
                 handle.flush()
-        with writing(path):
+        with _writing(path):
             os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)

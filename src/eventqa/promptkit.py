@@ -41,6 +41,7 @@ from .vocab import (
     Modality,
     PromptConfig,
     PromptError,
+    Strategy,
     count_tokens,
 )
 
@@ -189,7 +190,7 @@ def assemble_prompt(
     longer than prose. The walk subtracts per-part counts, so it is linear,
     and the prompt is rendered once, after the cut.
     """
-    instruction = default_template()[config.modality.value]["with_examples" if config.includes_examples else "zero"]
+    instruction = default_template()[config.modality.value]["with_examples" if config.demo_count else "zero"]
     sections = {
         SECTION_INSTRUCTION: (instruction,),
         SECTION_TEXT: _passage_sentences(instance.passage) if config.includes_text else None,
@@ -295,7 +296,7 @@ def select_demonstrations(pool: DemoPool, config: PromptConfig, seed: int) -> li
     rng = Random(seed)
     yes_positions, no_positions = pool.yes_positions, pool.no_positions
 
-    if yes_positions and no_positions and config.demo_count >= 2:
+    if yes_positions and no_positions:
         first = sorted({rng.choice(yes_positions), rng.choice(no_positions)})
         # Draw among the positions not yet picked without listing them: the
         # index-th of them is index stepped past each picked position at or
@@ -317,6 +318,6 @@ def select_demonstrations(pool: DemoPool, config: PromptConfig, seed: int) -> li
         picked = set(rng.sample(range(len(pool)), config.demo_count))
 
     return [
-        pool.demonstration(position, config.modality, config.include_reasoning_traces)
+        pool.demonstration(position, config.modality, config.strategy is Strategy.COT)
         for position in sorted(picked)  # stable pool order
     ]

@@ -164,25 +164,17 @@ class Modality(str, Enum):
     TAG = "tag"
 
 
-class PromptConfig(namedtuple("PromptConfig", "strategy modality demo_count")):
-    """One cell of the strategy x modality matrix: a ``Strategy``, a ``Modality`` and a demonstration count."""
-
-    def __new__(cls, strategy: Strategy, modality: Modality, demo_count: int | None = None) -> "PromptConfig":
-        if demo_count is None:  # the default for the strategy
-            demo_count = 0 if strategy is Strategy.ZERO else DEFAULT_DEMO_COUNT
-        if (demo_count == 0) != (strategy is Strategy.ZERO):
-            raise ValueError("demo_count must be 0 exactly for the zero-shot strategy")
-        if demo_count < 0:
-            raise ValueError("demo_count must be non-negative")
-        return super().__new__(cls, strategy, modality, demo_count)
+class PromptConfig(namedtuple("PromptConfig", "strategy modality")):
+    """One cell of the strategy x modality matrix: a ``Strategy`` and a ``Modality``."""
 
     @cached_property
     def selector(self) -> str:
         return f"{self.strategy.value}-{self.modality.value}"
 
     @property
-    def include_reasoning_traces(self) -> bool:
-        return self.strategy is Strategy.COT
+    def demo_count(self) -> int:
+        """How many demonstrations a prompt shows: none zero-shot, ``DEFAULT_DEMO_COUNT`` otherwise."""
+        return 0 if self.strategy is Strategy.ZERO else DEFAULT_DEMO_COUNT
 
     @property
     def includes_text(self) -> bool:
@@ -192,17 +184,8 @@ class PromptConfig(namedtuple("PromptConfig", "strategy modality demo_count")):
     def includes_graph(self) -> bool:
         return self.modality in (Modality.GRAPH, Modality.TAG)
 
-    @property
-    def includes_examples(self) -> bool:
-        return self.strategy in (Strategy.FEW, Strategy.COT)
-
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "modality": self.modality.value,
-            "demo_count": self.demo_count,
-            "include_reasoning_traces": self.include_reasoning_traces,
-        }
+        return {"strategy": self.strategy.value, "modality": self.modality.value}
 
 
 _MODALITY_ALIASES = {"text": Modality.TEXT, "graph": Modality.GRAPH, "graphs": Modality.GRAPH, "tag": Modality.TAG}
@@ -258,7 +241,7 @@ SECTION_HEADERS = {
 INSTANCE_ID = ((str,), "a non-empty string", kept(lambda text: text != "" and encodes_utf8(text)))
 COUNT = ((int,), "a non-negative integer", kept((0).__le__))
 # A configuration of a prompt or prediction row, built once per value and shared (safe, as a config is frozen).
-_CONFIG_FIELDS = {"strategy": one_of(Strategy), "modality": one_of(Modality), "demo_count": COUNT}
+_CONFIG_FIELDS = {"strategy": one_of(Strategy), "modality": one_of(Modality)}
 CONFIG = ((dict,), "a JSON object", Reader(lru_cache(maxsize=64)(PromptConfig), _CONFIG_FIELDS))
 
 _PROMPT_FIELDS = {

@@ -40,6 +40,7 @@ from eventqa.vocab import (
     SECTION_INSTRUCTION,
     SECTION_QUESTION,
     SECTION_TEXT,
+    Strategy,
     count_tokens,
 )
 
@@ -350,7 +351,7 @@ def select_demonstrations_reference(
     demos = []
     for position in sorted(picked):  # stable pool order
         instance = pool[position]
-        trace = _trace_reference(instance, config.modality) if config.include_reasoning_traces else None
+        trace = _trace_reference(instance, config.modality) if config.strategy is Strategy.COT else None
         demos.append(Demonstration(question=instance.question, answer=instance.gold_answer, reasoning_trace=trace))
     return demos
 
@@ -479,7 +480,7 @@ def prompt_parts_reference(
     ``graph`` holds the verbalized graph sentences, read only when the modality includes the graph.
     """
     return PromptParts(
-        instruction=template.instruction_for(config.modality, config.includes_examples),
+        instruction=template.instruction_for(config.modality, config.demo_count > 0),
         question=instance.question,
         passage_sentences=split_sentences(instance.passage) if config.includes_text else None,
         graph_sentences=graph if config.includes_graph else None,

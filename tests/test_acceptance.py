@@ -100,11 +100,11 @@ def test_criterion_01_template_fidelity(rally_instance, worked_demos):
     started = time.monotonic()
     graph = verbalize_graph(rally_instance.graph)
 
-    graph_cot = PromptConfig(Strategy.COT, Modality.GRAPH, demo_count=2)
+    graph_cot = PromptConfig(Strategy.COT, Modality.GRAPH)
     record = assemble_prompt(rally_instance, graph_cot, worked_demos, graph)
     assert record.prompt_text == EXPECTED_GRAPH_COT_PROMPT
 
-    tag_cot = PromptConfig(Strategy.COT, Modality.TAG, demo_count=2)
+    tag_cot = PromptConfig(Strategy.COT, Modality.TAG)
     tag_record = assemble_prompt(rally_instance, tag_cot, worked_demos, graph)
     assert tag_record.prompt_text == EXPECTED_TAG_COT_PROMPT
 

@@ -727,23 +727,17 @@ class TestRunBatch:
             (lambda row: dict(row, instance_id=""), "instance_id must be a non-empty string"),
             (lambda row: dict(row, config="zero-graph"), "config must be a JSON object"),
             (lambda row: dict(row, config=dict(row["config"], strategy="many")), "config.strategy"),
-            (lambda row: dict(row, config=dict(row["config"], demo_count=3)), "config.demo_count"),
-            (lambda row: dict(row, config=dict(row["config"], demo_count=None)), "config.demo_count"),
             (lambda row: dict(row, token_count=-1), "token_count must be a non-negative integer"),
             (lambda row: dict(row, token_count=True), "token_count must be a non-negative integer"),
             (lambda row: dict(row, token_count="5"), "token_count must be a non-negative integer"),
             (lambda row: dict(row, prompt_text=None), "prompt_text must be a string"),
             (lambda row: dict(row, tokenizer=["simple"]), "tokenizer must be 'simple', got ['simple']"),
-            (
-                lambda row: dict(row, config=dict(row["config"], demo_count=-1)),
-                "config.demo_count must be a non-negative integer, got -1",
-            ),
             (lambda row: dict(row, prompt_text=row["prompt_text"] + "\ud800"), "prompt_text must be a string, got '"),
         ],
         ids=[
             "not-an-object", "no-token-count", "no-tokenizer", "numeric-id", "empty-id", "selector-config",
-            "unknown-strategy", "zero-shot-demos", "null-demo-count", "negative-count", "bool-count",
-            "string-count", "null-prompt", "list-tokenizer", "negative-demo-count", "lone-surrogate-prompt",
+            "unknown-strategy", "negative-count", "bool-count", "string-count", "null-prompt", "list-tokenizer",
+            "lone-surrogate-prompt",
         ],
     )
     def test_malformed_row_refuses_the_batch(self, tmp_path, monkeypatch, spoil, message):

@@ -35,15 +35,15 @@ _NON_ASCII_PASSAGE = (
 )
 
 PINNED = {
-    "prompts.ndjson": "111ba1128f86316e02da9fea0cbcaca09b6b996438bdbe48a6cd116382ab23a1",
-    "rejections.ndjson": "b7f8a2538723c82f58a5407c4eb94d122da55cae3516865f1ba19d6ffd68abb1",
-    "responses.ndjson": "9b3cf216ae8b3ef21157814d1f4952c22ecee8f1617ec9f9d4e470ee74fa6380",
-    "predictions.ndjson": "66a66ae3b6b017ba5c736521141f68b2ad79727ab8fe26df541654f25b851caa",
-    "report.json": "151ba6fcdaed3e9f42bc49789faae80c93bd24f706eb50521f9c59ff0f7c9990",
-    "report.csv": "c6c7b5472948141b72b19f85dc0206a5f07fba733d1cead54aac8f3674ce165f",
-    "plot_by_strategy.csv": "4c77e7612aae5b3cbb7bdb41b8e5a6f037bb33abb73238b025d141f96a67dc9b",
-    "plot_by_modality.csv": "11045076c133e13707cc051c5f8341ce8394e6e8496aced0e550c9fce2c306e6",
-    "cost.json": "3ab1b9a030f6643d39c8b154ff7c826d80b97b9a71996cc060aec7caa58c3939",
+    "prompts.ndjson": "800e158b3c087d76485f8e3b0a9cdce80da51d32b2c8bafc655a91b5df2b5f2b",
+    "rejections.ndjson": "91a5f0a1fa5fe21c756e9fb66e19c06b9099a21167e68cbaadd64514f8a66322",
+    "responses.ndjson": "a379fab3c31aa4f392046fc62dffbcbcabc07ea07c80fd4011a582892f782fc8",
+    "predictions.ndjson": "af998e4ed93b1c69064cf75dfe20f03a619770a4617716c7b68b3c398a773041",
+    "report.json": "2317d24b9c47bdc5f332512d7c2f607a5da8c3c82952a8a443fd3abc656ef6f5",
+    "report.csv": "86c69c167e87435bcba1e31e17886ee5eee1da832e8d3b7c819893da77f29e50",
+    "plot_by_strategy.csv": "c8707aa6e47088e4e26fe13f62b54cead2b14d54054971e27f2980a78f160419",
+    "plot_by_modality.csv": "dcc6a1fd374c81f0305f3df9d446be089765944848b483c9d14d30522685edcd",
+    "cost.json": "ffedbcc1aadca742892009e46b019325a73b976f143e1900ff0004d968839465",
 }
 
 
@@ -105,6 +105,13 @@ def test_artifact_digests_are_pinned(tmp_path):
     assert any("Examples" not in row["sections"] and row["config"]["strategy"] != "zero" for row in truncated)
     assert any(not row["prompt_text"].isascii() for row in truncated)
     assert any(not row["prompt_text"].isascii() for row in prompts if not row["truncation_applied"])
+
+    # A row keeps only what it cannot derive: the strategy fixes the demonstrations and traces, and the two
+    # labels fix whether a prediction is correct.
+    for name in ("prompts.ndjson", "predictions.ndjson"):
+        _, rows = read_ndjson(out / name)
+        for row in rows:
+            assert row["config"].keys() == {"strategy", "modality"} and "correct" not in row, (name, row)
 
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED}
     assert digests == PINNED

@@ -113,7 +113,6 @@ class TestScore:
     def test_correct_only_when_the_label_is_the_gold_answer(self, predicted, gold, correct):
         prediction = make_prediction("a", predicted=predicted, gold=gold)
         assert prediction.correct is correct
-        assert prediction.to_dict()["correct"] is correct
 
     def test_permutation_invariance(self):
         rng = Random(11)

@@ -86,23 +86,15 @@ class TestPromptConfig:
     def test_graphs_alias(self):
         assert parse_selector("few-graphs").modality is Modality.GRAPH
 
-    def test_positional_demo_count_is_checked(self):
-        with pytest.raises(ValueError, match="exactly for the zero-shot strategy"):
-            PromptConfig(Strategy.ZERO, Modality.TEXT, 3)
-
     def test_zero_demo_count_tied_to_zero_strategy(self):
         assert PromptConfig(Strategy.ZERO, Modality.TEXT).demo_count == 0
-        assert PromptConfig(Strategy.FEW, Modality.TEXT).demo_count == 3
-        with pytest.raises(ValueError):
-            PromptConfig(Strategy.FEW, Modality.TEXT, demo_count=0)
-        with pytest.raises(ValueError):
-            PromptConfig(Strategy.ZERO, Modality.TEXT, demo_count=2)
+        assert PromptConfig(Strategy.FEW, Modality.TEXT).demo_count == DEFAULT_DEMO_COUNT
+        assert PromptConfig(Strategy.COT, Modality.TAG).demo_count == DEFAULT_DEMO_COUNT
 
-    def test_traces_tied_to_cot(self):
-        assert PromptConfig(Strategy.COT, Modality.TAG).include_reasoning_traces
-        assert not PromptConfig(Strategy.FEW, Modality.TAG).include_reasoning_traces
+    def test_a_config_is_its_strategy_and_modality(self):
+        assert PromptConfig._fields == ("strategy", "modality")
         with pytest.raises(TypeError):  # derived from the strategy, not settable
-            PromptConfig(Strategy.FEW, Modality.TAG, include_reasoning_traces=True)
+            PromptConfig(Strategy.FEW, Modality.TEXT, demo_count=2)
 
     def test_unknown_selector(self):
         with pytest.raises(PromptError):
@@ -316,12 +308,9 @@ def _pool_and_calls(draw):
         instance._replace(gold_answer=label, graph=instance.graph if graph else None)
         for instance, label, graph in zip(instances, labels, with_graph)
     ]
-    demo_counts = st.builds(
-        PromptConfig, st.sampled_from([Strategy.FEW, Strategy.COT]), st.sampled_from(Modality), st.integers(1, 12)
-    )
     calls = draw(
         st.lists(
-            st.tuples(st.one_of(st.sampled_from(all_configs()), demo_counts), st.integers(0, 2**64 - 1)),
+            st.tuples(st.sampled_from(all_configs()), st.integers(0, 2**64 - 1)),
             min_size=1,
             max_size=8,
         )
@@ -428,7 +417,7 @@ def _prompt_case(draw):
         Demonstration(
             question=draw(sentence),
             answer=draw(st.sampled_from(Answer)),
-            reasoning_trace=draw(st.one_of(st.none(), sentence)) if config.include_reasoning_traces else None,
+            reasoning_trace=draw(st.one_of(st.none(), sentence)) if config.strategy is Strategy.COT else None,
         )
         for _ in range(config.demo_count)
     ]

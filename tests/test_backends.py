@@ -752,6 +752,17 @@ class TestRunBatch:
             run_batch(self._oracle_spec(), batch, path, self._header())
         assert not path.exists()
 
+    def test_a_stale_derived_key_does_not_change_the_batch(self, tmp_path):
+        # A version 0.1.0 row stored demo_count and include_reasoning_traces; no value of them is read.
+        clean = tmp_path / "clean.ndjson"
+        run_batch(self._oracle_spec(), rows(build_prompts(3)), clean, self._header())
+        batch = rows(build_prompts(3))
+        for row in batch:
+            row["config"] = dict(row["config"], demo_count=-1, include_reasoning_traces="yes")
+        stale = tmp_path / "stale.ndjson"
+        run_batch(self._oracle_spec(), batch, stale, self._header())
+        assert stale.read_bytes() == clean.read_bytes()
+
     def test_stored_token_count_is_checked_against_the_context_limit(self, tmp_path):
         # Every text counts more than 10 tokens; only the row that stores a count over the limit is refused.
         batch = [dict(row, token_count=1) for row in rows(build_prompts(3))]

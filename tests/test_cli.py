@@ -565,11 +565,21 @@ class _NoSpaceLeft:
         self._handle.close()
 
 
-def test_a_report_that_fills_the_disk_keeps_the_previous_one(pipeline_dir, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "stage, name",
+    [
+        ("report", "report.json"),
+        ("report", "report.csv"),
+        ("report", "plot_by_strategy.csv"),
+        ("report", "plot_by_modality.csv"),
+        ("cost", "cost.json"),
+    ],
+)
+def test_an_output_that_fills_the_disk_keeps_the_previous_one(pipeline_dir, tmp_path, capsys, monkeypatch, stage, name):
     out = tmp_path / "out"
     shutil.copytree(pipeline_dir, out)
-    previous = (out / "report.json").read_bytes()
-    # A rebuild with fewer configurations, whose report would be shorter.
+    previous = (out / name).read_bytes()
+    # A rebuild with fewer configurations, whose outputs would be shorter.
     assert run_cli("build", "--out", out, "--dataset", DATASET, "--configs", "zero-text") == 0
     (out / "responses.ndjson").unlink()  # made from the previous build's prompts
     assert run_cli("run", "--out", out, "--backend", "oracle") == 0
@@ -579,16 +589,16 @@ def test_a_report_that_fills_the_disk_keeps_the_previous_one(pipeline_dir, tmp_p
 
     def full_disk_open(file, mode="r", *args, **kwargs):
         handle = real_open(file, mode, *args, **kwargs)
-        if "w" in mode and os.path.basename(file) in ("report.json", "report.json.part"):
+        if "w" in mode and os.path.basename(file) in (name, name + ".part"):
             return _NoSpaceLeft(handle)
         return handle
 
     monkeypatch.setattr(builtins, "open", full_disk_open)
     monkeypatch.setattr(io, "open", full_disk_open)  # what ``pathlib`` opens files with
-    assert run_cli("report", "--out", out) == 2
-    assert capsys.readouterr().err == f"error: cannot write {out / 'report.json'}: {os.strerror(errno.ENOSPC)}\n"
-    assert (out / "report.json").read_bytes() == previous
-    assert not (out / "report.json.part").exists()
+    assert run_cli(stage, "--out", out, *STAGE_ARGS[stage]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / name}: {os.strerror(errno.ENOSPC)}\n"
+    assert (out / name).read_bytes() == previous
+    assert not (out / (name + ".part")).exists()
 
 
 def _as_version_0_1_0(path: Path) -> None:
@@ -642,6 +652,46 @@ def test_run_refuses_to_resume_a_version_0_1_0_response_manifest(pipeline_dir, t
     assert "was produced by a different run configuration; refusing to resume" in capsys.readouterr().err
     assert not sent
     assert path.read_bytes() == old
+
+
+@pytest.mark.parametrize(
+    "stage, manifest_name, outputs, key, value",
+    [
+        ("run", "prompts.ndjson", ("responses.ndjson",), "demo_count", 3.9),
+        ("run", "prompts.ndjson", ("responses.ndjson",), "demo_count", -1),
+        ("cost", "prompts.ndjson", ("cost.json",), "demo_count", "3"),
+        ("cost", "prompts.ndjson", ("cost.json",), "include_reasoning_traces", None),
+        ("report", "predictions.ndjson", REPORT_FILES, "demo_count", True),
+        ("report", "predictions.ndjson", REPORT_FILES, "correct", "flipped"),
+        ("report", "predictions.ndjson", REPORT_FILES, "correct", 1),
+    ],
+    ids=[
+        "run-float-demo-count",
+        "run-negative-demo-count",
+        "cost-string-demo-count",
+        "cost-null-traces",
+        "report-bool-demo-count",
+        "report-flipped-correct",
+        "report-numeric-correct",
+    ],
+)
+def test_a_stage_never_reads_the_keys_a_row_derives(pipeline_dir, tmp_path, stage, manifest_name, outputs, key, value):
+    """Whatever a row stores under a key its strategy or labels fix, the stage's outputs are those of a clean row."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_dir, out)
+    header, rows = manifest.read_ndjson(out / manifest_name)
+    rows = list(rows)
+    for row in rows:
+        if key == "correct":
+            row["correct"] = row["extracted"]["answer"] != row["gold"] if value == "flipped" else value
+        else:
+            row["config"][key] = value
+    manifest.write_ndjson(out / manifest_name, header, rows)
+    if stage == "run":
+        (out / "responses.ndjson").unlink()
+    assert run_cli(stage, "--out", out, *STAGE_ARGS[stage]) == 0
+    for name in outputs:
+        assert (out / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 
 def _spoil_row(path, number, spoil):

@@ -1,4 +1,4 @@
-"""Dataset loading, validation, and stratified sampling for event-QA corpora.
+"""Dataset loading and stratified sampling for event-QA corpora.
 
 On-disk format is newline-delimited JSON, one QA instance per line. Each
 record carries a passage, a yes/no question, a gold answer, a question
@@ -6,6 +6,10 @@ category, and zero or more causal graphs (instance and/or schema). Field
 names can be remapped through a schema descriptor (``vocab.load_schema``)
 so foreign dumps load without code changes; see ``DEFAULT_SCHEMA`` for the
 canonical names.
+
+A record is read in one pass: each value is checked where it is read, by
+the type its field holds (text, an id, or a name of an enum), and only the
+graph ``graph_kind`` selects is parsed.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
-from .manifest import encodes_utf8
+from .manifest import _shown, encodes_utf8
 from .vocab import (
     DEFAULT_SCHEMA,
     SECTION_HEADERS,
@@ -45,12 +49,6 @@ class Relation(str, Enum):
     BLOCKS = "blocks"
 
 
-def _check_unicode(text: str, what: str) -> None:
-    """Reject text that cannot be written as UTF-8: lone surrogates, from "\\ud800" escapes or undecodable bytes."""
-    if not encodes_utf8(text):
-        raise ValueError(f"{what} holds a lone surrogate or bytes that are not UTF-8")
-
-
 def _printable(text: str) -> str:
     """``text`` with any lone surrogate spelled out as a backslash escape."""
     return text.encode("utf-8", "backslashreplace").decode("utf-8")
@@ -72,39 +70,15 @@ class CausalGraph(NamedTuple):
 
     Node and edge order is preserved from the source data; downstream
     ordering rules (topological tie-breaks, emission order) depend on it.
+    A graph read from a dataset has unique node ids, labels without quotes
+    or newlines, and edges between two distinct nodes of its own.
     """
 
-    graph_id: str
-    kind: GraphKind
     nodes: tuple[EventNode, ...]
     edges: tuple[CausalEdge, ...]
 
     def node_table(self) -> dict[str, EventNode]:
         return {node.id: node for node in self.nodes}
-
-    def validate(self) -> None:
-        """Check all structural invariants; raise ``ValueError`` on the first violation."""
-        seen: set[str] = set()
-        for node in self.nodes:
-            if not node.id:
-                raise ValueError("empty node id")
-            if node.id in seen:
-                raise ValueError(f"duplicate node id {node.id!r}")
-            seen.add(node.id)
-            if not node.label:
-                raise ValueError(f"empty label for node {node.id!r}")
-            _check_unicode(node.label, f"label of node {node.id!r}")
-            # Labels feed the fixed verbalization grammar; quotes and
-            # newlines would make the emitted sentences unparseable.
-            if '"' in node.label or "\n" in node.label:
-                raise ValueError(f"label of node {node.id!r} contains a quote or newline")
-        for edge in self.edges:
-            if edge.source not in seen or edge.target not in seen:
-                raise ValueError("dangling edge endpoint")
-            if edge.source == edge.target:
-                raise ValueError(f"self-loop on node {edge.source!r}")
-            if not isinstance(edge.relation, Relation):
-                raise ValueError(f"unknown relation {edge.relation!r}")
 
 
 class QAInstance(NamedTuple):
@@ -115,89 +89,96 @@ class QAInstance(NamedTuple):
     graph: CausalGraph | None
     category: QuestionCategory
 
-    def validate(self) -> None:
-        if not self.instance_id:
-            raise ValueError("empty instance_id")
-        if not self.passage:
-            raise ValueError("empty passage")
-        if not self.question:
-            raise ValueError("empty question")
-        for text, what in ((self.instance_id, "instance_id"), (self.passage, "passage"), (self.question, "question")):
-            _check_unicode(text, what)
-        # The oracle finds a prompt's graph and question by their headers, so no passage or question may forge one.
-        for text, what in ((self.passage, "passage"), (self.question, "question")):
-            for header in SECTION_HEADERS.values():
-                if header in text:
-                    raise ValueError(f"{what} holds the section header {header!r}")
-        if not isinstance(self.gold_answer, Answer):
-            raise ValueError(f"gold answer must be yes or no, got {self.gold_answer!r}")
-        if self.graph is not None:
-            self.graph.validate()
-
 
 class RejectedRecord(NamedTuple):
     instance_id: str
     reason: str
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} is not a JSON object")
-    return value
+_TEXT = "a non-empty string that UTF-8 can encode"
+
+
+def _text(value, field: str, described: str = _TEXT) -> str:
+    """A non-empty JSON string that UTF-8 can encode: no lone surrogate, as ``"\\ud800"`` or a non-UTF-8 byte gives."""
+    if type(value) is str and value and encodes_utf8(value):
+        return value
+    raise ValueError(f"{field} must be {described}, got {_shown(value)}")
+
+
+def _id(value, field: str) -> str:
+    """An id: a text value, or a JSON integer (not a bool) read as its decimal string."""
+    return str(value) if type(value) is int else _text(value, field, f"{_TEXT} or an integer")
+
+
+def _named(enum: type[Enum], value, what: str):
+    """The member of ``enum`` that a JSON string names, in any case."""
+    if type(value) is str:
+        try:
+            return enum(value.lower())
+        except ValueError:
+            pass
+    raise ValueError(f"unknown {what} {_shown(value)}")
+
+
+def _header_free(value, field: str) -> str:
+    """A text value holding no section header: the oracle finds a prompt's graph and question by their headers."""
+    text = _text(value, field)
+    for header in SECTION_HEADERS.values():
+        if header in text:
+            raise ValueError(f"{field} holds the section header {header!r}")
+    return text
 
 
 def _json_objects(value, what: str) -> list[dict]:
     """The objects of a JSON array of objects."""
     if not isinstance(value, list):
         raise ValueError(f"{what}s are not a JSON array")
-    return [_json_object(item, what) for item in value]
+    for item in value:
+        if not isinstance(item, dict):
+            raise ValueError(f"{what} is not a JSON object")
+    return value
 
 
 def _parse_graph(raw: dict, schema: dict) -> CausalGraph:
     gf, nf, ef = schema["graph_fields"], schema["node_fields"], schema["edge_fields"]
-    kind_raw = str(raw.get(gf["kind"], "instance")).lower()
-    try:
-        kind = GraphKind(kind_raw)
-    except ValueError:
-        raise ValueError(f"unknown graph kind {kind_raw!r}") from None
-    nodes = tuple(
-        EventNode(id=str(node[nf["id"]]), label=str(node[nf["label"]]))
-        for node in _json_objects(raw.get(gf["nodes"], []), "graph node")
-    )
-    # An edge holds its endpoints' own id strings, not the decoder's second copies.
-    ids = {node.id: node.id for node in nodes}
+    nodes = []
+    ids: dict[str, str] = {}  # each node id, to itself
+    for node in _json_objects(raw.get(gf["nodes"], []), "graph node"):
+        node_id = _id(node.get(nf["id"]), "node id")
+        if node_id in ids:
+            raise ValueError(f"duplicate node id {node_id!r}")
+        ids[node_id] = node_id
+        label = _text(node.get(nf["label"]), f"label of node {node_id!r}")
+        # Labels feed the fixed verbalization grammar; quotes and
+        # newlines would make the emitted sentences unparseable.
+        if '"' in label or "\n" in label:
+            raise ValueError(f"label of node {node_id!r} contains a quote or newline")
+        nodes.append(EventNode(node_id, label))
     edges = []
     for edge in _json_objects(raw.get(gf["edges"], []), "graph edge"):
-        relation_raw = str(edge[ef["relation"]]).lower()
-        try:
-            relation = Relation(relation_raw)
-        except ValueError:
-            raise ValueError(f"unknown relation {relation_raw!r}") from None
-        source, target = str(edge[ef["source"]]), str(edge[ef["target"]])
-        edges.append(CausalEdge(source=ids.get(source, source), target=ids.get(target, target), relation=relation))
-    return CausalGraph(graph_id=str(raw.get(gf["graph_id"], "")), kind=kind, nodes=nodes, edges=tuple(edges))
-
-
-def _select_graph(graphs: Sequence[CausalGraph], preferred: GraphKind) -> CausalGraph | None:
-    for graph in graphs:
-        if graph.kind is preferred:
-            return graph
-    return graphs[0] if graphs else None
+        # An edge holds its endpoints' own id strings, not the decoder's second copies.
+        source = ids.get(_id(edge.get(ef["source"]), "edge source"))
+        target = ids.get(_id(edge.get(ef["target"]), "edge target"))
+        if source is None or target is None:
+            raise ValueError("dangling edge endpoint")
+        if source == target:
+            raise ValueError(f"self-loop on node {source!r}")
+        edges.append(CausalEdge(source, target, _named(Relation, edge.get(ef["relation"]), "relation")))
+    return CausalGraph(tuple(nodes), tuple(edges))
 
 
 def _parse_instance(raw: dict, schema: dict, graph_kind: GraphKind) -> QAInstance:
+    instance_id = _id(raw.get(schema["instance_id"]), "instance_id")
+    passage = _header_free(raw.get(schema["passage"]), "passage")
+    question = _header_free(raw.get(schema["question"]), "question")
     answer, category = read_label(raw, schema)
-    graphs = [_parse_graph(g, schema) for g in _json_objects(raw.get(schema["graphs"], []), "graph")]
-    instance = QAInstance(
-        instance_id=str(raw.get(schema["instance_id"], "")),
-        passage=str(raw.get(schema["passage"], "")),
-        question=str(raw.get(schema["question"], "")),
-        gold_answer=answer,
-        graph=_select_graph(graphs, graph_kind),
-        category=category,
-    )
-    instance.validate()
-    return instance
+    graphs = _json_objects(raw.get(schema["graphs"], []), "graph")
+    kind = schema["graph_fields"]["kind"]
+    kinds = [_named(GraphKind, graph.get(kind, "instance"), "graph kind") for graph in graphs]
+    # Every graph's kind is read, but only the selected graph is parsed: the first of ``graph_kind``, else the first.
+    selected = graphs[kinds.index(graph_kind)] if graph_kind in kinds else graphs[0] if graphs else None
+    graph = None if selected is None else _parse_graph(selected, schema)
+    return QAInstance(instance_id, passage, question, answer, graph, category)
 
 
 def read_dataset(
@@ -217,15 +198,15 @@ def read_dataset(
     A malformed record, or a later record with an id already yielded, is
     logged (unless ``warn`` is false, as on a second pass over a file) and
     yielded as a ``RejectedRecord``; with ``strict=True`` the first such
-    record raises ``DatasetFormatError`` instead. Every yielded
-    instance was validated as it was parsed, so downstream code can rely on
-    the type invariants without re-checking. Only the ids seen so far are
-    held. The file is opened on the first ``next`` and closed when the
-    stream is exhausted or closed.
+    record raises ``DatasetFormatError`` instead. Every yielded instance
+    was checked as it was read, so downstream code can rely on the type
+    invariants without re-checking. Only the ids seen so far are held. The
+    file is opened on the first ``next`` and closed when the stream is
+    exhausted or closed.
     """
     path = Path(path)
     try:
-        # Bytes that are not UTF-8 become lone surrogates, which validation rejects.
+        # Bytes that are not UTF-8 become lone surrogates, which the text reader rejects.
         handle = open(path, encoding="utf-8", errors="surrogateescape")
     except FileNotFoundError:
         raise CorpusError(f"dataset file not found: {path}") from None
@@ -239,19 +220,23 @@ def read_dataset(
             line = line.strip()
             if not line:
                 continue
-            instance_id = ""
+            raw_id = None
             try:
-                raw = _json_object(json.loads(line), "record")
-                instance_id = str(raw.get(schema["instance_id"], ""))
+                raw = json.loads(line)
+                if not isinstance(raw, dict):
+                    raise ValueError("record is not a JSON object")
+                raw_id = raw.get(schema["instance_id"])
                 instance = _parse_instance(raw, schema, graph_kind)
                 if instance.instance_id in seen_ids:
                     raise ValueError(f"duplicate instance_id {instance.instance_id!r}")
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
                 reason = str(exc) or exc.__class__.__name__
                 if strict:
                     raise DatasetFormatError(f"{path}:{line_no}: {reason}") from exc
                 if warn:
                     logger.warning("skipping record at %s:%d: %s", path, line_no, reason)
+                # The log names an id only as the id reader reads one: a string, or an integer's decimal string.
+                instance_id = str(raw_id) if type(raw_id) in (str, int) else ""
                 yield RejectedRecord(instance_id=_printable(instance_id), reason=reason)
                 continue
             seen_ids.add(instance.instance_id)

@@ -24,7 +24,7 @@ from collections import defaultdict
 from typing import Callable
 
 from .corpus import CausalEdge, CausalGraph, EventNode, Relation
-from .vocab import Answer, GraphKind
+from .vocab import Answer
 
 
 class VerbalizationParseError(Exception):
@@ -72,7 +72,7 @@ def _feedback_edge_indices(edges: list[tuple[int, int]], successors: list[list[i
 
 
 def verbalize_edge(edge: CausalEdge, nodes: dict[str, EventNode]) -> str:
-    """Render one edge into its fixed-format sentence; ``nodes`` holds both endpoints, as in a validated graph."""
+    """Render one edge into its fixed-format sentence; ``nodes`` holds both endpoints, as a dataset graph does."""
     source, target = nodes[edge.source], nodes[edge.target]
     verb = "enables" if edge.relation is Relation.ENABLES else "blocks"
     return f'The event "{source.label}" {verb} the event "{target.label}".'
@@ -130,7 +130,7 @@ def graph_from_sentences(sentences: list[str]) -> CausalGraph:
             if label not in nodes:
                 nodes[label] = EventNode(id=label, label=label)
         edges.append(CausalEdge(source=source, target=target, relation=relation))
-    return CausalGraph(graph_id="parsed", kind=GraphKind.INSTANCE, nodes=tuple(nodes.values()), edges=tuple(edges))
+    return CausalGraph(tuple(nodes.values()), tuple(edges))
 
 
 def occurred_set(graph: CausalGraph) -> set[str]:

@@ -308,7 +308,7 @@ def select_demonstrations(pool: DemoPool, config: PromptConfig, seed: int) -> li
                 index += index >= position
             picked.add(index)
     else:
-        if not (yes_positions and no_positions) and not pool._warned:
+        if not pool._warned:
             pool._warned = True  # once per pool, not once per prompt
             logger.warning(
                 "demonstration pool is label-imbalanced: %d yes / %d no",

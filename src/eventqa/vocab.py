@@ -85,7 +85,7 @@ class CorpusError(EventQAError):
 
 
 class DatasetFormatError(CorpusError):
-    """Raised for a schema file ``SCHEMA`` refuses, and in strict mode for a record that does not parse or validate."""
+    """Raised for a schema file ``SCHEMA`` refuses, and in strict mode for a record the dataset reader rejects."""
 
 
 def load_schema(path: str | Path) -> dict:

@@ -13,7 +13,6 @@ from eventqa.corpus import (
     CausalEdge,
     CausalGraph,
     EventNode,
-    GraphKind,
     QAInstance,
     QuestionCategory,
     Relation,
@@ -74,9 +73,7 @@ def rally_graph() -> CausalGraph:
         CausalEdge("dancing", "draws_many_people", Relation.ENABLES),
         CausalEdge("speeches", "draws_many_people", Relation.ENABLES),
     )
-    graph = CausalGraph("rally-instance", GraphKind.INSTANCE, nodes, edges)
-    graph.validate()
-    return graph
+    return CausalGraph(nodes, edges)
 
 
 def rally_instance() -> QAInstance:
@@ -100,7 +97,7 @@ RALLY_GRAPH_SENTENCES = (
 
 
 def random_graph(rng: Random, max_nodes: int = 8, max_edges: int = 12, acyclic: bool = False) -> CausalGraph:
-    """A random validated multigraph; with ``acyclic`` edges only point forward."""
+    """A random multigraph without self-loops; with ``acyclic`` edges only point forward."""
     node_count = rng.randint(1, max_nodes)
     nodes = tuple(EventNode(f"n{i}", f"event {i} of graph") for i in range(node_count))
     edges = []
@@ -112,9 +109,7 @@ def random_graph(rng: Random, max_nodes: int = 8, max_edges: int = 12, acyclic: 
                 source, target = rng.sample(range(node_count), 2)
             relation = Relation.ENABLES if rng.random() < 0.7 else Relation.BLOCKS
             edges.append(CausalEdge(f"n{source}", f"n{target}", relation))
-    graph = CausalGraph(f"rand-{rng.random():.12f}", GraphKind.INSTANCE, nodes, tuple(edges))
-    graph.validate()
-    return graph
+    return CausalGraph(nodes, tuple(edges))
 
 
 def has_cycle_through(edges: list[CausalEdge], edge: CausalEdge) -> bool:
@@ -219,13 +214,13 @@ def synthetic_instance(index: int, rng: Random, *, id_prefix: str = "syn") -> QA
                 edges.append(CausalEdge(f"e{source}", f"e{target}", relation))
     if not edges:
         edges.append(CausalEdge("e0", "e1", Relation.ENABLES))
-    graph = CausalGraph(f"g-{id_prefix}-{index}", GraphKind.INSTANCE, nodes, tuple(edges))
+    graph = CausalGraph(nodes, tuple(edges))
 
     sentence_count = rng.randint(2, 4)
     passage = " ".join(rng.choice(_PASSAGE_CLAUSES) + "." for _ in range(sentence_count))
     stem = _QUESTION_STEMS[index % len(_QUESTION_STEMS)]
     question = stem.format(a=nodes[0].label, b=nodes[-1].label)
-    instance = QAInstance(
+    return QAInstance(
         instance_id=f"{id_prefix}-{index:04d}",
         passage=passage,
         question=question,
@@ -233,8 +228,6 @@ def synthetic_instance(index: int, rng: Random, *, id_prefix: str = "syn") -> QA
         graph=graph,
         category=list(QuestionCategory)[index % len(QuestionCategory)],
     )
-    instance.validate()
-    return instance
 
 
 def synthetic_split(count: int, seed: int, *, id_prefix: str = "syn") -> tuple[QAInstance, ...]:
@@ -242,13 +235,22 @@ def synthetic_split(count: int, seed: int, *, id_prefix: str = "syn") -> tuple[Q
     return tuple(synthetic_instance(i, rng, id_prefix=id_prefix) for i in range(count))
 
 
+def _graph_id(instance_id: str) -> str:
+    """The ``graph_id`` a record carries, which no reader reads: ``g-{prefix}-{index}`` for ``{prefix}-{index:04d}``.
+
+    ``synthetic_instance`` names its instances that way, so the datasets written from them keep their bytes.
+    """
+    prefix, _, index = instance_id.rpartition("-")
+    return f"g-{prefix}-{int(index)}"
+
+
 def instance_to_record(instance: QAInstance) -> dict:
     graphs = []
     if instance.graph is not None:
         graphs.append(
             {
-                "graph_id": instance.graph.graph_id,
-                "kind": instance.graph.kind.value,
+                "graph_id": _graph_id(instance.instance_id),
+                "kind": "instance",
                 "nodes": [{"id": n.id, "label": n.label} for n in instance.graph.nodes],
                 "edges": [
                     {"source": e.source, "target": e.target, "relation": e.relation.value}

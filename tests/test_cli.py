@@ -275,16 +275,16 @@ class TestBuild:
         original = graphcore.verbalize_graph
 
         def counting(graph):
-            calls[graph.graph_id] += 1
+            calls[graph] += 1
             return original(graph)
 
         monkeypatch.setattr(promptkit, "verbalize_graph", counting)
         monkeypatch.setattr(graphcore, "verbalize_graph", counting)
         assert run_cli("build", "--dataset", DATASET, "--demo-pool", POOL, "--out", tmp_path / "out") == 0
-        pool_graphs = {json.loads(line)["graphs"][0]["graph_id"] for line in Path(POOL).read_text().splitlines()}
+        pool_graphs = {instance.graph for instance in corpus.read_dataset(POOL)}
         assert pool_graphs & set(calls)
-        for graph_id, count in calls.items():
-            assert count == 1, graph_id
+        for graph, count in calls.items():
+            assert count == 1, graph
 
     @pytest.mark.parametrize("configs, verbalized", [("zero-text", 0), ("few-text,cot-text", 0), ("zero-text,zero-tag", 13)])
     def test_graphs_verbalized_only_for_configurations_that_show_them(self, tmp_path, monkeypatch, configs, verbalized):
@@ -292,7 +292,7 @@ class TestBuild:
         original = graphcore.verbalize_graph
 
         def counting(graph):
-            calls.append(graph.graph_id)
+            calls.append(graph)
             return original(graph)
 
         monkeypatch.setattr(promptkit, "verbalize_graph", counting)

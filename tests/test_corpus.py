@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import helpers
 from eventqa.corpus import (
     DatasetFormatError,
+    GraphKind,
     QAInstance,
     QuestionCategory,
     RejectedRecord,
@@ -181,19 +182,128 @@ class TestLoadDataset:
             load_schema(path)
 
     def test_schema_graph_selection_prefers_requested_kind(self, tmp_path):
-        from eventqa.corpus import GraphKind
-
         record = _record("a")
-        schema_graph = dict(record["graphs"][0])
-        schema_graph["kind"] = "schema"
-        schema_graph["graph_id"] = "the-schema"
-        record["graphs"] = [record["graphs"][0], schema_graph]
+        instance_graph = record["graphs"][0]
+        nodes = [dict(instance_graph["nodes"][0], label="schema step"), *instance_graph["nodes"][1:]]
+        schema_graph = dict(instance_graph, kind="schema", nodes=nodes)
+        record["graphs"] = [instance_graph, schema_graph]
         path = tmp_path / "data.ndjson"
         _write(path, [record])
         by_default = _load(path)[0][0]
         by_schema = _load(path, graph_kind=GraphKind.SCHEMA)[0][0]
-        assert by_default.graph.kind is GraphKind.INSTANCE
-        assert by_schema.graph.graph_id == "the-schema"
+        assert by_default.graph.nodes[0].label == instance_graph["nodes"][0]["label"]
+        assert by_schema.graph.nodes[0].label == "schema step"
+
+    @pytest.mark.parametrize(
+        "fault, reason",
+        [
+            ({"edges": [{"source": "s", "target": "ghost", "relation": "enables"}]}, "dangling edge endpoint"),
+            ({"edges": [{"source": "s", "target": "s", "relation": "enables"}]}, "self-loop on node 's'"),
+            ({"edges": [{"source": "s", "target": "t", "relation": "causes"}]}, "unknown relation 'causes'"),
+            ({"nodes": [{"label": "no id"}]}, "node id must be"),
+        ],
+        ids=["dangling", "self-loop", "relation", "node-without-id"],
+    )
+    def test_only_the_selected_graph_is_read(self, tmp_path, fault, reason):
+        """A fault in a graph the build does not select costs nothing; selected, it rejects the record."""
+        schema_graph = {"kind": "schema", "nodes": [{"id": "s", "label": "s"}, {"id": "t", "label": "t"}], "edges": []}
+        record = _record("a")
+        record["graphs"].append(dict(schema_graph, **fault))
+        path = tmp_path / "data.ndjson"
+        _write(path, [record])
+        (instance,), [] = _load(path)
+        assert [node.id for node in instance.graph.nodes] == [node["id"] for node in record["graphs"][0]["nodes"]]
+        [], (rejection,) = _load(path, graph_kind=GraphKind.SCHEMA)
+        assert rejection.reason.startswith(reason)
+
+    def test_self_loop_rejected(self, tmp_path):
+        record = _record("bad")
+        record["graphs"][0] = {"kind": "instance", "nodes": [{"id": "x", "label": "x"}], "edges": []}
+        record["graphs"][0]["edges"].append({"source": "x", "target": "x", "relation": "enables"})
+        path = tmp_path / "data.ndjson"
+        _write(path, [_record("ok"), record])
+        instances, rejections = _load(path)
+        assert [i.instance_id for i in instances] == ["ok"]
+        assert [(r.instance_id, r.reason) for r in rejections] == [("bad", "self-loop on node 'x'")]
+
+
+def _set_node_id(record: dict, value) -> dict:
+    """``record`` with its first node's id, and every edge endpoint naming that node, set to ``value``."""
+    graph = record["graphs"][0]
+    old = graph["nodes"][0]["id"]
+    graph["nodes"][0]["id"] = value
+    touched = 0
+    for edge in graph["edges"]:
+        for end in ("source", "target"):
+            if edge[end] == old:
+                edge[end] = value
+                touched += 1
+    assert touched, "no edge names the first node"
+    return record
+
+
+def _set_label(record: dict, value) -> dict:
+    record["graphs"][0]["nodes"][0]["label"] = value
+    return record
+
+
+_TEXT_RULE = "a non-empty string that UTF-8 can encode"
+
+
+class TestRecordValues:
+    """Each value is read as the type its field holds; a JSON null, bool, array or object is never coerced to text."""
+
+    @pytest.mark.parametrize("value", [None, True, ["Did it?"], {"a": 1}], ids=["null", "true", "list", "object"])
+    @pytest.mark.parametrize(
+        "field, setter, described",
+        [
+            ("instance_id", lambda r, v: dict(r, instance_id=v), f"{_TEXT_RULE} or an integer"),
+            ("passage", lambda r, v: dict(r, passage=v), _TEXT_RULE),
+            ("question", lambda r, v: dict(r, question=v), _TEXT_RULE),
+            ("label of node 'e0'", _set_label, _TEXT_RULE),
+            ("node id", _set_node_id, f"{_TEXT_RULE} or an integer"),
+        ],
+        ids=["instance-id", "passage", "question", "node-label", "node-id"],
+    )
+    def test_a_value_of_the_wrong_type_is_rejected(self, tmp_path, value, field, setter, described):
+        path = tmp_path / "data.ndjson"
+        _write(path, [_record("ok"), setter(_record("bad"), value)])
+        instances, rejections = _load(path)
+        assert [i.instance_id for i in instances] == ["ok"]
+        logged_id = "" if field == "instance_id" else "bad"
+        reason = f"{field} must be {described}, got {value!r}"
+        assert [(r.instance_id, r.reason) for r in rejections] == [(logged_id, reason)]
+        with pytest.raises(DatasetFormatError, match=f"{field} must be"):
+            _load(path, strict=True)
+
+    @pytest.mark.parametrize("value", ["", "caf\ud800"], ids=["empty", "lone-surrogate"])
+    def test_text_must_be_non_empty_and_encodable(self, tmp_path, value):
+        path = tmp_path / "data.ndjson"
+        _write(path, [_record("bad", passage=value)])
+        [], (rejection,) = _load(path)
+        assert rejection.reason == f"passage must be {_TEXT_RULE}, got {value!r}"
+        rejection.reason.encode("utf-8")
+
+    def test_integer_ids_are_read_as_decimal_strings(self, tmp_path):
+        path = tmp_path / "data.ndjson"
+        _write(path, [_record(7, graphs=[_int_id_graph()])])
+        (instance,), [] = _load(path)
+        assert instance.instance_id == "7"
+        assert [node.id for node in instance.graph.nodes] == ["100", "101", "102"]
+
+    def test_a_long_value_is_cut_in_the_reason(self, tmp_path):
+        path = tmp_path / "data.ndjson"
+        _write(path, [_record("bad", question=["x" * 500])])
+        [], (rejection,) = _load(path)
+        assert rejection.reason.startswith("question must be ")
+        assert "..." in rejection.reason and len(rejection.reason) < 250
+
+    @pytest.mark.parametrize("raw_id, logged", [("bad", "bad"), (12, "12"), (False, ""), (1.5, ""), ([1], "")])
+    def test_the_rejection_log_names_only_a_string_or_integer_id(self, tmp_path, raw_id, logged):
+        path = tmp_path / "data.ndjson"
+        _write(path, [_record(raw_id, answer="maybe")])
+        [], (rejection,) = _load(path)
+        assert rejection.instance_id == logged
 
 
 class TestCategoryTaxonomy:
@@ -350,6 +460,23 @@ def _dataset_lines(draw):
     return schema, draw(st.lists(line, min_size=1, max_size=6))
 
 
+def _source_values(raw: dict, schema: dict) -> tuple:
+    """A record's id (an integer as its digits), passage, question and the labels of the graph selected by default."""
+    gf, nf = schema["graph_fields"], schema["node_fields"]
+    graphs = raw.get(schema["graphs"], [])
+    kinds = [graph.get(gf["kind"], "instance").lower() for graph in graphs]
+    chosen = graphs[kinds.index("instance") if "instance" in kinds else 0] if graphs else None
+    labels = None if chosen is None else [node[nf["label"]] for node in chosen.get(gf["nodes"], [])]
+    raw_id = raw[schema["instance_id"]]
+    instance_id = str(raw_id) if type(raw_id) in (str, int) else raw_id
+    return instance_id, raw[schema["passage"]], raw[schema["question"]], labels
+
+
+def _loaded_values(instance: QAInstance) -> tuple:
+    labels = None if instance.graph is None else [node.label for node in instance.graph.nodes]
+    return instance.instance_id, instance.passage, instance.question, labels
+
+
 class TestLoadDatasetFuzz:
     @settings(max_examples=200, deadline=None)
     @given(case=_dataset_lines())
@@ -358,11 +485,16 @@ class TestLoadDatasetFuzz:
         path = tmp_path_factory.mktemp("fuzz") / "data.ndjson"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         instances, rejections = result = _load(path, schema)
-        assert len(instances) + len(rejections) == sum(1 for line in lines if line.strip())
+        records, lines = list(read_dataset(path, schema)), [line for line in lines if line.strip()]
+        assert len(records) == len(lines)
         # Whatever loads can be written out: instances into prompts, rejections into their log.
         for instance in instances:
             labels = [node.label for node in instance.graph.nodes] if instance.graph else []
             "".join([instance.instance_id, instance.passage, instance.question, *labels]).encode("utf-8")
+        # An instance's text is its line's JSON strings as they are, and its id a string or an integer's digits.
+        for record, line in zip(records, lines):
+            if type(record) is QAInstance:
+                assert _source_values(json.loads(line), schema) == _loaded_values(record)
         for rejection in rejections:
             (rejection.instance_id + rejection.reason).encode("utf-8")
         try:

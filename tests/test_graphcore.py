@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from eventqa.corpus import CausalEdge, CausalGraph, EventNode, GraphKind, Relation
+from eventqa.corpus import CausalEdge, CausalGraph, EventNode, Relation
 from eventqa.graphcore import (
     VerbalizationParseError,
     blocks,
@@ -100,8 +100,6 @@ class TestTopologicalOrder:
 
     def test_three_node_chain(self):
         graph = CausalGraph(
-            "chain",
-            GraphKind.INSTANCE,
             (EventNode("music", "music"), EventNode("draw", "draws many people"), EventNode("gather", "gather")),
             (CausalEdge("music", "draw", Relation.ENABLES), CausalEdge("draw", "gather", Relation.ENABLES)),
         )
@@ -110,12 +108,10 @@ class TestTopologicalOrder:
         assert verbalize_graph(graph) == helpers.render_edges(graph, graph.edges)
 
     def test_empty_graph(self):
-        assert verbalize_graph(CausalGraph("empty", GraphKind.INSTANCE, (), ())) == ()
+        assert verbalize_graph(CausalGraph((), ())) == ()
 
     def test_two_cycle_removes_later_edge(self):
         graph = CausalGraph(
-            "cycle",
-            GraphKind.INSTANCE,
             (EventNode("a", "a label"), EventNode("b", "b label")),
             (CausalEdge("a", "b", Relation.ENABLES), CausalEdge("b", "a", Relation.ENABLES)),
         )
@@ -148,7 +144,7 @@ class TestTopologicalOrder:
         nodes = tuple(EventNode(f"n{i}", f"event {i} of graph") for i in range(160))
         pairs = [rng.sample(range(160), 2) for _ in range(320)]
         edges = tuple(CausalEdge(f"n{s}", f"n{t}", Relation.ENABLES) for s, t in pairs)
-        graph = CausalGraph("large", GraphKind.INSTANCE, nodes, edges)
+        graph = CausalGraph(nodes, edges)
         started = time.perf_counter()
         sentences = verbalize_graph(graph)
         elapsed = time.perf_counter() - started
@@ -181,23 +177,11 @@ class TestVerbalization:
         sentence = verbalize_edge(CausalEdge("m", "d", Relation.ENABLES), nodes)
         assert sentence == 'The event "music" enables the event "draws many people to festival".'
 
-    def test_self_loop_rejected_upstream(self):
-        graph = CausalGraph(
-            "bad",
-            GraphKind.INSTANCE,
-            (EventNode("a", "a label"),),
-            (CausalEdge("a", "a", Relation.ENABLES),),
-        )
-        with pytest.raises(ValueError, match="self-loop"):
-            graph.validate()
-
     def test_figure1_emits_six_sentences_in_appendix_order(self, rally_graph):
         assert verbalize_graph(rally_graph) == helpers.RALLY_GRAPH_SENTENCES
 
     def test_single_edge_graph(self):
         graph = CausalGraph(
-            "one",
-            GraphKind.INSTANCE,
             (EventNode("a", "first step"), EventNode("b", "second step")),
             (CausalEdge("a", "b", Relation.ENABLES),),
         )
@@ -218,7 +202,7 @@ class TestVerbalization:
         rng = Random(9)
         edges = list(rally_graph.edges)
         rng.shuffle(edges)
-        shuffled = CausalGraph("shuffled", GraphKind.INSTANCE, rally_graph.nodes, tuple(edges))
+        shuffled = CausalGraph(rally_graph.nodes, tuple(edges))
         sentences = verbalize_graph(shuffled)
         assert Counter(sentences) == Counter(verbalize_graph(rally_graph))
         valid = [order for order in permutations(shuffled.edges) if valid_emission(list(order))]
@@ -282,8 +266,6 @@ class TestOracle:
     def test_occurred_blocking_chain(self):
         # a blocks b, b blocks c: b falls to a, which revives c.
         graph = CausalGraph(
-            "chain",
-            GraphKind.INSTANCE,
             (EventNode("a", "a label"), EventNode("b", "b label"), EventNode("c", "c label")),
             (CausalEdge("a", "b", Relation.BLOCKS), CausalEdge("b", "c", Relation.BLOCKS)),
         )
@@ -293,8 +275,6 @@ class TestOracle:
 
     def test_occurred_mutual_block_resolves_optimistically(self):
         graph = CausalGraph(
-            "standoff",
-            GraphKind.INSTANCE,
             (EventNode("a", "a label"), EventNode("b", "b label")),
             (CausalEdge("a", "b", Relation.BLOCKS), CausalEdge("b", "a", Relation.BLOCKS)),
         )
@@ -304,9 +284,7 @@ class TestOracle:
     @given(graph=graphs())
     def test_occurred_is_node_order_independent(self, graph):
         baseline = occurred_set(graph)
-        reversed_graph = CausalGraph(
-            graph.graph_id, graph.kind, tuple(reversed(graph.nodes)), tuple(reversed(graph.edges))
-        )
+        reversed_graph = CausalGraph(tuple(reversed(graph.nodes)), tuple(reversed(graph.edges)))
         assert occurred_set(reversed_graph) == baseline
 
     @settings(max_examples=150, deadline=None)
@@ -316,12 +294,7 @@ class TestOracle:
         if len(graph.nodes) < 2:
             return
         source, target = rng.sample([n.id for n in graph.nodes], 2)
-        extended = CausalGraph(
-            graph.graph_id,
-            graph.kind,
-            graph.nodes,
-            graph.edges + (CausalEdge(source, target, Relation.ENABLES),),
-        )
+        extended = CausalGraph(graph.nodes, graph.edges + (CausalEdge(source, target, Relation.ENABLES),))
         for a in graph.nodes:
             for b in graph.nodes:
                 if causes(graph, a.id, b.id):

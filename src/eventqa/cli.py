@@ -10,7 +10,8 @@ be rerun or resumed on its own:
     plot_by_*.csv       per-category bar data       (report)
     cost.json           projected spend             (cost)
 
-Every file starts with a provenance header (seed, config hash, version).
+Every file starts with a provenance header (seed, config hash, version),
+and replaces the previous one only once whole; ``report``'s four together.
 With the deterministic backends (oracle, mock) the whole pipeline is
 byte-reproducible.
 
@@ -326,7 +327,7 @@ def cmd_report(args) -> int:
 
     config_payload = {"stage": "report", "predictions_hash": predictions_header["config_hash"]}
     header = manifest.make_header("report", 0, config_payload)
-    for path in evalkit.emit_report(report, out, header) + evalkit.emit_plot_data(report, out, header):
+    for path in evalkit.emit_report(report, out, header):
         print(f"wrote {path}")
     return 0
 
@@ -375,8 +376,7 @@ def cmd_cost(args) -> int:
     config_payload = {"stage": "cost", "prompts_hash": prompts_header["config_hash"], "model": args.model}
     header = manifest.make_header("cost", 0, config_payload)
     payload = {manifest.HEADER_KEY: header, "estimate": estimate.to_dict(), "pricing_label": pricing.label}
-    with manifest._replacing(out / "cost.json", "w") as write:
-        write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    manifest.replace_files({out / "cost.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"})
     print(f"projected cost for {args.model}: ${estimate.display_cost} -> {out / 'cost.json'}")
     return 0
 

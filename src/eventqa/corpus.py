@@ -9,7 +9,8 @@ canonical names.
 
 A record is read in one pass: each value is checked where it is read, by
 the type its field holds (text, an id, or a name of an enum), and only the
-graph ``graph_kind`` selects is parsed.
+graph ``graph_kind`` selects is parsed. The three readers live in
+``vocab``, so ``score`` reads ids and labels by them without this module.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from pathlib import Path
 from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
-from .manifest import _shown, encodes_utf8
 from .vocab import (
     DEFAULT_SCHEMA,
     SECTION_HEADERS,
@@ -30,6 +30,9 @@ from .vocab import (
     DatasetFormatError,
     GraphKind,
     QuestionCategory,
+    _id,
+    _named,
+    _text,
     read_label,
 )
 
@@ -47,11 +50,6 @@ class SamplingError(CorpusError):
 class Relation(str, Enum):
     ENABLES = "enables"
     BLOCKS = "blocks"
-
-
-def _printable(text: str) -> str:
-    """``text`` with any lone surrogate spelled out as a backslash escape."""
-    return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 class EventNode(NamedTuple):
@@ -93,31 +91,6 @@ class QAInstance(NamedTuple):
 class RejectedRecord(NamedTuple):
     instance_id: str
     reason: str
-
-
-_TEXT = "a non-empty string that UTF-8 can encode"
-
-
-def _text(value, field: str, described: str = _TEXT) -> str:
-    """A non-empty JSON string that UTF-8 can encode: no lone surrogate, as ``"\\ud800"`` or a non-UTF-8 byte gives."""
-    if type(value) is str and value and encodes_utf8(value):
-        return value
-    raise ValueError(f"{field} must be {described}, got {_shown(value)}")
-
-
-def _id(value, field: str) -> str:
-    """An id: a text value, or a JSON integer (not a bool) read as its decimal string."""
-    return str(value) if type(value) is int else _text(value, field, f"{_TEXT} or an integer")
-
-
-def _named(enum: type[Enum], value, what: str):
-    """The member of ``enum`` that a JSON string names, in any case."""
-    if type(value) is str:
-        try:
-            return enum(value.lower())
-        except ValueError:
-            pass
-    raise ValueError(f"unknown {what} {_shown(value)}")
 
 
 def _header_free(value, field: str) -> str:
@@ -167,8 +140,7 @@ def _parse_graph(raw: dict, schema: dict) -> CausalGraph:
     return CausalGraph(tuple(nodes), tuple(edges))
 
 
-def _parse_instance(raw: dict, schema: dict, graph_kind: GraphKind) -> QAInstance:
-    instance_id = _id(raw.get(schema["instance_id"]), "instance_id")
+def _parse_instance(raw: dict, instance_id: str, schema: dict, graph_kind: GraphKind) -> QAInstance:
     passage = _header_free(raw.get(schema["passage"]), "passage")
     question = _header_free(raw.get(schema["question"]), "question")
     answer, category = read_label(raw, schema)
@@ -220,26 +192,24 @@ def read_dataset(
             line = line.strip()
             if not line:
                 continue
-            raw_id = None
+            instance_id = ""  # what the rejection log names when the record has no id that ``_id`` reads
             try:
                 raw = json.loads(line)
                 if not isinstance(raw, dict):
                     raise ValueError("record is not a JSON object")
-                raw_id = raw.get(schema["instance_id"])
-                instance = _parse_instance(raw, schema, graph_kind)
-                if instance.instance_id in seen_ids:
-                    raise ValueError(f"duplicate instance_id {instance.instance_id!r}")
+                instance_id = _id(raw.get(schema["instance_id"]), "instance_id")
+                instance = _parse_instance(raw, instance_id, schema, graph_kind)
+                if instance_id in seen_ids:
+                    raise ValueError(f"duplicate instance_id {instance_id!r}")
             except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
                 reason = str(exc) or exc.__class__.__name__
                 if strict:
                     raise DatasetFormatError(f"{path}:{line_no}: {reason}") from exc
                 if warn:
                     logger.warning("skipping record at %s:%d: %s", path, line_no, reason)
-                # The log names an id only as the id reader reads one: a string, or an integer's decimal string.
-                instance_id = str(raw_id) if type(raw_id) in (str, int) else ""
-                yield RejectedRecord(instance_id=_printable(instance_id), reason=reason)
+                yield RejectedRecord(instance_id=instance_id, reason=reason)
                 continue
-            seen_ids.add(instance.instance_id)
+            seen_ids.add(instance_id)
             yield instance
 
 

@@ -5,18 +5,21 @@ outputs stay in the denominator and are additionally reported as a rate of
 their own. Aggregates are keyed by (backend, strategy, modality) with a
 per-category breakdown that partitions each configuration cell. Emission
 is deterministic: fixed column order, sorted keys, categories alphabetical.
+``emit_report`` renders all four report files in memory and replaces them
+together, so a failed ``report`` never leaves files of two runs side by side.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import EventQAError
 from .extract import ExtractedAnswer, ExtractedLabel, ExtractionMethod
-from .manifest import HEADER_KEY, STRING, Reader, _replacing, csv_header_line, one_of
+from .manifest import HEADER_KEY, STRING, Reader, csv_header_line, one_of, replace_files
 from .vocab import ALL_CATEGORIES, CONFIG, INSTANCE_ID, Answer, Modality, PromptConfig, QuestionCategory, Strategy
 
 
@@ -167,66 +170,54 @@ def _cell_row(key: Sequence, stats: CellStats, category: str = "") -> dict:
     }
 
 
-class _Sink(NamedTuple):
-    """What ``csv`` writes to: an object with a ``write``, here that of ``manifest._replacing``."""
-
-    write: Callable[[str], None]
+def _csv(header: dict, rows: Iterable[Iterable]) -> str:
+    """A CSV file's text: the ``# {header}`` line, then ``rows``."""
+    table = io.StringIO()
+    table.write(csv_header_line(header) + "\n")
+    csv.writer(table).writerows(rows)
+    return table.getvalue()
 
 
 def emit_report(report: AccuracyReport, out: str | Path, header: dict) -> list[Path]:
-    """Write ``report.json`` and ``report.csv`` into ``out``, deterministically, and return their paths."""
+    """Write ``report.json``, ``report.csv`` and both plot CSVs into ``out``, all or none; return their paths.
+
+    ``plot_by_strategy.csv`` groups per-category bar-chart data by modality
+    with one series per strategy, and ``plot_by_modality.csv`` the other way
+    round. Every category appears for every (backend, group, series) present
+    in the report; an empty cell gets n=0 and a blank accuracy, so the full
+    13-row shape is stable for plotting.
+    """
     if not report.cells:
         raise ScoringError("cannot emit an empty report")
     out = Path(out)
     config_rows = [_cell_row(key, report.cells[key]) for key in sorted(report.cells, key=_cell_order)]
     cluster_keys = sorted(report.cluster_cells, key=_cell_order)
     cluster_rows = [_cell_row(key, report.cluster_cells[key], category=key[3].value) for key in cluster_keys]
-
-    json_path, csv_path = out / "report.json", out / "report.csv"
     payload = {HEADER_KEY: header, "cells": config_rows, "cluster_cells": cluster_rows}
-    with _replacing(json_path, "w") as write:
-        write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    with _replacing(csv_path, "w") as write:
-        write(csv_header_line(header) + "\n")
-        writer = csv.DictWriter(_Sink(write), fieldnames=list(config_rows[0]))
-        writer.writeheader()
-        writer.writerows(config_rows + cluster_rows)
-    return [json_path, csv_path]
+    cell_rows = config_rows + cluster_rows
+    texts = {
+        out / "report.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        out / "report.csv": _csv(header, [cell_rows[0].keys(), *(row.values() for row in cell_rows)]),
+    }
 
-
-def emit_plot_data(report: AccuracyReport, out: str | Path, header: dict) -> list[Path]:
-    """Write per-category bar-chart data in long CSV form; return the paths.
-
-    ``plot_by_strategy.csv`` groups by modality with one series per
-    strategy, and ``plot_by_modality.csv`` the other way round. Every
-    category appears for every (backend, group, series) combination present
-    in the report; empty cells get n=0 and a blank accuracy so the full
-    13-row shape is stable for plotting. ``emit_report``, which runs first,
-    refuses an empty report.
-    """
     backends = sorted({key[0] for key in report.cluster_cells})
     strategies = sorted({key[1] for key in report.cluster_cells}, key=_STRATEGY_ORDER.__getitem__)
     modalities = sorted({key[2] for key in report.cluster_cells}, key=_MODALITY_ORDER.__getitem__)
     categories = sorted(ALL_CATEGORIES, key=lambda c: c.value)
-
     axes = {"strategy": strategies, "modality": modalities}
-    paths = []
     for series_name, group_name in (("strategy", "modality"), ("modality", "strategy")):
-        path = Path(out) / f"plot_by_{series_name}.csv"
-        with _replacing(path, "w") as write:
-            write(csv_header_line(header) + "\n")
-            writer = csv.writer(_Sink(write))
-            writer.writerow(["backend", group_name, "category", series_name, "n", "accuracy"])
-            for backend in backends:
-                for group in axes[group_name]:
-                    for category in categories:
-                        for series in axes[series_name]:
-                            strategy, modality = (series, group) if series_name == "strategy" else (group, series)
-                            stats = report.cluster_cells.get((backend, strategy, modality, category)) or CellStats()
-                            accuracy = stats.accuracy if stats.n else ""
-                            writer.writerow([backend, group.value, category.value, series.value, stats.n, accuracy])
-        paths.append(path)
-    return paths
+        rows = [["backend", group_name, "category", series_name, "n", "accuracy"]]
+        for backend in backends:
+            for group in axes[group_name]:
+                for category in categories:
+                    for series in axes[series_name]:
+                        strategy, modality = (series, group) if series_name == "strategy" else (group, series)
+                        stats = report.cluster_cells.get((backend, strategy, modality, category)) or CellStats()
+                        accuracy = stats.accuracy if stats.n else ""
+                        rows.append([backend, group.value, category.value, series.value, stats.n, accuracy])
+        texts[out / f"plot_by_{series_name}.csv"] = _csv(header, rows)
+    replace_files(texts)
+    return list(texts)
 
 
 def format_accuracy_table(report: AccuracyReport) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import closing, contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -80,41 +81,48 @@ def _writing(path: str | Path):
         raise _unwritable(path, exc) from None
 
 
-@contextmanager
-def _replacing(path: Path, mode: str):
-    """A ``write`` into a sibling file that replaces ``path`` once the block succeeds; on failure ``path`` is untouched.
+def _replace_all(contents: dict[Path, Iterable[str]]) -> None:
+    """Write each path's text, piece by piece, to a ``.part`` sibling; then replace every path, or none.
 
-    Opening, writing, flushing and renaming that file fail as ``_writing`` does; any other error of the block,
-    such as a failed read of what it writes, passes as it is.
+    No part is renamed over its path before every part is whole and no directory stands at any path; on
+    failure every part is removed. Opening, writing and renaming a part fail as ``_writing`` does; any other
+    error, such as a failed read of what is written, passes as it is.
     """
-    partial = path.with_name(path.name + ".part")
-
-    def write(data) -> None:
-        try:
-            handle.write(data)
-        except OSError as exc:
-            raise _unwritable(path, exc) from None
-
-    with _writing(path):
-        handle = open(partial, mode, encoding=None if "b" in mode else "utf-8")
+    parts = []
     try:
-        with handle:
-            yield write
+        for path, pieces in contents.items():
+            part = path.with_name(path.name + ".part")
             with _writing(path):
-                handle.flush()
-        with _writing(path):
-            os.replace(partial, path)
+                handle = open(part, "w", encoding="utf-8")
+            parts.append(part)
+            with handle:
+                for piece in pieces:
+                    try:
+                        handle.write(piece)
+                    except OSError as exc:
+                        raise _unwritable(path, exc) from None
+                with _writing(path):
+                    handle.flush()
+        for path in contents:
+            if path.is_dir() and not path.is_symlink():  # ``os.replace`` would refuse it, after renaming the others
+                raise _unwritable(path, IsADirectoryError("Is a directory"))
+        for path, part in zip(contents, parts):
+            with _writing(path):
+                os.replace(part, path)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for part in parts:
+            part.unlink(missing_ok=True)
         raise
+
+
+def replace_files(texts: dict[Path, str]) -> None:
+    """Write each path's whole text, replacing every path or none (see ``_replace_all``)."""
+    _replace_all({path: [text] for path, text in texts.items()})
 
 
 def write_ndjson(path: str | Path, header: dict, records: Iterable[dict]) -> None:
     """Write a manifest, one record at a time; the file appears only once every record is written."""
-    with _replacing(Path(path), "w") as write:
-        write(canonical_json({HEADER_KEY: header}) + "\n")
-        for record in records:
-            write(canonical_json(record) + "\n")
+    _replace_all({Path(path): (canonical_json(record) + "\n" for record in chain([{HEADER_KEY: header}], records))})
 
 
 def _scan(path: Path, tolerate_partial: bool) -> Iterator[tuple[int, int, Any]]:
@@ -212,7 +220,7 @@ def resume_ndjson(path: str | Path) -> tuple[dict, Iterator[dict]]:
 
 
 def sort_ndjson(path: str | Path, key: Callable[[dict], Any]) -> None:
-    """Rewrite a manifest with its records in ``key`` order (stable), copying each line's bytes.
+    """Rewrite a manifest with its records in ``key`` order (stable), copying each line.
 
     Only the keys and the byte spans of the lines are held in memory.
     """
@@ -220,12 +228,16 @@ def sort_ndjson(path: str | Path, key: Callable[[dict], Any]) -> None:
     _, header_end, scan = _open_scan(path)
     with closing(scan):
         spans = sorted((key(record), start, end) for start, end, record in scan)
-    with open(path, "rb") as source, _replacing(path, "wb") as write:
-        write(source.read(header_end))
-        for _, start, end in spans:
-            source.seek(start)
-            line = source.read(end - start)
-            write(line if line.endswith(b"\n") else line + b"\n")
+    with open(path, "rb") as source:
+
+        def lines() -> Iterator[str]:  # each decoded as ``_scan`` decoded it
+            yield source.read(header_end).decode("utf-8")
+            for _, start, end in spans:
+                source.seek(start)
+                line = source.read(end - start).decode("utf-8")
+                yield line if line.endswith("\n") else line + "\n"
+
+        _replace_all({path: lines()})
 
 
 def csv_header_line(header: dict) -> str:

@@ -1,6 +1,7 @@
 """Labels, categories, configurations, prompt sections, the token counter and row tables that every stage shares.
 
-It imports only ``manifest``.
+Its readers of a dataset record's values (``_text``, ``_id``, ``_named``)
+serve ``corpus`` and ``score``'s ``read_labels`` alike. It imports only ``manifest``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import EventQAError
-from .manifest import STRING, ManifestError, Reader, encodes_utf8, kept, one_of, read_config
+from .manifest import STRING, ManifestError, Reader, _shown, encodes_utf8, kept, one_of, read_config
 
 
 class Answer(str, Enum):
@@ -96,30 +97,49 @@ def load_schema(path: str | Path) -> dict:
         raise DatasetFormatError(f"schema file {path}: {exc}") from None
 
 
+_TEXT = "a non-empty string that UTF-8 can encode"
+
+
+def _text(value, field: str, described: str = _TEXT) -> str:
+    """A non-empty JSON string that UTF-8 can encode: no lone surrogate, as ``"\\ud800"`` or a non-UTF-8 byte gives."""
+    if type(value) is str and value and encodes_utf8(value):
+        return value
+    raise ValueError(f"{field} must be {described}, got {_shown(value)}")
+
+
+def _id(value, field: str) -> str:
+    """An id: a text value, or a JSON integer (not a bool) read as its decimal string."""
+    return str(value) if type(value) is int else _text(value, field, f"{_TEXT} or an integer")
+
+
+def _named(enum: type[Enum], value, what: str):
+    """The member of ``enum`` that a JSON string names, in any case."""
+    if type(value) is str:
+        try:
+            return enum(value.lower())
+        except ValueError:
+            pass
+    raise ValueError(f"unknown {what} {_shown(value)}")
+
+
 Label = tuple[Answer, QuestionCategory]
 
 
 def read_label(raw: dict, schema: dict) -> Label:
-    """The gold answer and category of a raw dataset record; ``ValueError`` if either does not parse."""
-    answer_raw = str(raw.get(schema["answer"], "")).lower()
-    try:
-        answer = Answer(answer_raw)
-    except ValueError:
-        raise ValueError(f"gold answer must be yes or no, got {answer_raw!r}") from None
-    category_raw = raw.get(schema["category"])
-    if category_raw is None or category_raw == "":
+    """The gold answer and category of a raw dataset record; a missing, null or empty category is ``unknown``."""
+    answer = _named(Answer, raw.get(schema["answer"]), "gold answer")
+    category = raw.get(schema["category"])
+    if category is None or category == "":
         return answer, QuestionCategory.UNKNOWN
-    try:
-        return answer, QuestionCategory(str(category_raw).lower())
-    except ValueError:
-        raise ValueError(f"unrecognized category {category_raw!r}") from None
+    return answer, _named(QuestionCategory, category, "category")
 
 
 def read_labels(path: str | Path, schema: dict = DEFAULT_SCHEMA) -> dict[str, Label | None]:
     """instance_id -> ``read_label`` of each dataset record, in one pass that parses no graph.
 
-    A record that is no JSON object, or whose label does not parse, gives none. An id that two records label
-    differently maps to None, as only ``corpus.read_dataset``, which parses graphs, can tell which one it keeps.
+    A record that is no JSON object, or whose id (read by ``_id``, as ``build`` reads it) or label does not
+    parse, gives none. An id that two records label differently maps to None, as only
+    ``corpus.read_dataset``, which parses graphs, can tell which one it keeps.
     """
     labels: dict[str, Label | None] = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -128,10 +148,10 @@ def read_labels(path: str | Path, schema: dict = DEFAULT_SCHEMA) -> dict[str, La
                 raw = json.loads(line.strip())  # a blank line fails here too
                 if not isinstance(raw, dict):
                     continue
+                instance_id = _id(raw.get(schema["instance_id"]), "instance_id")
                 label = read_label(raw, schema)
             except (ValueError, RecursionError):  # RecursionError: JSON nested too deep
                 continue
-            instance_id = str(raw.get(schema["instance_id"], ""))
             if labels.setdefault(instance_id, label) != label:
                 labels[instance_id] = None
     return labels
@@ -238,7 +258,7 @@ SECTION_HEADERS = {
 }
 
 
-INSTANCE_ID = ((str,), "a non-empty string", kept(lambda text: text != "" and encodes_utf8(text)))
+INSTANCE_ID = ((str,), "a non-empty string", lambda value: _text(value, "instance_id"))
 COUNT = ((int,), "a non-negative integer", kept((0).__le__))
 # A configuration of a prompt or prediction row, built once per value and shared (safe, as a config is frozen).
 _CONFIG_FIELDS = {"strategy": one_of(Strategy), "modality": one_of(Modality)}

@@ -425,6 +425,21 @@ def test_score_with_a_schema_reads_remapped_labels(pipeline_dir, tmp_path):
     assert (out / "predictions.ndjson").read_bytes() == (pipeline_dir / "predictions.ndjson").read_bytes()
 
 
+def test_score_reads_ids_as_build_does(tmp_path):
+    """A ``true`` id, which build refuses, gives no label, so it cannot spoil the label of the ``"True"`` record."""
+    record = json.loads(Path(DATASET).read_text(encoding="utf-8").splitlines()[1])
+    dataset = tmp_path / "ids.ndjson"
+    with open(dataset, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(dict(record, instance_id="True", answer="yes")) + "\n")
+        handle.write(json.dumps(dict(record, instance_id=True, answer="no")) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("build", "--dataset", dataset, "--configs", "zero-graph", "--out", out) == 0
+    assert run_cli("run", "--out", out, "--backend", "oracle") == 0
+    assert run_cli("score", "--out", out, "--dataset", dataset) == 0
+    _, rows = manifest.read_ndjson(out / "predictions.ndjson")
+    assert [(row["instance_id"], row["gold"]) for row in rows] == [("True", "yes")]
+
+
 LAYER_ERRORS = [
     corpus.CorpusError,
     promptkit.PromptError,
@@ -578,13 +593,9 @@ class _NoSpaceLeft:
 def test_an_output_that_fills_the_disk_keeps_the_previous_one(pipeline_dir, tmp_path, capsys, monkeypatch, stage, name):
     out = tmp_path / "out"
     shutil.copytree(pipeline_dir, out)
-    previous = (out / name).read_bytes()
-    # A rebuild with fewer configurations, whose outputs would be shorter.
-    assert run_cli("build", "--out", out, "--dataset", DATASET, "--configs", "zero-text") == 0
-    (out / "responses.ndjson").unlink()  # made from the previous build's prompts
-    assert run_cli("run", "--out", out, "--backend", "oracle") == 0
-    assert run_cli("score", "--out", out, "--dataset", DATASET) == 0
-    capsys.readouterr()
+    outputs = REPORT_FILES if stage == "report" else (name,)
+    previous = {output: (out / output).read_bytes() for output in outputs}
+    _rescore_fewer_configurations(out, capsys)
     real_open = io.open
 
     def full_disk_open(file, mode="r", *args, **kwargs):
@@ -597,8 +608,17 @@ def test_an_output_that_fills_the_disk_keeps_the_previous_one(pipeline_dir, tmp_
     monkeypatch.setattr(io, "open", full_disk_open)  # what ``pathlib`` opens files with
     assert run_cli(stage, "--out", out, *STAGE_ARGS[stage]) == 2
     assert capsys.readouterr().err == f"error: cannot write {out / name}: {os.strerror(errno.ENOSPC)}\n"
-    assert (out / name).read_bytes() == previous
-    assert not (out / (name + ".part")).exists()
+    assert {output: (out / output).read_bytes() for output in outputs} == previous
+    assert not list(out.glob("*.part"))
+
+
+def _rescore_fewer_configurations(out: Path, capsys) -> None:
+    """Build, run and score ``out`` again with fewer configurations, so that every later output would change."""
+    assert run_cli("build", "--out", out, "--dataset", DATASET, "--configs", "zero-text") == 0
+    (out / "responses.ndjson").unlink()  # made from the previous build's prompts
+    assert run_cli("run", "--out", out, "--backend", "oracle") == 0
+    assert run_cli("score", "--out", out, "--dataset", DATASET) == 0
+    capsys.readouterr()
 
 
 def _as_version_0_1_0(path: Path) -> None:
@@ -616,6 +636,20 @@ def _as_version_0_1_0(path: Path) -> None:
 
 
 REPORT_FILES = ("report.json", "report.csv", "plot_by_strategy.csv", "plot_by_modality.csv")
+
+
+@pytest.mark.parametrize("name", REPORT_FILES)
+def test_a_failed_report_replaces_none_of_its_files(pipeline_dir, tmp_path, capsys, name):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_dir, out)
+    previous = {other: (out / other).read_bytes() for other in REPORT_FILES if other != name}
+    _rescore_fewer_configurations(out, capsys)
+    (out / name).unlink()
+    (out / name).mkdir()  # a directory where one of the four files goes
+    assert run_cli("report", "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / name}: ")
+    assert {other: (out / other).read_bytes() for other in previous} == previous
+    assert not list(out.glob("*.part"))
 
 
 @pytest.mark.parametrize(

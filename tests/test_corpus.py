@@ -20,7 +20,7 @@ from eventqa.corpus import (
     _allocate_quotas,
     read_dataset,
 )
-from eventqa.vocab import DEFAULT_SCHEMA, SCHEMA, SECTION_HEADERS, Answer, load_schema, read_label, read_labels
+from eventqa.vocab import DEFAULT_SCHEMA, SCHEMA, SECTION_HEADERS, Answer, _id, load_schema, read_label, read_labels
 
 
 def _write(path, records):
@@ -542,13 +542,16 @@ def _in_schema(record: dict, schema: dict) -> dict:
 
 @st.composite
 def _labelled_lines(draw):
-    """``_dataset_lines`` with well-formed records mixed in, so repeated ids also reach instances that load."""
+    """``_dataset_lines`` with well-formed records mixed in, so repeated ids also reach instances that load.
+
+    Their ids include JSON values that ``build`` refuses as ids but whose Python spelling is an id it keeps.
+    """
     schema, lines = draw(_dataset_lines())
     valid = st.builds(
         lambda instance_id, answer, category: json.dumps(
             _in_schema(_record(instance_id, answer=answer, category=category), schema)
         ),
-        st.sampled_from(["x", "y", "z"]),
+        st.sampled_from(["x", "y", "True", "None", "7", True, None, 7, 7.0]),
         st.sampled_from(["yes", "NO"]),
         st.sampled_from(["causal", "Past", ""]),
     )
@@ -562,13 +565,14 @@ class TestReadLabels:
         schema, lines = case
         path = tmp_path_factory.mktemp("labels") / "data.ndjson"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        # Every label each id is given by a record whose JSON, answer and category parse.
+        # Every label each id is given by a record whose JSON, id (as build reads it), answer and category parse.
         given_labels: dict = {}
         for line in lines:
             try:
                 raw = json.loads(line)
                 if isinstance(raw, dict):
-                    given_labels.setdefault(str(raw.get(schema["instance_id"], "")), set()).add(read_label(raw, schema))
+                    instance_id = _id(raw.get(schema["instance_id"]), "instance_id")
+                    given_labels.setdefault(instance_id, set()).add(read_label(raw, schema))
             except (ValueError, RecursionError):
                 pass
 
@@ -588,9 +592,12 @@ class TestReadLabels:
             json.dumps(_record("b", answer="maybe")),
             json.dumps(_record("c", category="other")),
             json.dumps(_record("d", graphs=[{"nodes": "none"}])),
+            json.dumps(_record(True, answer="no")),  # build refuses a ``true`` id, so it labels no "True"
+            json.dumps(_record("True", answer="yes", category="past")),
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert read_labels(path) == {
             "a": (Answer.YES, QuestionCategory.UNKNOWN),
             "d": (Answer(_record("d")["answer"]), QuestionCategory(_record("d")["category"])),
+            "True": (Answer.YES, QuestionCategory.PAST),
         }

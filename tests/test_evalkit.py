@@ -11,7 +11,6 @@ from eventqa.evalkit import (
     AccuracyReport,
     PredictionRecord,
     ScoringError,
-    emit_plot_data,
     emit_report,
     format_accuracy_table,
     score,
@@ -198,16 +197,18 @@ class TestEmission:
 
     def test_single_cell_report(self, tmp_path):
         report = score([make_prediction("a")])
-        assert emit_report(report, tmp_path, HEADER) == [tmp_path / "report.json", tmp_path / "report.csv"]
+        assert emit_report(report, tmp_path, HEADER) == [
+            tmp_path / name for name in ("report.json", "report.csv", "plot_by_strategy.csv", "plot_by_modality.csv")
+        ]
         lines = (tmp_path / "report.csv").read_text().splitlines()
         assert lines[1] == "backend,strategy,modality,category,n,accuracy,unparseable_rate"
         assert len(lines) == 4  # provenance + column names + config row + one cluster row
 
     def test_reemission_is_byte_identical(self, tmp_path):
         report = score(full_grid_predictions())
-        paths = emit_report(report, tmp_path, HEADER) + emit_plot_data(report, tmp_path, HEADER)
+        paths = emit_report(report, tmp_path, HEADER)
         first = {path: path.read_bytes() for path in paths}
-        assert emit_report(report, tmp_path, HEADER) + emit_plot_data(report, tmp_path, HEADER) == paths
+        assert emit_report(report, tmp_path, HEADER) == paths
         assert {path: path.read_bytes() for path in paths} == first
 
     def test_json_mirrors_csv_content(self, tmp_path):
@@ -229,7 +230,7 @@ class TestEmission:
         # TAG cells only, grouped by strategy: 13 categories x 3 strategies.
         predictions = [p for p in full_grid_predictions() if p.config.modality.value == "tag"]
         report = score(predictions)
-        paths = emit_plot_data(report, tmp_path, HEADER)
+        paths = emit_report(report, tmp_path, HEADER)[2:]
         assert paths == [tmp_path / "plot_by_strategy.csv", tmp_path / "plot_by_modality.csv"]
         rows = read_csv(paths[0])
         assert len(rows) == 13 * 3
@@ -240,21 +241,21 @@ class TestEmission:
             make_prediction("a", config="cot-tag", category=QuestionCategory.CAUSAL),
         ]
         report = score(predictions)
-        for path in emit_plot_data(report, tmp_path, HEADER):
+        for path in emit_report(report, tmp_path, HEADER)[2:]:
             rows = read_csv(path)
             missing = [row for row in rows if row["category"] == "unknown"]
             assert missing and all(row["n"] == "0" and row["accuracy"] == "" for row in missing)
 
     def test_plot_categories_alphabetical(self, tmp_path):
         report = score(full_grid_predictions())
-        emit_plot_data(report, tmp_path, HEADER)
+        emit_report(report, tmp_path, HEADER)
         rows = read_csv(tmp_path / "plot_by_strategy.csv")
         tag_zero = [row["category"] for row in rows if row["modality"] == "tag" and row["strategy"] == "zero"]
         assert tag_zero == sorted(tag_zero)
 
     def test_plot_by_modality_swaps_group_and_series(self, tmp_path):
         report = score(full_grid_predictions())
-        emit_plot_data(report, tmp_path, HEADER)
+        emit_report(report, tmp_path, HEADER)
         by_strategy = read_csv(tmp_path / "plot_by_strategy.csv")
         by_modality = read_csv(tmp_path / "plot_by_modality.csv")
         assert list(by_strategy[0]) == ["backend", "modality", "category", "strategy", "n", "accuracy"]

@@ -1,6 +1,6 @@
 """Event-QA harness: causal-graph prompts, pluggable backends, per-category scoring."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 
 class EventQAError(Exception):

@@ -2,7 +2,8 @@
 
 Accuracy is the fraction of questions answered correctly; unparseable
 outputs stay in the denominator and are additionally reported as a rate of
-their own. Aggregates are keyed by (backend, strategy, modality) with a
+their own. A prediction keeps the extracted answer and the rule that found
+it, nothing of where in the reply it stood. Aggregates are keyed by (backend, strategy, modality) with a
 per-category breakdown that partitions each configuration cell. Emission
 is deterministic: fixed column order, sorted keys, categories alphabetical.
 ``emit_report`` renders all four report files in memory and replaces them
@@ -57,16 +58,7 @@ class PredictionRecord(NamedTuple):
         }
 
 
-def _span(span: list | None) -> tuple[int, int] | None:
-    if span is not None and not (len(span) == 2 and all(type(n) is int for n in span) and 0 <= span[0] <= span[1]):
-        raise ValueError(span)
-    return span and tuple(span)
-
-
-_SPAN = ((list, type(None)), "null or two byte offsets, start first", _span)
-_EXTRACTED = Reader(
-    ExtractedAnswer, {"answer": one_of(ExtractedLabel), "method": one_of(ExtractionMethod), "matched_span": _SPAN}
-)
+_EXTRACTED = Reader(ExtractedAnswer, {"answer": one_of(ExtractedLabel), "method": one_of(ExtractionMethod)})
 # A ``predictions.ndjson`` row, as ``report`` reads it.
 PREDICTION_ROW = Reader(
     PredictionRecord,

@@ -2,13 +2,14 @@
 
 Two-stage rule. First look for the canonical closing sentence, matching
 ``[Tt]herefore,`` followed by anything (newlines included) and then
-``answer is: yes`` or ``answer is: no``; when a trace restates intermediate
-conclusions, the last such sentence wins. Only if no canonical sentence is
-present, fall back to the first standalone yes/no token, where standalone
-means bounded by word boundaries, so "yesterday" and "nothing" never match.
-Both rules take yes/no in any ASCII case. If neither rule fires the output
-is unparseable, which is a value, not an error; scoring counts it as
-incorrect. Extraction is linear in the length of the output.
+``answer is: yes`` or ``answer is: no``, the label ending at a word
+boundary, so "answer is: not sure" is no answer; when a trace restates
+intermediate conclusions, the last such sentence wins. Only if no canonical
+sentence is present, fall back to the first standalone yes/no token, where
+standalone means bounded by word boundaries, so "yesterday" and "nothing"
+never match. Both rules take yes/no in any ASCII case. If neither rule
+fires the output is unparseable, which is a value, not an error; scoring
+counts it as incorrect. Extraction is linear in the length of the output.
 """
 
 from __future__ import annotations
@@ -33,46 +34,32 @@ class ExtractionMethod(str, Enum):
 class ExtractedAnswer(NamedTuple):
     answer: ExtractedLabel
     method: ExtractionMethod
-    matched_span: tuple[int, int] | None = None  # byte offsets into the raw text
 
     def to_dict(self) -> dict:
-        return {
-            "answer": self.answer.value,
-            "method": self.method.value,
-            "matched_span": list(self.matched_span) if self.matched_span else None,
-        }
+        return {"answer": self.answer.value, "method": self.method.value}
 
 
 _LEAD_IN = "herefore,"  # after a "T" or a "t"
 _ANSWER_CUE = "answer is: "
-# Spelled out rather than IGNORECASE, which would also let "ſ" (U+017F) stand
-# for "s".
-_STANDALONE_RE = re.compile(r"\b([Yy][Ee][Ss]|[Nn][Oo])\b")
+# A label ends at a word boundary. Spelled out rather than IGNORECASE, which
+# would also let "ſ" (U+017F) stand for "s".
+_LABEL_RE = re.compile(r"([Yy][Ee][Ss]|[Nn][Oo])\b")
+_STANDALONE_RE = re.compile(r"\b" + _LABEL_RE.pattern)
 
 UNPARSEABLE = ExtractedAnswer(answer=ExtractedLabel.UNPARSEABLE, method=ExtractionMethod.NONE)
 
 
-def _byte_span(text: str, start: int, end: int) -> tuple[int, int]:
-    return len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8"))
-
-
-def _label_at(text: str, at: int) -> str | None:
-    for label in ("yes", "no"):
-        if text[at : at + len(label)].lower() == label:
-            return label
-    return None
-
-
-def _last_canonical(text: str) -> tuple[str, int, int] | None:
-    """(label, start, end) of the last canonical sentence, or None.
+def _last_canonical(text: str) -> str | None:
+    """The label of the last canonical sentence, or None.
 
     Walks the leftmost non-overlapping matches of
-    ``[Tt]herefore,.*?answer is: (yes|no)`` forward: the next lead-in, then
-    the first cue at or after its end that is followed by yes or no, then on
-    from the end of that match. Once no cue follows a lead-in, none follows
-    a later one either, so the walk stops. Each character is looked at a
-    bounded number of times, where a lazy regex rescans to the end of the
-    text from every lead-in that has no answer after it.
+    ``[Tt]herefore,.*?answer is: (yes|no)``, the label ending at a word
+    boundary, forward: the next lead-in, then the first cue at or after its
+    end that is followed by such a label, then on from the end of that
+    label. Once no such cue follows a lead-in, none follows a later one
+    either, so the walk stops. Each character is looked at a bounded number
+    of times, where a lazy regex rescans to the end of the text from every
+    lead-in that has no answer after it.
     """
     last = None
     position = 0
@@ -82,15 +69,13 @@ def _last_canonical(text: str) -> tuple[str, int, int] | None:
             lead_in = text.find(_LEAD_IN, lead_in + 1)
         if lead_in < 0:
             return last
-        start = lead_in - 1
         cue = text.find(_ANSWER_CUE, lead_in + len(_LEAD_IN))
-        while cue >= 0 and _label_at(text, cue + len(_ANSWER_CUE)) is None:
+        while cue >= 0 and not (label := _LABEL_RE.match(text, cue + len(_ANSWER_CUE))):
             cue = text.find(_ANSWER_CUE, cue + 1)
         if cue < 0:
             return last
-        label = _label_at(text, cue + len(_ANSWER_CUE))
-        position = cue + len(_ANSWER_CUE) + len(label)
-        last = (label, start, position)
+        position = label.end()
+        last = label.group(1).lower()
 
 
 def extract_answer(raw_text: str) -> ExtractedAnswer:
@@ -100,19 +85,12 @@ def extract_answer(raw_text: str) -> ExtractedAnswer:
 
     canonical = _last_canonical(raw_text)
     if canonical is not None:
-        label, start, end = canonical
-        return ExtractedAnswer(
-            answer=ExtractedLabel(label),
-            method=ExtractionMethod.CANONICAL_REGEX,
-            matched_span=_byte_span(raw_text, start, end),
-        )
+        return ExtractedAnswer(answer=ExtractedLabel(canonical), method=ExtractionMethod.CANONICAL_REGEX)
 
     fallback = _STANDALONE_RE.search(raw_text)
     if fallback is not None:
         return ExtractedAnswer(
-            answer=ExtractedLabel(fallback.group(1).lower()),
-            method=ExtractionMethod.FALLBACK_FIRST_TOKEN,
-            matched_span=_byte_span(raw_text, fallback.start(), fallback.end()),
+            answer=ExtractedLabel(fallback.group(1).lower()), method=ExtractionMethod.FALLBACK_FIRST_TOKEN
         )
 
     return UNPARSEABLE

@@ -14,6 +14,7 @@ to break cycles are still verbalized, appended last in input order.
 
 The oracle's questions are the forms of ``_QUESTION_FORMS``, each naming
 the query it asks; ``oracle_answer`` runs it on the events a question names.
+Each query is linear in the size of the graph.
 """
 
 from __future__ import annotations
@@ -134,30 +135,34 @@ def graph_from_sentences(sentences: list[str]) -> CausalGraph:
 
 
 def occurred_set(graph: CausalGraph) -> set[str]:
-    """Events still standing after blocking is applied, as a fixpoint.
+    """Events still standing once blocking is applied: every event not knocked out by an event that stands.
 
-    Start from every event occurred; an event is knocked out when some
-    occurred event blocks it, and revived when all of its blockers are
-    themselves knocked out. Iterating that rule two steps at a time gives a
-    monotone sequence that stabilizes within |nodes| rounds regardless of
-    node order. Mutually blocking cycles resolve optimistically: events in
-    an unresolvable standoff count as occurred.
+    An event stands (is IN) when it has no blocker, or once all of its
+    blockers are knocked out (OUT); an event blocked by an event that stands
+    is knocked out. A queue of standing events applies that rule in
+    O(V+E): each blocks edge counts once against its target, an event goes
+    IN when its last blocker goes OUT, and every event it blocks goes OUT.
+    Whatever is neither IN nor OUT at the end, mutually blocking events in
+    an unresolvable standoff, resolves optimistically: it counts as occurred.
+    The result does not depend on node or edge order.
     """
-    blockers: dict[str, list[str]] = {node.id: [] for node in graph.nodes}
+    blocked: dict[str, list[str]] = {node.id: [] for node in graph.nodes}  # the events each one blocks
+    pending = dict.fromkeys(blocked, 0)  # blockers not yet OUT, per event
     for edge in graph.edges:
         if edge.relation is Relation.BLOCKS:
-            blockers[edge.target].append(edge.source)
-
-    def survivors(state: set[str]) -> set[str]:
-        return {node_id for node_id, sources in blockers.items() if not any(b in state for b in sources)}
-
-    state = {node.id for node in graph.nodes}
-    for _ in range(len(graph.nodes) + 1):
-        advanced = survivors(survivors(state))
-        if advanced == state:
-            break
-        state = advanced
-    return state
+            blocked[edge.source].append(edge.target)
+            pending[edge.target] += 1
+    standing = [event for event, count in pending.items() if not count]
+    out: set[str] = set()
+    for event in standing:  # grows as events go IN
+        for target in blocked[event]:
+            if target not in out:
+                out.add(target)
+                for later in blocked[target]:
+                    pending[later] -= 1
+                    if not pending[later]:
+                        standing.append(later)
+    return set(blocked) - out
 
 
 # --- the oracle's queries, on node ids, which are labels in a rebuilt graph -------

@@ -12,7 +12,10 @@ a prompt's ``vocab.count_tokens`` is the counts of its parts plus one
 header count per present section.
 
 All rendering is byte-deterministic: straight ASCII double quotes, one
-blank line between sections, a single trailing newline.
+blank line between sections, a single trailing newline. A record holds
+the text alone, which fixes every section: a dataset passage or question
+holding a header is rejected at load and a label holds no newline, so
+each ``### Name ###`` line of a prompt is a header.
 """
 
 from __future__ import annotations
@@ -104,7 +107,6 @@ class PromptRecord(NamedTuple):
     prompt_text: str
     token_count: int
     truncation_applied: bool
-    sections: dict[str, tuple[int, int]]
 
     def to_dict(self) -> dict:
         return {
@@ -113,29 +115,18 @@ class PromptRecord(NamedTuple):
             "prompt_text": self.prompt_text,
             "token_count": self.token_count,
             "truncation_applied": self.truncation_applied,
-            "sections": {name: list(span) for name, span in self.sections.items()},
             "tokenizer": TOKENIZER,
         }
 
 
-def _utf8_len(text: str) -> int:
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
-
-
-def _render(sections: dict[str, tuple[str, ...] | None]) -> tuple[str, dict[str, tuple[int, int]]]:
-    chunks, spans, offset = [], {}, 0  # offset in UTF-8 bytes
-    for name, parts in sections.items():
-        if parts is not None:
-            body = (" " if name == SECTION_TEXT else "\n").join(parts)
-            chunk = f"{SECTION_HEADERS[name]}\n{body}"
-            size = _utf8_len(chunk)
-            spans[name] = (offset, offset + size)
-            chunks.append(chunk)
-            offset += size + 2  # and the blank line after it
+def _render(sections: dict[str, tuple[str, ...] | None]) -> str:
+    chunks = [
+        f"{SECTION_HEADERS[name]}\n" + (" " if name == SECTION_TEXT else "\n").join(parts)
+        for name, parts in sections.items()
+        if parts is not None
+    ]
     # The answer header follows the question after a single newline.
-    answer = SECTION_HEADERS[SECTION_ANSWER]
-    spans[SECTION_ANSWER] = (offset - 1, offset - 1 + _utf8_len(answer))
-    return "\n\n".join(chunks) + f"\n{answer}\n", spans
+    return "\n\n".join(chunks) + f"\n{SECTION_HEADERS[SECTION_ANSWER]}\n"
 
 
 # How many passages keep their sentences, and how many passages, graphs,
@@ -222,14 +213,12 @@ def assemble_prompt(
         if token_count > budget:
             # Reached when a passage or graph with no sentences keeps its header.
             raise BudgetError(f"budget {budget} cannot be met")
-    prompt_text, spans = _render(sections)
     return PromptRecord(
         instance_id=instance.instance_id,
         config=config,
-        prompt_text=prompt_text,
+        prompt_text=_render(sections),
         token_count=token_count,
         truncation_applied=truncated,
-        sections=spans,
     )
 
 

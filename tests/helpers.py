@@ -19,7 +19,7 @@ from eventqa.corpus import (
     SamplingError,
     sample_positions,
 )
-from eventqa.extract import UNPARSEABLE, ExtractedAnswer, ExtractedLabel, ExtractionMethod, _byte_span
+from eventqa.extract import UNPARSEABLE, ExtractedAnswer, ExtractedLabel, ExtractionMethod
 from eventqa.graphcore import verbalize_graph
 from eventqa.promptkit import (
     BudgetError,
@@ -32,16 +32,7 @@ from eventqa.promptkit import (
     canonical_answer_sentence,
     split_sentences,
 )
-from eventqa.vocab import (
-    SECTION_ANSWER,
-    SECTION_EXAMPLES,
-    SECTION_GRAPH,
-    SECTION_INSTRUCTION,
-    SECTION_QUESTION,
-    SECTION_TEXT,
-    Strategy,
-    count_tokens,
-)
+from eventqa.vocab import Strategy, count_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -397,14 +388,6 @@ REFERENCE_SKELETON = """\
 ### Answer ###
 """
 
-_PLACEHOLDER_SECTIONS = {
-    "instruction": SECTION_INSTRUCTION,
-    "text": SECTION_TEXT,
-    "graph": SECTION_GRAPH,
-    "examples": SECTION_EXAMPLES,
-    "question": SECTION_QUESTION,
-}
-
 _PLACEHOLDER_RE = re.compile(r"\{(instruction|text|graph|examples|question)\}")
 
 
@@ -427,11 +410,7 @@ def _render_demo(demo: Demonstration) -> str:
     return f"Question: {demo.question}\nAnswer: {demo.reasoning_trace or demo.answer.value}"
 
 
-def _byte_offset(text: str, char_offset: int) -> int:
-    return len(text[:char_offset].encode("utf-8"))
-
-
-def render_reference(parts: PromptParts, template: ReferenceTemplate) -> tuple[str, dict[str, tuple[int, int]]]:
+def render_reference(parts: PromptParts, template: ReferenceTemplate) -> str:
     values = {
         "instruction": parts.instruction,
         "text": " ".join(parts.passage_sentences) if parts.passage_sentences is not None else None,
@@ -439,34 +418,12 @@ def render_reference(parts: PromptParts, template: ReferenceTemplate) -> tuple[s
         "examples": "\n".join(_render_demo(d) for d in parts.demos) if parts.demos else None,
         "question": parts.question,
     }
-
-    rendered_blocks: list[str] = []
-    # (section name, char start, char end) relative to the block, resolved later.
-    section_spans: list[tuple[str, int, int]] = []
-    offset = 0
-    for block in template.blocks:
-        placeholders = _PLACEHOLDER_RE.findall(block)
-        if any(values[name] is None for name in placeholders):
-            continue
-        text = _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], block)
-        if rendered_blocks:
-            offset += 2  # the separating blank line
-        if "question" in placeholders:
-            # The question block also carries the trailing answer header.
-            answer_header_at = text.rindex("\n### Answer ###")
-            section_spans.append((SECTION_QUESTION, offset, offset + answer_header_at))
-            section_spans.append((SECTION_ANSWER, offset + answer_header_at + 1, offset + len(text)))
-        else:
-            section_spans.append((_PLACEHOLDER_SECTIONS[placeholders[0]], offset, offset + len(text)))
-        rendered_blocks.append(text)
-        offset += len(text)
-
-    prompt_text = "\n\n".join(rendered_blocks) + "\n"
-    sections = {
-        name: (_byte_offset(prompt_text, start), _byte_offset(prompt_text, end))
-        for name, start, end in section_spans
-    }
-    return prompt_text, sections
+    rendered_blocks = [
+        _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], block)
+        for block in template.blocks
+        if all(values[name] is not None for name in _PLACEHOLDER_RE.findall(block))
+    ]
+    return "\n\n".join(rendered_blocks) + "\n"
 
 
 def prompt_parts_reference(
@@ -504,14 +461,13 @@ def assemble_prompt_reference(
     Assembly is pure: identical inputs give byte-identical prompt text.
     """
     parts = prompt_parts_reference(instance, config, demos, graph, template=template)
-    prompt_text, sections = render_reference(parts, template)
+    prompt_text = render_reference(parts, template)
     record = PromptRecord(
         instance_id=instance.instance_id,
         config=config,
         prompt_text=prompt_text,
         token_count=count_tokens(prompt_text),
         truncation_applied=False,
-        sections=sections,
     )
     return record if budget is None else truncate_to_budget_reference(record, parts, budget, template=template)
 
@@ -533,7 +489,7 @@ def truncate_to_budget_reference(
         return record
 
     skeleton = parts._replace(passage_sentences=None, graph_sentences=None, demos=())
-    skeleton_text, _ = render_reference(skeleton, template)
+    skeleton_text = render_reference(skeleton, template)
     if count_tokens(skeleton_text) > budget:
         raise BudgetError(f"budget {budget} is below the prompt skeleton size")
 
@@ -546,23 +502,18 @@ def truncate_to_budget_reference(
             parts = parts._replace(graph_sentences=parts.graph_sentences[:-1] or None)
         else:
             break
-        prompt_text, sections = render_reference(parts, template)
+        prompt_text = render_reference(parts, template)
         token_count = count_tokens(prompt_text)
         if token_count <= budget:
-            return record._replace(
-                prompt_text=prompt_text,
-                token_count=token_count,
-                truncation_applied=True,
-                sections=sections,
-            )
+            return record._replace(prompt_text=prompt_text, token_count=token_count, truncation_applied=True)
     raise BudgetError(f"budget {budget} cannot be met")  # unreachable: skeleton fits
 
 
 # Answer extraction as it was before the forward scan, kept as the reference
-# for label, method and span. Its lazy regex is quadratic on outputs with many
+# for label and method. Its lazy regex is quadratic on outputs with many
 # "Therefore," and no answer after them, and it raises ValueError on "yeſ"
 # (U+017F folds to "s" under IGNORECASE), so feed it neither.
-_CANONICAL_RE = re.compile(r"[Tt]herefore,.*?answer is: ((?i:yes|no))", re.DOTALL)
+_CANONICAL_RE = re.compile(r"[Tt]herefore,.*?answer is: ((?i:yes|no))\b", re.DOTALL)
 _STANDALONE_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 
 
@@ -576,17 +527,57 @@ def extract_answer_reference(raw_text: str) -> ExtractedAnswer:
         pass
     if canonical is not None:
         return ExtractedAnswer(
-            answer=ExtractedLabel(canonical.group(1).lower()),
-            method=ExtractionMethod.CANONICAL_REGEX,
-            matched_span=_byte_span(raw_text, canonical.start(), canonical.end()),
+            answer=ExtractedLabel(canonical.group(1).lower()), method=ExtractionMethod.CANONICAL_REGEX
         )
 
     fallback = _STANDALONE_RE.search(raw_text)
     if fallback is not None:
         return ExtractedAnswer(
-            answer=ExtractedLabel(fallback.group(1).lower()),
-            method=ExtractionMethod.FALLBACK_FIRST_TOKEN,
-            matched_span=_byte_span(raw_text, fallback.start(), fallback.end()),
+            answer=ExtractedLabel(fallback.group(1).lower()), method=ExtractionMethod.FALLBACK_FIRST_TOKEN
         )
 
     return UNPARSEABLE
+
+
+# The line break, or the blank line, before a header line.
+_SECTION_BREAK_RE = re.compile(r"\n\n?(?=^### \w+ ###$)", re.MULTILINE)
+
+
+def prompt_sections(prompt_text: str) -> dict[str, str]:
+    """Each section of a prompt by name, in prompt order: its header line and body, as the prompt spells them.
+
+    Every ``### Name ###`` line of a prompt is a header: a dataset passage or
+    question holding one is rejected at load, and a label holds no newline.
+    """
+    chunks = _SECTION_BREAK_RE.split(prompt_text.removesuffix("\n"))
+    return {chunk.partition("\n")[0][len("### ") : -len(" ###")]: chunk for chunk in chunks}
+
+
+# Occurrence as it was before the grounded labelling's queue, kept as the
+# reference that ``graphcore.occurred_set`` must match on every graph. It
+# takes up to |nodes| rounds of O(V+E) each.
+def occurred_set_reference(graph: CausalGraph) -> set[str]:
+    """Events still standing after blocking is applied, as a fixpoint.
+
+    Start from every event occurred; an event is knocked out when some
+    occurred event blocks it, and revived when all of its blockers are
+    themselves knocked out. Iterating that rule two steps at a time gives a
+    monotone sequence that stabilizes within |nodes| rounds regardless of
+    node order. Mutually blocking cycles resolve optimistically: events in
+    an unresolvable standoff count as occurred.
+    """
+    blockers: dict[str, list[str]] = {node.id: [] for node in graph.nodes}
+    for edge in graph.edges:
+        if edge.relation is Relation.BLOCKS:
+            blockers[edge.target].append(edge.source)
+
+    def survivors(state: set[str]) -> set[str]:
+        return {node_id for node_id, sources in blockers.items() if not any(b in state for b in sources)}
+
+    state = {node.id for node in graph.nodes}
+    for _ in range(len(graph.nodes) + 1):
+        advanced = survivors(survivors(state))
+        if advanced == state:
+            break
+        state = advanced
+    return state

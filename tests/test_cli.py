@@ -54,7 +54,7 @@ class TestBuild:
         _, records = manifest.read_ndjson(out / "prompts.ndjson")
         assert len(list(records)) == 13
         for row in records:
-            assert sorted(row["sections"]) == ["Answer", "Instruction", "Question", "Text"]
+            assert list(helpers.prompt_sections(row["prompt_text"])) == ["Instruction", "Text", "Question", "Answer"]
 
     def test_mean_token_summary_printed(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -621,18 +621,31 @@ def _rescore_fewer_configurations(out: Path, capsys) -> None:
     capsys.readouterr()
 
 
-def _as_version_0_1_0(path: Path) -> None:
-    """Rewrite a manifest as version 0.1.0 wrote it: that header version, and the keys it derived in each row."""
+def _as_version(path: Path, version: str) -> None:
+    """Rewrite a manifest as ``version`` (0.1.0 or 0.2.0) wrote it: that header version, and the keys it derived.
+
+    Both wrote each prompt's section byte spans and each prediction's matched byte span, here as the oracle's
+    bare-label replies had it. 0.1.0 also wrote the strategy's demonstration count and traces, and ``correct``.
+    """
     header, rows = manifest.read_ndjson(path)
     rows = list(rows)
     for row in rows:
-        if type(row["config"]) is dict:
-            strategy = row["config"]["strategy"]
-            row["config"]["demo_count"] = 0 if strategy == "zero" else 3
-            row["config"]["include_reasoning_traces"] = strategy == "cot"
+        if "prompt_text" in row:
+            text, row["sections"] = row["prompt_text"], {}
+            for name, section in helpers.prompt_sections(text).items():
+                start = len(text[: text.index(section)].encode())
+                row["sections"][name] = [start, start + len(section.encode())]
         if "gold" in row:
-            row["correct"] = row["extracted"]["answer"] == row["gold"]
-    manifest.write_ndjson(path, dict(header, version="0.1.0"), rows)
+            answer = row["extracted"]["answer"]
+            row["extracted"]["matched_span"] = None if answer == "unparseable" else [0, len(answer)]
+        if version == "0.1.0":
+            if type(row["config"]) is dict:
+                strategy = row["config"]["strategy"]
+                row["config"]["demo_count"] = 0 if strategy == "zero" else 3
+                row["config"]["include_reasoning_traces"] = strategy == "cot"
+            if "gold" in row:
+                row["correct"] = row["extracted"]["answer"] == row["gold"]
+    manifest.write_ndjson(path, dict(header, version=version), rows)
 
 
 REPORT_FILES = ("report.json", "report.csv", "plot_by_strategy.csv", "plot_by_modality.csv")
@@ -652,6 +665,7 @@ def test_a_failed_report_replaces_none_of_its_files(pipeline_dir, tmp_path, caps
     assert not list(out.glob("*.part"))
 
 
+@pytest.mark.parametrize("version", ["0.1.0", "0.2.0"])
 @pytest.mark.parametrize(
     "stage, manifest_name, outputs",
     [
@@ -660,13 +674,13 @@ def test_a_failed_report_replaces_none_of_its_files(pipeline_dir, tmp_path, caps
         ("run", "prompts.ndjson", ("responses.ndjson",)),
     ],
 )
-def test_a_stage_reads_its_version_0_1_0_input_as_the_current_one(
-    pipeline_dir, tmp_path, stage, manifest_name, outputs
+def test_a_stage_reads_its_earlier_version_input_as_the_current_one(
+    pipeline_dir, tmp_path, stage, manifest_name, outputs, version
 ):
     out = tmp_path / "out"
     shutil.copytree(pipeline_dir, out)
-    _as_version_0_1_0(out / manifest_name)
-    assert b'"version":"0.1.0"' in (out / manifest_name).read_bytes()
+    _as_version(out / manifest_name, version)
+    assert f'"version":"{version}"'.encode() in (out / manifest_name).read_bytes()
     if stage == "run":
         (out / "responses.ndjson").unlink()
     assert run_cli(stage, "--out", out, *STAGE_ARGS[stage]) == 0
@@ -674,11 +688,14 @@ def test_a_stage_reads_its_version_0_1_0_input_as_the_current_one(
         assert (out / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 
-def test_run_refuses_to_resume_a_version_0_1_0_response_manifest(pipeline_dir, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("version", ["0.1.0", "0.2.0"])
+def test_run_refuses_to_resume_an_earlier_version_response_manifest(
+    pipeline_dir, tmp_path, capsys, monkeypatch, version
+):
     out = tmp_path / "out"
     shutil.copytree(pipeline_dir, out)
     path = out / "responses.ndjson"
-    _as_version_0_1_0(path)
+    _as_version(path, version)
     old = path.read_bytes()
     sent = []
     monkeypatch.setattr(backends, "complete", lambda *args: sent.append(args))
@@ -855,10 +872,6 @@ class TestPipeline:
         "spoil, message",
         [
             (lambda row: dict(row, gold="maybe"), "gold must be one of yes, no, got 'maybe'"),
-            (
-                lambda row: dict(row, extracted=dict(row["extracted"], matched_span=[1])),
-                "extracted.matched_span must be null or two byte offsets, start first, got [1]",
-            ),
             (lambda row: dict(row, backend=5), "backend must be a string, got 5"),
             (lambda row: dict(row, instance_id=7), "instance_id must be a non-empty string, got 7"),
             (lambda row: dict(row, extracted=None), "extracted must be a JSON object, got None"),
@@ -866,7 +879,6 @@ class TestPipeline:
         ],
         ids=[
             "unknown-gold",
-            "short-span",
             "numeric-backend",
             "numeric-instance-id",
             "null-extracted",

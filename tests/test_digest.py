@@ -35,15 +35,15 @@ _NON_ASCII_PASSAGE = (
 )
 
 PINNED = {
-    "prompts.ndjson": "800e158b3c087d76485f8e3b0a9cdce80da51d32b2c8bafc655a91b5df2b5f2b",
-    "rejections.ndjson": "91a5f0a1fa5fe21c756e9fb66e19c06b9099a21167e68cbaadd64514f8a66322",
-    "responses.ndjson": "a379fab3c31aa4f392046fc62dffbcbcabc07ea07c80fd4011a582892f782fc8",
-    "predictions.ndjson": "af998e4ed93b1c69064cf75dfe20f03a619770a4617716c7b68b3c398a773041",
-    "report.json": "2317d24b9c47bdc5f332512d7c2f607a5da8c3c82952a8a443fd3abc656ef6f5",
-    "report.csv": "86c69c167e87435bcba1e31e17886ee5eee1da832e8d3b7c819893da77f29e50",
-    "plot_by_strategy.csv": "c8707aa6e47088e4e26fe13f62b54cead2b14d54054971e27f2980a78f160419",
-    "plot_by_modality.csv": "dcc6a1fd374c81f0305f3df9d446be089765944848b483c9d14d30522685edcd",
-    "cost.json": "ffedbcc1aadca742892009e46b019325a73b976f143e1900ff0004d968839465",
+    "prompts.ndjson": "37aed6c369a12900020be718354af32cb5eb117dfff77dd92fd3c5690f6417c8",
+    "rejections.ndjson": "c89feefd9b39269914dd1677d35ff75cc9bec80662580d7e6af90ade91de1178",
+    "responses.ndjson": "7994fc367c7986b92badad431ad88eb2e41dfcab84b7d8e6a66b42e6ac028015",
+    "predictions.ndjson": "517e01c5456cfa0113eeb6f1b969bb9d4676199d462a54c507ef4df76cabfc96",
+    "report.json": "a69d2e2ab11fcd10b6bd44d0e4a2c2499b2a3ecbf113b0c1ec1f86a79055a768",
+    "report.csv": "732584e3b36e3d98b425f091ca58b7bbcee4574654053dcb0cee8e20e10a3f26",
+    "plot_by_strategy.csv": "fb4e18fc0902c88e208133452e954645adbd92524a140f99a573cb05971260cb",
+    "plot_by_modality.csv": "05d2579ad6a97daf2b808ad735b0d6411c1cf2d79106b580f3c217cf8d645019",
+    "cost.json": "0cb53657ad597e0e4273f6e91b0cee5d852c4fa0ff560eed234fd30039a5f01f",
 }
 
 
@@ -102,16 +102,20 @@ def test_artifact_digests_are_pinned(tmp_path):
     _, prompts = read_ndjson(out / "prompts.ndjson")
     truncated = [row for row in prompts if row["truncation_applied"]]
     assert 0.1 < len(truncated) / len(list(prompts)) < 0.9
-    assert any("Examples" not in row["sections"] and row["config"]["strategy"] != "zero" for row in truncated)
+    assert any(
+        "Examples" not in helpers.prompt_sections(row["prompt_text"]) and row["config"]["strategy"] != "zero"
+        for row in truncated
+    )
     assert any(not row["prompt_text"].isascii() for row in truncated)
     assert any(not row["prompt_text"].isascii() for row in prompts if not row["truncation_applied"])
 
-    # A row keeps only what it cannot derive: the strategy fixes the demonstrations and traces, and the two
-    # labels fix whether a prediction is correct.
+    # A row keeps only what it cannot derive: the strategy fixes the demonstrations and traces, the two
+    # labels fix whether a prediction is correct, and a prompt's header lines fix its sections.
     for name in ("prompts.ndjson", "predictions.ndjson"):
         _, rows = read_ndjson(out / name)
         for row in rows:
             assert row["config"].keys() == {"strategy", "modality"} and "correct" not in row, (name, row)
+            assert "sections" not in row and row.get("extracted", {}).keys() <= {"answer", "method"}, (name, row)
 
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED}
     assert digests == PINNED

@@ -23,7 +23,7 @@ from eventqa.vocab import all_configs, parse_selector
 def _extracted(label):
     if label is ExtractedLabel.UNPARSEABLE:
         return ExtractedAnswer(answer=label, method=ExtractionMethod.NONE)
-    return ExtractedAnswer(answer=label, method=ExtractionMethod.FALLBACK_FIRST_TOKEN, matched_span=(0, 2))
+    return ExtractedAnswer(answer=label, method=ExtractionMethod.FALLBACK_FIRST_TOKEN)
 
 
 def make_prediction(instance_id, *, config="zero-text", backend="oracle", gold=Answer.NO,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
 from itertools import permutations
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from eventqa import graphcore
 from eventqa.corpus import CausalEdge, CausalGraph, EventNode, Relation
 from eventqa.graphcore import (
     VerbalizationParseError,
@@ -93,6 +95,44 @@ def graphs(draw, acyclic=False, max_nodes=8, max_edges=12):
 
 # Up to 20 nodes and 45 edges; with few nodes, parallel edges are common.
 dense_multigraphs = graphs(max_nodes=20, max_edges=45)
+
+
+@st.composite
+def blocking_multigraphs(draw):
+    """Up to 9 nodes and 20 edges of either relation, self-loops, parallel edges and mutual blocks included.
+
+    ``graph_from_sentences`` builds such a graph from whatever edge sentences a prompt holds.
+    """
+    count = draw(st.integers(1, 9))
+    ends = st.integers(0, count - 1)
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from(Relation)), max_size=20))
+    nodes = tuple(EventNode(f"n{i}", f"event {i}") for i in range(count))
+    return CausalGraph(nodes, tuple(CausalEdge(f"n{s}", f"n{t}", relation) for s, t, relation in edges))
+
+
+def blocks_chain(length: int) -> CausalGraph:
+    """n0 blocks n1, n1 blocks n2, and so on."""
+    nodes = tuple(EventNode(f"n{i}", f"event {i}") for i in range(length))
+    return CausalGraph(nodes, tuple(CausalEdge(f"n{i}", f"n{i + 1}", Relation.BLOCKS) for i in range(length - 1)))
+
+
+def graphcore_lines(call) -> int:
+    """How many lines of ``graphcore`` ``call()`` executes, loop iterations included: a count of work, not time."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != graphcore.__file__:
+            return None
+        count += event == "line"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
 
 
 class TestTopologicalOrder:
@@ -279,6 +319,17 @@ class TestOracle:
             (CausalEdge("a", "b", Relation.BLOCKS), CausalEdge("b", "a", Relation.BLOCKS)),
         )
         assert occurred_set(graph) == {"a", "b"}
+
+    @settings(max_examples=500, deadline=None)
+    @given(graph=blocking_multigraphs())
+    def test_occurred_set_matches_the_alternating_fixpoint(self, graph):
+        assert occurred_set(graph) == helpers.occurred_set_reference(graph)
+
+    def test_occurred_set_work_is_linear_on_a_blocks_chain(self):
+        # The alternating fixpoint needs a round per two links of the chain, so its work quadruples.
+        short, long = (graphcore_lines(lambda: occurred_set(blocks_chain(n))) for n in (250, 500))
+        assert 1.8 < long / short < 2.2, (short, long)
+        assert occurred_set(blocks_chain(500)) == {f"n{i}" for i in range(0, 500, 2)}
 
     @settings(max_examples=150, deadline=None)
     @given(graph=graphs())

@@ -33,7 +33,6 @@ def _write_prompts(out: Path, count: int) -> int:
                 "prompt_text": f"Did event {k} happen?",
                 "token_count": 5,
                 "truncation_applied": False,
-                "sections": {},
                 "tokenizer": "simple",
             }
 

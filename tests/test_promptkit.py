@@ -63,10 +63,8 @@ def _build(instance, config, pool=None, seed=0, budget=None):
     return assemble_prompt(instance, config, demos, verbalized, budget=budget)
 
 
-def _section(record, name):
-    """The text of section ``name`` of a record's prompt, sliced by its byte span."""
-    start, end = record.sections[name]
-    return record.prompt_text.encode("utf-8")[start:end].decode("utf-8")
+def _sections(record):
+    return helpers.prompt_sections(record.prompt_text)
 
 
 @pytest.fixture
@@ -124,27 +122,25 @@ class TestAssembly:
     def test_component_matrix_all_nine(self, rally_instance, demo_pool):
         for config in all_configs():
             record = _build(rally_instance, config, demo_pool)
-            optional = set(record.sections) - {SECTION_INSTRUCTION, SECTION_QUESTION, SECTION_ANSWER}
+            optional = set(_sections(record)) - {SECTION_INSTRUCTION, SECTION_QUESTION, SECTION_ANSWER}
             assert optional == COMPONENT_MATRIX[(config.strategy.value, config.modality.value)], config.selector
 
     def test_zero_text_sections_in_order(self, rally_instance):
         record = _build(rally_instance, PromptConfig(Strategy.ZERO, Modality.TEXT))
-        names = sorted(record.sections, key=lambda name: record.sections[name][0])
-        assert names == [SECTION_INSTRUCTION, SECTION_TEXT, SECTION_QUESTION, SECTION_ANSWER]
+        assert list(_sections(record)) == [SECTION_INSTRUCTION, SECTION_TEXT, SECTION_QUESTION, SECTION_ANSWER]
 
-    def test_section_ranges_slice_the_prompt(self, rally_instance, demo_pool):
+    def test_sections_spell_the_prompt(self, rally_instance, demo_pool):
+        # A blank line between sections, the answer header right under the question, one trailing newline.
         record = _build(rally_instance, PromptConfig(Strategy.COT, Modality.TAG), demo_pool)
-        data = record.prompt_text.encode("utf-8")
-        for name, (start, end) in record.sections.items():
-            chunk = data[start:end].decode("utf-8")
-            assert chunk.startswith(f"### {name} ###")
+        *sections, answer = _sections(record).values()
+        assert answer == f"### {SECTION_ANSWER} ###"
+        assert record.prompt_text == "\n\n".join(sections) + f"\n{answer}\n"
 
     def test_assembly_is_pure(self, rally_instance, demo_pool):
         config = PromptConfig(Strategy.COT, Modality.TAG)
         first = _build(rally_instance, config, demo_pool, seed=5)
         second = _build(rally_instance, config, demo_pool, seed=5)
-        assert first.prompt_text == second.prompt_text
-        assert first.sections == second.sections
+        assert first == second
 
     def test_tag_counts_dominate_single_modalities(self, demo_pool, synthetic_split):
         for strategy in Strategy:
@@ -162,7 +158,6 @@ class TestAssembly:
         assert row["prompt_text"] == record.prompt_text
         assert row["token_count"] == record.token_count
         assert PROMPT_ROW.read(row).config == record.config
-        assert {name: tuple(span) for name, span in row["sections"].items()} == record.sections
         assert row["tokenizer"] == promptkit.TOKENIZER == "simple"
         assert list(row) == [*PromptRecord._fields, "tokenizer"]  # the record holds exactly what it writes
 
@@ -183,25 +178,25 @@ class TestTruncation:
         truncated = _build(rally_instance, config, budget=record.token_count - 1)
         assert truncated.token_count == record.token_count - last_tokens
         assert truncated.truncation_applied
-        assert _section(truncated, SECTION_GRAPH) == _section(record, SECTION_GRAPH)
+        assert _sections(truncated)[SECTION_GRAPH] == _sections(record)[SECTION_GRAPH]
 
     def test_graph_only_prompt_trims_graph_keeps_question(self, rally_instance):
         config = PromptConfig(Strategy.ZERO, Modality.GRAPH)
         record = _build(rally_instance, config)
         truncated = _build(rally_instance, config, budget=record.token_count - 1)
-        assert SECTION_QUESTION in truncated.sections
+        assert SECTION_QUESTION in _sections(truncated)
         assert rally_instance.question in truncated.prompt_text
         assert truncated.token_count <= record.token_count - 1
 
     def test_passage_exhausted_before_graph_touched(self, rally_instance, demo_pool):
         config = PromptConfig(Strategy.FEW, Modality.TAG)
         record = _build(rally_instance, config, demo_pool)
-        graph = _section(record, SECTION_GRAPH)
+        graph = _sections(record)[SECTION_GRAPH]
         truncated = _build(rally_instance, config, demo_pool, budget=max(count_tokens(graph) + 40, 60))
         # The graph only shrinks once the passage and demos are gone.
-        assert _section(truncated, SECTION_GRAPH) != graph
-        assert SECTION_TEXT not in truncated.sections
-        assert SECTION_EXAMPLES not in truncated.sections
+        assert _sections(truncated)[SECTION_GRAPH] != graph
+        assert SECTION_TEXT not in _sections(truncated)
+        assert SECTION_EXAMPLES not in _sections(truncated)
 
     def test_truncation_never_raises_count(self, rally_instance, demo_pool):
         config = PromptConfig(Strategy.COT, Modality.TAG)
@@ -211,7 +206,7 @@ class TestTruncation:
             rally_instance, config, demos, verbalize_graph(rally_instance.graph), template=_REFERENCE_TEMPLATE
         )
         skeleton = parts._replace(passage_sentences=None, graph_sentences=None, demos=())
-        floor = count_tokens(helpers.render_reference(skeleton, _REFERENCE_TEMPLATE)[0])
+        floor = count_tokens(helpers.render_reference(skeleton, _REFERENCE_TEMPLATE))
         for budget in range(record.token_count, floor, -7):
             truncated = _build(rally_instance, config, demo_pool, budget=budget)
             assert truncated.token_count <= budget
@@ -454,7 +449,7 @@ class TestComposedCounts:
         )
         assert parts.graph_sentences == ()
         skeleton = parts._replace(graph_sentences=None)
-        budget = count_tokens(helpers.render_reference(skeleton, _REFERENCE_TEMPLATE)[0])
+        budget = count_tokens(helpers.render_reference(skeleton, _REFERENCE_TEMPLATE))
         case = rally_instance, config, (), verbalize_graph(edgeless), budget
         outcome = _record_or_error(assemble_prompt, *case)
         assert outcome == (BudgetError, f"budget {budget} cannot be met")

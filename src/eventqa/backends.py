@@ -38,6 +38,7 @@ from .graphcore import VerbalizationParseError, graph_from_sentences, oracle_ans
 from .manifest import INTEGER, NUMBER, STRING, Reader, _shown, encodes_utf8, kept, one_of
 from .vocab import (
     COUNT,
+    OUTPUT_BUDGETS,
     PROMPT_ROW,
     RESPONSE_ROW,
     SECTION_ANSWER,
@@ -46,7 +47,6 @@ from .vocab import (
     SECTION_QUESTION,
     Answer,
     count_tokens,
-    output_budget,
 )
 
 logger = logging.getLogger(__name__)
@@ -490,7 +490,7 @@ def run_batch(
         manifest.write_ndjson(manifest_path, header, [])
 
     def _run_one(prompt) -> dict:
-        record = complete(spec, prompt.prompt_text, prompt.token_count, output_budget(prompt.config.strategy))._asdict()
+        record = complete(spec, prompt.prompt_text, prompt.token_count, OUTPUT_BUDGETS[prompt.config.strategy])._asdict()
         record["instance_id"], record["config"] = _key(prompt)
         return record
 

@@ -180,7 +180,7 @@ def cmd_build(args) -> int:
                 tally[0] += 1
                 tally[1] += record.token_count
                 tally[2] += record.truncation_applied
-                yield record.to_dict()
+                yield manifest.as_row(record)
 
     out = Path(args.out)
     try:
@@ -192,11 +192,7 @@ def cmd_build(args) -> int:
         manifest.sort_ndjson(out / PROMPTS_FILE, lambda row: row["instance_id"])  # stable: selectors stay in order
     # Written only once the prompts are, so a failed build leaves the
     # previous build's rejection log in place.
-    manifest.write_ndjson(
-        out / REJECTIONS_FILE,
-        header,
-        ({"instance_id": r.instance_id, "reason": r.reason} for r in rejections),
-    )
+    manifest.write_ndjson(out / REJECTIONS_FILE, header, map(manifest.as_row, rejections))
 
     built = sum(n for n, _, _ in tallies.values())
     print(f"built {built} prompts for {count} instances -> {out / PROMPTS_FILE}")
@@ -297,7 +293,7 @@ def cmd_score(args) -> int:
             # instance_id, config and backend come first in both records.
             prediction = evalkit.PredictionRecord(*response[:3], extract.extract_answer(response.raw_text), *label)
             in_order = in_order and report.add(prediction)
-            yield prediction.to_dict()
+            yield manifest.as_row(prediction)
 
     manifest.write_ndjson(out / PREDICTIONS_FILE, header, predictions())
     if not in_order:
@@ -357,15 +353,14 @@ def cmd_cost(args) -> int:
     if args.expected_output_tokens is not None:
         prompts = sum(n for n, _ in tallies.values())
         input_tokens = sum(tokens for _, tokens in tallies.values())
-        estimate = costmodel.project_run_cost(prompts, input_tokens, args.expected_output_tokens, args.model, pricing)
+        estimate = costmodel.estimate_cost(input_tokens, prompts * args.expected_output_tokens, args.model, pricing)
     else:
         # Default output budgets differ by strategy; cost is additive, so
         # project per strategy and sum.
         total = Decimal(0)
         input_tokens = output_tokens = 0
         for strategy, (prompts, tokens) in tallies.items():
-            budget = vocab.output_budget(strategy)
-            part = costmodel.project_run_cost(prompts, tokens, budget, args.model, pricing)
+            part = costmodel.estimate_cost(tokens, prompts * vocab.OUTPUT_BUDGETS[strategy], args.model, pricing)
             total += part.total_cost
             input_tokens += part.input_tokens
             output_tokens += part.output_tokens

@@ -11,17 +11,18 @@ A record is read in one pass: each value is checked where it is read, by
 the type its field holds (text, an id, or a name of an enum), and only the
 graph ``graph_kind`` selects is parsed. The three readers live in
 ``vocab``, so ``score`` reads ids and labels by them without this module.
+The graph types live in ``graphcore``, so ``run`` asks the oracle without it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from enum import Enum
 from pathlib import Path
 from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
+from .graphcore import CausalEdge, CausalGraph, EventNode, Relation
 from .vocab import (
     DEFAULT_SCHEMA,
     SECTION_HEADERS,
@@ -45,38 +46,6 @@ SMALL_SIZE = 1024
 
 class SamplingError(CorpusError):
     """Raised when a sample request cannot be satisfied."""
-
-
-class Relation(str, Enum):
-    ENABLES = "enables"
-    BLOCKS = "blocks"
-
-
-class EventNode(NamedTuple):
-    id: str
-    label: str
-
-
-class CausalEdge(NamedTuple):
-    source: str
-    target: str
-    relation: Relation
-
-
-class CausalGraph(NamedTuple):
-    """Directed multigraph of events with enables/blocks edges.
-
-    Node and edge order is preserved from the source data; downstream
-    ordering rules (topological tie-breaks, emission order) depend on it.
-    A graph read from a dataset has unique node ids, labels without quotes
-    or newlines, and edges between two distinct nodes of its own.
-    """
-
-    nodes: tuple[EventNode, ...]
-    edges: tuple[CausalEdge, ...]
-
-    def node_table(self) -> dict[str, EventNode]:
-        return {node.id: node for node in self.nodes}
 
 
 class QAInstance(NamedTuple):

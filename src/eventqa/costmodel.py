@@ -118,19 +118,3 @@ def estimate_cost(input_tokens: int, output_tokens: int, model_name: str, pricin
         total_cost=total,
     )
 
-
-def project_run_cost(
-    prompts: int,
-    input_tokens: int,
-    expected_output_tokens: int,
-    model_name: str,
-    pricing: PricingTable,
-) -> CostEstimate:
-    """Project the cost of running a built prompt manifest from its tally.
-
-    ``input_tokens`` is the sum of the per-prompt counts of ``prompts``
-    prompts; every prompt is assumed to produce ``expected_output_tokens``
-    of output. ``cli.cmd_cost`` refuses a manifest without prompts before
-    it projects one.
-    """
-    return estimate_cost(input_tokens, prompts * expected_output_tokens, model_name, pricing)

@@ -3,8 +3,11 @@
 Accuracy is the fraction of questions answered correctly; unparseable
 outputs stay in the denominator and are additionally reported as a rate of
 their own. A prediction keeps the extracted answer and the rule that found
-it, nothing of where in the reply it stood. Aggregates are keyed by (backend, strategy, modality) with a
-per-category breakdown that partitions each configuration cell. Emission
+it, nothing of where in the reply it stood. Its fields are spelled only in
+``_PREDICTION_FIELDS``, which makes ``PredictionRecord``: ``score`` writes
+it through ``manifest.as_row``, and ``PREDICTION_ROW`` reads it.
+Aggregates are keyed by (backend, strategy, modality) with a per-category
+breakdown that partitions each configuration cell. Emission
 is deterministic: fixed column order, sorted keys, categories alphabetical.
 ``emit_report`` renders all four report files in memory and replaces them
 together, so a failed ``report`` never leaves files of two runs side by side.
@@ -15,26 +18,35 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import namedtuple
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import EventQAError
 from .extract import ExtractedAnswer, ExtractedLabel, ExtractionMethod
 from .manifest import HEADER_KEY, STRING, Reader, csv_header_line, one_of, replace_files
-from .vocab import ALL_CATEGORIES, CONFIG, INSTANCE_ID, Answer, Modality, PromptConfig, QuestionCategory, Strategy
+from .vocab import ALL_CATEGORIES, CONFIG, INSTANCE_ID, Answer, Modality, QuestionCategory, Strategy
 
 
 class ScoringError(EventQAError):
     pass
 
 
-class PredictionRecord(NamedTuple):
-    instance_id: str
-    config: PromptConfig
-    backend: str
-    extracted: ExtractedAnswer
-    gold: Answer
-    category: QuestionCategory
+_EXTRACTED = Reader(ExtractedAnswer, {"answer": one_of(ExtractedLabel), "method": one_of(ExtractionMethod)})
+_PREDICTION_FIELDS = {
+    "instance_id": INSTANCE_ID,
+    "config": CONFIG,
+    "backend": STRING,
+    "extracted": ((dict,), "a JSON object", _EXTRACTED),
+    "gold": one_of(Answer),
+    "category": one_of(QuestionCategory),
+}
+
+
+class PredictionRecord(namedtuple("PredictionRecord", _PREDICTION_FIELDS)):
+    """A ``predictions.ndjson`` row: a response's extracted answer beside its gold label and category."""
+
+    __slots__ = ()
 
     @property
     def correct(self) -> bool:
@@ -47,30 +59,9 @@ class PredictionRecord(NamedTuple):
         """What predictions are sorted and told apart by."""
         return self.instance_id, self.config.selector, self.backend
 
-    def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "config": self.config.to_dict(),
-            "backend": self.backend,
-            "extracted": self.extracted.to_dict(),
-            "gold": self.gold.value,
-            "category": self.category.value,
-        }
 
-
-_EXTRACTED = Reader(ExtractedAnswer, {"answer": one_of(ExtractedLabel), "method": one_of(ExtractionMethod)})
 # A ``predictions.ndjson`` row, as ``report`` reads it.
-PREDICTION_ROW = Reader(
-    PredictionRecord,
-    {
-        "instance_id": INSTANCE_ID,
-        "config": CONFIG,
-        "backend": STRING,
-        "extracted": ((dict,), "a JSON object", _EXTRACTED),
-        "gold": one_of(Answer),
-        "category": one_of(QuestionCategory),
-    },
-)
+PREDICTION_ROW = Reader(PredictionRecord, _PREDICTION_FIELDS)
 
 
 class CellStats:

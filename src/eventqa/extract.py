@@ -35,9 +35,6 @@ class ExtractedAnswer(NamedTuple):
     answer: ExtractedLabel
     method: ExtractionMethod
 
-    def to_dict(self) -> dict:
-        return {"answer": self.answer.value, "method": self.method.value}
-
 
 _LEAD_IN = "herefore,"  # after a "T" or a "t"
 _ANSWER_CUE = "answer is: "

@@ -1,4 +1,4 @@
-"""Causal-graph verbalization, and the causal queries the oracle asks of a graph.
+"""Causal graphs, their verbalization, and the causal queries the oracle asks of a graph.
 
 Verbalization grammar (fixed, documented for round-tripping):
 
@@ -22,10 +22,42 @@ from __future__ import annotations
 import heapq
 import re
 from collections import defaultdict
-from typing import Callable
+from enum import Enum
+from typing import Callable, NamedTuple
 
-from .corpus import CausalEdge, CausalGraph, EventNode, Relation
 from .vocab import Answer
+
+
+class Relation(str, Enum):
+    ENABLES = "enables"
+    BLOCKS = "blocks"
+
+
+class EventNode(NamedTuple):
+    id: str
+    label: str
+
+
+class CausalEdge(NamedTuple):
+    source: str
+    target: str
+    relation: Relation
+
+
+class CausalGraph(NamedTuple):
+    """Directed multigraph of events with enables/blocks edges.
+
+    Node and edge order is preserved from the source data; downstream
+    ordering rules (topological tie-breaks, emission order) depend on it.
+    A graph read from a dataset has unique node ids, labels without quotes
+    or newlines, and edges between two distinct nodes of its own.
+    """
+
+    nodes: tuple[EventNode, ...]
+    edges: tuple[CausalEdge, ...]
+
+    def node_table(self) -> dict[str, EventNode]:
+        return {node.id: node for node in self.nodes}
 
 
 class VerbalizationParseError(Exception):

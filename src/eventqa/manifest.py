@@ -10,6 +10,9 @@ Manifests are streamed: readers hold one record at a time, and writers
 write each record as it arrives, so no stage needs a whole manifest in
 memory.
 
+A record is a named tuple. ``as_row`` is its one writer, and a row table
+(see ``Reader``) its one reader, so each field of a row is declared once.
+
 Every digest the pipeline takes (header config hashes, input file hashes,
 derived seeds, mock fixture keys) goes through ``sha256``, bound here to
 the interpreter's built-in SHA-256 the way ``random`` binds ``_sha512``.
@@ -49,6 +52,14 @@ _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ens
 
 def canonical_json(obj) -> str:
     return _CANONICAL_ENCODER.encode(obj)
+
+
+def as_row(record: tuple) -> dict:
+    """A record's fields by name, each nested record (a named tuple) as an object of its own.
+
+    A ``str`` enum member stays as it is: ``canonical_json`` writes it as its value.
+    """
+    return {name: as_row(value) if isinstance(value, tuple) else value for name, value in zip(record._fields, record)}
 
 
 def config_hash(config: dict) -> str:

@@ -15,7 +15,8 @@ All rendering is byte-deterministic: straight ASCII double quotes, one
 blank line between sections, a single trailing newline. A record holds
 the text alone, which fixes every section: a dataset passage or question
 holding a header is rejected at load and a label holds no newline, so
-each ``### Name ###`` line of a prompt is a header.
+each ``### Name ###`` line of a prompt is a header. The record is
+``vocab.PromptRecord``, made from the row table of ``prompts.ndjson``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from pathlib import Path
 from random import Random
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .corpus import QAInstance
 from .graphcore import verbalize_graph
@@ -39,11 +40,11 @@ from .vocab import (
     SECTION_INSTRUCTION,
     SECTION_QUESTION,
     SECTION_TEXT,
-    TOKENIZER,
     Answer,
     Modality,
     PromptConfig,
     PromptError,
+    PromptRecord,
     Strategy,
     count_tokens,
 )
@@ -99,24 +100,6 @@ _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 def split_sentences(text: str) -> tuple[str, ...]:
     """Split on sentence-final punctuation followed by whitespace."""
     return tuple(part for part in _SENTENCE_SPLIT_RE.split(text.strip()) if part)
-
-
-class PromptRecord(NamedTuple):
-    instance_id: str
-    config: PromptConfig
-    prompt_text: str
-    token_count: int
-    truncation_applied: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "config": self.config.to_dict(),
-            "prompt_text": self.prompt_text,
-            "token_count": self.token_count,
-            "truncation_applied": self.truncation_applied,
-            "tokenizer": TOKENIZER,
-        }
 
 
 def _render(sections: dict[str, tuple[str, ...] | None]) -> str:

@@ -1,7 +1,10 @@
 """Labels, categories, configurations, prompt sections, the token counter and row tables that every stage shares.
 
 Its readers of a dataset record's values (``_text``, ``_id``, ``_named``)
-serve ``corpus`` and ``score``'s ``read_labels`` alike. It imports only ``manifest``.
+serve ``corpus`` and ``score``'s ``read_labels`` alike. A prompt row's
+fields are spelled only in ``_PROMPT_FIELDS``, which makes ``PromptRecord``:
+``build`` writes it through ``manifest.as_row``, and ``run`` and ``cost``
+read it through ``PROMPT_ROW``. It imports only ``manifest``.
 """
 
 from __future__ import annotations
@@ -174,10 +177,6 @@ class Strategy(str, Enum):
 OUTPUT_BUDGETS = {Strategy.ZERO: 8, Strategy.FEW: 8, Strategy.COT: 256}
 
 
-def output_budget(strategy: Strategy) -> int:
-    return OUTPUT_BUDGETS[strategy]
-
-
 class Modality(str, Enum):
     TEXT = "text"
     GRAPH = "graph"
@@ -203,9 +202,6 @@ class PromptConfig(namedtuple("PromptConfig", "strategy modality")):
     @property
     def includes_graph(self) -> bool:
         return self.modality in (Modality.GRAPH, Modality.TAG)
-
-    def to_dict(self) -> dict:
-        return {"strategy": self.strategy.value, "modality": self.modality.value}
 
 
 _MODALITY_ALIASES = {"text": Modality.TEXT, "graph": Modality.GRAPH, "graphs": Modality.GRAPH, "tag": Modality.TAG}
@@ -269,11 +265,13 @@ _PROMPT_FIELDS = {
     "config": CONFIG,
     "prompt_text": STRING,
     "token_count": COUNT,
+    "truncation_applied": ((bool,), "a JSON boolean", None),
     # A count another counter made cannot be checked against a context limit.
     "tokenizer": ((str,), repr(TOKENIZER), {TOKENIZER: TOKENIZER}.__getitem__),
 }
-# The fields of a ``prompts.ndjson`` row that ``run`` and ``cost`` read.
-PROMPT_ROW = Reader(namedtuple("PromptRow", _PROMPT_FIELDS), _PROMPT_FIELDS)
+# A ``prompts.ndjson`` row: ``promptkit.assemble_prompt`` makes it, and ``run`` and ``cost`` read it.
+PromptRecord = namedtuple("PromptRecord", _PROMPT_FIELDS, defaults=[TOKENIZER])
+PROMPT_ROW = Reader(PromptRecord, _PROMPT_FIELDS)
 
 _RESPONSE_FIELDS = {
     "instance_id": INSTANCE_ID,

@@ -31,7 +31,7 @@ from eventqa.backends import (
 )
 from eventqa.cli import main as cli_main
 from eventqa.corpus import Answer, QuestionCategory
-from eventqa.costmodel import estimate_cost, project_run_cost
+from eventqa.costmodel import estimate_cost
 from eventqa.extract import ExtractedLabel, ExtractionMethod, extract_answer
 from eventqa.graphcore import blocks, causes, graph_from_sentences, occurred, verbalize_graph
 from eventqa.promptkit import DemoPool, assemble_prompt, select_demonstrations
@@ -304,7 +304,7 @@ def test_criterion_07_cost_reproduction(solved_pricing):
     for tokens_in, tokens_out, expected in (GPT35_ZERO, GPT35_FEW):
         estimate = estimate_cost(tokens_in, tokens_out, "gpt-3.5-turbo", solved_pricing)
         assert abs(estimate.total_cost - expected) <= Decimal("0.05")
-    projection = project_run_cost(1000, 1000 * 21_100, 212_000, "gpt-4o", solved_pricing)
+    projection = estimate_cost(1000 * 21_100, 1000 * 212_000, "gpt-4o", solved_pricing)
     assert abs(projection.total_cost - GPT4O_COT[2]) <= Decimal("1.00")
     _report(7, "published cost rows reproduced from back-solved prices", started, 1.0)
 

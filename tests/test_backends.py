@@ -27,16 +27,15 @@ from eventqa.backends import (
     MockFixtureError,
     RetryPolicy,
     complete,
-    output_budget,
     prompt_fingerprint,
     run_batch,
 )
 from eventqa.cli import main
 from eventqa.corpus import Answer, Relation
 from eventqa.graphcore import blocks, causes, happened_after, occurred, parse_question, verbalize_graph
-from eventqa.manifest import ManifestError, make_header, read_ndjson, write_ndjson
+from eventqa.manifest import ManifestError, as_row, canonical_json, make_header, read_ndjson, write_ndjson
 from eventqa.promptkit import DemoPool, assemble_prompt, select_demonstrations
-from eventqa.vocab import Modality, PromptConfig, Strategy, all_configs, count_tokens, parse_selector
+from eventqa.vocab import OUTPUT_BUDGETS, Modality, PromptConfig, Strategy, all_configs, count_tokens, parse_selector
 from test_graphcore import closure_reachable, occurred_reference
 
 DATA = Path(__file__).parent / "data"
@@ -102,8 +101,8 @@ def build_prompts(count=10, configs=("zero-graph",), pool=None):
 
 
 def rows(prompts):
-    """Prompt records as the rows of a prompts manifest, which is what ``run_batch`` takes."""
-    return [prompt.to_dict() for prompt in prompts]
+    """Prompt records as the rows of a prompts manifest, which is what ``run_batch`` takes, read back as a file's are."""
+    return [json.loads(canonical_json(as_row(prompt))) for prompt in prompts]
 
 
 class TestMockBackend:
@@ -511,9 +510,9 @@ class TestHttpBackend:
         assert seen == [] and slept == []
 
     def test_output_budgets_by_strategy(self):
-        assert output_budget(Strategy.ZERO) == 8
-        assert output_budget(Strategy.FEW) == 8
-        assert output_budget(Strategy.COT) == 256
+        assert OUTPUT_BUDGETS[Strategy.ZERO] == 8
+        assert OUTPUT_BUDGETS[Strategy.FEW] == 8
+        assert OUTPUT_BUDGETS[Strategy.COT] == 256
 
 
 # One completion in a fresh interpreter, since urllib reads the proxy variables once per process. It resolves
@@ -733,11 +732,15 @@ class TestRunBatch:
             (lambda row: dict(row, prompt_text=None), "prompt_text must be a string"),
             (lambda row: dict(row, tokenizer=["simple"]), "tokenizer must be 'simple', got ['simple']"),
             (lambda row: dict(row, prompt_text=row["prompt_text"] + "\ud800"), "prompt_text must be a string, got '"),
+            (lambda row: dict(row, truncation_applied="yes"), "truncation_applied must be a JSON boolean, got 'yes'"),
+            (lambda row: dict(row, truncation_applied=1), "truncation_applied must be a JSON boolean, got 1"),
+            (lambda row: dict(row, truncation_applied=None), "truncation_applied must be a JSON boolean, got None"),
+            (lambda row: {k: v for k, v in row.items() if k != "truncation_applied"}, "no field 'truncation_applied'"),
         ],
         ids=[
             "not-an-object", "no-token-count", "no-tokenizer", "numeric-id", "empty-id", "selector-config",
             "unknown-strategy", "negative-count", "bool-count", "string-count", "null-prompt", "list-tokenizer",
-            "lone-surrogate-prompt",
+            "lone-surrogate-prompt", "string-truncation", "integer-truncation", "null-truncation", "no-truncation",
         ],
     )
     def test_malformed_row_refuses_the_batch(self, tmp_path, monkeypatch, spoil, message):

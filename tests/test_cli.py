@@ -16,9 +16,9 @@ import pytest
 
 import eventqa
 import helpers
-from eventqa import backends, cli, corpus, costmodel, evalkit, graphcore, manifest, promptkit
+from eventqa import backends, cli, corpus, costmodel, evalkit, graphcore, manifest, promptkit, vocab
 from eventqa.cli import main
-from eventqa.costmodel import load_pricing, project_run_cost
+from eventqa.costmodel import estimate_cost, load_pricing
 
 DATA = Path(__file__).parent / "data"
 DATASET = str(DATA / "sample_dataset.ndjson")
@@ -322,7 +322,7 @@ class TestBuild:
 CORE_MODULES = {"eventqa", "eventqa.vocab", "eventqa.manifest"}
 STAGE_MODULES = {
     "build": CORE_MODULES | {"eventqa.corpus", "eventqa.graphcore", "eventqa.promptkit"},
-    "run": CORE_MODULES | {"eventqa.corpus", "eventqa.graphcore", "eventqa.backends"},
+    "run": CORE_MODULES | {"eventqa.graphcore", "eventqa.backends"},
     "score": CORE_MODULES | {"eventqa.evalkit", "eventqa.extract"},
     "report": CORE_MODULES | {"eventqa.evalkit", "eventqa.extract"},
     "cost": CORE_MODULES | {"eventqa.costmodel"},
@@ -405,6 +405,25 @@ def test_each_stage_loads_only_its_layers(pipeline_dir, tmp_path, case):
     assert not {"dataclasses", "inspect"} & imported
     # Only an http_chat request loads the HTTP stack; ssl alone costs ~6 MB resident.
     assert not {"urllib.request", "http.client", "ssl"} & imported
+
+
+@pytest.mark.parametrize(
+    "name, reader",
+    [(cli.PROMPTS_FILE, vocab.PROMPT_ROW), (cli.PREDICTIONS_FILE, evalkit.PREDICTION_ROW)],
+    ids=["prompts", "predictions"],
+)
+def test_every_row_of_the_sample_pipeline_round_trips_through_its_record(pipeline_dir, name, reader):
+    """``manifest.as_row`` writes a record's fields in their declared order, and the row table reads it back."""
+    path = pipeline_dir / name
+    _, rows = manifest.read_ndjson(path)
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    records = list(manifest.read_rows(reader, rows, path))
+    assert records and len(records) == len(lines)
+    for record, line in zip(records, lines):
+        row = manifest.as_row(record)
+        assert list(row) == list(type(record)._fields)
+        assert manifest.canonical_json(row) == line  # the bytes the pipeline wrote
+        assert reader.read(json.loads(manifest.canonical_json(row))) == record
 
 
 def test_score_with_a_schema_reads_remapped_labels(pipeline_dir, tmp_path):
@@ -797,11 +816,19 @@ class TestPipeline:
             (lambda row: {k: v for k, v in row.items() if k != "token_count"}, "no field 'token_count'"),
             (lambda row: dict(row, instance_id=5), "instance_id must be a non-empty string, got 5"),
             (lambda row: dict(row, config=dict(row["config"], strategy="many-shot")), "config.strategy must be one of"),
+            (lambda row: dict(row, truncation_applied="yes"), "truncation_applied must be a JSON boolean, got 'yes'"),
+            (lambda row: dict(row, truncation_applied=1), "truncation_applied must be a JSON boolean, got 1"),
+            (lambda row: dict(row, truncation_applied=None), "truncation_applied must be a JSON boolean, got None"),
+            (lambda row: {k: v for k, v in row.items() if k != "truncation_applied"}, "no field 'truncation_applied'"),
         ],
         ids=[
             "no-token-count",
             "numeric-instance-id",
             "unknown-strategy",
+            "string-truncation",
+            "integer-truncation",
+            "null-truncation",
+            "no-truncation",
         ],
     )
     def test_run_refuses_a_malformed_prompt_row(self, built, capsys, spoil, message):
@@ -907,6 +934,10 @@ class TestPipeline:
             (lambda row: dict(row, tokenizer="chars"), "tokenizer must be 'simple', got 'chars'"),
             (lambda row: dict(row, prompt_text=None), "prompt_text must be a string, got None"),
             (lambda row: dict(row, instance_id=5), "instance_id must be a non-empty string, got 5"),
+            (lambda row: dict(row, truncation_applied="yes"), "truncation_applied must be a JSON boolean, got 'yes'"),
+            (lambda row: dict(row, truncation_applied=1), "truncation_applied must be a JSON boolean, got 1"),
+            (lambda row: dict(row, truncation_applied=None), "truncation_applied must be a JSON boolean, got None"),
+            (lambda row: {k: v for k, v in row.items() if k != "truncation_applied"}, "no field 'truncation_applied'"),
         ],
         ids=[
             "unknown-strategy",
@@ -916,6 +947,10 @@ class TestPipeline:
             "other-tokenizer",
             "null-prompt-text",
             "numeric-instance-id",
+            "string-truncation",
+            "integer-truncation",
+            "null-truncation",
+            "no-truncation",
         ],
     )
     def test_cost_refuses_a_malformed_prompt_row(self, built, capsys, spoil, message):
@@ -1257,7 +1292,7 @@ class TestPipeline:
         from eventqa.cli import _default_pricing_path
 
         tokens = sum(token_counts)
-        expected = project_run_cost(len(token_counts), tokens, 30, "gpt-3.5-turbo", load_pricing(_default_pricing_path()))
+        expected = estimate_cost(tokens, len(token_counts) * 30, "gpt-3.5-turbo", load_pricing(_default_pricing_path()))
         assert Decimal(payload["estimate"]["total_cost"]) == expected.total_cost
         assert payload["estimate"]["display_cost"] == str(expected.display_cost)
 

@@ -13,7 +13,6 @@ from eventqa.costmodel import (
     PricingTable,
     estimate_cost,
     load_pricing,
-    project_run_cost,
 )
 
 # Recorded full-run token tallies with their reported dollar costs; two
@@ -93,19 +92,19 @@ class TestEstimate:
 
 class TestProjection:
     def test_gpt4o_run_within_a_dollar(self, solved_pricing):
-        estimate = project_run_cost(1000, 1000 * 21_100, 212_000, "gpt-4o", solved_pricing)
+        estimate = estimate_cost(1000 * 21_100, 1000 * 212_000, "gpt-4o", solved_pricing)
         assert estimate.input_tokens == GPT4O_COT[0]
         assert estimate.output_tokens == GPT4O_COT[1]
         assert abs(estimate.total_cost - GPT4O_COT[2]) <= Decimal("1.00")
 
     def test_simple_arithmetic(self):
         pricing = PricingTable("flat", {"m": ModelPricing(Decimal("1"), Decimal("1"))})
-        estimate = project_run_cost(10, 10 * 100, 30, "m", pricing)
+        estimate = estimate_cost(10 * 100, 10 * 30, "m", pricing)
         assert estimate.total_cost == Decimal("0.0013")
 
     def test_zero_expected_output_is_input_only(self, solved_pricing):
-        with_output = project_run_cost(10, 10 * 1000, 50, "gpt-4o", solved_pricing)
-        without = project_run_cost(10, 10 * 1000, 0, "gpt-4o", solved_pricing)
+        with_output = estimate_cost(10 * 1000, 10 * 50, "gpt-4o", solved_pricing)
+        without = estimate_cost(10 * 1000, 10 * 0, "gpt-4o", solved_pricing)
         assert without.output_tokens == 0
         assert without.total_cost < with_output.total_cost
 

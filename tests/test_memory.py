@@ -23,7 +23,7 @@ SMALL, LARGE = 10_000, 100_000
 
 def _write_prompts(out: Path, count: int) -> int:
     """Write ``count`` short prompt records in manifest order; return the file's size in bytes."""
-    configs = [config.to_dict() for config in sorted(all_configs(), key=lambda c: c.selector)]
+    configs = [manifest.as_row(config) for config in sorted(all_configs(), key=lambda c: c.selector)]
 
     def records():
         for k in range(count):

@@ -13,12 +13,12 @@ import helpers
 from eventqa import promptkit
 from eventqa.corpus import Answer
 from eventqa.graphcore import verbalize_graph
+from eventqa.manifest import as_row, canonical_json
 from eventqa.promptkit import (
     BudgetError,
     Demonstration,
     DemoPool,
     InsufficientPoolError,
-    PromptRecord,
     assemble_prompt,
     canonical_answer_sentence,
     select_demonstrations,
@@ -154,12 +154,11 @@ class TestAssembly:
 
     def test_record_round_trips_through_dict(self, rally_instance, demo_pool):
         record = _build(rally_instance, PromptConfig(Strategy.FEW, Modality.TAG), demo_pool)
-        row = json.loads(json.dumps(record.to_dict()))
+        row = json.loads(canonical_json(as_row(record)))
         assert row["prompt_text"] == record.prompt_text
         assert row["token_count"] == record.token_count
-        assert PROMPT_ROW.read(row).config == record.config
-        assert row["tokenizer"] == promptkit.TOKENIZER == "simple"
-        assert list(row) == [*PromptRecord._fields, "tokenizer"]  # the record holds exactly what it writes
+        assert PROMPT_ROW.read(row) == record
+        assert row["tokenizer"] == record.tokenizer == "simple"
 
 
 class TestTruncation:
@@ -424,7 +423,7 @@ def _record_or_error(assemble, instance, config, demos, verbalized, budget):
         result = assemble(instance, config, demos, verbalized, budget=budget)
     except BudgetError as exc:
         return BudgetError, str(exc)
-    return result.to_dict()
+    return result
 
 
 class TestComposedCounts:
@@ -435,7 +434,7 @@ class TestComposedCounts:
         verbalized = verbalize_graph(instance.graph) if config.includes_graph else None
         expected = _assemble_reference(instance, config, demos, verbalized)
         record = assemble_prompt(instance, config, demos, verbalized)
-        assert record.to_dict() == expected.to_dict()
+        assert record == expected
 
         budget = data.draw(st.integers(0, expected.token_count + 2), label="budget")
         case = instance, config, demos, verbalized, budget
